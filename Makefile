@@ -36,13 +36,14 @@ bench-json:
 # Re-run the snapshot benches once and fail if the arena estimator's
 # allocs/op regressed more than 20% against the checked-in baseline, the
 # disabled metrics path's more than 2% (the "metrics off = free"
-# budget), or the SoA stepwise lane's more than 34% (baseline 3
+# budget), the SoA stepwise lane's more than 34% (baseline 3
 # allocs/op, so the columnar core stays two orders of magnitude under
-# the object engine's 1063-alloc seed).
+# the object engine's 1063-alloc seed), or either at-scale engine
+# lane's more than 20%.
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchtime=1x -benchmem . | \
 		$(GO) run ./cmd/benchjson -out /dev/null -baseline BENCH_sim.json \
-		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20'
+		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20'
 
 # Seeded chaos soak under the race detector: the fault injector, the
 # hardened synchronizer's safety/termination properties, and the

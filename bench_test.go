@@ -414,14 +414,15 @@ func BenchmarkStepwiseRoundSoA(b *testing.B) {
 
 // BenchmarkEngineAtScale is the tentpole's headline pair: one full
 // SynRan execution (t = n-1, SplitVote, half/half inputs) per op on
-// each engine core at n = 1024, where the object engine's per-victim
-// BitSet clones and per-process message slices dominate and the
-// columnar core's popcount sweeps win by two orders of magnitude
-// (~125x at n=1024, growing with n — the object core is quadratic in
-// survivors per round, the SoA core near-linear). Both engines are
-// byte-equivalent (conformance lane e), so the executions are the
-// same; only the representation differs. Part of the BENCH_SNAPSHOT
-// set: the JSON baseline records both lanes so the ratio is auditable.
+// each engine core at n = 1024, where the object engine's per-receiver
+// inboxes dominate and the columnar core's popcount sweeps win (23x at
+// n = 1024 in BENCH_sim.json, growing with n — the object core copies
+// every inbox, quadratic in survivors per round, the SoA core is
+// near-linear). Both engines are byte-equivalent (conformance lane e),
+// so the executions are the same; only the representation differs.
+// Part of the BENCH_SNAPSHOT set: the JSON baseline records both lanes
+// so the ratio is auditable, and bench-check gates both lanes'
+// allocs/op.
 func BenchmarkEngineAtScale(b *testing.B) {
 	const n = 1024
 	inputs := workload.HalfHalf(n)

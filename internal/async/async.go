@@ -186,20 +186,27 @@ func (e *Execution) enqueue(from int, sends []Send) {
 	for _, s := range sends {
 		if s.To == Broadcast {
 			for j := 0; j < e.cfg.N; j++ {
-				if j == from {
-					continue
+				if j != from {
+					e.push(from, j, s.Payload)
 				}
-				e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: j, Payload: s.Payload})
-				e.seq++
 			}
 			continue
 		}
 		if s.To < 0 || s.To >= e.cfg.N || s.To == from {
 			continue
 		}
-		e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: s.To, Payload: s.Payload})
-		e.seq++
+		e.push(from, s.To, s.Payload)
 	}
+}
+
+// push queues one message under the next sequence number. A message to
+// a dead or halted receiver still consumes its number but is dropped on
+// the spot, exactly as compactPending would drop it.
+func (e *Execution) push(from, to int, payload int64) {
+	if e.alive[to] && !e.procs[to].Halted() {
+		e.pending = append(e.pending, Message{Seq: e.seq, From: from, To: to, Payload: payload})
+	}
+	e.seq++
 }
 
 // done reports whether every correct process has decided.
@@ -254,11 +261,15 @@ func (e *Execution) findSeq(seq int) int {
 // Run drives the execution until every correct process decides, the
 // schedule starves (no deliverable messages), or MaxSteps is hit.
 func (e *Execution) Run(sched Scheduler) (*Result, error) {
+	// pending stays compact from here on: push never queues a message to
+	// a dead or halted receiver, and the two events that can strand one
+	// already queued, a crash and a delivery that halts its receiver,
+	// recompact on the spot.
+	e.compactPending()
 	for !e.done() {
 		if e.steps >= e.cfg.MaxSteps {
 			return nil, fmt.Errorf("%w (scheduler %q, %d steps)", ErrMaxSteps, sched.Name(), e.steps)
 		}
-		e.compactPending()
 		if len(e.pending) == 0 {
 			// Starvation with undecided correct processes: in the crash
 			// model this means the protocol needed more messages than
@@ -303,8 +314,11 @@ func (e *Execution) Run(sched Scheduler) (*Result, error) {
 		if d, ok := sched.(DeliveryObserver); ok {
 			d.Delivered(m)
 		}
-		if e.alive[m.To] && !e.procs[m.To].Halted() {
-			e.enqueue(m.To, e.procs[m.To].Deliver(m.From, m.Payload))
+		if to := e.procs[m.To]; e.alive[m.To] && !to.Halted() {
+			e.enqueue(m.To, to.Deliver(m.From, m.Payload))
+			if to.Halted() {
+				e.compactPending()
+			}
 		}
 	}
 	return e.result(), nil

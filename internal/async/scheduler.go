@@ -56,17 +56,16 @@ func (s *RandomSched) Next(v *View) Action {
 // it recreates the FLP bivalence loop; against the randomized variant
 // it maximizes the number of coin-flip phases.
 type Splitter struct {
-	// seen[r][v] counts REPORT values already delivered to receiver r in
-	// the receiver's current phase bucket (approximated by phase number).
-	seen map[int]map[int]*[2]int
+	// seen[r][p] counts the REPORT values 0 and 1 already delivered to
+	// receiver r in the receiver's phase bucket p (approximated by the
+	// message's phase number, which Pack keeps non-negative).
+	seen [][][2]int
 }
 
 var _ Scheduler = (*Splitter)(nil)
 
 // NewSplitter builds the adaptive scheduler.
-func NewSplitter() *Splitter {
-	return &Splitter{seen: make(map[int]map[int]*[2]int)}
-}
+func NewSplitter() *Splitter { return &Splitter{} }
 
 // Name implements Scheduler.
 func (s *Splitter) Name() string { return "splitter" }
@@ -122,10 +121,12 @@ func (s *Splitter) score(m Message) int {
 		if val != 0 && val != 1 {
 			return 500
 		}
-		c := s.counts(m.To, phase)
 		// Delivering the minority value reduces imbalance: score by the
 		// resulting imbalance of the receiver's tally.
-		after := [2]int{c[0], c[1]}
+		var after [2]int
+		if m.To < len(s.seen) && phase < len(s.seen[m.To]) {
+			after = s.seen[m.To][phase]
+		}
 		after[val]++
 		imb := after[0] - after[1]
 		if imb < 0 {
@@ -137,26 +138,19 @@ func (s *Splitter) score(m Message) int {
 	}
 }
 
-func (s *Splitter) counts(receiver, phase int) *[2]int {
-	byPhase, ok := s.seen[receiver]
-	if !ok {
-		byPhase = make(map[int]*[2]int)
-		s.seen[receiver] = byPhase
-	}
-	c, ok := byPhase[phase]
-	if !ok {
-		c = &[2]int{}
-		byPhase[phase] = c
-	}
-	return c
-}
-
 // record tracks one actual delivery.
 func (s *Splitter) record(m Message) {
 	typ, phase, val := Unpack(m.Payload)
-	if typ == typeReport && (val == 0 || val == 1) {
-		s.counts(m.To, phase)[val]++
+	if typ != typeReport || (val != 0 && val != 1) {
+		return
 	}
+	if m.To >= len(s.seen) {
+		s.seen = append(s.seen, make([][][2]int, m.To+1-len(s.seen))...)
+	}
+	if byPhase := s.seen[m.To]; phase >= len(byPhase) {
+		s.seen[m.To] = append(byPhase, make([][2]int, phase+1-len(byPhase))...)
+	}
+	s.seen[m.To][phase][val]++
 }
 
 // SyncRound emulates the synchronous lock-step schedule on the

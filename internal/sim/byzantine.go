@@ -36,15 +36,7 @@ type Forger interface {
 func (e *Execution) Corrupt(p int) bool { return e.corrupt[p] }
 
 // CorruptCount returns the number of corrupted processes.
-func (e *Execution) CorruptCount() int {
-	c := 0
-	for _, b := range e.corrupt {
-		if b {
-			c++
-		}
-	}
-	return c
-}
+func (e *Execution) CorruptCount() int { return e.corrupted }
 
 // applyForgeries corrupts new victims (budget permitting) and records
 // this round's forged payload tables. Invalid forgeries (bad sender,
@@ -63,23 +55,14 @@ func (e *Execution) applyForgeries(forgeries []Forgery) {
 			continue
 		}
 		if !e.corrupt[v] {
-			if e.crashed+e.CorruptCount() >= e.cfg.T {
+			if e.crashed+e.corrupted >= e.cfg.T {
 				continue
 			}
 			e.corrupt[v] = true
+			e.corrupted++
 		}
 		e.forged[v] = &f
 	}
-}
-
-// forgedPayload returns the payload a corrupted sender delivers to
-// receiver j this round, and whether it sends to j at all.
-func (e *Execution) forgedPayload(sender, j int) (int64, bool) {
-	f, ok := e.forged[sender]
-	if !ok || f.Silent {
-		return 0, false
-	}
-	return f.PerReceiver[j], true
 }
 
 // FinishRoundForged is FinishRound plus Byzantine forgeries.

@@ -367,6 +367,7 @@ type Execution struct {
 	corrupt     []bool
 	decidedSeen []bool
 	crashed     int
+	corrupted   int // number of true entries in corrupt
 	faults      Faults
 	forged      map[int]*Forgery
 
@@ -377,8 +378,13 @@ type Execution struct {
 	sending  []bool
 	deliver  []*BitSet // per-sender override for the open round; nil = all
 
+	// inboxes[j] is the message list Phase A of the next round hands to
+	// process j. Phase A consumes it, so Phase B rebuilds it in place.
 	inboxes [][]Recv
-	scratch [][]Recv // double buffer for inbox construction
+	// Phase B scratch (see phaseB): the round's uniform broadcasts in
+	// sender order, and the senders spliced into them per receiver.
+	run     []Recv
+	splices []splice
 
 	decideRound int // first round after which all survivors had decided
 	haltRound   int
@@ -417,8 +423,8 @@ func NewExecution(cfg Config, procs []Process, inputs []int, advSeed uint64) (*E
 
 // Reset reinitializes the execution to round zero for a new run,
 // validating exactly as NewExecution would, but reusing every
-// per-process buffer (bools, payloads, inboxes, scratch, delivery masks,
-// the adversary rng) already owned by the receiver. Resetting a zero
+// per-process buffer (bools, payloads, inboxes, delivery masks, the
+// adversary rng) already owned by the receiver. Resetting a zero
 // Execution is equivalent to NewExecution. The previous procs slice is
 // replaced by the given one; all other state is overwritten in place.
 func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uint64) error {
@@ -465,6 +471,7 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 		e.decidedSeen[i] = false
 	}
 	e.crashed = 0
+	e.corrupted = 0
 	e.faults = Faults{}
 	e.forged = nil
 	e.round = 0
@@ -486,7 +493,6 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	// alone would be ~16 GB. If the execution later falls back to the
 	// object path (Byzantine forgeries), the buffers grow lazily.
 	e.inboxes = resizeRecvBufs(e.inboxes, n)
-	e.scratch = resizeRecvBufs(e.scratch, n)
 	for i := 0; i < n; i++ {
 		if e.inboxes[i] == nil {
 			if !e.tallyMode {
@@ -494,13 +500,6 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 			}
 		} else {
 			e.inboxes[i] = e.inboxes[i][:0]
-		}
-		if e.scratch[i] == nil {
-			if !e.tallyMode {
-				e.scratch[i] = make([]Recv, 0, n)
-			}
-		} else {
-			e.scratch[i] = e.scratch[i][:0]
 		}
 	}
 	e.decideRound = 0
@@ -570,7 +569,7 @@ func (e *Execution) Round() int { return e.round }
 
 // Budget returns the number of faults (crashes plus corruptions) the
 // adversary may still introduce. Read-only value.
-func (e *Execution) Budget() int { return e.cfg.T - e.crashed - e.CorruptCount() }
+func (e *Execution) Budget() int { return e.cfg.T - e.crashed - e.corrupted }
 
 // Alive reports whether process p has not crashed. Read-only value.
 func (e *Execution) Alive(p int) bool { return e.alive[p] }
@@ -638,11 +637,10 @@ func (e *Execution) Clone() *Execution {
 }
 
 // CloneInto overwrites dst with a deep copy of e, reusing every buffer
-// dst already owns (bool/payload vectors, inboxes, scratch, delivery
-// BitSets, the adversary rng, and — for processes implementing
-// ProcessCopier — the process state machines themselves). A nil dst
-// allocates a fresh Execution, making CloneInto(nil) identical to
-// Clone. It returns dst.
+// dst already owns (bool/payload vectors, inboxes, delivery BitSets, the
+// adversary rng, and — for processes implementing ProcessCopier — the
+// process state machines themselves). A nil dst allocates a fresh
+// Execution, making CloneInto(nil) identical to Clone. It returns dst.
 //
 // The copy is semantically indistinguishable from Clone: all state is
 // overwritten, so a recycled dst produces byte-identical continuations
@@ -667,6 +665,7 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	dst.corrupt = append(dst.corrupt[:0], e.corrupt...)
 	dst.decidedSeen = append(dst.decidedSeen[:0], e.decidedSeen...)
 	dst.crashed = e.crashed
+	dst.corrupted = e.corrupted
 	dst.faults = e.faults
 	dst.round = e.round
 	dst.phaseAOpen = e.phaseAOpen
@@ -730,11 +729,14 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 		dst.deliver[i] = dst.deliverSlot(i, src)
 	}
 
+	// An open round's inboxes were consumed by its Phase A and are
+	// rebuilt by its Phase B, so only a closed round's are worth copying.
 	dst.inboxes = resizeRecvBufs(dst.inboxes, n)
-	dst.scratch = resizeRecvBufs(dst.scratch, n)
 	for i := 0; i < n; i++ {
-		dst.inboxes[i] = append(dst.inboxes[i][:0], e.inboxes[i]...)
-		dst.scratch[i] = dst.scratch[i][:0]
+		dst.inboxes[i] = dst.inboxes[i][:0]
+		if !e.phaseAOpen {
+			dst.inboxes[i] = append(dst.inboxes[i], e.inboxes[i]...)
+		}
 	}
 
 	dst.viewBuf = View{} // never alias the source's round buffers
@@ -853,9 +855,7 @@ func (e *Execution) FinishRoundOmitted(plans, omissions []CrashPlan) error {
 		return e.finishRoundTally(plans, omissions)
 	}
 	r := e.round + 1
-	// The corrupt count cannot change during crash application (only
-	// applyForgeries corrupts), so hoist it out of the budget check.
-	budgetUsed := e.crashed + e.CorruptCount()
+	budgetUsed := e.crashed + e.corrupted
 	for _, plan := range plans {
 		v := plan.Victim
 		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
@@ -908,55 +908,92 @@ func (e *Execution) FinishRoundOmitted(plans, omissions []CrashPlan) error {
 		}
 	}
 
-	// Phase B: build next-round inboxes.
 	deliveredBefore := e.messages
-	for j := range e.scratch {
-		e.scratch[j] = e.scratch[j][:0]
-	}
-	for i := range e.procs {
-		if e.corrupt[i] {
-			// Byzantine sender: per-receiver forged payloads.
-			if !e.alive[i] {
-				continue
-			}
-			for j := range e.procs {
-				if j == i || !e.alive[j] || e.halted[j] || e.corrupt[j] {
-					continue
-				}
-				if payload, ok := e.forgedPayload(i, j); ok {
-					e.scratch[j] = append(e.scratch[j], Recv{From: i, Payload: payload})
-					e.messages++
-				}
-			}
-			continue
-		}
-		if !e.sending[i] {
-			continue
-		}
-		mask := e.deliver[i]
-		for j := range e.procs {
-			if j == i {
-				continue
-			}
-			if mask != nil && !mask.Get(j) {
-				continue
-			}
-			// Delivery to crashed, halted, or corrupted processes is
-			// harmless; skip it to keep inboxes meaningful.
-			if !e.alive[j] || e.halted[j] || e.corrupt[j] {
-				continue
-			}
-			e.scratch[j] = append(e.scratch[j], Recv{From: i, Payload: e.payloads[i]})
-			e.messages++
-		}
-	}
-	e.inboxes, e.scratch = e.scratch, e.inboxes
+	e.phaseB()
 	if m := e.cfg.Metrics; m != nil {
 		m.Messages.Add(e.cfg.MetricsShard, uint64(e.messages-deliveredBefore))
 	}
 
 	e.finishBookkeeping(r)
 	return nil
+}
+
+// splice is a Phase B sender whose delivery depends on the receiver: a
+// crash or omission victim of this round, whose deliver mask selects
+// the receivers that still hear it, or an alive Byzantine sender, whose
+// forgery table gives each receiver's payload. at is its position in
+// the round's run of uniform broadcasts: the number of uniform senders
+// before it.
+type splice struct{ at, from int }
+
+// phaseB delivers the open round's messages: every eligible receiver
+// (alive, not halted, not corrupt) gets, in sender order, each message
+// addressed to it but its own, and every other inbox is emptied. It is
+// receiver-major: one pass over the senders lays the uniform broadcasts
+// (non-corrupt, sending, no delivery override) out once in e.run and
+// lists the receiver-dependent senders as splices, then each inbox is a
+// few bulk copies of that run with the splices merged in. The result is
+// element for element what a sender-major loop builds (an internal test
+// keeps that loop as the oracle).
+func (e *Execution) phaseB() {
+	run, splices := e.run[:0], e.splices[:0]
+	for i := range e.procs {
+		switch {
+		case e.corrupt[i]:
+			// A corrupt sender with no forgery this round stays silent.
+			if f := e.forged[i]; e.alive[i] && f != nil && !f.Silent {
+				splices = append(splices, splice{at: len(run), from: i})
+			}
+		case !e.sending[i]:
+		case e.deliver[i] != nil:
+			splices = append(splices, splice{at: len(run), from: i})
+		default:
+			run = append(run, Recv{From: i, Payload: e.payloads[i]})
+		}
+	}
+	e.run, e.splices = run, splices
+
+	self := 0 // first run entry from a sender >= j
+	for j, inbox := range e.inboxes {
+		inbox = inbox[:0]
+		for self < len(run) && run[self].From < j {
+			self++
+		}
+		// Delivery to crashed, halted, or corrupted processes is
+		// harmless; skip it to keep inboxes meaningful.
+		if e.alive[j] && !e.halted[j] && !e.corrupt[j] {
+			skip := -1
+			if self < len(run) && run[self].From == j {
+				skip = self
+			}
+			lo := 0
+			for _, s := range splices {
+				inbox = appendRun(inbox, run, lo, s.at, skip)
+				lo = s.at
+				i := s.from
+				switch {
+				case i == j:
+				case e.corrupt[i]:
+					inbox = append(inbox, Recv{From: i, Payload: e.forged[i].PerReceiver[j]})
+				case e.deliver[i].Get(j):
+					inbox = append(inbox, Recv{From: i, Payload: e.payloads[i]})
+				}
+			}
+			inbox = appendRun(inbox, run, lo, len(run), skip)
+			e.messages += len(inbox)
+		}
+		e.inboxes[j] = inbox
+	}
+}
+
+// appendRun appends run[lo:hi] to inbox, leaving out run[skip] (the
+// receiver's own broadcast) when it lies in that range.
+func appendRun(inbox, run []Recv, lo, hi, skip int) []Recv {
+	if lo <= skip && skip < hi {
+		inbox = append(inbox, run[lo:skip]...)
+		lo = skip + 1
+	}
+	return append(inbox, run[lo:hi]...)
 }
 
 // finishBookkeeping updates decision and halt state at the end of round

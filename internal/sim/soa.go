@@ -334,7 +334,7 @@ func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
 			}
 		}
 	}
-	apply(plans, e.cfg.T, e.crashed+e.CorruptCount(), true)
+	apply(plans, e.cfg.T, e.crashed+e.corrupted, true)
 	apply(omissions, e.cfg.FaultBudget, e.faults.CrashEquivalent(), false)
 	e.victimGroups = groups
 

@@ -78,13 +78,14 @@ server-smoke:
 	$(GO) run ./cmd/synrand loadgen -clients 8 -jobs 3 -canary 5
 
 # Cross-engine conformance: the differential harness (sequential sim vs
-# zero-chaos netsim vs Reset vs snapshot forks vs the columnar SoA
+# zero-chaos netsim vs Reset vs snapshot forks vs the other engine
 # core, plus async replay determinism) with its invariant oracles, then
-# the quick CLI sweep on both engine cores.
+# the quick CLI sweep with the base lane on each engine core (the
+# default, then the object reference core).
 conformance:
 	$(GO) test -count=1 ./internal/conformance
 	$(GO) run ./cmd/conformance -quick -seed 42
-	$(GO) run ./cmd/conformance -quick -seed 42 -engine soa
+	$(GO) run ./cmd/conformance -quick -seed 42 -engine object
 	$(GO) run ./cmd/conformance -scenario-dir testdata/corpus
 
 # The declarative scenario surface: codec round-trip and corpus tests,

@@ -317,7 +317,8 @@ func BenchmarkValencyEstimate(b *testing.B) {
 // BenchmarkStepwiseRound measures one Plan call of the Section 3.4
 // step-by-step adversary against a live mid-round view — the heaviest
 // consumer of snapshots (every inspected step classifies a successor
-// state, each classification fanning out rollouts).
+// state, each classification fanning out rollouts). It pins the object
+// core, so it and BenchmarkStepwiseRoundSoA compare the two cores.
 func BenchmarkStepwiseRound(b *testing.B) {
 	const n = 12
 	inputs := workload.HalfHalf(n)
@@ -325,7 +326,7 @@ func BenchmarkStepwiseRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exec, err := sim.NewExecution(sim.Config{N: n, T: n - 1}, procs, inputs, 3)
+	exec, err := sim.NewExecution(sim.Config{N: n, T: n - 1, Engine: sim.EngineObject}, procs, inputs, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -378,10 +379,10 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkStepwiseRoundSoA is BenchmarkStepwiseRound on the columnar
-// SoA engine: the identical Plan call (same n, seeds, and rollout
-// fan-out — the two engines are byte-equivalent, so the adversary walks
-// the same tree) with every snapshot, reseed, and rollout running on
-// the packed kernel. CI gates this variant's allocs/op in bench-check;
+// SoA core (the default): the identical Plan call (same n, seeds, and
+// rollout fan-out — the two engines are byte-equivalent, so the
+// adversary walks the same tree) with every snapshot, reseed, and
+// rollout running on the packed kernel. CI gates this variant's allocs/op in bench-check;
 // the PR-6 acceptance bar is >=10x the time and <=1/10 the allocs of
 // the object engine's frozen baseline.
 func BenchmarkStepwiseRoundSoA(b *testing.B) {

@@ -19,9 +19,9 @@ type ConformanceOptions struct {
 	// Workers bounds the case worker pool (0 = all cores); the report is
 	// identical at every worker count.
 	Workers int
-	// Engine pins every grid case's lock-step backend ("" = object,
-	// "soa" = columnar fast path); the cross-engine differential lane
-	// runs either way.
+	// Engine pins every grid case's lock-step core ("" or "soa" =
+	// default, "object" = object reference core); the cross-core
+	// differential lane runs either way.
 	Engine string
 	// MaxRounds caps each synchronous lane (0 = the harness default).
 	MaxRounds int

@@ -33,8 +33,8 @@ type SimOptions struct {
 	Digest    bool
 	TraceFile string
 	Live      bool
-	// Engine selects the lock-step engine backend ("" = object, "soa" =
-	// columnar fast path); see synran.Spec.Engine.
+	// Engine selects the lock-step engine core ("" or "soa" = default,
+	// "object" = object reference core); see synran.Spec.Engine.
 	Engine string
 	// Chaos, when non-empty, runs on the hardened live runner with this
 	// fault schedule (chaos.ParseSpec syntax, e.g.

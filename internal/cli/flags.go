@@ -29,10 +29,11 @@ type CommonFlags struct {
 	Workers int
 	// Quick selects reduced sizes and trial counts.
 	Quick bool
-	// Engine selects the lock-step engine backend: "" or "object" for the
-	// object-per-process engine, "soa" for the columnar
-	// structure-of-arrays fast path (behaviorally identical; see
-	// internal/sim).
+	// Engine selects the lock-step engine core: "" or "soa" for the
+	// default (the columnar structure-of-arrays core wherever the
+	// protocol has a tally kernel, the object core otherwise), "object"
+	// to pin the object-per-process reference core (behaviorally
+	// identical; see internal/sim).
 	Engine string
 	// Deadline bounds the command's total wall-clock time. 0 disables the
 	// guard; otherwise StartWatchdog makes the command exit with
@@ -116,7 +117,7 @@ func (c *CommonFlags) Register(fs *flag.FlagSet, mask Flag) {
 		fs.BoolVar(&c.Quick, "quick", c.Quick, "reduced sizes and trial counts")
 	}
 	if mask&FlagEngine != 0 {
-		fs.StringVar(&c.Engine, "engine", c.Engine, `lock-step engine backend: "object" (default) or "soa" (columnar fast path, identical results)`)
+		fs.StringVar(&c.Engine, "engine", c.Engine, `lock-step engine core: "soa" (the default: columnar where the protocol has a tally kernel, object otherwise) or "object" (pin the object reference core); results are identical`)
 	}
 	if mask&FlagDeadline != 0 {
 		fs.DurationVar(&c.Deadline, "deadline", c.Deadline, "wall-clock budget for the whole command (0 = unlimited; exceeded = exit 3 with a partial report)")

@@ -1,13 +1,13 @@
 // Package conformance is the cross-engine differential harness: it runs
 // the same (protocol, input vector, seed) through every engine lane the
 // repository has — the sequential lock-step engine (internal/sim) on
-// BOTH of its cores (the object-per-process path and the columnar SoA
-// fast path, compared against each other on every case), the
-// goroutine-per-process live runner on a zero-chaos substrate
-// (internal/netsim), a Reset-reuse replay, and snapshot forks (Clone and
-// SnapshotArena) taken mid-run — and requires that every lane produce
-// the same event log, the same Result, and the same deterministic
-// metrics report, field by field.
+// BOTH of its cores (the object-per-process reference path and the
+// columnar SoA core it defaults to, compared against each other on
+// every case), the goroutine-per-process live runner on a zero-chaos
+// substrate (internal/netsim), a Reset-reuse replay, and snapshot forks
+// (Clone and SnapshotArena) taken mid-run — and requires that every
+// lane produce the same event log, the same Result, and the same
+// deterministic metrics report, field by field.
 //
 // Divergences are reported with the first differing event index and a
 // minimal repro command line, so a failure localizes to "lane A and lane
@@ -47,10 +47,12 @@ type Case struct {
 	Workload  string
 	N, T      int
 	Seed      uint64
-	// Engine selects the lock-step engine backend for the sequential,
-	// reset, and fork lanes ("" = object). Whatever the choice, CheckSync
-	// also runs the OTHER backend as its own lane and compares the two
-	// field by field — the SoA differential check rides every case.
+	// Engine selects the lock-step engine core for the sequential,
+	// reset, and fork lanes ("" or "soa" = the default columnar core
+	// where a kernel exists, "object" = the object reference core).
+	// Whatever the choice, CheckSync also runs the OTHER core as its own
+	// lane and compares the two field by field — the cross-core
+	// differential check rides every case.
 	Engine string
 	// MaxRounds overrides the engines' safety valve (0 = default).
 	MaxRounds int
@@ -644,12 +646,12 @@ func CheckSync(c Case, oracles []Oracle) ([]Divergence, []string, error) {
 	}
 	var divs []Divergence
 
-	// Lane (e): the same lock-step case on the other engine core. With
-	// the default object engine this is the SoA differential lane; a case
-	// pinned to Engine=soa is checked against the object core instead.
-	alt := sim.EngineSoA
-	if c.Engine == sim.EngineSoA {
-		alt = sim.EngineObject
+	// Lane (e): the same lock-step case on the other engine core. A
+	// default case is checked against the object reference core; a case
+	// pinned to Engine=object is checked against the default instead.
+	alt := sim.EngineObject
+	if c.Engine == sim.EngineObject {
+		alt = sim.EngineSoA
 	}
 	altLane, v, err := c.runSequentialEngine("sequential-"+alt, alt, oracles)
 	if err != nil {
@@ -702,8 +704,9 @@ type SweepConfig struct {
 	Seeds int
 	// Workers bounds the case worker pool (0 = all cores).
 	Workers int
-	// Engine pins every case's lock-step backend ("" = object); the
-	// cross-engine differential lane still runs either way.
+	// Engine pins every case's lock-step core ("" = default, "object" =
+	// the object reference core); the cross-core differential lane still
+	// runs either way.
 	Engine string
 	// MaxRounds overrides each case's engine safety valve (0 = default).
 	MaxRounds int

@@ -21,8 +21,10 @@ type RunSpec struct {
 	// emissions, sharded by MetricsShard (the trial worker's id).
 	Metrics      *metrics.Engine
 	MetricsShard int
-	// Engine picks the lock-step backend ("" or sim.EngineObject for the
-	// per-process object core, sim.EngineSoA for the columnar core).
+	// Engine picks the lock-step core: "" or sim.EngineSoA for the
+	// default (the columnar core, unless Opts.LeaderCoin or an injected
+	// coin rules the kernel out), sim.EngineObject to pin the
+	// per-process object core.
 	Engine string
 }
 

@@ -13,19 +13,6 @@ func plainPayload(b int) int64   { return wire.Plain(b) }
 func floodPayload(m int64) int64 { return wire.Flood(m) }
 func valueMaskOf(b int) int64    { return wire.ValueMask(b) }
 
-// tallyMask rebuilds the witnessed-value union of receiver i's round
-// from the mask-bit counts, exactly as absorb would fold the inbox.
-func tallyMask(t *sim.TallyColumns, i int) int64 {
-	var m int64
-	if t.MaskZero[i] > 0 {
-		m |= wire.MaskZero
-	}
-	if t.MaskOne[i] > 0 {
-		m |= wire.MaskOne
-	}
-	return m
-}
-
 // floodDecision is finishFlood's rule: singleton {1} decides 1,
 // anything else decides 0.
 func floodDecision(m int64) int {
@@ -49,8 +36,8 @@ func classifyPayload(p int64) (one, mz, mo bool) {
 
 // kernel is the SynRan protocol as a structure-of-arrays state machine:
 // every Proc field flattened into one column per field, advanced for the
-// whole vector in a single KernelRound call. It exists so the SoA engine
-// (sim.Config.Engine == sim.EngineSoA) can run million-process rounds
+// whole vector in a single KernelRound call. It exists so the columnar
+// core (the engine's default) can run million-process rounds
 // without touching n heap objects — and it must stay bit-identical to
 // driving the same Procs through the object path (same payloads, same
 // decisions, same rng consumption); the conformance differential lane
@@ -163,12 +150,12 @@ func (k *kernel) KernelRound(r int, active []bool, t *sim.TallyColumns, payloads
 		case stageProb:
 			payloads[i], sending[i] = k.probRound(i, r-1, t)
 		case stageWarmup:
-			m := valueMaskOf(int(k.b[i])) | tallyMask(t, i)
+			m := valueMaskOf(int(k.b[i])) | t.WitnessedMask(i)
 			k.floodMask[i] = int8(m)
 			k.st[i] = int8(stageFlood)
 			payloads[i], sending[i] = floodPayload(m), true
 		case stageFlood:
-			m := int64(k.floodMask[i]) | tallyMask(t, i)
+			m := int64(k.floodMask[i]) | t.WitnessedMask(i)
 			k.floodMask[i] = int8(m)
 			k.floodLeft[i]--
 			if k.floodLeft[i] <= 0 {

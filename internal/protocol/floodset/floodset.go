@@ -94,22 +94,20 @@ func (p *Proc) Round(_ int, inbox []sim.Recv) (int64, bool) {
 		p.mask |= m.Payload & wire.MaskBoth
 	}
 	if p.sent >= p.rounds {
-		p.decide()
+		p.decision, p.done = decision(p.mask), true
 		return 0, false
 	}
 	p.sent++
 	return wire.Flood(p.mask), true
 }
 
-// decide applies the standard FloodSet rule: a singleton witnessed set
+// decision is the standard FloodSet rule: a singleton witnessed set
 // decides its value; a mixed set decides the default 0.
-func (p *Proc) decide() {
-	if p.mask == wire.MaskOne {
-		p.decision = 1
-	} else {
-		p.decision = 0
+func decision(mask int64) int {
+	if mask == wire.MaskOne {
+		return 1
 	}
-	p.done = true
+	return 0
 }
 
 // Decided implements sim.Process.

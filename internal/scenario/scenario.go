@@ -93,7 +93,8 @@ type Scenario struct {
 	T int
 	// Seed drives all randomness; trial i runs at Seed+i.
 	Seed uint64
-	// Engine selects the lock-step backend (sim.ValidEngine's names).
+	// Engine selects the lock-step core (sim.ValidEngine's names; ""
+	// is the default core).
 	Engine string
 	// Live selects the goroutine-per-process hardened runner.
 	Live bool

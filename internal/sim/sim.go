@@ -230,12 +230,13 @@ type Config struct {
 	N         int // number of processes
 	T         int // adversary crash budget, 0 <= T <= N
 	MaxRounds int // safety valve; 0 selects a generous default
-	// Engine selects the round-loop backend: EngineObject (or "") is the
-	// object-per-process engine; EngineSoA enables the columnar
-	// structure-of-arrays fast path for kernel-capable process vectors
-	// (see soa.go). The two are behaviorally identical — the conformance
-	// differential lane pins byte-equality — so Engine is purely a
-	// performance switch.
+	// Engine selects the round-loop core. The default ("" or EngineSoA)
+	// runs the columnar structure-of-arrays core whenever procs[0]'s
+	// KernelBuilder adopts the process vector, and the object core
+	// otherwise (see soa.go); EngineObject pins the object-per-process
+	// reference core. The two are behaviorally identical — the
+	// conformance differential lane pins byte-equality — so Engine only
+	// matters for performance and for differential testing.
 	Engine string
 	// Observer, when non-nil, receives this execution's engine events.
 	// Observers watch exactly one execution: snapshots (Clone, CloneInto,
@@ -396,8 +397,8 @@ type Execution struct {
 	// engines copy crash-plan masks into it instead of cloning per plan.
 	deliverScratch []*BitSet
 
-	// SoA fast-path state (Engine == EngineSoA with a kernel-capable
-	// process vector; see soa.go). While tallyMode is set, the process
+	// Columnar-core state (a kernel-capable process vector under the
+	// default engine; see soa.go). While tallyMode is set, the process
 	// objects in procs are stale — the kernel holds the truth — and the
 	// Process accessor syncs them on demand.
 	tallyMode    bool
@@ -492,14 +493,20 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	// preallocation: at n = 10^6 the object engine's n² inbox reservation
 	// alone would be ~16 GB. If the execution later falls back to the
 	// object path (Byzantine forgeries), the buffers grow lazily.
+	// Otherwise every missing inbox is cut from one shared block, capped
+	// at n so it can never grow into its neighbour (Phase B appends at
+	// most n-1 messages per receiver).
 	e.inboxes = resizeRecvBufs(e.inboxes, n)
+	var block []Recv
 	for i := 0; i < n; i++ {
-		if e.inboxes[i] == nil {
-			if !e.tallyMode {
-				e.inboxes[i] = make([]Recv, 0, n)
-			}
-		} else {
+		switch {
+		case e.inboxes[i] != nil:
 			e.inboxes[i] = e.inboxes[i][:0]
+		case !e.tallyMode:
+			if len(block) == 0 {
+				block = make([]Recv, (n-i)*n)
+			}
+			e.inboxes[i], block = block[:0:n], block[n:]
 		}
 	}
 	e.decideRound = 0
@@ -684,7 +691,7 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	}
 	dst.tallyMode = e.tallyMode
 	if e.tallyMode {
-		// SoA fast path: the kernel holds the truth, so clone it (a few
+		// Columnar core: the kernel holds the truth, so clone it (a few
 		// flat column copies) instead of every process object. dst keeps
 		// stale object shells — created once per slot — which Process()
 		// syncs from the kernel on demand.

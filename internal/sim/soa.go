@@ -3,17 +3,21 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+
+	"synran/internal/wire"
 )
 
 // This file is the structure-of-arrays (SoA) backend of the engine: the
-// columnar fast path selected by Config.Engine == EngineSoA. Instead of
-// materializing per-receiver inboxes ([]Recv per process per round), the
-// engine keeps one set of per-receiver tally columns and computes them
-// with whole-vector sweeps: full-broadcast totals once per round, a
+// columnar core every kernel-capable execution runs on unless
+// Config.Engine pins EngineObject. Instead of materializing
+// per-receiver inboxes ([]Recv per process per round), the engine keeps
+// one set of per-receiver tally columns and computes them with
+// whole-vector sweeps: full-broadcast totals once per round, a
 // self-exclusion pass, and one popcount/word sweep per distinct delivery
 // mask. Protocols participate through a TallyKernel — a columnar state
 // machine that advances every process of a round in one call — which
-// core.Proc provides for SynRan. Everything else (crash validity rules,
+// core.Proc provides for SynRan and floodset.Proc for FloodSet and its
+// omission-tolerant variant. Everything else (crash validity rules,
 // observer events, metrics, Result bookkeeping) is shared with the
 // object path, and the conformance harness pins byte-identical behavior
 // between the two engines on every case.
@@ -26,15 +30,19 @@ import (
 // the per-plan Deliver.Clone allocation) and groups victims sharing one
 // adversary mask pointer so a shared rescue mask costs one sweep total.
 
-// Engine names accepted by Config.Engine.
+// Engine names accepted by Config.Engine. The zero value "" is the
+// default: the columnar core whenever procs[0]'s KernelBuilder adopts
+// the process vector, the object core otherwise.
 const (
-	// EngineObject is the original object-per-process, inbox-per-receiver
-	// engine; it runs every Process implementation.
+	// EngineObject pins the original object-per-process,
+	// inbox-per-receiver core, the reference path; it runs every Process
+	// implementation.
 	EngineObject = "object"
-	// EngineSoA selects the columnar fast path. It engages only when the
-	// process vector offers a TallyKernel (core SynRan without the
-	// LeaderCoin option or an injected coin); otherwise the execution
-	// silently runs the object path with identical results.
+	// EngineSoA is another spelling of the default. The columnar core
+	// engages only when the process vector offers a TallyKernel (core
+	// SynRan without the LeaderCoin option or an injected coin, FloodSet,
+	// omitflood); otherwise the execution silently runs the object path
+	// with identical results.
 	EngineSoA = "soa"
 )
 
@@ -56,10 +64,9 @@ func ValidEngine(name string) error {
 // would classify them; Count is the number of delivered messages
 // (len(inbox)); MaskZero/MaskOne count delivered messages whose
 // witnessed-value set contains 0 resp. 1, so the flood-stage union is
-// (MaskZero[j] > 0 ? maskZero : 0) | (MaskOne[j] > 0 ? maskOne : 0).
-// Counts (not booleans) are stored for the mask bits because the
-// self-exclusion and mask sweeps need subtraction, which a plain OR does
-// not support.
+// WitnessedMask(j). Counts (not booleans) are stored for the mask bits
+// because the self-exclusion and mask sweeps need subtraction, which a
+// plain OR does not support.
 type TallyColumns struct {
 	Ones, Zeros, Count []int32
 	MaskZero, MaskOne  []int32
@@ -88,10 +95,24 @@ func resizeInt32s(s []int32, n int) []int32 {
 	return s[:n]
 }
 
+// WitnessedMask folds receiver i's mask-bit counts into the
+// witnessed-value set (wire.MaskZero | wire.MaskOne bits) its delivered
+// messages union to — the flood-stage fold every kernel shares.
+func (t *TallyColumns) WitnessedMask(i int) int64 {
+	var m int64
+	if t.MaskZero[i] > 0 {
+		m |= wire.MaskZero
+	}
+	if t.MaskOne[i] > 0 {
+		m |= wire.MaskOne
+	}
+	return m
+}
+
 // TallyKernel is a columnar protocol state machine: the whole process
 // vector's state held as flat arrays, advanced one round per call. It is
-// the protocol half of the SoA engine; core.Proc builds one (via
-// KernelBuilder) for kernel-capable SynRan vectors.
+// the protocol half of the SoA engine; core.Proc and floodset.Proc build
+// one (via KernelBuilder) for kernel-capable vectors.
 //
 // Determinism contract: a kernel adopted from a process vector must
 // behave bit-identically to driving those processes through the object
@@ -167,7 +188,7 @@ type soaGroup struct {
 // the columnar state. Called from Reset after validation.
 func (e *Execution) enterTallyMode() {
 	e.tallyMode = false
-	if e.cfg.Engine != EngineSoA || len(e.procs) == 0 {
+	if e.cfg.Engine == EngineObject || len(e.procs) == 0 {
 		return
 	}
 	kb, ok := e.procs[0].(KernelBuilder)

@@ -137,10 +137,13 @@ type Spec struct {
 	Seed uint64
 	// MaxRounds overrides the engine's safety valve (0 = default).
 	MaxRounds int
-	// Engine selects the lock-step engine backend: "" or "object" for the
-	// object-per-process engine, "soa" for the columnar
-	// structure-of-arrays fast path (identical results; see internal/sim).
-	// Incompatible with Live/Chaos: the live runner has no columnar core.
+	// Engine selects the lock-step engine core: "" (or its spelling
+	// "soa") for the default, which runs the columnar structure-of-arrays
+	// core wherever the protocol has a tally kernel (synran, floodset,
+	// omitflood) and the object core otherwise; "object" pins the
+	// object-per-process reference core. Results are identical (see
+	// internal/sim). An explicit "soa" is incompatible with Live/Chaos:
+	// the live runner has no columnar core.
 	Engine string
 	// Live selects the goroutine-per-process runner instead of the
 	// lock-step engine (results are identical; see internal/netsim).

@@ -1,4 +1,4 @@
-// Command synran-bench regenerates every experiment table (E1–E15 in
+// Command synran-bench regenerates every experiment table (E1–E19 in
 // DESIGN.md) that reproduces the paper's quantitative claims.
 //
 // Usage:

@@ -18,7 +18,7 @@ type BenchOptions struct {
 	CSV      bool
 	Markdown bool
 	// Scenario / ScenarioDir switch the bench into corpus mode: instead
-	// of the E1–E17 grid, the selected .scenario entries run as one
+	// of the E1–E19 grid, the selected .scenario entries run as one
 	// experiments.Scenarios table, with a checkable claim per entry that
 	// carries expectations.
 	Scenario    string

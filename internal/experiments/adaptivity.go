@@ -3,37 +3,18 @@ package experiments
 import (
 	"fmt"
 
-	"synran/internal/adversary"
-	"synran/internal/core"
+	"synran"
 	"synran/internal/sim"
 	"synran/internal/stats"
-	"synran/internal/trials"
 	"synran/internal/wire"
 	"synran/internal/workload"
 )
 
-// E11AdaptivityGap reproduces the paper's Section 1.2 remark that its
-// lower bound "does not hold without the adaptive selection of the
-// faulty processes" ([CMS89] achieves O(1) expected rounds against
-// non-adaptive fail-stop adversaries). Four cells:
-//
-//   - SynRan vs a committed (non-adaptive) crash schedule: O(1) rounds
-//     regardless of n and t — the coin-flip trap needs adaptivity.
-//   - SynRan vs the adaptive split-vote adversary: rounds grow with n.
-//   - The leader-coin variant ([CC85]/[CMS89]-flavoured shared coin) vs
-//     the same non-adaptive schedule: O(1) rounds.
-//   - The leader-coin variant vs the adaptive leader-killer: rounds grow
-//     ~linearly with t at one crash per round — the classic coordinator
-//     degradation.
-//
 // stabilizationObserver records the last round in which the live
 // processes' proposals were not unanimous. The round after it is the
 // de-facto decision round: the outcome can no longer change (only the
-// stop handshake remains). This is the measure the adaptivity claim is
-// about — SynRan's stop rule deliberately waits out crash storms, so a
-// non-adaptive burst schedule can delay *halting* for its whole duration
-// while the *outcome* is settled in O(1) rounds; only an adaptive
-// adversary can keep the outcome itself in doubt.
+// stop handshake remains). It is the probe behind the settle columns of
+// E11 and E13.
 type stabilizationObserver struct {
 	lastSplit int
 }
@@ -72,24 +53,28 @@ func (s *stabilizationObserver) OnCrash(int, int, int)  {}
 func (s *stabilizationObserver) OnDecide(int, int, int) {}
 func (s *stabilizationObserver) OnHalt(int, int)        {}
 
-// settleHalt is one observed trial of the settle-vs-halt experiments
-// (E11, E13).
-type settleHalt struct {
-	settle float64
-	halt   float64
-}
+func (s *stabilizationObserver) record(smp *sample) { smp.Settle = s.lastSplit + 1 }
 
-// summarizeSettleHalt folds per-trial settle/halt observations.
-func summarizeSettleHalt(outs []settleHalt) (stats.Summary, stats.Summary) {
-	settle := make([]float64, 0, len(outs))
-	halt := make([]float64, 0, len(outs))
-	for _, o := range outs {
-		settle = append(settle, o.settle)
-		halt = append(halt, o.halt)
-	}
-	return stats.Summarize(settle), stats.Summarize(halt)
-}
-
+// E11AdaptivityGap reproduces the paper's Section 1.2 remark that its
+// lower bound "does not hold without the adaptive selection of the
+// faulty processes" ([CMS89] achieves O(1) expected rounds against
+// non-adaptive fail-stop adversaries). Four cells:
+//
+//   - SynRan vs a committed (non-adaptive) crash schedule: O(1) rounds
+//     regardless of n and t — the coin-flip trap needs adaptivity.
+//   - SynRan vs the adaptive split-vote adversary: rounds grow with n.
+//   - The leader-coin variant ([CC85]/[CMS89]-flavoured shared coin) vs
+//     the same non-adaptive schedule: O(1) rounds.
+//   - The leader-coin variant vs the adaptive leader-killer: rounds grow
+//     ~linearly with t at one crash per round — the classic coordinator
+//     degradation.
+//
+// The measure is the settle round (see stabilizationObserver), which is
+// what the adaptivity claim is about: SynRan's stop rule deliberately
+// waits out crash storms, so a non-adaptive burst schedule can delay
+// *halting* for its whole duration while the *outcome* is settled in
+// O(1) rounds; only an adaptive adversary can keep the outcome itself in
+// doubt.
 func E11AdaptivityGap(cfg Config) (*Result, error) {
 	ns := sizes(cfg, []int{32, 128}, []int{32, 128, 512})
 	reps := trialCount(cfg, 8, 30)
@@ -97,64 +82,32 @@ func E11AdaptivityGap(cfg Config) (*Result, error) {
 		"protocol", "adversary", "n", "t", "mean settle rounds", "mean halt rounds")
 	res := &Result{ID: "E11", Table: tb}
 
-	type cell struct {
-		proto string
-		opts  core.Options
-		adv   string
-		mk    func(n, t int, seed uint64) sim.Adversary
-	}
+	type cell struct{ proto, adv, label string }
 	cells := []cell{
-		{"synran", core.Options{}, "waves (non-adaptive)",
-			func(n, t int, seed uint64) sim.Adversary { return adversary.NewWaves(n, t, seed) }},
-		{"synran", core.Options{}, "splitvote (adaptive)",
-			func(n, t int, seed uint64) sim.Adversary { return &adversary.SplitVote{} }},
-		{"leadercoin", core.Options{LeaderCoin: true}, "waves (non-adaptive)",
-			func(n, t int, seed uint64) sim.Adversary { return adversary.NewWaves(n, t, seed) }},
-		{"leadercoin", core.Options{LeaderCoin: true}, "leaderkiller (adaptive)",
-			func(n, t int, seed uint64) sim.Adversary {
-				// Band control plus coordinator assassination: the
-				// split-vote levers keep the counts in the adoption band
-				// while the leader's broadcast is split every round.
-				return adversary.NewCombo(adversary.LeaderKiller{}, &adversary.SplitVote{})
-			}},
+		{synran.ProtocolSynRan, synran.AdversaryWaves, "waves (non-adaptive)"},
+		{synran.ProtocolSynRan, synran.AdversarySplitVote, "splitvote (adaptive)"},
+		{synran.ProtocolLeaderCoin, synran.AdversaryWaves, "waves (non-adaptive)"},
+		// Band control plus coordinator assassination: the split-vote
+		// levers keep the counts in the adoption band while the leader's
+		// broadcast is split every round.
+		{synran.ProtocolLeaderCoin, synran.AdversaryLeaderKiller, "leaderkiller (adaptive)"},
 	}
 
 	means := make(map[string][]float64) // proto/adv -> means per n
 	for _, n := range ns {
 		t := n - 1
 		for _, c := range cells {
-			// Built on trials.Run rather than measureRounds because the
-			// non-adaptive schedule depends on (n, t, seed) and the
-			// stabilization observer must be attached per run.
-			outs, err := trials.Run(cfg.Workers, reps, func(i int) (settleHalt, error) {
-				seed := cfg.Seed + uint64(n*100+i)
-				obs := &stabilizationObserver{}
-				run, err := core.Run(core.RunSpec{
-					N: n, T: t,
-					Inputs:    workload.HalfHalf(n),
-					Opts:      c.opts,
-					Seed:      seed,
-					Adversary: c.mk(n, t, seed),
-					Observer:  obs,
-				})
-				if err != nil {
-					return settleHalt{}, err
-				}
-				if !run.Agreement || !run.Validity {
-					return settleHalt{}, fmt.Errorf("safety violated: %s vs %s n=%d", c.proto, c.adv, n)
-				}
-				return settleHalt{
-					settle: float64(obs.lastSplit + 1),
-					halt:   float64(run.HaltRounds),
-				}, nil
+			ss, err := runSafe(cfg, fmt.Sprintf("E11-n%d-%s-%s", n, c.proto, c.adv), reps, nil, func(i int) (synran.Spec, error) {
+				return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: c.proto, Adversary: c.adv,
+					Seed: cfg.Seed + uint64(n*100+i), Observer: &stabilizationObserver{}}, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			ss, hs := summarizeSettleHalt(outs)
-			tb.AddRow(c.proto, c.adv, n, t, ss.Mean, hs.Mean)
-			key := c.proto + "/" + c.adv
-			means[key] = append(means[key], ss.Mean)
+			st := summarize(ss, settle)
+			tb.AddRow(c.proto, c.label, n, t, st.Mean, summarize(ss, halt).Mean)
+			key := c.proto + "/" + c.label
+			means[key] = append(means[key], st.Mean)
 		}
 	}
 

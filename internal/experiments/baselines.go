@@ -3,13 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"synran/internal/adversary"
-	"synran/internal/core"
-	"synran/internal/protocol/earlystop"
-	"synran/internal/protocol/floodset"
-	"synran/internal/sim"
+	"synran"
 	"synran/internal/stats"
-	"synran/internal/trials"
 	"synran/internal/workload"
 )
 
@@ -38,19 +33,23 @@ func E5Baselines(cfg Config) (*Result, error) {
 	var synRounds, floodRounds float64
 	for _, t := range ts {
 		// FloodSet: deterministic, exactly t+2 engine rounds.
-		fRounds, fViol, err := runFloodSet(n, t, reps, cfg.Workers, cfg.Seed)
+		flood, err := runNamed(cfg, fmt.Sprintf("E5-t%d-floodset", t), reps, nil,
+			halfSpec(synran.ProtocolFloodSet, synran.AdversarySplitVote, n, t, offset(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}
+		fRounds, fViol := summarize(flood, halt), violations(flood)
 		tb.AddRow("floodset", t, "splitvote", fRounds.Mean, fViol)
 
 		// Early-stopping deterministic variant: min(f+2, t+2)-ish rounds
 		// with f actual crashes — the fair deterministic comparison when
 		// the adversary does not spend its budget.
-		eQuiet, eViol, err := runEarlyStop(n, t, reps, cfg.Workers, adversary.None{}, cfg.Seed)
+		early, err := runNamed(cfg, fmt.Sprintf("E5-t%d-earlystop", t), reps, nil,
+			halfSpec(synran.ProtocolEarlyStop, synran.AdversaryNone, n, t, offset(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}
+		eQuiet, eViol := summarize(early, halt), violations(early)
 		tb.AddRow("earlystop", t, "none", eQuiet.Mean, eViol)
 		res.Claims = append(res.Claims, Claim{
 			Name: fmt.Sprintf("earlystop t=%d is O(1) without actual crashes", t),
@@ -67,11 +66,12 @@ func E5Baselines(cfg Config) (*Result, error) {
 		}
 
 		// SynRan under splitvote.
-		sum, _, err := measureRounds(n, t, reps, cfg.Workers, cfg.Metrics, core.Options{}, workload.HalfHalf,
-			func() sim.Adversary { return &adversary.SplitVote{} }, cfg.Seed+uint64(t))
+		ss, err := runSafe(cfg, fmt.Sprintf("E5-t%d-synran", t), reps, cfg.Metrics,
+			halfSpec(synran.ProtocolSynRan, synran.AdversarySplitVote, n, t, stride(cfg.Seed+uint64(t))))
 		if err != nil {
 			return nil, err
 		}
+		sum := summarize(ss, halt)
 		tb.AddRow("synran", t, "splitvote", sum.Mean, 0)
 		if t == n-1 {
 			synRounds = sum.Mean
@@ -79,45 +79,26 @@ func E5Baselines(cfg Config) (*Result, error) {
 	}
 
 	// Symmetric-coin ablation: mass crash of 70% of the 1-senders in
-	// round 2 on all-1 inputs. One trial runs both coin variants at the
-	// same seed so the ablation stays a paired comparison.
-	type ablation struct {
-		symViolated bool
-		synViolated bool
+	// round 2 on all-1 inputs. Both coin variants run trial i at the same
+	// seed, so the ablation stays a paired comparison.
+	ablation := func(protocol string) ([]sample, error) {
+		return runNamed(cfg, "E5-ablation-"+protocol, reps, nil, func(i int) (synran.Spec, error) {
+			return synran.Spec{N: n, T: n - 1, Inputs: workload.Uniform(n, 1), Protocol: protocol,
+				Adversary: synran.AdversaryMassCrash, Seed: cfg.Seed + uint64(i)*31}, nil
+		})
 	}
-	abl, err := trials.Run(cfg.Workers, reps, func(i int) (ablation, error) {
-		var a ablation
-		for _, symmetric := range []bool{false, true} {
-			res2, err := core.Run(core.RunSpec{
-				N: n, T: n - 1,
-				Inputs:    workload.Uniform(n, 1),
-				Opts:      core.Options{SymmetricCoin: symmetric},
-				Seed:      cfg.Seed + uint64(i)*31,
-				Adversary: &adversary.MassCrash{AtRound: 2, Fraction: 0.7, PreferValue: 1},
-			})
-			if err != nil {
-				return ablation{}, err
-			}
-			if symmetric {
-				a.symViolated = !res2.Validity
-			} else {
-				a.synViolated = !res2.Validity || !res2.Agreement
-			}
-		}
-		return a, nil
-	})
+	syn, err := ablation(synran.ProtocolSynRan)
 	if err != nil {
 		return nil, err
 	}
-	symViol, symRuns := 0, 0
-	synViol := 0
-	for _, a := range abl {
-		symRuns++
-		if a.symViolated {
+	sym, err := ablation(synran.ProtocolBenOr)
+	if err != nil {
+		return nil, err
+	}
+	synViol, symViol, symRuns := violations(syn), 0, len(sym)
+	for _, s := range sym {
+		if !s.Validity {
 			symViol++
-		}
-		if a.synViolated {
-			synViol++
 		}
 	}
 	tb.AddRow("synran (one-side bias)", n-1, "masscrash-70%", 0.0, synViol)
@@ -140,79 +121,4 @@ func E5Baselines(cfg Config) (*Result, error) {
 		})
 	tb.Note = "violations = runs breaking agreement or validity"
 	return res, nil
-}
-
-// baselineOutcome is one deterministic-baseline trial's result.
-type baselineOutcome struct {
-	rounds   float64
-	violated bool
-}
-
-// summarizeBaseline folds per-trial outcomes into (rounds, violations).
-func summarizeBaseline(outs []baselineOutcome) (stats.Summary, int) {
-	rounds := make([]float64, 0, len(outs))
-	violations := 0
-	for _, o := range outs {
-		if o.violated {
-			violations++
-		}
-		rounds = append(rounds, o.rounds)
-	}
-	return stats.Summarize(rounds), violations
-}
-
-// runEarlyStop measures the early-stopping deterministic baseline.
-func runEarlyStop(n, t, reps, workers int, adv sim.Adversary, seed uint64) (stats.Summary, int, error) {
-	outs, err := trials.Run(workers, reps, func(i int) (baselineOutcome, error) {
-		inputs := workload.HalfHalf(n)
-		procs, err := earlystop.NewProcs(n, t, inputs)
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		exec, err := sim.NewExecution(sim.Config{N: n, T: t}, procs, inputs, seed+uint64(i))
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		res, err := exec.Run(adv.Clone())
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		return baselineOutcome{
-			rounds:   float64(res.HaltRounds),
-			violated: !res.Agreement || !res.Validity,
-		}, nil
-	})
-	if err != nil {
-		return stats.Summary{}, 0, err
-	}
-	sum, violations := summarizeBaseline(outs)
-	return sum, violations, nil
-}
-
-// runFloodSet measures FloodSet under the split-vote adversary.
-func runFloodSet(n, t, reps, workers int, seed uint64) (stats.Summary, int, error) {
-	outs, err := trials.Run(workers, reps, func(i int) (baselineOutcome, error) {
-		inputs := workload.HalfHalf(n)
-		procs, err := floodset.NewProcs(n, t, inputs)
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		exec, err := sim.NewExecution(sim.Config{N: n, T: t}, procs, inputs, seed+uint64(i))
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		res, err := exec.Run(&adversary.SplitVote{})
-		if err != nil {
-			return baselineOutcome{}, err
-		}
-		return baselineOutcome{
-			rounds:   float64(res.HaltRounds),
-			violated: !res.Agreement || !res.Validity,
-		}, nil
-	})
-	if err != nil {
-		return stats.Summary{}, 0, err
-	}
-	sum, violations := summarizeBaseline(outs)
-	return sum, violations, nil
 }

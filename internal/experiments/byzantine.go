@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"synran/internal/adversary"
-	"synran/internal/protocol/phaseking"
-	"synran/internal/sim"
+	"synran"
 	"synran/internal/stats"
-	"synran/internal/trials"
-	"synran/internal/workload"
 )
 
 // E14Byzantine reproduces the paper's introductory Byzantine context:
@@ -30,43 +26,14 @@ func E14Byzantine(cfg Config) (*Result, error) {
 
 	for _, t := range tsList {
 		n := 4*t + 1
-		type outcome struct {
-			rounds   float64
-			violated bool
-		}
-		outs, err := trials.Run(cfg.Workers, reps, func(i int) (outcome, error) {
-			inputs := workload.HalfHalf(n)
-			procs, err := phaseking.NewProcs(n, t, inputs)
-			if err != nil {
-				return outcome{}, err
-			}
-			exec, err := sim.NewExecution(sim.Config{N: n, T: t}, procs, inputs, cfg.Seed+uint64(t*100+i))
-			if err != nil {
-				return outcome{}, err
-			}
-			run, err := exec.Run(&adversary.Equivocator{Corruptions: t})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{
-				rounds:   float64(run.HaltRounds),
-				violated: !run.Agreement || !run.Validity,
-			}, nil
-		})
+		ss, err := runNamed(cfg, fmt.Sprintf("E14-t%d", t), reps, nil,
+			halfSpec(synran.ProtocolPhaseKing, synran.AdversaryEquivocator, n, t, offset(cfg.Seed+uint64(t*100))))
 		if err != nil {
 			return nil, err
 		}
-		violations := 0
-		rounds := make([]float64, 0, reps)
-		for _, o := range outs {
-			if o.violated {
-				violations++
-			}
-			rounds = append(rounds, o.rounds)
-		}
-		sum := stats.Summarize(rounds)
+		sum, viol := summarize(ss, halt), violations(ss)
 		want := float64(2*(t+1) + 1)
-		tb.AddRow(n, t, "equivocator", sum.Mean, want, violations)
+		tb.AddRow(n, t, "equivocator", sum.Mean, want, viol)
 		res.Claims = append(res.Claims,
 			Claim{
 				Name: fmt.Sprintf("t=%d: Phase King takes exactly 2(t+1)+1 rounds", t),
@@ -75,8 +42,8 @@ func E14Byzantine(cfg Config) (*Result, error) {
 			},
 			Claim{
 				Name: fmt.Sprintf("t=%d: no safety violations among correct processes", t),
-				OK:   violations == 0,
-				Got:  fmt.Sprintf("violations=%d/%d", violations, reps),
+				OK:   viol == 0,
+				Got:  fmt.Sprintf("violations=%d/%d", viol, reps),
 			})
 	}
 	tb.Note = "n = 4t+1 (the protocol's resilience bound); the adversary corrupts the kings of the first t phases and equivocates"

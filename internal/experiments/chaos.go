@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"synran"
 	"synran/internal/scenario"
 	"synran/internal/sim"
 	"synran/internal/stats"
-	"synran/internal/trials"
 )
 
 // E16ChaosDegradation measures how termination degrades as the live
@@ -63,45 +61,13 @@ func E16ChaosDegradation(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			type outcome struct {
-				completed bool
-				rounds    float64
-				faults    sim.Faults
+			key := fmt.Sprintf("E16-%s-drop%.2f", p, rate)
+			ss, err := runNamed(cfg, key, reps, cfg.Metrics, scenarioSpec(scn))
+			if err == nil {
+				// Degraded runs are expected here, and must still never
+				// contain two different decided values.
+				err = checkSafe(key, ss, true)
 			}
-			outs, err := trials.RunWorker(cfg.Workers, reps, trials.Metered(cfg.Metrics, func(worker, i int) (outcome, error) {
-				seed := scn.TrialSeed(i)
-				spec, err := scn.Spec(i, cfg.Metrics, worker)
-				if err != nil {
-					return outcome{}, err
-				}
-				run, err := synran.Run(spec)
-				if err != nil {
-					if !errors.Is(err, synran.ErrFaultBudget) && !errors.Is(err, sim.ErrMaxRounds) {
-						return outcome{}, err
-					}
-					// Degraded gracefully: partial result, typed error. The
-					// survivors must still never disagree.
-					seen := -1
-					for j, ok := range run.Decided {
-						if !ok {
-							continue
-						}
-						if seen == -1 {
-							seen = run.Decisions[j]
-						} else if seen != run.Decisions[j] {
-							return outcome{}, fmt.Errorf("%s drop=%.2f seed=%d: partial result disagrees", p, rate, seed)
-						}
-					}
-					if m := cfg.Metrics; m != nil {
-						m.TrialsDegraded.Inc(worker)
-					}
-					return outcome{faults: run.Faults}, nil
-				}
-				if !run.Agreement || !run.Validity {
-					return outcome{}, fmt.Errorf("%s drop=%.2f seed=%d: safety violated", p, rate, seed)
-				}
-				return outcome{completed: true, rounds: float64(run.HaltRounds), faults: run.Faults}, nil
-			}))
 			if err != nil {
 				// A safety violation inside a trial is an experiment failure,
 				// not a harness error: surface it as the failed claim.
@@ -109,23 +75,22 @@ func E16ChaosDegradation(cfg Config) (*Result, error) {
 				safetyGot = err.Error()
 				continue
 			}
-			completed, degraded := 0, 0
-			var rounds []float64
+			completed := 0
+			var rounds []int
 			var agg sim.Faults
-			for _, o := range outs {
-				agg.Dropped += o.faults.Dropped
-				agg.Demoted += o.faults.Demoted
-				agg.Panics += o.faults.Panics
-				if o.completed {
+			for _, s := range ss {
+				agg.Dropped += s.Faults.Dropped
+				agg.Demoted += s.Faults.Demoted
+				agg.Panics += s.Faults.Panics
+				if !s.Partial {
 					completed++
-					rounds = append(rounds, o.rounds)
-				} else {
-					degraded++
+					rounds = append(rounds, s.Halt)
 				}
 			}
+			degraded := reps - completed
 			tb.AddRow(p, fmt.Sprintf("%.2f", rate), n, t,
 				fmt.Sprintf("%d/%d", completed, reps), degraded,
-				stats.Summarize(rounds).Mean, agg.Dropped, agg.Demoted)
+				stats.SummarizeInts(rounds).Mean, agg.Dropped, agg.Demoted)
 			switch {
 			case rate == 0:
 				res.Claims = append(res.Claims, Claim{

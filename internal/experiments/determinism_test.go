@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"synran/internal/adversary"
-	"synran/internal/core"
+	"synran"
 	"synran/internal/metrics"
-	"synran/internal/sim"
 	"synran/internal/workload"
 )
 
@@ -64,32 +61,35 @@ func firstDiffContext(a, b []byte) string {
 	return string(a[lo:hi])
 }
 
-// TestMeasureRoundsViolationAttribution drives measureRounds into a
-// guaranteed safety violation (the E5 ablation: symmetric coin, all-1
-// inputs, 70% mass crash of 1-senders) and checks that the error names
-// the right n, t, and rep — and that the attribution is identical at
-// every worker count, so a red CI run always points at the same trial.
-func TestMeasureRoundsViolationAttribution(t *testing.T) {
+// TestRunCellViolationAttribution drives a cell into a guaranteed safety
+// violation (the E5 ablation: symmetric coin, all-1 inputs, 70% mass
+// crash of 1-senders) and checks that the error names the cell and its
+// first violating trial — and that the attribution is identical at every
+// worker count, so a red CI run always points at the same (cell, trial)
+// pair. Trials 0 and 1 run the one-side-bias coin, which survives the
+// attack, so the first violation is trial 2.
+func TestRunCellViolationAttribution(t *testing.T) {
 	const n = 64
 	run := func(reps, workers int) string {
-		_, _, err := measureRounds(n, n-1, reps, workers, nil,
-			core.Options{SymmetricCoin: true},
-			func(n int) []int { return workload.Uniform(n, 1) },
-			func() sim.Adversary {
-				return &adversary.MassCrash{AtRound: 2, Fraction: 0.7, PreferValue: 1}
-			}, 42)
+		seed := stride(42)
+		_, err := runSafe(Config{Seed: 42, Workers: workers}, "ablation", reps, nil, func(i int) (synran.Spec, error) {
+			protocol := synran.ProtocolBenOr
+			if i < 2 {
+				protocol = synran.ProtocolSynRan
+			}
+			return synran.Spec{N: n, T: n - 1, Inputs: workload.Uniform(n, 1), Protocol: protocol,
+				Adversary: synran.AdversaryMassCrash, Seed: seed(i)}, nil
+		})
 		if err == nil {
 			t.Fatalf("symmetric-coin ablation did not violate safety (reps=%d workers=%d)", reps, workers)
 		}
 		return err.Error()
 	}
 
-	// Every trial in this configuration violates validity, so a single
-	// rep must blame rep 0 with the exact n and t.
-	if got, want := run(1, 1), "safety violated at n=64 t=63 rep=0"; !strings.Contains(got, want) {
-		t.Fatalf("error %q does not contain %q", got, want)
+	if got, want := run(3, 1), "ablation trial 2: safety violated"; got != want {
+		t.Fatalf("error %q, want %q", got, want)
 	}
-	// First-by-index determinism: a 6-rep batch blames the same trial at
+	// First-by-index determinism: a 6-trial cell blames the same trial at
 	// every worker count.
 	serial := run(6, 1)
 	for _, workers := range []int{2, 8} {

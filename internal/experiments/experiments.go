@@ -1,8 +1,10 @@
 // Package experiments regenerates every quantitative claim of the paper
-// (the experiment index E1–E10 in DESIGN.md). Each experiment returns a
+// (the experiment index E1–E19 in DESIGN.md). Each experiment returns a
 // rendered table plus machine-checkable claims; cmd/synran-bench prints
 // the tables, the test suite asserts the claims, and bench_test.go wraps
-// each experiment in a testing.B target.
+// each experiment in a testing.B target. Every experiment that runs
+// consensus executions batches them through one cell runner (cell.go),
+// which returns each table cell's per-trial samples.
 package experiments
 
 import (
@@ -31,9 +33,9 @@ type Config struct {
 	// execution the experiments run. The merged export obeys the same
 	// worker-count invariance as the tables; see internal/metrics.
 	Metrics *metrics.Engine
-	// Durable configures checkpointing and resume for the long trial
-	// batches (today the paper-scale E17 sweep; see
-	// trials.DurableWorker). The zero value changes nothing.
+	// Durable configures checkpointing and resume for every experiment
+	// cell's trial batch (see runCell and trials.DurableWorker). The zero
+	// value changes nothing.
 	Durable trials.Durability
 }
 

@@ -7,7 +7,6 @@ import (
 	"synran/internal/core"
 	"synran/internal/scenario"
 	"synran/internal/stats"
-	"synran/internal/trials"
 )
 
 // This file holds the adversary-family experiments: E18 measures the
@@ -22,36 +21,6 @@ import (
 // famCell is one (protocol, adversary) grid cell shared by E18/E19.
 type famCell struct {
 	protocol, adversary string
-}
-
-// famOutcome is the per-trial record the family experiments aggregate.
-type famOutcome struct {
-	decide, halt     float64
-	crashes, demoted int
-}
-
-// runFamily runs one cell's trial batch through the declarative
-// scenario surface (per-trial seeds come from scn.TrialSeed) and fails
-// the batch on any safety violation — for these families every run must
-// complete; degradation is not an expected outcome.
-func runFamily(cfg Config, scn scenario.Scenario, reps int) ([]famOutcome, error) {
-	return trials.RunWorker(cfg.Workers, reps, trials.Metered(cfg.Metrics, func(worker, i int) (famOutcome, error) {
-		spec, err := scn.Spec(i, cfg.Metrics, worker)
-		if err != nil {
-			return famOutcome{}, err
-		}
-		run, err := synran.Run(spec)
-		if err != nil {
-			return famOutcome{}, fmt.Errorf("%s/%s seed=%d: %w", scn.Protocol, scn.Adversary, scn.TrialSeed(i), err)
-		}
-		if !run.Agreement || !run.Validity {
-			return famOutcome{}, fmt.Errorf("%s/%s seed=%d: safety violated", scn.Protocol, scn.Adversary, scn.TrialSeed(i))
-		}
-		return famOutcome{
-			decide: float64(run.DecideRounds), halt: float64(run.HaltRounds),
-			crashes: run.Crashes, demoted: run.Faults.Demoted,
-		}, nil
-	}))
 }
 
 // E18OmissionFamilies measures the adaptive-omission adversary family
@@ -94,28 +63,25 @@ func E18OmissionFamilies(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		outs, err := runFamily(cfg, scn, reps)
+		ss, err := runSafe(cfg, fmt.Sprintf("E18-%s-%s", cell.protocol, cell.adversary), reps, cfg.Metrics, scenarioSpec(scn))
 		if err != nil {
 			return nil, err
 		}
-		var decide, halt []float64
-		demoted, crashes, overBudget := 0, 0, 0
-		for _, o := range outs {
-			decide = append(decide, o.decide)
-			halt = append(halt, o.halt)
-			demoted += o.demoted
-			crashes += o.crashes
-			if o.demoted > t {
+		demoted, crashed, overBudget := 0, 0, 0
+		for _, s := range ss {
+			demoted += s.Faults.Demoted
+			crashed += s.Crashes
+			if s.Faults.Demoted > t {
 				overBudget++
 			}
 		}
-		ds, hs := stats.Summarize(decide), stats.Summarize(halt)
+		ds, hs := summarize(ss, decide), summarize(ss, halt)
 		tb.AddRow(cell.protocol, cell.adversary, n, t, t,
-			ds.Mean, hs.Mean, demoted, crashes, floor)
+			ds.Mean, hs.Mean, demoted, crashed, floor)
 		res.Claims = append(res.Claims, Claim{
 			Name: fmt.Sprintf("%s/%s: demotions stay on the fault ledger", cell.protocol, cell.adversary),
-			OK:   crashes == 0 && overBudget == 0,
-			Got:  fmt.Sprintf("crashes=%d, trials over budget=%d (total demoted %d)", crashes, overBudget, demoted),
+			OK:   crashed == 0 && overBudget == 0,
+			Got:  fmt.Sprintf("crashes=%d, trials over budget=%d (total demoted %d)", crashed, overBudget, demoted),
 		})
 		if cell.adversary == synran.AdversaryOmissionSplit {
 			res.Claims = append(res.Claims, Claim{
@@ -135,7 +101,7 @@ func E18OmissionFamilies(cfg Config) (*Result, error) {
 	}
 	res.Claims = append(res.Claims, Claim{
 		Name: "safety holds on every trial of every omission cell",
-		OK:   true, // runFamily fails the experiment on the first violation
+		OK:   true, // runSafe fails the experiment on the first violation
 		Got:  "no violation",
 	})
 	tb.Note = "fault budget = t; Thm 1 floor is t/(4*sqrt(n*log n)+1) — it binds crashes, and the crash column stays 0"
@@ -190,21 +156,18 @@ func E19LateAdversary(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		outs, err := runFamily(cfg, scn, reps)
+		ss, err := runSafe(cfg, fmt.Sprintf("E19-%s-%s", cell.protocol, cell.adversary), reps, cfg.Metrics, scenarioSpec(scn))
 		if err != nil {
 			return nil, err
 		}
-		var decide, halt []float64
-		crashes := 0
-		for _, o := range outs {
-			decide = append(decide, o.decide)
-			halt = append(halt, o.halt)
-			crashes += o.crashes
+		crashed := 0
+		for _, s := range ss {
+			crashed += s.Crashes
 		}
-		ds, hs := stats.Summarize(decide), stats.Summarize(halt)
+		ds, hs := summarize(ss, decide), summarize(ss, halt)
 		meanHalt[cell] = hs.Mean
 		meanDecide[cell] = ds.Mean
-		tb.AddRow(cell.protocol, cell.adversary, n, t, ds.Mean, hs.Mean, crashes, floor)
+		tb.AddRow(cell.protocol, cell.adversary, n, t, ds.Mean, hs.Mean, crashed, floor)
 	}
 	adaptive := meanHalt[famCell{synran.ProtocolSynRan, synran.AdversarySplitVote}]
 	late := meanHalt[famCell{synran.ProtocolSynRan, synran.AdversaryLateSplit}]
@@ -213,7 +176,7 @@ func E19LateAdversary(cfg Config) (*Result, error) {
 	res.Claims = append(res.Claims,
 		Claim{
 			Name: "safety holds on every trial of every cell",
-			OK:   true, // runFamily fails the experiment on the first violation
+			OK:   true, // runSafe fails the experiment on the first violation
 			Got:  "no violation",
 		},
 		Claim{

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"synran/internal/adversary"
+	"synran"
 	"synran/internal/core"
-	"synran/internal/sim"
 	"synran/internal/stats"
-	"synran/internal/trials"
 	"synran/internal/valency"
 	"synran/internal/workload"
 )
@@ -32,53 +30,32 @@ func E6LowerBound(cfg Config) (*Result, error) {
 
 	for _, n := range ns {
 		t := n - 1
-		type pair struct {
-			base    float64
-			forced  float64
-			crashes float64
-		}
-		outs, err := trials.Run(cfg.Workers, reps, func(i int) (pair, error) {
-			seed := cfg.Seed + uint64(n*1000+i)
-			inputs := workload.HalfHalf(n)
-
-			r0, err := core.Run(core.RunSpec{
-				N: n, T: t, Inputs: inputs, Seed: seed, Adversary: adversary.None{},
-			})
-			if err != nil {
-				return pair{}, err
-			}
-
-			lb := valency.NewLowerBound(n, seed)
-			lb.Est.RolloutsPerAdversary = 12
-			lb.Est.Workers = 1 // the outer trial pool already saturates the cores
-			r1, err := core.Run(core.RunSpec{
-				N: n, T: t, Inputs: inputs, Seed: seed, Adversary: lb,
-				MaxRounds: 50 * n,
-			})
-			if err != nil {
-				return pair{}, err
-			}
-			if !r1.Agreement || !r1.Validity {
-				return pair{}, fmt.Errorf("lower-bound adversary broke safety at n=%d", n)
-			}
-			return pair{
-				base:    float64(r0.HaltRounds),
-				forced:  float64(r1.HaltRounds),
-				crashes: float64(r1.Crashes),
-			}, nil
-		})
+		// The two cells share a seed function: trial i of the fault-free
+		// baseline and of the forced run start from the same state.
+		seed := offset(cfg.Seed + uint64(n*1000))
+		base, err := runSafe(cfg, fmt.Sprintf("E6-n%d-baseline", n), reps, nil,
+			halfSpec(synran.ProtocolSynRan, synran.AdversaryNone, n, t, seed))
 		if err != nil {
 			return nil, err
 		}
-		base := make([]float64, 0, reps)
-		forced := make([]float64, 0, reps)
-		crashes := make([]float64, 0, reps)
-		for _, o := range outs {
-			base = append(base, o.base)
-			forced = append(forced, o.forced)
-			crashes = append(crashes, o.crashes)
+		key := fmt.Sprintf("E6-n%d-forced", n)
+		forced, err := runCell(cfg, key, reps, nil, func(_, i int) (sample, error) {
+			lb := valency.NewLowerBound(n, seed(i))
+			lb.Est.RolloutsPerAdversary = 12
+			lb.Est.Workers = 1 // the outer trial pool already saturates the cores
+			res, err := core.Run(core.RunSpec{
+				N: n, T: t, Inputs: workload.HalfHalf(n), Seed: seed(i), Adversary: lb,
+				MaxRounds: 50 * n,
+			})
+			return sampleOf(res, err, nil)
+		})
+		if err == nil {
+			err = checkSafe(key, forced, false)
 		}
-		bs, fs, cs := stats.Summarize(base), stats.Summarize(forced), stats.Summarize(crashes)
+		if err != nil {
+			return nil, err
+		}
+		bs, fs, cs := summarize(base, halt), summarize(forced, halt), summarize(forced, crashes)
 		floor := core.LowerBoundRounds(n, t)
 		tb.AddRow(n, t, bs.Mean, fs.Mean, cs.Mean, floor)
 		res.Claims = append(res.Claims,
@@ -111,34 +88,20 @@ func E8AdversaryCost(cfg Config) (*Result, error) {
 
 	for _, n := range ns {
 		t := n - 1
-		// Each trial returns its own run's block totals; flattening in
-		// index order keeps the histogram worker-count invariant.
-		totals, err := trials.Run(cfg.Workers, reps, func(i int) ([]int, error) {
-			hist := &sim.CrashHistogram{}
-			_, err := core.Run(core.RunSpec{
-				N: n, T: t,
-				Inputs:    workload.HalfHalf(n),
-				Seed:      cfg.Seed + uint64(n*100+i),
-				Adversary: &adversary.SplitVote{},
-				Observer:  hist,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return hist.BlockTotals(3), nil
+		ss, err := runSafe(cfg, fmt.Sprintf("E8-n%d", n), reps, nil, func(i int) (synran.Spec, error) {
+			return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: synran.ProtocolSynRan,
+				Adversary: synran.AdversarySplitVote, Seed: cfg.Seed + uint64(n*100+i), Observer: &blockProbe{}}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		var perBlock []float64
-		blocks := 0
-		for _, bt := range totals {
-			for _, b := range bt {
-				perBlock = append(perBlock, float64(b))
-				blocks++
-			}
+		// Flattening in trial order keeps the histogram worker-count
+		// invariant.
+		var perBlock []int
+		for _, s := range ss {
+			perBlock = append(perBlock, s.Blocks...)
 		}
-		sum := stats.Summarize(perBlock)
+		sum, blocks := stats.SummarizeInts(perBlock), len(perBlock)
 		bound := core.BlockCrashCost(n)
 		ratio := sum.Mean / bound
 		tb.AddRow(n, t, sum.Mean, blocks, bound, ratio)

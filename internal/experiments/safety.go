@@ -8,7 +8,6 @@ import (
 	"synran/internal/rng"
 	"synran/internal/sim"
 	"synran/internal/stats"
-	"synran/internal/trials"
 	"synran/internal/workload"
 )
 
@@ -24,38 +23,33 @@ func E9Safety(cfg Config) (*Result, error) {
 		"variant", "runs", "agreement fails", "validity fails", "termination fails")
 	res := &Result{ID: "E9", Table: tb}
 
-	type counts struct{ runs, agr, val, term int }
-	// One sweep cell = one (n, t, seed index) triple; each cell runs the
-	// four workloads against its rotating adversary pick. The random
-	// workload's coins come from a per-cell split child (keyed by the
-	// cell's position in the enumeration), so cells are independent and
-	// the sweep can fan out across workers without the shared-stream
-	// ordering the serial loop relied on.
-	type cell struct{ n, t, s int }
-	var cellsList []cell
+	// One trial is one (n, t, seed index, workload) execution against the
+	// workload's rotating adversary pick. The random workload's coins come
+	// from a split child keyed by the (n, t, seed index) triple's position
+	// in the enumeration, so trials are independent of one another and of
+	// the pool's scheduling.
+	type triple struct{ n, t, s int }
+	var triples []triple
 	for _, n := range ns {
 		for _, t := range []int{0, n / 2, n - 1, n} {
-			if t < 0 {
-				continue
-			}
 			for s := 0; s < seedsPer; s++ {
-				cellsList = append(cellsList, cell{n, t, s})
+				triples = append(triples, triple{n, t, s})
 			}
 		}
 	}
-	sweep := func(symmetric bool) (counts, error) {
-		workloadRoot := rng.New(cfg.Seed ^ 0x9afe)
-		perCell, err := trials.Run(cfg.Workers, len(cellsList), func(ci int) (counts, error) {
-			var c counts
-			n, t, s := cellsList[ci].n, cellsList[ci].t, cellsList[ci].s
-			seed := cfg.Seed + uint64(n*10000+t*100+s)
-			wr := workloadRoot.Split(uint64(ci))
-			inputsList := [][]int{
+	const workloads = 4
+	workloadRoot := rng.New(cfg.Seed ^ 0x9afe)
+	type counts struct{ runs, agr, val, term int }
+	sweep := func(key string, symmetric bool) (counts, error) {
+		ss, err := runCell(cfg, key, len(triples)*workloads, nil, func(_, k int) (sample, error) {
+			ci, wi := k/workloads, k%workloads
+			n, t, s := triples[ci].n, triples[ci].t, triples[ci].s
+			inputs := [workloads][]int{
 				workload.Uniform(n, 0),
 				workload.Uniform(n, 1),
 				workload.HalfHalf(n),
-				workload.Random(n, 0.5, wr),
-			}
+				workload.Random(n, 0.5, workloadRoot.Split(uint64(ci))),
+			}[wi]
 			advs := []sim.Adversary{
 				adversary.None{},
 				&adversary.Random{PerRound: 0.8, MaxPerRound: 3},
@@ -64,46 +58,38 @@ func E9Safety(cfg Config) (*Result, error) {
 				&adversary.PushTo{Value: 0},
 				&adversary.PushTo{Value: 1},
 			}
-			for wi, inputs := range inputsList {
-				adv := advs[(s+wi)%len(advs)]
-				run, err := core.Run(core.RunSpec{
-					N: n, T: t, Inputs: inputs,
-					Opts:      core.Options{SymmetricCoin: symmetric},
-					Seed:      seed + uint64(wi),
-					Adversary: adv,
-				})
-				c.runs++
-				if err != nil {
-					c.term++
-					continue
-				}
-				if !run.Agreement {
-					c.agr++
-				}
-				if !run.Validity {
-					c.val++
-				}
-			}
-			return c, nil
+			res, err := core.Run(core.RunSpec{
+				N: n, T: t, Inputs: inputs,
+				Opts:      core.Options{SymmetricCoin: symmetric},
+				Seed:      cfg.Seed + uint64(n*10000+t*100+s) + uint64(wi),
+				Adversary: advs[(s+wi)%len(advs)],
+			})
+			return sampleOf(res, err, nil)
 		})
 		if err != nil {
 			return counts{}, err
 		}
-		var c counts
-		for _, pc := range perCell {
-			c.runs += pc.runs
-			c.agr += pc.agr
-			c.val += pc.val
-			c.term += pc.term
+		c := counts{runs: len(ss)}
+		for _, s := range ss {
+			if s.Partial {
+				c.term++
+				continue
+			}
+			if !s.Agreement {
+				c.agr++
+			}
+			if !s.Validity {
+				c.val++
+			}
 		}
 		return c, nil
 	}
 
-	paper, err := sweep(false)
+	paper, err := sweep("E9-paper", false)
 	if err != nil {
 		return nil, err
 	}
-	sym, err := sweep(true)
+	sym, err := sweep("E9-symmetric", true)
 	if err != nil {
 		return nil, err
 	}

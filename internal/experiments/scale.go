@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"synran/internal/adversary"
+	"synran"
 	"synran/internal/core"
 	"synran/internal/sim"
 	"synran/internal/stats"
@@ -32,47 +32,17 @@ func E17ScaleSoA(cfg Config) (*Result, error) {
 		"n", "t", "mean rounds", "max", "crashes", "lower bound", "upper shape", "ratio")
 	res := &Result{ID: "E17", Table: tb}
 
-	// Fields are exported because E17's shards are the repository's
-	// longest (minutes at n = 10^6) and checkpoint through the journal as
-	// JSON when cfg.Durable is on — exactly the batches worth resuming.
-	type outcome struct {
-		Rounds  float64
-		Crashes float64
-	}
 	var ratios []float64
 	for _, n := range ns {
 		t := n - 1
-		fp := fmt.Sprintf("experiment=E17,n=%d,t=%d,seed=%d,reps=%d", n, t, cfg.Seed, reps)
-		outs, _, err := trials.DurableWorker(cfg.Durable, fmt.Sprintf("E17-n%d", n), fp,
-			cfg.Workers, reps, cfg.Metrics,
-			func(worker, i int) (outcome, error) {
-				r, err := core.Run(core.RunSpec{
-					N: n, T: t,
-					Inputs:       workload.HalfHalf(n),
-					Seed:         trials.Seed(cfg.Seed+uint64(n), i),
-					Adversary:    &adversary.SplitVote{},
-					Engine:       sim.EngineSoA,
-					Metrics:      cfg.Metrics,
-					MetricsShard: worker,
-				})
-				if err != nil {
-					return outcome{}, err
-				}
-				if !r.Agreement || !r.Validity {
-					return outcome{}, fmt.Errorf("safety violated at n=%d rep=%d", n, i)
-				}
-				return outcome{float64(r.HaltRounds), float64(r.Crashes)}, nil
-			})
+		ss, err := runSafe(cfg, fmt.Sprintf("E17-n%d", n), reps, cfg.Metrics, func(i int) (synran.Spec, error) {
+			return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: synran.ProtocolSynRan,
+				Adversary: synran.AdversarySplitVote, Seed: trials.Seed(cfg.Seed+uint64(n), i), Engine: sim.EngineSoA}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		rounds := make([]float64, 0, reps)
-		crashes := make([]float64, 0, reps)
-		for _, o := range outs {
-			rounds = append(rounds, o.Rounds)
-			crashes = append(crashes, o.Crashes)
-		}
-		rs, cs := stats.Summarize(rounds), stats.Summarize(crashes)
+		rs, cs := summarize(ss, halt), summarize(ss, crashes)
 		lower := core.LowerBoundRounds(n, t)
 		upper := core.UpperBoundRounds(n, t)
 		ratio := rs.Mean / upper

@@ -12,7 +12,7 @@ import (
 // experiment-style table: one row per entry summarizing its trials'
 // outcomes, and one checkable claim per entry that carries
 // expectations. cmd/synran-bench's -scenario/-scenario-dir mode renders
-// the result with the same table machinery as E1–E17, so the corpus
+// the result with the same table machinery as E1–E19, so the corpus
 // doubles as a benchmark workload.
 func Scenarios(entries []scenario.Entry, cfg Config) (*Result, error) {
 	tb := stats.NewTable("SCN: declarative scenario corpus outcomes",

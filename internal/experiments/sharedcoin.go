@@ -6,7 +6,6 @@ import (
 	"synran/internal/adversary"
 	"synran/internal/core"
 	"synran/internal/stats"
-	"synran/internal/trials"
 	"synran/internal/workload"
 )
 
@@ -31,12 +30,12 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 	res := &Result{ID: "E13", Table: tb}
 
 	type cell struct {
-		name string
-		opts func(seed uint64) core.Options
+		key, name string
+		opts      func(seed uint64) core.Options
 	}
 	cells := []cell{
-		{"private (paper model)", func(uint64) core.Options { return core.Options{} }},
-		{"common (Rabin-style)", func(seed uint64) core.Options {
+		{"private", "private (paper model)", func(uint64) core.Options { return core.Options{} }},
+		{"common", "common (Rabin-style)", func(seed uint64) core.Options {
 			return core.Options{SharedCoinSeed: seed | 1}
 		}},
 	}
@@ -44,7 +43,8 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 	for _, n := range ns {
 		t := n - 1
 		for _, c := range cells {
-			outs, err := trials.Run(cfg.Workers, reps, func(i int) (settleHalt, error) {
+			key := fmt.Sprintf("E13-n%d-%s", n, c.key)
+			ss, err := runCell(cfg, key, reps, nil, func(_, i int) (sample, error) {
 				seed := cfg.Seed + uint64(n*100+i)
 				obs := &stabilizationObserver{}
 				run, err := core.Run(core.RunSpec{
@@ -55,23 +55,17 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 					Adversary: &adversary.SplitVote{},
 					Observer:  obs,
 				})
-				if err != nil {
-					return settleHalt{}, err
-				}
-				if !run.Agreement || !run.Validity {
-					return settleHalt{}, fmt.Errorf("safety violated: %s n=%d", c.name, n)
-				}
-				return settleHalt{
-					settle: float64(obs.lastSplit + 1),
-					halt:   float64(run.HaltRounds),
-				}, nil
+				return sampleOf(run, err, obs)
 			})
+			if err == nil {
+				err = checkSafe(key, ss, false)
+			}
 			if err != nil {
 				return nil, err
 			}
-			ss, hs := summarizeSettleHalt(outs)
-			tb.AddRow(c.name, n, t, ss.Mean, hs.Mean)
-			means[c.name] = append(means[c.name], ss.Mean)
+			st := summarize(ss, settle)
+			tb.AddRow(c.name, n, t, st.Mean, summarize(ss, halt).Mean)
+			means[c.name] = append(means[c.name], st.Mean)
 		}
 	}
 	common := means["common (Rabin-style)"]

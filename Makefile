@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-check chaos soak conformance scenarios experiments experiments-quick adversary-smoke metrics metrics-golden examples clean
+.PHONY: all build test test-short race cover bench bench-json bench-check chaos soak conformance scenarios experiments experiments-quick adversary-smoke metrics metrics-golden examples loc clean
 
 all: build test
 
@@ -135,6 +135,13 @@ examples:
 	$(GO) run ./examples/livecluster
 	$(GO) run ./examples/adaptivitygap
 	$(GO) run ./examples/flploop
+
+# Go line counts, non-test and test, outside the perfbench module and
+# its build directory: the before/after figures a change reports.
+LOC_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@printf 'non-test Go lines: %s\n' "$$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test Go lines:     %s\n' "$$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"synran"
 	"synran/internal/cli"
 )
 
@@ -24,8 +26,8 @@ func main() {
 	common.Register(flag.CommandLine, cli.FlagSeed|cli.FlagWorkers|cli.FlagEngine|cli.FlagDeadline|cli.FlagMetrics|cli.FlagScenario|cli.FlagCheckpoint)
 	flag.IntVar(&opts.N, "n", 64, "number of processes")
 	flag.IntVar(&opts.T, "t", -1, "crash budget (default n-1)")
-	flag.StringVar(&opts.Protocol, "protocol", "synran", "protocol: synran|benor|floodset|leadercoin|earlystop|phaseking")
-	flag.StringVar(&opts.Adversary, "adversary", "splitvote", "adversary: none|random|splitvote|masscrash|push0|push1|waves|leaderkiller|equivocator|lowerbound|stepwise")
+	flag.StringVar(&opts.Protocol, "protocol", "synran", "protocol: "+strings.Join(synran.Protocols(), "|"))
+	flag.StringVar(&opts.Adversary, "adversary", "splitvote", "adversary: "+strings.Join(synran.Adversaries(), "|"))
 	flag.StringVar(&opts.Workload, "workload", "half", "inputs: zeros|ones|half|random")
 	flag.IntVar(&opts.Trials, "trials", 1, "number of runs (seed, seed+1, ...)")
 	flag.BoolVar(&opts.Trace, "trace", false, "print a per-round trace (single trial only)")

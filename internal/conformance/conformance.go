@@ -6,8 +6,9 @@
 // every case), the goroutine-per-process live runner on a zero-chaos
 // substrate (internal/netsim), a Reset-reuse replay, and snapshot forks
 // (Clone and SnapshotArena) taken mid-run — and requires that every
-// lane produce the same event log, the same Result, and the same
-// deterministic metrics report, field by field.
+// lane record the same trace (a trace.Log of round, send, crash, decide
+// and halt events), the same Result, and the same deterministic metrics
+// report, field by field.
 //
 // Divergences are reported with the first differing event index and a
 // minimal repro command line, so a failure localizes to "lane A and lane
@@ -34,6 +35,7 @@ import (
 	"synran/internal/netsim"
 	"synran/internal/scenario"
 	"synran/internal/sim"
+	"synran/internal/trace"
 	"synran/internal/trials"
 	"synran/internal/valency"
 	"synran/internal/workload"
@@ -172,117 +174,20 @@ func (d Divergence) String() string {
 		d.Case.Name(), d.LaneA, d.LaneB, d.Field, at, d.A, d.B, d.Case.Repro())
 }
 
-// event kinds in the comparable log.
-const (
-	eventRound = iota + 1
-	eventSend
-	eventCrash
-	eventDecide
-	eventHalt
-)
-
-// event is one comparable engine event. The meaning of a and b depends
-// on kind: send = (sender, payload), crash = (victim, delivered),
-// decide = (process, value), halt = (process, 0).
-type event struct {
-	kind int
-	r    int
-	a    int
-	b    int64
-}
-
-// String renders the event for divergence reports.
-func (e event) String() string {
-	switch e.kind {
-	case eventRound:
-		return fmt.Sprintf("round(%d)", e.r)
-	case eventSend:
-		return fmt.Sprintf("send(r=%d, p%d, payload=%d)", e.r, e.a, e.b)
-	case eventCrash:
-		return fmt.Sprintf("crash(r=%d, p%d, delivered=%d)", e.r, e.a, e.b)
-	case eventDecide:
-		return fmt.Sprintf("decide(r=%d, p%d, value=%d)", e.r, e.a, e.b)
-	case eventHalt:
-		return fmt.Sprintf("halt(r=%d, p%d)", e.r, e.a)
-	default:
-		return fmt.Sprintf("event(kind=%d)", e.kind)
-	}
-}
-
-// eventLog is the comparable form of an execution: a typed sequence of
-// engine events, one entry per observer callback (plus one send entry
-// per broadcasting process). Unlike the folded sim.Digest, two logs can
-// be diffed to the first divergent event.
-type eventLog struct {
-	events []event
-}
-
-var _ sim.Observer = (*eventLog)(nil)
-
-// OnRound implements sim.Observer: the round header plus one send event
-// per broadcasting process, in process order.
-func (l *eventLog) OnRound(r int, v *sim.View) {
-	l.events = append(l.events, event{kind: eventRound, r: r})
-	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) {
-			l.events = append(l.events, event{kind: eventSend, r: r, a: i, b: v.Payload(i)})
-		}
-	}
-}
-
-// OnCrash implements sim.Observer.
-func (l *eventLog) OnCrash(r, victim, delivered int) {
-	l.events = append(l.events, event{kind: eventCrash, r: r, a: victim, b: int64(delivered)})
-}
-
-// OnDecide implements sim.Observer.
-func (l *eventLog) OnDecide(r, p, value int) {
-	l.events = append(l.events, event{kind: eventDecide, r: r, a: p, b: int64(value)})
-}
-
-// OnHalt implements sim.Observer.
-func (l *eventLog) OnHalt(r, p int) {
-	l.events = append(l.events, event{kind: eventHalt, r: r, a: p})
-}
-
-// Clone returns an independent copy; the fork lanes clone the base log
-// at the snapshot point so each fork continues its own copy.
-func (l *eventLog) Clone() *eventLog {
-	return &eventLog{events: append([]event(nil), l.events...)}
-}
-
-// diffEvents returns the first index where the logs disagree, with
-// renderings of both sides; index -1 means the logs are identical.
-func diffEvents(a, b *eventLog) (int, string, string) {
-	n := len(a.events)
-	if len(b.events) < n {
-		n = len(b.events)
-	}
-	for i := 0; i < n; i++ {
-		if a.events[i] != b.events[i] {
-			return i, a.events[i].String(), b.events[i].String()
-		}
-	}
-	if len(a.events) != len(b.events) {
-		return n, fmt.Sprintf("%d events", len(a.events)), fmt.Sprintf("%d events", len(b.events))
-	}
-	return -1, "", ""
-}
-
-// lane is one engine run of a case: its comparable event log, its
-// Result, and (when metered) its deterministic metrics report.
+// lane is one engine run of a case: its recorded trace, its Result, and
+// (when metered) its deterministic metrics report.
 type lane struct {
 	name     string
-	log      *eventLog
+	log      *trace.Log
 	res      *sim.Result
 	timedOut bool
 	rep      *metrics.Report
 }
 
-// checkedObserver bundles the event log with the oracle checkers so one
-// cfg.Observer slot feeds both.
-func checkedObserver(log *eventLog, checkers []Checker) sim.Observer {
-	obs := sim.MultiObserver{log}
+// checkedObserver bundles the trace recorder with the oracle checkers so
+// one cfg.Observer slot feeds both.
+func checkedObserver(rec *trace.Recorder, checkers []Checker) sim.Observer {
+	obs := sim.MultiObserver{rec}
 	for _, ch := range checkers {
 		obs = append(obs, ch)
 	}
@@ -346,7 +251,7 @@ func (c Case) config(obs sim.Observer, eng *metrics.Engine) sim.Config {
 // finishLane normalizes a run's (res, err) pair: a MaxRounds timeout is
 // a comparable outcome (every lane must time out identically), any other
 // error is a harness failure.
-func finishLane(name string, log *eventLog, res *sim.Result, err error, eng *metrics.Engine) (*lane, error) {
+func finishLane(name string, log *trace.Log, res *sim.Result, err error, eng *metrics.Engine) (*lane, error) {
 	l := &lane{name: name, log: log, res: res}
 	if err != nil {
 		if !errors.Is(err, sim.ErrMaxRounds) {
@@ -360,59 +265,61 @@ func finishLane(name string, log *eventLog, res *sim.Result, err error, eng *met
 	return l, nil
 }
 
-// runSequential is lane (a): the lock-step engine, driven by Run.
-func (c Case) runSequential(oracles []Oracle) (*lane, []string, error) {
-	return c.runSequentialEngine("sequential", c.Engine, oracles)
-}
-
-// runSequentialEngine is lane (a) parameterized by the lock-step engine
-// backend. CheckSync runs it twice — once per backend — so the SoA
-// columnar core and the object core are differentially compared on
-// every case, oracles and metrics included.
-func (c Case) runSequentialEngine(name, engine string, oracles []Oracle) (*lane, []string, error) {
-	procs, adv, inputs, err := c.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	log := &eventLog{}
-	checkers := newCheckers(oracles)
-	eng := metrics.NewEngine(metrics.New(1))
-	cfg := c.config(checkedObserver(log, checkers), eng)
-	cfg.Engine = engine
-	exec, err := sim.NewExecution(cfg, procs, inputs, c.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
+// runExec runs exec under adv. A MaxRounds timeout comes back with the
+// partial Result the netsim runner returns alongside the same error.
+func runExec(exec *sim.Execution, adv sim.Adversary) (*sim.Result, error) {
 	res, err := exec.Run(adv)
 	if res == nil && errors.Is(err, sim.ErrMaxRounds) {
 		res = exec.Result()
 		res.Partial = true
 	}
-	l, err := finishLane(name, log, res, err, eng)
+	return res, err
+}
+
+// laneRun runs a freshly built case under cfg, which carries the lane's
+// recorder, oracle checkers and metrics engine.
+type laneRun func(cfg sim.Config, procs []sim.Process, adv sim.Adversary, inputs []int) (*sim.Result, error)
+
+// runLane is every recorded, checked and metered lane: it builds the
+// case, runs it through run, and finishes the lane and its oracles.
+func (c Case) runLane(name string, oracles []Oracle, run laneRun) (*lane, []string, error) {
+	procs, adv, inputs, err := c.build()
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := trace.NewRecorder(c.N, c.T, c.Seed)
+	checkers := newCheckers(oracles)
+	eng := metrics.NewEngine(metrics.New(1))
+	res, err := run(c.config(checkedObserver(rec, checkers), eng), procs, adv, inputs)
+	l, err := finishLane(name, rec.Log(), res, err, eng)
 	if err != nil {
 		return nil, nil, err
 	}
 	return l, finishCheckers(c, l.name, oracles, checkers, l.res, l.rep), nil
 }
 
+// runSequential is lane (a), the lock-step engine driven by Run, on the
+// given engine core. CheckSync runs it twice — once per core — so the
+// columnar core and the object core are differentially compared on
+// every case, oracles and metrics included.
+func (c Case) runSequential(name, engine string, oracles []Oracle) (*lane, []string, error) {
+	return c.runLane(name, oracles, func(cfg sim.Config, procs []sim.Process, adv sim.Adversary, inputs []int) (*sim.Result, error) {
+		cfg.Engine = engine
+		exec, err := sim.NewExecution(cfg, procs, inputs, c.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return runExec(exec, adv)
+	})
+}
+
 // runNetsim is lane (b): the goroutine-per-process live runner on a
 // zero-chaos substrate, which must be byte-identical to lane (a).
 func (c Case) runNetsim(oracles []Oracle) (*lane, []string, error) {
-	procs, adv, inputs, err := c.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	log := &eventLog{}
-	checkers := newCheckers(oracles)
-	eng := metrics.NewEngine(metrics.New(1))
-	cfg := c.config(checkedObserver(log, checkers), eng)
-	cfg.Engine = "" // the live runner has no columnar backend
-	res, err := netsim.RunChaos(cfg, procs, inputs, adv, c.Seed, netsim.Options{FaultBudget: c.FaultBudget})
-	l, err := finishLane("netsim", log, res, err, eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, finishCheckers(c, l.name, oracles, checkers, l.res, l.rep), nil
+	return c.runLane("netsim", oracles, func(cfg sim.Config, procs []sim.Process, adv sim.Adversary, inputs []int) (*sim.Result, error) {
+		cfg.Engine = "" // the live runner has no columnar backend
+		return netsim.RunChaos(cfg, procs, inputs, adv, c.Seed, netsim.Options{FaultBudget: c.FaultBudget})
+	})
 }
 
 // runReset is lane (d1): run once to dirty every internal buffer, then
@@ -430,27 +337,12 @@ func (c Case) runReset(oracles []Oracle) (*lane, []string, error) {
 	if _, err := exec.Run(adv); err != nil && !errors.Is(err, sim.ErrMaxRounds) {
 		return nil, nil, fmt.Errorf("conformance: reset lane warmup: %w", err)
 	}
-
-	procs2, adv2, _, err := c.build()
-	if err != nil {
-		return nil, nil, err
-	}
-	log := &eventLog{}
-	checkers := newCheckers(oracles)
-	eng := metrics.NewEngine(metrics.New(1))
-	if err := exec.Reset(c.config(checkedObserver(log, checkers), eng), procs2, inputs, c.Seed); err != nil {
-		return nil, nil, err
-	}
-	res, err := exec.Run(adv2)
-	if res == nil && errors.Is(err, sim.ErrMaxRounds) {
-		res = exec.Result()
-		res.Partial = true
-	}
-	l, err := finishLane("reset", log, res, err, eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, finishCheckers(c, l.name, oracles, checkers, l.res, l.rep), nil
+	return c.runLane("reset", oracles, func(cfg sim.Config, procs []sim.Process, adv sim.Adversary, inputs []int) (*sim.Result, error) {
+		if err := exec.Reset(cfg, procs, inputs, c.Seed); err != nil {
+			return nil, err
+		}
+		return runExec(exec, adv)
+	})
 }
 
 // driveTo advances exec round by round until round snap, termination,
@@ -471,8 +363,8 @@ func driveTo(exec *sim.Execution, adv sim.Adversary, snap, maxRounds int) error 
 // both forks to completion. All three must continue identically (and
 // identically to the sequential lane): the fork lanes are what catch
 // shallow-copy state sharing between an execution, its adversary, and
-// their clones. Forks carry no oracles or metrics; the event logs are
-// the comparison.
+// their clones. Forks carry no oracles or metrics; the traces are the
+// comparison.
 func (c Case) runForks(snap int) (base, cloneFork, arenaFork *lane, err error) {
 	procs, adv, inputs, err := c.build()
 	if err != nil {
@@ -482,8 +374,8 @@ func (c Case) runForks(snap int) (base, cloneFork, arenaFork *lane, err error) {
 	if maxRounds == 0 {
 		maxRounds = sim.DefaultMaxRounds(c.N)
 	}
-	baseLog := &eventLog{}
-	exec, err := sim.NewExecution(c.config(baseLog, nil), procs, inputs, c.Seed)
+	baseRec := trace.NewRecorder(c.N, c.T, c.Seed)
+	exec, err := sim.NewExecution(c.config(baseRec, nil), procs, inputs, c.Seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -491,14 +383,14 @@ func (c Case) runForks(snap int) (base, cloneFork, arenaFork *lane, err error) {
 		return nil, nil, nil, err
 	}
 
-	// Fork state is captured BEFORE the base continues: logs, adversary
-	// clones, and the two execution snapshots.
-	cloneLog := baseLog.Clone()
-	arenaLog := baseLog.Clone()
+	// Fork state is captured BEFORE the base continues: recorders,
+	// adversary clones, and the two execution snapshots.
+	cloneRec := baseRec.Clone()
+	arenaRec := baseRec.Clone()
 	cloneAdv := adv.Clone()
 	arenaAdv := adv.Clone()
 	clone := exec.Clone()
-	clone.SetObserver(cloneLog)
+	clone.SetObserver(cloneRec)
 
 	var arena sim.SnapshotArena
 	if !exec.Done() {
@@ -509,30 +401,26 @@ func (c Case) runForks(snap int) (base, cloneFork, arenaFork *lane, err error) {
 		arena.Release(warm)
 	}
 	fork := arena.Snapshot(exec)
-	fork.SetObserver(arenaLog)
+	fork.SetObserver(arenaRec)
 
-	runRest := func(name string, e *sim.Execution, a sim.Adversary, log *eventLog) (*lane, error) {
-		res, err := e.Run(a)
-		if res == nil && errors.Is(err, sim.ErrMaxRounds) {
-			res = e.Result()
-			res.Partial = true
-		}
-		return finishLane(name, log, res, err, nil)
+	runRest := func(name string, e *sim.Execution, a sim.Adversary, rec *trace.Recorder) (*lane, error) {
+		res, err := runExec(e, a)
+		return finishLane(name, rec.Log(), res, err, nil)
 	}
-	if base, err = runRest("fork-base", exec, adv, baseLog); err != nil {
+	if base, err = runRest("fork-base", exec, adv, baseRec); err != nil {
 		return nil, nil, nil, err
 	}
-	if cloneFork, err = runRest("clone-fork", clone, cloneAdv, cloneLog); err != nil {
+	if cloneFork, err = runRest("clone-fork", clone, cloneAdv, cloneRec); err != nil {
 		return nil, nil, nil, err
 	}
-	if arenaFork, err = runRest("arena-fork", fork, arenaAdv, arenaLog); err != nil {
+	if arenaFork, err = runRest("arena-fork", fork, arenaAdv, arenaRec); err != nil {
 		return nil, nil, nil, err
 	}
 	return base, cloneFork, arenaFork, nil
 }
 
-// compareLanes diffs two lanes field by field, event logs first (the
-// most localizable divergence), then the Result, then metrics.
+// compareLanes diffs two lanes field by field, traces first (the most
+// localizable divergence), then the Result, then metrics.
 func compareLanes(c Case, a, b *lane) []Divergence {
 	var out []Divergence
 	div := func(field, av, bv string, idx int) {
@@ -541,7 +429,7 @@ func compareLanes(c Case, a, b *lane) []Divergence {
 			Field: field, A: av, B: bv, EventIndex: idx,
 		})
 	}
-	if idx, av, bv := diffEvents(a.log, b.log); idx >= 0 {
+	if idx, av, bv := trace.FirstDiff(a.log, b.log); idx >= 0 {
 		div("event", av, bv, idx)
 	}
 	if a.timedOut != b.timedOut {
@@ -613,7 +501,7 @@ func CheckSync(c Case, oracles []Oracle) ([]Divergence, []string, error) {
 	}
 	c.normalize()
 
-	seq, violations, err := c.runSequential(oracles)
+	seq, violations, err := c.runSequential("sequential", c.Engine, oracles)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -626,7 +514,7 @@ func CheckSync(c Case, oracles []Oracle) ([]Divergence, []string, error) {
 	if c.Engine == sim.EngineObject {
 		alt = sim.EngineSoA
 	}
-	altLane, v, err := c.runSequentialEngine("sequential-"+alt, alt, oracles)
+	altLane, v, err := c.runSequential("sequential-"+alt, alt, oracles)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,44 +61,16 @@ func TestCheckSyncCleanCase(t *testing.T) {
 	}
 }
 
-func TestDiffEventsLocalizesFirstDivergence(t *testing.T) {
-	a := &eventLog{}
-	b := &eventLog{}
-	for _, l := range []*eventLog{a, b} {
-		l.OnCrash(1, 3, 2)
-		l.OnDecide(2, 0, 1)
-	}
-	a.OnHalt(3, 0)
-	b.OnHalt(3, 1)
-	idx, av, bv := diffEvents(a, b)
-	if idx != 2 {
-		t.Fatalf("first divergent index = %d, want 2", idx)
-	}
-	if av == bv {
-		t.Fatalf("renderings must differ: %q vs %q", av, bv)
-	}
-	b.events[2] = a.events[2]
-	b.OnHalt(4, 2)
-	idx, av, bv = diffEvents(a, b)
-	if idx != 3 || !strings.Contains(av, "events") {
-		t.Fatalf("length mismatch must diverge at the shorter log's end: idx=%d a=%q b=%q", idx, av, bv)
-	}
-	b.events = b.events[:3]
-	if idx, _, _ := diffEvents(a, b); idx != -1 {
-		t.Fatalf("identical logs must not diverge (idx=%d)", idx)
-	}
-}
-
 // TestCompareLanesFlagsResultDrift plants a single-field Result
 // disagreement between two otherwise identical lanes and checks the
 // differential layer reports exactly it.
 func TestCompareLanesFlagsResultDrift(t *testing.T) {
 	c, _ := ParseCase("protocol=synran,adversary=none,workload=half,n=5,t=2,seed=1")
-	seq, _, err := c.runSequential(nil)
+	seq, _, err := c.runSequential("sequential", c.Engine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := c.runSequential(nil)
+	other, _, err := c.runSequential("sequential", c.Engine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

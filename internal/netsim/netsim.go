@@ -29,7 +29,8 @@
 //
 // Limitation: the adversary view's Exec field is nil here (there is no
 // clonable execution mid-flight), so look-ahead adversaries like
-// valency.LowerBound require the sequential engine.
+// valency.LowerBound require the sequential engine, and a forgery from
+// a Byzantine adversary ends the run with ErrForgery.
 package netsim
 
 import (
@@ -48,6 +49,12 @@ import (
 // have been needed to keep the synchronous abstraction intact, so the
 // runner degraded gracefully and returned a partial Result instead.
 var ErrFaultBudget = errors.New("netsim: chaos fault budget exhausted")
+
+// ErrForgery reports that the adversary forged Byzantine payloads (a
+// sim.Forger). The runner has no corruption model, so it stops instead
+// of delivering the corrupt processes' honest messages; forgeries need
+// the lock-step engine.
+var ErrForgery = errors.New("netsim: Byzantine forgeries need the lock-step engine")
 
 // Options harden the live runner against a faulty substrate. The zero
 // value reproduces the perfect-synchronizer behaviour (no injected
@@ -464,15 +471,14 @@ func (r *runner) run() (*sim.Result, error) {
 		if obs := r.cfg.Observer; obs != nil {
 			obs.OnRound(round, view)
 		}
-		// Plan and Omit are both consulted on the pre-crash view, matching
-		// the sequential engine's evaluation order exactly.
-		plans := r.adv.Plan(view)
-		var omissions []sim.CrashPlan
-		if om, ok := r.adv.(sim.Omitter); ok {
-			omissions = om.Omit(view)
+		// sim.Dispatch consults the adversary on the pre-crash view in
+		// the engine's one order; the synchronizer applies the plan itself.
+		p := sim.Dispatch(r.adv, view)
+		if len(p.Forgeries) > 0 {
+			return nil, fmt.Errorf("%w (adversary %q, round %d)", ErrForgery, r.adv.Name(), round)
 		}
 		deliver := make([]*sim.BitSet, r.n)
-		for _, plan := range plans {
+		for _, plan := range p.Crashes {
 			v := plan.Victim
 			if v < 0 || v >= r.n || !r.alive[v] || r.advCrashed >= r.cfg.T {
 				continue
@@ -504,7 +510,7 @@ func (r *runner) run() (*sim.Result, error) {
 		// The victim keeps its sending flag: its in-flight round message
 		// still reaches the receivers its Deliver mask names.
 		omitSpent := r.faults.CrashEquivalent()
-		for _, plan := range omissions {
+		for _, plan := range p.Omissions {
 			v := plan.Victim
 			if v < 0 || v >= r.n || !r.alive[v] || omitSpent >= r.opts.FaultBudget {
 				continue

@@ -135,6 +135,23 @@ func TestLiveRunnerObserver(t *testing.T) {
 	}
 }
 
+// TestForgeryFailsTyped runs a Byzantine adversary on the live runner,
+// which has no corruption model. It must fail with ErrForgery rather
+// than finish fault-free: the same case on the lock-step engine
+// corrupts processes 0 and 1.
+func TestForgeryFailsTyped(t *testing.T) {
+	const n, tt = 9, 2
+	inputs := halfInputs(n)
+	procs, err := phaseking.NewProcs(n, tt, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sim.Config{N: n, T: tt}, procs, inputs, &adversary.Equivocator{Corruptions: tt}, 7)
+	if !errors.Is(err, ErrForgery) {
+		t.Fatalf("err = %v (result %+v), want ErrForgery", err, res)
+	}
+}
+
 func TestCrossEngineDigestEquality(t *testing.T) {
 	// The digest observer must produce identical hashes for the same
 	// execution on both engines — the strongest cross-engine check.

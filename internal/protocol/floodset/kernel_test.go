@@ -6,6 +6,7 @@ import (
 
 	"synran/internal/adversary"
 	"synran/internal/sim"
+	"synran/internal/trace"
 	"synran/internal/wire"
 )
 
@@ -69,34 +70,13 @@ func (a *lateForger) Forge(v *sim.View) []sim.Forgery {
 	return a.Equivocator.Forge(v)
 }
 
-// step runs one round in Execution.Drive's dispatch order.
-func step(t *testing.T, e *sim.Execution, adv sim.Adversary) *sim.View {
-	t.Helper()
-	v, err := e.StepPhaseA()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := adv.Plan(v)
-	switch a := adv.(type) {
-	case sim.Omitter:
-		err = e.FinishRoundOmitted(plans, a.Omit(v))
-	case sim.Forger:
-		err = e.FinishRoundForged(plans, a.Forge(v))
-	default:
-		err = e.FinishRound(plans)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
 // TestDefaultCoreTracksObjectCore drives the same case on the default
-// core and the object core in lockstep. After every round both must
-// have broadcast the same payloads and hold the same process state,
-// field by field, and the finished Results must be identical —
-// including the vectors the kernel rejects and runs that leave the
-// columnar core through a Forger.
+// core and the object core in lockstep. After every Step both must
+// have recorded the same trace (each broadcast payload, crash, decision
+// and halt so far) and hold the same process state, field by field,
+// and the finished Results must be identical — including the vectors
+// the kernel rejects and runs that leave the columnar core through a
+// Forger.
 func TestDefaultCoreTracksObjectCore(t *testing.T) {
 	const n, tt = 6, 2
 	inputs := []int{1, 0, 1, 1, 0, 1}
@@ -134,26 +114,31 @@ func TestDefaultCoreTracksObjectCore(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(engine string) (*sim.Execution, sim.Adversary) {
-				cfg := sim.Config{N: n, T: tt, Engine: engine, FaultBudget: c.budget}
+			run := func(engine string) (*sim.Execution, sim.Adversary, *trace.Recorder) {
+				rec := trace.NewRecorder(n, tt, 7)
+				cfg := sim.Config{N: n, T: tt, Engine: engine, FaultBudget: c.budget, Observer: rec}
 				e, err := sim.NewExecution(cfg, vectorOf(t, inputs, c.rounds, c.foreign...), inputs, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return e, c.adv()
+				return e, c.adv(), rec
 			}
-			def, defAdv := run("")
-			obj, objAdv := run(sim.EngineObject)
+			def, defAdv, defRec := run("")
+			obj, objAdv, objRec := run(sim.EngineObject)
 			for !obj.Done() {
 				if def.Done() {
 					t.Fatalf("default core finished after %d rounds, object core did not", def.Round())
 				}
-				dv, ov := step(t, def, defAdv), step(t, obj, objAdv)
+				if err := def.Step(defAdv); err != nil {
+					t.Fatal(err)
+				}
+				if err := obj.Step(objAdv); err != nil {
+					t.Fatal(err)
+				}
+				if i, dv, ov := trace.FirstDiff(defRec.Log(), objRec.Log()); i >= 0 {
+					t.Fatalf("after round %d, trace event %d: default %s, object %s", obj.Round(), i, dv, ov)
+				}
 				for i := 0; i < n; i++ {
-					if dv.IsSending(i) != ov.IsSending(i) || dv.Payload(i) != ov.Payload(i) {
-						t.Fatalf("round %d process %d: default sends (%v, %#x), object (%v, %#x)",
-							dv.Round, i, dv.IsSending(i), dv.Payload(i), ov.IsSending(i), ov.Payload(i))
-					}
 					if dp, op := state(def.Process(i)), state(obj.Process(i)); dp != op {
 						t.Fatalf("after round %d process %d: default %+v, object %+v", obj.Round(), i, dp, op)
 					}

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Byzantine extension of the fail-stop engine. The paper's own model is
 // fail-stop, but its introduction contrasts it with Byzantine agreement
 // ("efficient t+1 round agreement protocols are known even for Byzantine
@@ -23,7 +21,8 @@ type Forgery struct {
 }
 
 // Forger is the optional adversary extension for Byzantine behaviour.
-// Run detects it; the lock-step engine is the only runner supporting it.
+// Dispatch detects it; the lock-step engine is the only runner that
+// applies forgeries (the netsim runner fails with netsim.ErrForgery).
 type Forger interface {
 	// Forge is invoked once per round after Phase A, alongside Plan. The
 	// first forgery naming a process corrupts it (spending one unit of
@@ -65,18 +64,8 @@ func (e *Execution) applyForgeries(forgeries []Forgery) {
 	}
 }
 
-// FinishRoundForged is FinishRound plus Byzantine forgeries.
+// FinishRoundForged is FinishRound plus Byzantine forgeries, which are
+// applied before the crash plans.
 func (e *Execution) FinishRoundForged(plans []CrashPlan, forgeries []Forgery) error {
-	if !e.phaseAOpen {
-		return fmt.Errorf("sim: FinishRoundForged called without an open round")
-	}
-	if e.tallyMode && len(forgeries) > 0 {
-		// Corruption needs per-receiver payloads, which tally columns
-		// cannot carry: sync the process objects from the kernel and run
-		// the object path from here on (permanently — dropping back is
-		// always behavior-preserving, the reverse is not).
-		e.leaveTallyMode()
-	}
-	e.applyForgeries(forgeries)
-	return e.FinishRound(plans)
+	return e.finish(RoundPlan{Crashes: plans, Forgeries: forgeries})
 }

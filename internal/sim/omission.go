@@ -13,9 +13,9 @@ package sim
 // ledgers (Crashes vs Faults.Demoted) separate on every lane.
 
 // Omitter is the optional adversary extension for adaptive omissions.
-// Drive (and the netsim runner) detect it; Omit is invoked once per
-// round after Phase A, alongside Plan, and its plans are applied after
-// Plan's crashes under the fault budget.
+// Dispatch detects it; Omit is invoked once per round after Phase A,
+// alongside Plan, and its plans are applied after Plan's crashes under
+// the fault budget.
 type Omitter interface {
 	Adversary
 	// Omit returns this round's omission plans: each victim's outgoing

@@ -837,12 +837,35 @@ func (e *Execution) view(r int) *View {
 	return &e.viewBuf
 }
 
+// RoundPlan is one round's adversary decisions, taken on the round's
+// pre-crash view: crash plans charged to T, omission demotions charged
+// to Config.FaultBudget, and Byzantine forgeries charged to T.
+type RoundPlan struct {
+	Crashes   []CrashPlan
+	Omissions []CrashPlan
+	Forgeries []Forgery
+}
+
+// Dispatch consults adv on the round's view v in the engine's one
+// evaluation order: Plan, then Omit if adv is an Omitter, else Forge if
+// it is a Forger. Step and the netsim synchronizer both call it, so no
+// runner spells the order out itself.
+func Dispatch(adv Adversary, v *View) RoundPlan {
+	p := RoundPlan{Crashes: adv.Plan(v)}
+	if om, ok := adv.(Omitter); ok {
+		p.Omissions = om.Omit(v)
+	} else if forger, ok := adv.(Forger); ok {
+		p.Forgeries = forger.Forge(v)
+	}
+	return p
+}
+
 // FinishRound applies the adversary's crash plans and performs Phase B
 // (message delivery) of the open round, then updates decision and halt
 // bookkeeping. Invalid plans (dead or repeated victims, out-of-range
 // indices, plans beyond the budget) are skipped deterministically.
 func (e *Execution) FinishRound(plans []CrashPlan) error {
-	return e.FinishRoundOmitted(plans, nil)
+	return e.finish(RoundPlan{Crashes: plans})
 }
 
 // FinishRoundOmitted is FinishRound plus adaptive-omission demotions:
@@ -855,74 +878,100 @@ func (e *Execution) FinishRound(plans []CrashPlan) error {
 // repeated victims) are skipped deterministically, mirroring the crash
 // rules, so every engine and runner stays byte-identical.
 func (e *Execution) FinishRoundOmitted(plans, omissions []CrashPlan) error {
+	return e.finish(RoundPlan{Crashes: plans, Omissions: omissions})
+}
+
+// finish closes the open round under p: forgeries first (a process
+// they corrupt is skipped as a victim), then every crash, then every
+// omission demotion, then Phase B on the execution's core and the
+// decision and halt bookkeeping. The order of the crash events, then
+// the omission events, is part of the cross-lane event-log contract
+// the conformance harness diffs.
+func (e *Execution) finish(p RoundPlan) error {
 	if !e.phaseAOpen {
 		return errors.New("sim: FinishRound called without an open round")
 	}
-	if e.tallyMode {
-		return e.finishRoundTally(plans, omissions)
+	if len(p.Forgeries) > 0 {
+		if e.tallyMode {
+			// Corruption needs per-receiver payloads, which tally columns
+			// cannot carry: sync the process objects from the kernel and
+			// run the object path from here on (permanently — dropping
+			// back is always behavior-preserving, the reverse is not).
+			e.leaveTallyMode()
+		}
+		e.applyForgeries(p.Forgeries)
 	}
 	r := e.round + 1
-	budgetUsed := e.crashed + e.corrupted
+	e.victimGroups = e.victimGroups[:0]
+	e.applyVictims(r, p.Crashes, true)
+	e.applyVictims(r, p.Omissions, false)
+
+	deliveredBefore := e.messages
+	if e.tallyMode {
+		e.phaseBTally()
+	} else {
+		e.phaseB()
+	}
+	if m := e.cfg.Metrics; m != nil {
+		m.Messages.Add(e.cfg.MetricsShard, uint64(e.messages-deliveredBefore))
+	}
+	e.finishBookkeeping(r)
+	return nil
+}
+
+// applyVictims is the victim loop of both cores. It takes plans in
+// order, crashing each victim against the crash budget T (crash) or
+// demoting it against Config.FaultBudget: out-of-range, dead and
+// corrupt victims are skipped, and the first valid victim past the
+// budget ends the loop.
+func (e *Execution) applyVictims(r int, plans []CrashPlan, crash bool) {
+	budget, spent := e.cfg.T, e.crashed+e.corrupted
+	if !crash {
+		budget, spent = e.cfg.FaultBudget, e.faults.CrashEquivalent()
+	}
 	for _, plan := range plans {
 		v := plan.Victim
 		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
 			continue
 		}
-		if budgetUsed >= e.cfg.T {
+		if spent >= budget {
 			break
 		}
-		e.alive[v] = false
-		e.crashed++
-		budgetUsed++
-		e.deliver[v] = e.deliverSlot(v, plan.Deliver)
-		if obs := e.cfg.Observer; obs != nil {
-			delivered := 0
-			if e.sending[v] {
-				delivered = e.deliver[v].Count()
-			}
-			obs.OnCrash(r, v, delivered)
-		}
-		if m := e.cfg.Metrics; m != nil {
-			m.CrashesAdversary.Inc(e.cfg.MetricsShard)
-		}
-	}
-	// Omission demotions after crashes: the same victim-application
-	// rules against the fault budget. The ordering (all crash events,
-	// then all omission events) is part of the cross-lane event-log
-	// contract the conformance harness diffs.
-	spent := e.faults.CrashEquivalent()
-	for _, plan := range omissions {
-		v := plan.Victim
-		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
-			continue
-		}
-		if spent >= e.cfg.FaultBudget {
-			break
-		}
-		e.alive[v] = false
-		e.faults.Demoted++
 		spent++
-		e.deliver[v] = e.deliverSlot(v, plan.Deliver)
+		e.alive[v] = false
+		if crash {
+			e.crashed++
+		} else {
+			e.faults.Demoted++
+		}
+		delivered := e.recordDelivery(v, plan.Deliver)
 		if obs := e.cfg.Observer; obs != nil {
-			delivered := 0
-			if e.sending[v] {
-				delivered = e.deliver[v].Count()
-			}
 			obs.OnCrash(r, v, delivered)
 		}
 		if m := e.cfg.Metrics; m != nil {
-			m.Demotions.Inc(e.cfg.MetricsShard)
+			if crash {
+				m.CrashesAdversary.Inc(e.cfg.MetricsShard)
+			} else {
+				m.Demotions.Inc(e.cfg.MetricsShard)
+			}
 		}
 	}
+}
 
-	deliveredBefore := e.messages
-	e.phaseB()
-	if m := e.cfg.Metrics; m != nil {
-		m.Messages.Add(e.cfg.MetricsShard, uint64(e.messages-deliveredBefore))
+// recordDelivery records that victim v's round message still reaches
+// the receivers in mask (nil = no one) and returns how many it reaches.
+// It is the victim loop's one core-specific step: the object core
+// copies the mask into v's scratch slot for phaseB, the columnar core
+// adds v to its mask's group for phaseBTally.
+func (e *Execution) recordDelivery(v int, mask *BitSet) int {
+	if e.tallyMode {
+		return e.groupVictim(v, mask)
 	}
-
-	e.finishBookkeeping(r)
-	return nil
+	e.deliver[v] = e.deliverSlot(v, mask)
+	if !e.sending[v] {
+		return 0
+	}
+	return e.deliver[v].Count()
 }
 
 // splice is a Phase B sender whose delivery depends on the receiver: a

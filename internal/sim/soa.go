@@ -271,101 +271,62 @@ func (e *Execution) groupSlot(gi int, mask *BitSet) *BitSet {
 	return s
 }
 
-// finishRoundTally is the columnar Phase B: apply the crash plans (and
-// any omission demotions) under exactly the object path's validity
-// rules, then compute every eligible receiver's next-round tally as
-// (full-broadcast totals) − (own broadcast) + (per-mask group
-// contributions), instead of appending n² inbox entries.
-func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
-	r := e.round + 1
-	n := e.cfg.N
-	obs := e.cfg.Observer
-	met := e.cfg.Metrics
-
-	// Victim application: same order, same skip/budget rules as the
-	// object path. Victims whose final message still reaches someone are
-	// grouped by the adversary's original mask pointer; each distinct
-	// mask is copied into engine scratch ONCE per group, so a mass-crash
-	// plan sharing one mask costs O(n/64) total, not O(victims·n/64).
-	// Victims delivering to no one (not sending, or a nil mask) keep a
-	// nil deliver entry — there is no per-receiver Phase B to feed here.
-	// The same grouping serves crashes (against the T budget) and
-	// omission demotions (against the fault budget); the groups
-	// accumulate across both passes.
-	groups := e.victimGroups[:0]
-	apply := func(victims []CrashPlan, budget int, spent int, crash bool) {
-		for _, plan := range victims {
-			v := plan.Victim
-			if v < 0 || v >= n || !e.alive[v] || e.corrupt[v] {
-				continue
-			}
-			if spent >= budget {
-				break
-			}
-			e.alive[v] = false
-			if crash {
-				e.crashed++
-			} else {
-				e.faults.Demoted++
-			}
-			spent++
-			e.deliver[v] = nil
-			delivered := 0
-			if e.sending[v] && plan.Deliver != nil {
-				gi := -1
-				for g := range groups {
-					if groups[g].orig == plan.Deliver {
-						gi = g
-						break
-					}
-				}
-				if gi < 0 {
-					cp := e.groupSlot(len(groups), plan.Deliver)
-					groups = append(groups, soaGroup{
-						orig: plan.Deliver, mask: cp, delivered: cp.Count(),
-					})
-					gi = len(groups) - 1
-				}
-				g := &groups[gi]
-				delivered = g.delivered
-				e.deliver[v] = g.mask
-				c := e.classify(e.payloads[v])
-				g.cnt++
-				if c.one {
-					g.ones++
-				} else {
-					g.zeros++
-				}
-				if c.mz {
-					g.mz++
-				}
-				if c.mo {
-					g.mo++
-				}
-			}
-			if obs != nil {
-				obs.OnCrash(r, v, delivered)
-			}
-			if met != nil {
-				if crash {
-					met.CrashesAdversary.Inc(e.cfg.MetricsShard)
-				} else {
-					met.Demotions.Inc(e.cfg.MetricsShard)
-				}
-			}
+// groupVictim is recordDelivery on the columnar core. A victim whose
+// final message still reaches someone joins the group of this round's
+// victims sharing its adversary mask pointer; each distinct mask is
+// copied into engine scratch ONCE per group, so a mass-crash plan
+// sharing one mask costs O(n/64) total, not O(victims·n/64). A victim
+// delivering to no one (not sending, or a nil mask) keeps a nil
+// deliver entry: there is no per-receiver Phase B to feed.
+func (e *Execution) groupVictim(v int, mask *BitSet) int {
+	e.deliver[v] = nil
+	if !e.sending[v] || mask == nil {
+		return 0
+	}
+	gi := -1
+	for g := range e.victimGroups {
+		if e.victimGroups[g].orig == mask {
+			gi = g
+			break
 		}
 	}
-	apply(plans, e.cfg.T, e.crashed+e.corrupted, true)
-	apply(omissions, e.cfg.FaultBudget, e.faults.CrashEquivalent(), false)
-	e.victimGroups = groups
+	if gi < 0 {
+		cp := e.groupSlot(len(e.victimGroups), mask)
+		e.victimGroups = append(e.victimGroups, soaGroup{orig: mask, mask: cp, delivered: cp.Count()})
+		gi = len(e.victimGroups) - 1
+	}
+	g := &e.victimGroups[gi]
+	e.deliver[v] = g.mask
+	c := e.classify(e.payloads[v])
+	g.cnt++
+	if c.one {
+		g.ones++
+	} else {
+		g.zeros++
+	}
+	if c.mz {
+		g.mz++
+	}
+	if c.mo {
+		g.mo++
+	}
+	return g.delivered
+}
+
+// phaseBTally is the columnar Phase B: it computes every eligible
+// receiver's next-round tally as (full-broadcast totals) − (own
+// broadcast) + (the groups of this round's victims whose masks name
+// it), instead of appending n² inbox entries.
+func (e *Execution) phaseBTally() {
+	n := e.cfg.N
 
 	// Eligible receivers — alive && !halted && !corrupt after this
 	// round's crashes, exactly the set the object path's delivery loop
 	// appends to — computed as act ∧ alive in the same pass as the
 	// full-broadcast totals: act is Phase A's activity vector, and only
-	// alive can have changed since (crashes above; halting comes after).
-	// The totals cover surviving senders only; this round's victims are
-	// added back mask-wise by their groups.
+	// alive can have changed since (this round's victims; halting comes
+	// after). The totals cover surviving senders only; this round's
+	// victims are added back mask-wise by their groups.
 	if e.eligible == nil {
 		e.eligible = NewBitSet(n)
 	} else {
@@ -404,7 +365,6 @@ func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
 	// Ineligible slots keep stale columns: eligibility is monotone
 	// (alive/halted/corrupt never revert), so the kernel never reads
 	// them again.
-	deliveredBefore := e.messages
 	for wi, w := range ew {
 		base := wi << 6
 		for w != 0 {
@@ -438,8 +398,8 @@ func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
 	// Apply each crash group to the eligible receivers inside its mask
 	// with one word sweep (mask ∧ eligible), however many victims share
 	// the mask.
-	for gi := range groups {
-		g := &groups[gi]
+	for gi := range e.victimGroups {
+		g := &e.victimGroups[gi]
 		mw := g.mask.words
 		ew := e.eligible.words
 		lim := len(mw)
@@ -461,12 +421,6 @@ func (e *Execution) finishRoundTally(plans, omissions []CrashPlan) error {
 			}
 		}
 	}
-	if met != nil {
-		met.Messages.Add(e.cfg.MetricsShard, uint64(e.messages-deliveredBefore))
-	}
-
-	e.finishBookkeeping(r)
-	return nil
 }
 
 // procDecided and procStopped route decision/halt queries to the kernel
@@ -502,11 +456,9 @@ func (e *Execution) Drive(adv Adversary) error {
 	return nil
 }
 
-// Step runs one round under adv in the engine's dispatch order: Phase
-// A, the observer's OnRound, adv.Plan, then Omit if adv is an Omitter,
-// else Forge if it is a Forger, and the matching FinishRound variant.
-// It is the definition of that order: Drive and every driver that
-// stops part-way (the conformance fork lanes) loop over it.
+// Step runs one round under adv: Phase A, the observer's OnRound, the
+// adversary's decisions through Dispatch, and finish. Drive and every
+// driver that stops part-way (the conformance fork lanes) loop over it.
 func (e *Execution) Step(adv Adversary) error {
 	v, err := e.StepPhaseA()
 	if err != nil {
@@ -515,14 +467,7 @@ func (e *Execution) Step(adv Adversary) error {
 	if obs := e.cfg.Observer; obs != nil {
 		obs.OnRound(v.Round, v)
 	}
-	plans := adv.Plan(v)
-	if om, ok := adv.(Omitter); ok {
-		return e.FinishRoundOmitted(plans, om.Omit(v))
-	}
-	if forger, ok := adv.(Forger); ok {
-		return e.FinishRoundForged(plans, forger.Forge(v))
-	}
-	return e.FinishRound(plans)
+	return e.finish(Dispatch(adv, v))
 }
 
 // ConsensusValue returns the surviving processes' common decision value

@@ -14,16 +14,23 @@ import (
 
 // SchemaVersion is the current trace schema version. Version 1 was the
 // implicit pre-versioning format (no version field); version 2 added the
-// field and load-time validation. ReadJSON rejects traces whose version
-// is missing or newer than this with a descriptive error.
-const SchemaVersion = 2
+// field and load-time validation; version 3 added send events. ReadJSON
+// rejects traces whose version is missing, older or newer than this with
+// a descriptive error.
+const SchemaVersion = 3
 
-// Event is one engine event. Kind selects which fields are meaningful.
+// Event is one engine event. Kind selects which fields are meaningful:
+// a round event carries the Alive, Sending and Ones counts of its
+// pre-crash view; each round event is followed by one send event per
+// broadcasting process (Proc, Payload), in process order; a crash event
+// carries the victim and the receivers its message reached (Value); a
+// decide event the process and its value; a halt event the process.
 type Event struct {
-	Kind    string `json:"kind"` // "round" | "crash" | "decide" | "halt"
+	Kind    string `json:"kind"` // "round" | "send" | "crash" | "decide" | "halt"
 	Round   int    `json:"round"`
 	Proc    int    `json:"proc,omitempty"`
 	Value   int    `json:"value,omitempty"`
+	Payload int64  `json:"payload,omitempty"`
 	Alive   int    `json:"alive,omitempty"`
 	Sending int    `json:"sending,omitempty"`
 	Ones    int    `json:"ones,omitempty"`
@@ -50,18 +57,22 @@ func NewRecorder(n, t int, seed uint64) *Recorder {
 	return &Recorder{log: Log{Version: SchemaVersion, N: n, T: t, Seed: seed}}
 }
 
-// OnRound implements sim.Observer.
+// OnRound implements sim.Observer: the round event, then one send event
+// per broadcasting process.
 func (r *Recorder) OnRound(round int, v *sim.View) {
-	ev := Event{Kind: "round", Round: round, Alive: v.AliveCount()}
+	at := len(r.log.Events)
+	r.log.Events = append(r.log.Events, Event{Kind: "round", Round: round, Alive: v.AliveCount()})
 	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) {
-			ev.Sending++
-			if v.Payload(i)&1 == 1 {
-				ev.Ones++
-			}
+		if !v.IsSending(i) {
+			continue
 		}
+		p := v.Payload(i)
+		r.log.Events[at].Sending++
+		if p&1 == 1 {
+			r.log.Events[at].Ones++
+		}
+		r.log.Events = append(r.log.Events, Event{Kind: "send", Round: round, Proc: i, Payload: p})
 	}
-	r.log.Events = append(r.log.Events, ev)
 }
 
 // OnCrash implements sim.Observer.
@@ -85,6 +96,14 @@ func (r *Recorder) OnHalt(round, p int) {
 
 // Log returns the recorded log.
 func (r *Recorder) Log() *Log { return &r.log }
+
+// Clone returns a recorder holding an independent copy of the log so
+// far, for a snapshot of the execution that continues on its own.
+func (r *Recorder) Clone() *Recorder {
+	c := &Recorder{log: r.log}
+	c.log.Events = append([]Event(nil), r.log.Events...)
+	return c
+}
 
 // WriteJSON serializes the log (one JSON document, indented).
 func (l *Log) WriteJSON(w io.Writer) error {
@@ -125,9 +144,9 @@ func (l *Log) Validate() error {
 	}
 	for i, ev := range l.Events {
 		switch ev.Kind {
-		case "round", "crash", "decide", "halt":
+		case "round", "send", "crash", "decide", "halt":
 		default:
-			return fmt.Errorf("trace: event %d has unknown kind %q (want round|crash|decide|halt)", i, ev.Kind)
+			return fmt.Errorf("trace: event %d has unknown kind %q (want round|send|crash|decide|halt)", i, ev.Kind)
 		}
 		if ev.Round < 1 {
 			return fmt.Errorf("trace: event %d (%s) has round %d, want >= 1", i, ev.Kind, ev.Round)
@@ -147,17 +166,30 @@ func Diff(a, b *Log) string {
 		return fmt.Sprintf("headers differ: (v%d n=%d t=%d seed=%d) vs (v%d n=%d t=%d seed=%d)",
 			a.Version, a.N, a.T, a.Seed, b.Version, b.N, b.T, b.Seed)
 	}
-	limit := len(a.Events)
-	if len(b.Events) < limit {
-		limit = len(b.Events)
+	switch i, av, bv := FirstDiff(a, b); {
+	case i < 0:
+		return ""
+	case i == len(a.Events) || i == len(b.Events):
+		return fmt.Sprintf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
+	default:
+		return fmt.Sprintf("event %d differs: %s vs %s", i, av, bv)
 	}
-	for i := 0; i < limit; i++ {
+}
+
+// FirstDiff returns the index of the first event where a and b
+// disagree, with both events rendered, or -1 when the event lists are
+// identical. When one list is a prefix of the other, the index is the
+// shorter one's length and the renderings are the two event counts.
+// Headers are not compared (Diff does that).
+func FirstDiff(a, b *Log) (int, string, string) {
+	n := min(len(a.Events), len(b.Events))
+	for i := 0; i < n; i++ {
 		if a.Events[i] != b.Events[i] {
-			return fmt.Sprintf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
+			return i, fmt.Sprintf("%+v", a.Events[i]), fmt.Sprintf("%+v", b.Events[i])
 		}
 	}
 	if len(a.Events) != len(b.Events) {
-		return fmt.Sprintf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
+		return n, fmt.Sprintf("%d events", len(a.Events)), fmt.Sprintf("%d events", len(b.Events))
 	}
-	return ""
+	return -1, "", ""
 }

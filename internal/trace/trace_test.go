@@ -92,11 +92,13 @@ func TestReadJSONValidatesSchema(t *testing.T) {
 		{"missing version", `{"n":4,"t":1,"seed":1,"events":[]}`, "missing schema version"},
 		{"future version", `{"version":99,"n":4,"t":1,"seed":1,"events":[]}`, "newer than this build"},
 		{"stale version", `{"version":1,"n":4,"t":1,"seed":1,"events":[]}`, "no longer supported"},
-		{"bad n", `{"version":2,"n":0,"t":0,"seed":1,"events":[]}`, "n=0"},
-		{"bad t", `{"version":2,"n":4,"t":9,"seed":1,"events":[]}`, "t=9"},
-		{"unknown kind", `{"version":2,"n":4,"t":1,"seed":1,"events":[{"kind":"explode","round":1}]}`, "unknown kind"},
-		{"bad round", `{"version":2,"n":4,"t":1,"seed":1,"events":[{"kind":"round","round":0}]}`, "round 0"},
-		{"proc out of range", `{"version":2,"n":4,"t":1,"seed":1,"events":[{"kind":"crash","round":1,"proc":7}]}`, "proc 7"},
+		{"v2 version", `{"version":2,"n":4,"t":1,"seed":1,"events":[]}`, "no longer supported"},
+		{"bad n", `{"version":3,"n":0,"t":0,"seed":1,"events":[]}`, "n=0"},
+		{"bad t", `{"version":3,"n":4,"t":9,"seed":1,"events":[]}`, "t=9"},
+		{"unknown kind", `{"version":3,"n":4,"t":1,"seed":1,"events":[{"kind":"explode","round":1}]}`, "unknown kind"},
+		{"bad round", `{"version":3,"n":4,"t":1,"seed":1,"events":[{"kind":"round","round":0}]}`, "round 0"},
+		{"proc out of range", `{"version":3,"n":4,"t":1,"seed":1,"events":[{"kind":"crash","round":1,"proc":7}]}`, "proc 7"},
+		{"send proc out of range", `{"version":3,"n":4,"t":1,"seed":1,"events":[{"kind":"send","round":1,"proc":4,"payload":1}]}`, "proc 4"},
 	}
 	for _, c := range cases {
 		_, err := ReadJSON(strings.NewReader(c.doc))
@@ -118,5 +120,36 @@ func TestDiffHeaderMismatch(t *testing.T) {
 	c := &Log{N: 4, T: 1, Seed: 1, Events: []Event{{Kind: "round", Round: 1}}}
 	if d := Diff(a, c); !strings.Contains(d, "event counts differ") {
 		t.Fatalf("diff = %q", d)
+	}
+}
+
+// TestFirstDiffLocalizesFirstDivergence checks the index and renderings
+// FirstDiff reports: a differing event, a log that is a prefix of the
+// other, and identical logs.
+func TestFirstDiffLocalizesFirstDivergence(t *testing.T) {
+	a := NewRecorder(4, 1, 1)
+	b := NewRecorder(4, 1, 1)
+	for _, r := range []*Recorder{a, b} {
+		r.OnCrash(1, 3, 2)
+		r.OnDecide(2, 0, 1)
+	}
+	a.OnHalt(3, 0)
+	b.OnHalt(3, 1)
+	idx, av, bv := FirstDiff(a.Log(), b.Log())
+	if idx != 2 {
+		t.Fatalf("first divergent index = %d, want 2", idx)
+	}
+	if av == bv {
+		t.Fatalf("renderings must differ: %q vs %q", av, bv)
+	}
+	b.Log().Events[2] = a.Log().Events[2]
+	b.OnHalt(4, 2)
+	idx, av, bv = FirstDiff(a.Log(), b.Log())
+	if idx != 3 || !strings.Contains(av, "events") {
+		t.Fatalf("length mismatch must diverge at the shorter log's end: idx=%d a=%q b=%q", idx, av, bv)
+	}
+	b.Log().Events = b.Log().Events[:3]
+	if idx, _, _ := FirstDiff(a.Log(), b.Log()); idx != -1 {
+		t.Fatalf("identical logs must not diverge (idx=%d)", idx)
 	}
 }

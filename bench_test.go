@@ -413,26 +413,31 @@ func BenchmarkStepwiseRoundSoA(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAtScale is the tentpole's headline pair: one full
-// SynRan execution (t = n-1, SplitVote, half/half inputs) per op on
-// each engine core at n = 1024, where the object engine's per-receiver
-// inboxes dominate and the columnar core's popcount sweeps win (23x at
-// n = 1024 in BENCH_sim.json, growing with n — the object core copies
-// every inbox, quadratic in survivors per round, the SoA core is
-// near-linear). Both engines are byte-equivalent (conformance lane e),
-// so the executions are the same; only the representation differs.
-// Part of the BENCH_SNAPSHOT set: the JSON baseline records both lanes
-// so the ratio is auditable, and bench-check gates both lanes'
-// allocs/op.
+// BenchmarkEngineAtScale is the engines' headline row set: one full
+// SynRan execution (t = n-1, SplitVote, half/half inputs, seed 42) per
+// op. The object and soa lanes run each engine core at n = 1024, where
+// the object engine's per-receiver inboxes dominate and the columnar
+// core's popcount sweeps win by a factor that grows with n (the object
+// core copies every inbox, quadratic in survivors per round; the SoA
+// core is near-linear). Both engines are
+// byte-equivalent (conformance lane e), so the executions are the same;
+// only the representation differs. The soa-1e5 lane is the E17
+// workload at n = 10^5, whose flood stage runs ~100 rounds with a few
+// dozen survivors: it pins the packed flag columns' O(n/64 + members)
+// round. Part of the BENCH_SNAPSHOT set: the JSON baseline records
+// every lane so the ratios are auditable, and bench-check gates each
+// lane's allocs/op.
 func BenchmarkEngineAtScale(b *testing.B) {
-	const n = 1024
-	inputs := workload.HalfHalf(n)
-	run := func(b *testing.B, engine string) {
+	run := func(b *testing.B, n int, engine string) {
+		if testing.Short() && n > 1024 {
+			b.Skip("10^5-process executions; skipped under -short")
+		}
+		inputs := workload.HalfHalf(n)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Fixed seed: every iteration replays the same execution, so
-			// allocs/op is deterministic and bench-check can gate the soa
-			// lane at -benchtime=1x.
+			// allocs/op is deterministic and bench-check can gate it.
 			res, err := core.Run(core.RunSpec{
 				N: n, T: n - 1,
 				Inputs:    inputs,
@@ -448,35 +453,7 @@ func BenchmarkEngineAtScale(b *testing.B) {
 			}
 		}
 	}
-	b.Run("object", func(b *testing.B) { run(b, sim.EngineObject) })
-	b.Run("soa", func(b *testing.B) { run(b, sim.EngineSoA) })
-}
-
-// BenchmarkSoAScaleExecution runs one full SynRan execution at paper
-// scale (n = 10^5, t = n-1, SplitVote) on the SoA engine — the E17
-// workload. Deliberately named outside the BENCH_SNAPSHOT regex: a
-// ~second-per-op bench has no business in the JSON baseline; it exists
-// to profile the columnar core at the sizes the tentpole targets.
-func BenchmarkSoAScaleExecution(b *testing.B) {
-	if testing.Short() {
-		b.Skip("10^5-process executions; skipped under -short")
-	}
-	const n = 100000
-	inputs := workload.HalfHalf(n)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.RunSpec{
-			N: n, T: n - 1,
-			Inputs:    inputs,
-			Seed:      uint64(i) + 1,
-			Adversary: &adversary.SplitVote{},
-			Engine:    sim.EngineSoA,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Agreement {
-			b.Fatal("agreement violated")
-		}
-	}
+	b.Run("object", func(b *testing.B) { run(b, 1024, sim.EngineObject) })
+	b.Run("soa", func(b *testing.B) { run(b, 1024, sim.EngineSoA) })
+	b.Run("soa-1e5", func(b *testing.B) { run(b, 100000, sim.EngineSoA) })
 }

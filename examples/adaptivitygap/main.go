@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 
 	"synran"
@@ -27,25 +28,26 @@ type settleObserver struct {
 
 func (s *settleObserver) OnRound(r int, v *sim.View) {
 	ones, zeros := 0, 0
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) {
-			continue
-		}
-		if wire.IsFlood(v.Payload(i)) {
-			if wire.Mask(v.Payload(i)) == wire.MaskBoth {
-				ones++
-				zeros++
-			} else if wire.Mask(v.Payload(i)) == wire.MaskOne {
+	// Visit this round's senders word by word (see sim.View.Words).
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			p := v.Payload(k<<6 | bits.TrailingZeros64(w))
+			if wire.IsFlood(p) {
+				if wire.Mask(p) == wire.MaskBoth {
+					ones++
+					zeros++
+				} else if wire.Mask(p) == wire.MaskOne {
+					ones++
+				} else {
+					zeros++
+				}
+				continue
+			}
+			if wire.Bit(p) == 1 {
 				ones++
 			} else {
 				zeros++
 			}
-			continue
-		}
-		if wire.Bit(v.Payload(i)) == 1 {
-			ones++
-		} else {
-			zeros++
 		}
 	}
 	if ones > 0 && zeros > 0 {

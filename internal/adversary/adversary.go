@@ -7,6 +7,8 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"synran/internal/sim"
 )
 
@@ -141,16 +143,21 @@ func (a *MassCrash) Plan(v *sim.View) []sim.CrashPlan {
 	var plans []sim.CrashPlan
 	// First pass: preferred-value senders; second pass: anyone alive.
 	for pass := 0; pass < 2 && len(plans) < want; pass++ {
-		for i := 0; i < v.N && len(plans) < want; i++ {
-			if !v.IsAlive(i) || planned(plans, i) {
-				continue
-			}
+		for k := 0; k < v.Words() && len(plans) < want; k++ {
+			w := v.AliveWord(k)
 			if pass == 0 && a.PreferValue >= 0 {
-				if !v.IsSending(i) || int(v.Payload(i)&1) != a.PreferValue {
+				w &= v.SendingWord(k)
+			}
+			for ; w != 0 && len(plans) < want; w &= w - 1 {
+				i := k<<6 | bits.TrailingZeros64(w)
+				if planned(plans, i) {
 					continue
 				}
+				if pass == 0 && a.PreferValue >= 0 && int(v.Payload(i)&1) != a.PreferValue {
+					continue
+				}
+				plans = append(plans, sim.CrashPlan{Victim: i})
 			}
-			plans = append(plans, sim.CrashPlan{Victim: i})
 		}
 	}
 	return plans
@@ -160,9 +167,11 @@ func (a *MassCrash) Plan(v *sim.View) []sim.CrashPlan {
 // plans, or -1 if none remain.
 func pickRandomAlive(v *sim.View, plans []sim.CrashPlan) int {
 	var candidates []int
-	for i := 0; i < v.N; i++ {
-		if v.IsAlive(i) && !planned(plans, i) {
-			candidates = append(candidates, i)
+	for k := 0; k < v.Words(); k++ {
+		for w := v.AliveWord(k); w != 0; w &= w - 1 {
+			if i := k<<6 | bits.TrailingZeros64(w); !planned(plans, i) {
+				candidates = append(candidates, i)
+			}
 		}
 	}
 	if len(candidates) == 0 {

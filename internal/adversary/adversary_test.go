@@ -12,22 +12,17 @@ import (
 // payload vector (all processes alive, sending, and uncorrupted).
 func viewFor(payloads []int64, budget int, seed uint64) *sim.View {
 	n := len(payloads)
-	alive := make([]bool, n)
-	halted := make([]bool, n)
-	corrupt := make([]bool, n)
-	sending := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-		sending[i] = true
-	}
+	alive, sending := sim.NewBitSet(n), sim.NewBitSet(n)
+	alive.Fill()
+	sending.Fill()
 	return sim.NewView(sim.ViewState{
 		Round:    1,
 		N:        n,
 		T:        budget,
 		Budget:   budget,
 		Alive:    alive,
-		Halted:   halted,
-		Corrupt:  corrupt,
+		Halted:   sim.NewBitSet(n),
+		Corrupt:  sim.NewBitSet(n),
 		Sending:  sending,
 		Payloads: payloads,
 		Rng:      rng.New(seed),

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -44,19 +46,19 @@ func (a *Equivocator) Forge(v *sim.View) []sim.Forgery {
 	}
 	var forgeries []sim.Forgery
 	corrupted := 0
-	for i := 0; i < v.N && corrupted < want; i++ {
-		if !v.IsAlive(i) {
-			continue
+	for k := 0; k < v.Words() && corrupted < want; k++ {
+		for w := v.AliveWord(k); w != 0 && corrupted < want; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if !v.IsCorrupt(i) && v.Budget-len(forgeriesNew(forgeries, v)) <= 0 {
+				return forgeries
+			}
+			per := make([]int64, v.N)
+			for j := range per {
+				per[j] = wire.Plain(j % 2) // 1 to odd ids, 0 to even ids
+			}
+			forgeries = append(forgeries, sim.Forgery{Sender: i, PerReceiver: per})
+			corrupted++
 		}
-		if !v.IsCorrupt(i) && v.Budget-len(forgeriesNew(forgeries, v)) <= 0 {
-			break
-		}
-		per := make([]int64, v.N)
-		for j := 0; j < v.N; j++ {
-			per[j] = wire.Plain(j % 2) // 1 to odd ids, 0 to even ids
-		}
-		forgeries = append(forgeries, sim.Forgery{Sender: i, PerReceiver: per})
-		corrupted++
 	}
 	return forgeries
 }

@@ -27,14 +27,13 @@ type Late struct {
 	hist []lateSnap // ring buffer of the last Delay+1 round states
 }
 
-// lateSnap is one recorded round state. Slices are owned copies, never
-// aliases of engine state (the View contract forbids retaining those).
+// lateSnap is one recorded round state. Sets and slices are owned
+// copies, never aliases of engine state (the View contract forbids
+// retaining those).
 type lateSnap struct {
-	round    int
-	alive    []bool
-	halted   []bool
-	sending  []bool
-	payloads []int64
+	round                  int
+	alive, halted, sending sim.BitSet
+	payloads               []int64
 }
 
 var _ sim.Adversary = (*Late)(nil)
@@ -56,14 +55,13 @@ func (a *Late) Clone() sim.Adversary {
 	c := &Late{Inner: a.Inner.Clone(), Delay: a.Delay, Tag: a.Tag}
 	if a.hist != nil {
 		c.hist = make([]lateSnap, len(a.hist))
-		for i, s := range a.hist {
-			c.hist[i] = lateSnap{
-				round:    s.round,
-				alive:    append([]bool(nil), s.alive...),
-				halted:   append([]bool(nil), s.halted...),
-				sending:  append([]bool(nil), s.sending...),
-				payloads: append([]int64(nil), s.payloads...),
-			}
+		for i := range a.hist {
+			s, d := &a.hist[i], &c.hist[i]
+			d.round = s.round
+			d.alive.CopyFrom(&s.alive)
+			d.halted.CopyFrom(&s.halted)
+			d.sending.CopyFrom(&s.sending)
+			d.payloads = append([]int64(nil), s.payloads...)
 		}
 	}
 	return c
@@ -95,9 +93,9 @@ func (a *Late) Plan(v *sim.View) []sim.CrashPlan {
 		N:        v.N,
 		T:        v.T,
 		Budget:   v.Budget, // the REAL remaining budget: spending is never stale
-		Alive:    stale.alive,
-		Halted:   stale.halted,
-		Sending:  stale.sending,
+		Alive:    &stale.alive,
+		Halted:   &stale.halted,
+		Sending:  &stale.sending,
 		Payloads: stale.payloads,
 		Rng:      v.Rng,
 	})
@@ -111,9 +109,14 @@ func (a *Late) record(v *sim.View, d int) {
 	}
 	s := &a.hist[v.Round%(d+1)]
 	s.round = v.Round
-	s.alive = boolRow(s.alive, v.N, v.IsAlive)
-	s.halted = boolRow(s.halted, v.N, v.IsHalted)
-	s.sending = boolRow(s.sending, v.N, v.IsSending)
+	s.alive.Reset(v.N)
+	s.halted.Reset(v.N)
+	s.sending.Reset(v.N)
+	for k := 0; k < v.Words(); k++ {
+		s.alive.SetWord(k, v.AliveWord(k))
+		s.halted.SetWord(k, v.HaltedWord(k))
+		s.sending.SetWord(k, v.SendingWord(k))
+	}
 	if cap(s.payloads) < v.N {
 		s.payloads = make([]int64, v.N)
 	} else {
@@ -135,17 +138,4 @@ func (a *Late) snapAt(round int) *lateSnap {
 		return nil
 	}
 	return s
-}
-
-// boolRow fills dst (grown to n) from the accessor.
-func boolRow(dst []bool, n int, get func(int) bool) []bool {
-	if cap(dst) < n {
-		dst = make([]bool, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = get(i)
-	}
-	return dst
 }

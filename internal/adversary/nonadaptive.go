@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"synran/internal/rng"
 	"synran/internal/sim"
 	"synran/internal/wire"
@@ -118,9 +120,11 @@ func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
 		return nil
 	}
 	var senders []int
-	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) && !wire.IsFlood(v.Payload(i)) {
-			senders = append(senders, i)
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			if i := k<<6 | bits.TrailingZeros64(w); !wire.IsFlood(v.Payload(i)) {
+				senders = append(senders, i)
+			}
 		}
 	}
 	if len(senders) < 2 {
@@ -144,10 +148,11 @@ func (LeaderKiller) Plan(v *sim.View) []sim.CrashPlan {
 	}
 	half := sim.NewBitSet(v.N)
 	cnt, want := 0, v.AliveCount()/2
-	for i := v.N - 1; i >= 0 && cnt < want; i-- {
-		if v.IsAlive(i) {
-			half.Set(i)
-			cnt++
+	for k := v.Words() - 1; k >= 0 && cnt < want; k-- {
+		for w := v.AliveWord(k); w != 0 && cnt < want; cnt++ {
+			b := 63 - bits.LeadingZeros64(w)
+			half.Set(k<<6 | b)
+			w &^= 1 << uint(b)
 		}
 	}
 	plans := make([]sim.CrashPlan, 0, cut)

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math/bits"
 
 	"synran/internal/sim"
 	"synran/internal/wire"
@@ -86,19 +87,19 @@ func (a *Omission) Omit(v *sim.View) []sim.CrashPlan {
 // value, showing its message only to the lower half of live receivers.
 func (a *Omission) omitSplit(v *sim.View) []sim.CrashPlan {
 	ones, zeros, victimOne, victimZero := 0, 0, -1, -1
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) || !v.IsAlive(i) {
-			continue
-		}
-		if payloadBit(v.Payload(i)) == 1 {
-			ones++
-			if victimOne < 0 {
-				victimOne = i
-			}
-		} else {
-			zeros++
-			if victimZero < 0 {
-				victimZero = i
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k) & v.AliveWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if payloadBit(v.Payload(i)) == 1 {
+				ones++
+				if victimOne < 0 {
+					victimOne = i
+				}
+			} else {
+				zeros++
+				if victimZero < 0 {
+					victimZero = i
+				}
 			}
 		}
 	}
@@ -115,9 +116,9 @@ func (a *Omission) omitSplit(v *sim.View) []sim.CrashPlan {
 		a.mask.Reset(v.N)
 	}
 	half := v.AliveCount() / 2
-	for i, got := 0, 0; i < v.N && got < half; i++ {
-		if v.IsAlive(i) {
-			a.mask.Set(i)
+	for k, got := 0, 0; k < v.Words() && got < half; k++ {
+		for w := v.AliveWord(k); w != 0 && got < half; w &= w - 1 {
+			a.mask.Set(k<<6 | bits.TrailingZeros64(w))
 			got++
 		}
 	}

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -60,12 +62,12 @@ func (a *PushTo) Plan(v *sim.View) []sim.CrashPlan {
 	}
 	opposite := 1 - a.Value
 	plans := a.plans[:0]
-	for i := 0; i < v.N && len(plans) < limit; i++ {
-		if !v.IsSending(i) || wire.IsFlood(v.Payload(i)) {
-			continue
-		}
-		if wire.Bit(v.Payload(i)) == opposite {
-			plans = append(plans, sim.CrashPlan{Victim: i})
+	for k := 0; k < v.Words() && len(plans) < limit; k++ {
+		for w := v.SendingWord(k); w != 0 && len(plans) < limit; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if p := v.Payload(i); !wire.IsFlood(p) && wire.Bit(p) == opposite {
+				plans = append(plans, sim.CrashPlan{Victim: i})
+			}
 		}
 	}
 	a.plans = plans

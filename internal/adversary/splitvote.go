@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"math/bits"
+
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -38,6 +40,8 @@ import (
 // group corrections, O(n·groups) instead of O(n²)), and all rescue
 // victims share ONE delivery mask — the engine copies it per victim
 // into its own scratch, and groups the victims by the shared pointer.
+// Every per-process loop visits the View's sending or live words, so a
+// flood-stage round with a few survivors of n costs O(n/64 + survivors).
 type SplitVote struct {
 	// SplitFraction is the fraction of receivers put into the propose-1
 	// group by lever 2 (default 0.2, the value that centres the next
@@ -59,8 +63,7 @@ type SplitVote struct {
 	oneSenders, zeroSenders []int
 	plans                   []sim.CrashPlan
 	baseCounts              []int
-	victimFlag              []bool
-	survivors               []int
+	victims                 *sim.BitSet
 	splitMask               *sim.BitSet
 	rescueMask              *sim.BitSet
 	groupMasks              []*sim.BitSet
@@ -180,10 +183,9 @@ func (a *SplitVote) splitGroup(v *sim.View) *sim.BitSet {
 		a.splitMask.Reset(v.N)
 	}
 	mask := a.splitMask
-	got := 0
-	for i := 0; i < v.N && got < want; i++ {
-		if v.IsAlive(i) {
-			mask.Set(i)
+	for k, got := 0, 0; k < v.Words() && got < want; k++ {
+		for w := v.AliveWord(k); w != 0 && got < want; w &= w - 1 {
+			mask.Set(k<<6 | bits.TrailingZeros64(w))
 			got++
 		}
 	}
@@ -201,22 +203,17 @@ func (a *SplitVote) splitGroup(v *sim.View) *sim.BitSet {
 // columnar sweep, which is what makes a mass rescue at n = 10^6 an
 // O(n) round instead of O(n²).
 func (a *SplitVote) rescue(v *sim.View, zeroSenders []int) []sim.CrashPlan {
-	if cap(a.victimFlag) < v.N {
-		a.victimFlag = make([]bool, v.N)
+	if a.victims == nil {
+		a.victims = sim.NewBitSet(v.N)
 	} else {
-		a.victimFlag = a.victimFlag[:v.N]
-		for i := range a.victimFlag {
-			a.victimFlag[i] = false
-		}
+		a.victims.Reset(v.N)
 	}
 	for _, z := range zeroSenders {
-		a.victimFlag[z] = true
+		a.victims.Set(z)
 	}
-	a.survivors = a.survivors[:0]
-	for i := 0; i < v.N; i++ {
-		if v.IsAlive(i) && !v.IsHalted(i) && !a.victimFlag[i] {
-			a.survivors = append(a.survivors, i)
-		}
+	survivors := 0
+	for k := 0; k < v.Words(); k++ {
+		survivors += bits.OnesCount64(v.LiveWord(k) &^ a.victims.Word(k))
 	}
 	if a.rescueMask == nil {
 		a.rescueMask = sim.NewBitSet(v.N)
@@ -224,8 +221,11 @@ func (a *SplitVote) rescue(v *sim.View, zeroSenders []int) []sim.CrashPlan {
 		a.rescueMask.Reset(v.N)
 	}
 	seen := a.rescueMask
-	for k := 0; k < len(a.survivors)/2; k++ {
-		seen.Set(a.survivors[k])
+	for k, got := 0, 0; k < v.Words() && got < survivors/2; k++ {
+		for w := v.LiveWord(k) &^ a.victims.Word(k); w != 0 && got < survivors/2; w &= w - 1 {
+			seen.Set(k<<6 | bits.TrailingZeros64(w))
+			got++
+		}
 	}
 	plans := a.plans[:0]
 	for _, z := range zeroSenders {
@@ -248,20 +248,19 @@ func (a *SplitVote) commonBase(v *sim.View) int {
 	}
 	counts := a.baseCounts
 	bestBase, bestCount := 0, 0
-	for i := 0; i < v.N; i++ {
-		if !v.IsAlive(i) || v.IsHalted(i) {
-			continue
-		}
-		b := a.bases[i]
-		counts[b]++
-		if counts[b] > bestCount {
-			bestBase, bestCount = b, counts[b]
+	for k := 0; k < v.Words(); k++ {
+		for w := v.LiveWord(k); w != 0; w &= w - 1 {
+			b := a.bases[k<<6|bits.TrailingZeros64(w)]
+			counts[b]++
+			if counts[b] > bestCount {
+				bestBase, bestCount = b, counts[b]
+			}
 		}
 	}
 	// Zero only the touched entries so a sparse population stays O(live).
-	for i := 0; i < v.N; i++ {
-		if v.IsAlive(i) && !v.IsHalted(i) {
-			counts[a.bases[i]] = 0
+	for k := 0; k < v.Words(); k++ {
+		for w := v.LiveWord(k); w != 0; w &= w - 1 {
+			counts[a.bases[k<<6|bits.TrailingZeros64(w)]] = 0
 		}
 	}
 	return bestBase
@@ -280,10 +279,8 @@ func (a *SplitVote) commonBase(v *sim.View) int {
 // gets its self-exclusion terms added back at the end — at O(n·groups).
 func (a *SplitVote) updateBases(v *sim.View, plans []sim.CrashPlan) {
 	senders := 0
-	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) {
-			senders++
-		}
+	for k := 0; k < v.Words(); k++ {
+		senders += bits.OnesCount64(v.SendingWord(k))
 	}
 	hidden := 0
 	gm, gc := a.groupMasks[:0], a.groupCounts[:0]
@@ -309,20 +306,22 @@ func (a *SplitVote) updateBases(v *sim.View, plans []sim.CrashPlan) {
 		}
 	}
 	a.groupMasks, a.groupCounts = gm, gc
-	for j := 0; j < v.N; j++ {
-		if !v.IsAlive(j) || v.IsHalted(j) {
-			continue
-		}
-		n := 1 + senders - hidden
-		if v.IsSending(j) {
-			n-- // no self-delivery
-		}
-		for g := range gm {
-			if !gm[g].Get(j) {
-				n -= gc[g]
+	for k := 0; k < v.Words(); k++ {
+		sw := v.SendingWord(k)
+		for w := v.LiveWord(k); w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			j := k<<6 | b
+			n := 1 + senders - hidden
+			if sw&(1<<uint(b)) != 0 {
+				n-- // no self-delivery
 			}
+			for g := range gm {
+				if !gm[g].Get(j) {
+					n -= gc[g]
+				}
+			}
+			a.bases[j] = n
 		}
-		a.bases[j] = n
 	}
 	// A sending victim's own row wrongly subtracted its own plan (the
 	// replay excludes i == j): add the term back.
@@ -345,19 +344,19 @@ func (a *SplitVote) senderSets(v *sim.View) {
 	a.oneSenders = a.oneSenders[:0]
 	a.zeroSenders = a.zeroSenders[:0]
 	a.floodSeen = false
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) {
-			continue
-		}
-		p := v.Payload(i)
-		if wire.IsFlood(p) {
-			a.floodSeen = true
-			continue
-		}
-		if p&1 == 1 {
-			a.oneSenders = append(a.oneSenders, i)
-		} else {
-			a.zeroSenders = append(a.zeroSenders, i)
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			p := v.Payload(i)
+			if wire.IsFlood(p) {
+				a.floodSeen = true
+				continue
+			}
+			if p&1 == 1 {
+				a.oneSenders = append(a.oneSenders, i)
+			} else {
+				a.zeroSenders = append(a.zeroSenders, i)
+			}
 		}
 	}
 }

@@ -147,9 +147,11 @@ func TestOraclesCatchViolations(t *testing.T) {
 // synthetic view with an out-of-contract payload.
 func TestWireOracleCatchesMalformedPayload(t *testing.T) {
 	ch := wirePayloadOracle{}.NewChecker()
+	sending := sim.NewBitSet(2)
+	sending.Fill()
 	v := sim.NewView(sim.ViewState{
 		N:        2,
-		Sending:  []bool{true, true},
+		Sending:  sending,
 		Payloads: []int64{1, wire.FloodTag}, // flood word with an empty value-set mask
 	})
 	ch.OnRound(1, v)

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"math/bits"
 
 	"synran/internal/metrics"
 	"synran/internal/sim"
@@ -296,13 +297,13 @@ func (ch *wireChecker) OnRound(r int, v *sim.View) {
 	if len(ch.violations) >= 5 {
 		return // cap the noise; one bad round implicates them all
 	}
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) {
-			continue
-		}
-		if err := wire.CheckPayload(v.Payload(i)); err != nil {
-			ch.violations = append(ch.violations,
-				fmt.Sprintf("round %d: process %d sent malformed payload: %v", r, i, err))
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if err := wire.CheckPayload(v.Payload(i)); err != nil {
+				ch.violations = append(ch.violations,
+					fmt.Sprintf("round %d: process %d sent malformed payload: %v", r, i, err))
+			}
 		}
 	}
 }

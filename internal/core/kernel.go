@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"synran/internal/rng"
 	"synran/internal/sim"
@@ -131,43 +132,57 @@ func histWindow(nHist []int, n int) (h1, h2, h3 int32) {
 	return h1, h2, h3
 }
 
-// KernelRound implements sim.TallyKernel. It is Proc.Round, vectorized:
-// the branch structure (and rng consumption) per process is identical.
-func (k *kernel) KernelRound(r int, active []bool, t *sim.TallyColumns, payloads []int64, sending []bool) {
-	for i := range active {
-		if !active[i] {
+// KernelRound implements sim.TallyKernel: round runs for each active
+// process, visited word by word, and each word's sending bits are
+// written back at once.
+func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
+	for wi := 0; wi < active.Words(); wi++ {
+		aw := active.Word(wi)
+		if aw == 0 {
 			continue
 		}
-		if stage(k.st[i]) == stageDone {
-			payloads[i], sending[i] = 0, false
-			continue
-		}
-		if r == 1 {
-			payloads[i], sending[i] = plainPayload(int(k.b[i])), true
-			continue
-		}
-		switch stage(k.st[i]) {
-		case stageProb:
-			payloads[i], sending[i] = k.probRound(i, r-1, t)
-		case stageWarmup:
-			m := valueMaskOf(int(k.b[i])) | t.WitnessedMask(i)
-			k.floodMask[i] = int8(m)
-			k.st[i] = int8(stageFlood)
-			payloads[i], sending[i] = floodPayload(m), true
-		case stageFlood:
-			m := int64(k.floodMask[i]) | t.WitnessedMask(i)
-			k.floodMask[i] = int8(m)
-			k.floodLeft[i]--
-			if k.floodLeft[i] <= 0 {
-				k.haltProc(i, floodDecision(m))
-				payloads[i], sending[i] = 0, false
-			} else {
-				payloads[i], sending[i] = floodPayload(m), true
+		sw := sending.Word(wi) &^ aw
+		for w := aw; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			i := wi<<6 | b
+			p, send := k.round(i, r, t)
+			payloads[i] = p
+			if send {
+				sw |= 1 << uint(b)
 			}
-		default:
-			payloads[i], sending[i] = 0, false
 		}
+		sending.SetWord(wi, sw)
 	}
+}
+
+// round is Proc.Round for process i on columns: the branch structure
+// (and rng consumption) is identical.
+func (k *kernel) round(i, r int, t *sim.TallyColumns) (int64, bool) {
+	if stage(k.st[i]) == stageDone {
+		return 0, false
+	}
+	if r == 1 {
+		return plainPayload(int(k.b[i])), true
+	}
+	switch stage(k.st[i]) {
+	case stageProb:
+		return k.probRound(i, r-1, t)
+	case stageWarmup:
+		m := valueMaskOf(int(k.b[i])) | t.WitnessedMask(i)
+		k.floodMask[i] = int8(m)
+		k.st[i] = int8(stageFlood)
+		return floodPayload(m), true
+	case stageFlood:
+		m := int64(k.floodMask[i]) | t.WitnessedMask(i)
+		k.floodMask[i] = int8(m)
+		k.floodLeft[i]--
+		if k.floodLeft[i] <= 0 {
+			k.haltProc(i, floodDecision(m))
+			return 0, false
+		}
+		return floodPayload(m), true
+	}
+	return 0, false
 }
 
 // probRound is Proc.probRound on columns: one iteration of the
@@ -256,21 +271,28 @@ func (k *kernel) KernelDecided(i int) (int, bool) {
 func (k *kernel) KernelStopped(i int) bool { return stage(k.st[i]) == stageDone }
 
 // KernelBookkeep implements sim.TallyKernel: the end-of-round
-// decided/stopped sweep over columns, one call instead of two interface
-// dispatches per live process.
-func (k *kernel) KernelBookkeep(alive, corrupt, halted []bool) (allDecided, anyAliveActive bool) {
+// decided/stopped sweep over the alive, non-corrupt words, one call
+// instead of two interface dispatches per live process.
+func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
 	allDecided = true
-	for i := range k.st {
-		if !alive[i] || corrupt[i] {
+	for wi := 0; wi < alive.Words(); wi++ {
+		live := alive.Word(wi) &^ corrupt.Word(wi)
+		if live == 0 {
 			continue
 		}
-		if !k.hasDecided[i] {
-			allDecided = false
+		hw := halted.Word(wi)
+		for w := live; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			i := wi<<6 | b
+			if !k.hasDecided[i] {
+				allDecided = false
+			}
+			if stage(k.st[i]) == stageDone {
+				hw |= 1 << uint(b)
+			}
 		}
-		if !halted[i] && stage(k.st[i]) == stageDone {
-			halted[i] = true
-		}
-		if !halted[i] {
+		halted.SetWord(wi, hw)
+		if live&^hw != 0 {
 			anyAliveActive = true
 		}
 	}
@@ -278,17 +300,20 @@ func (k *kernel) KernelBookkeep(alive, corrupt, halted []bool) (allDecided, anyA
 }
 
 // KernelConsensus implements sim.TallyKernel.
-func (k *kernel) KernelConsensus(alive, corrupt []bool) int {
+func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
 	v := -1
-	for i := range k.st {
-		if !alive[i] || corrupt[i] || !k.hasDecided[i] {
-			continue
-		}
-		d := int(k.decision[i])
-		if v == -1 {
-			v = d
-		} else if v != d {
-			return -1
+	for wi := 0; wi < alive.Words(); wi++ {
+		for w := alive.Word(wi) &^ corrupt.Word(wi); w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			if !k.hasDecided[i] {
+				continue
+			}
+			d := int(k.decision[i])
+			if v == -1 {
+				v = d
+			} else if v != d {
+				return -1
+			}
 		}
 	}
 	return v

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 
 	"synran"
 	"synran/internal/sim"
@@ -21,27 +22,26 @@ type stabilizationObserver struct {
 
 func (s *stabilizationObserver) OnRound(r int, v *sim.View) {
 	ones, zeros := 0, 0
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) {
-			continue
-		}
-		p := v.Payload(i)
-		if wire.IsFlood(p) {
-			switch wire.Mask(p) {
-			case wire.MaskOne:
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			p := v.Payload(k<<6 | bits.TrailingZeros64(w))
+			if wire.IsFlood(p) {
+				switch wire.Mask(p) {
+				case wire.MaskOne:
+					ones++
+				case wire.MaskZero:
+					zeros++
+				default:
+					ones++
+					zeros++
+				}
+				continue
+			}
+			if wire.Bit(p) == 1 {
 				ones++
-			case wire.MaskZero:
-				zeros++
-			default:
-				ones++
+			} else {
 				zeros++
 			}
-			continue
-		}
-		if wire.Bit(p) == 1 {
-			ones++
-		} else {
-			zeros++
 		}
 	}
 	if ones > 0 && zeros > 0 {

@@ -153,6 +153,9 @@ type runner struct {
 	inboxes     [][]sim.Recv
 	advRng      *rng.Stream
 	advCrashed  int
+	// The View's packed copies of alive, halted and sending, refilled
+	// each round: the bool columns above are the synchronizer's own.
+	viewAlive, viewHalted, viewSending sim.BitSet
 
 	faults   sim.Faults
 	notes    []string
@@ -456,14 +459,17 @@ func (r *runner) run() (*sim.Result, error) {
 		}
 
 		// Consult the adversary (no Exec: see package doc).
+		r.viewAlive.Pack(r.alive)
+		r.viewHalted.Pack(r.halted)
+		r.viewSending.Pack(r.sending)
 		view := sim.NewView(sim.ViewState{
 			Round:    round,
 			N:        r.n,
 			T:        r.cfg.T,
 			Budget:   r.cfg.T - r.advCrashed,
-			Alive:    r.alive,
-			Halted:   r.halted,
-			Sending:  r.sending,
+			Alive:    &r.viewAlive,
+			Halted:   &r.viewHalted,
+			Sending:  &r.viewSending,
 			Payloads: r.payloads,
 			Procs:    r.procs,
 			Rng:      r.advRng,

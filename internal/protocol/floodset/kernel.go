@@ -1,6 +1,8 @@
 package floodset
 
 import (
+	"math/bits"
+
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -50,28 +52,44 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 	return k
 }
 
-// KernelRound implements sim.TallyKernel. It is Proc.Round, vectorized:
-// the round-1 inbox is empty, so the tally is read from round 2 on.
-func (k *kernel) KernelRound(r int, active []bool, t *sim.TallyColumns, payloads []int64, sending []bool) {
-	for i := range active {
-		if !active[i] {
+// KernelRound implements sim.TallyKernel: round runs for each active
+// process, visited word by word, and each word's sending bits are
+// written back at once.
+func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
+	for wi := 0; wi < active.Words(); wi++ {
+		aw := active.Word(wi)
+		if aw == 0 {
 			continue
 		}
-		if k.done[i] {
-			payloads[i], sending[i] = 0, false
-			continue
+		sw := sending.Word(wi) &^ aw
+		for w := aw; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			i := wi<<6 | b
+			p, send := k.round(i, r, t)
+			payloads[i] = p
+			if send {
+				sw |= 1 << uint(b)
+			}
 		}
-		if r > 1 {
-			k.mask[i] |= int8(t.WitnessedMask(i))
-		}
-		if int(k.sent[i]) >= k.rounds {
-			k.decision[i], k.done[i] = int8(decision(int64(k.mask[i]))), true
-			payloads[i], sending[i] = 0, false
-			continue
-		}
-		k.sent[i]++
-		payloads[i], sending[i] = wire.Flood(int64(k.mask[i])), true
+		sending.SetWord(wi, sw)
 	}
+}
+
+// round is Proc.Round for process i on columns: the round-1 inbox is
+// empty, so the tally is read from round 2 on.
+func (k *kernel) round(i, r int, t *sim.TallyColumns) (int64, bool) {
+	if k.done[i] {
+		return 0, false
+	}
+	if r > 1 {
+		k.mask[i] |= int8(t.WitnessedMask(i))
+	}
+	if int(k.sent[i]) >= k.rounds {
+		k.decision[i], k.done[i] = int8(decision(int64(k.mask[i]))), true
+		return 0, false
+	}
+	k.sent[i]++
+	return wire.Flood(int64(k.mask[i])), true
 }
 
 // KernelClass implements sim.TallyKernel: Round ORs every payload's
@@ -89,34 +107,43 @@ func (k *kernel) KernelStopped(i int) bool { return k.done[i] }
 
 // KernelBookkeep implements sim.TallyKernel. A FloodSet process decides
 // exactly when it stops, so one column answers both questions.
-func (k *kernel) KernelBookkeep(alive, corrupt, halted []bool) (allDecided, anyAliveActive bool) {
+func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
 	allDecided = true
-	for i, done := range k.done {
-		if !alive[i] || corrupt[i] {
+	for wi := 0; wi < alive.Words(); wi++ {
+		live := alive.Word(wi) &^ corrupt.Word(wi)
+		if live == 0 {
 			continue
 		}
-		if done {
-			halted[i] = true
-		} else {
-			allDecided = false
-			anyAliveActive = true
+		hw := halted.Word(wi)
+		for w := live; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			if k.done[wi<<6|b] {
+				hw |= 1 << uint(b)
+			} else {
+				allDecided = false
+				anyAliveActive = true
+			}
 		}
+		halted.SetWord(wi, hw)
 	}
 	return allDecided, anyAliveActive
 }
 
 // KernelConsensus implements sim.TallyKernel.
-func (k *kernel) KernelConsensus(alive, corrupt []bool) int {
+func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
 	v := -1
-	for i, done := range k.done {
-		if !alive[i] || corrupt[i] || !done {
-			continue
-		}
-		d := int(k.decision[i])
-		if v == -1 {
-			v = d
-		} else if v != d {
-			return -1
+	for wi := 0; wi < alive.Words(); wi++ {
+		for w := alive.Word(wi) &^ corrupt.Word(wi); w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			if !k.done[i] {
+				continue
+			}
+			d := int(k.decision[i])
+			if v == -1 {
+				v = d
+			} else if v != d {
+				return -1
+			}
 		}
 	}
 	return v

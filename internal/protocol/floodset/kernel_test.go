@@ -165,13 +165,14 @@ func TestKernelRoundIgnoresRoundOneTally(t *testing.T) {
 		Ones: []int32{1, 1, 1}, Zeros: []int32{1, 1, 1}, Count: []int32{2, 2, 2},
 		MaskZero: []int32{1, 1, 1}, MaskOne: []int32{1, 1, 1},
 	}
-	payloads, sending := make([]int64, 3), make([]bool, 3)
-	k.KernelRound(1, []bool{true, true, true}, cols, payloads, sending)
+	payloads, sending, active := make([]int64, 3), sim.NewBitSet(3), sim.NewBitSet(3)
+	active.Fill()
+	k.KernelRound(1, active, cols, payloads, sending)
 	for i, q := range procs {
 		p := q.(*Proc)
 		want, wantSend := p.Round(1, nil)
-		if payloads[i] != want || sending[i] != wantSend {
-			t.Errorf("process %d: kernel sends (%v, %#x), Round (%v, %#x)", i, sending[i], payloads[i], wantSend, want)
+		if payloads[i] != want || sending.Get(i) != wantSend {
+			t.Errorf("process %d: kernel sends (%v, %#x), Round (%v, %#x)", i, sending.Get(i), payloads[i], wantSend, want)
 		}
 		synced := *p
 		k.KernelSync(i, &synced)
@@ -205,11 +206,60 @@ func TestKernelClassMatchesRoundFold(t *testing.T) {
 			if mo {
 				cols.MaskOne[0] = 1
 			}
-			payloads, sending := make([]int64, 1), make([]bool, 1)
-			k.KernelRound(1, []bool{true}, cols, payloads, sending)
-			k.KernelRound(2, []bool{true}, cols, payloads, sending)
+			payloads, sending, active := make([]int64, 1), sim.NewBitSet(1), sim.NewBitSet(1)
+			active.Set(0)
+			k.KernelRound(1, active, cols, payloads, sending)
+			k.KernelRound(2, active, cols, payloads, sending)
 			if payloads[0] != want {
 				t.Errorf("payload %#x input %d: kernel floods %#x, Round %#x", payload, input, payloads[0], want)
+			}
+		}
+	}
+}
+
+// TestKernelRoundSparseActive pins KernelRound's contract on a sparse
+// active set spread over three words: every active process produces
+// Proc.Round's payload and sending bit (the stale bit it starts from is
+// overwritten), and every inactive process's payload and clear sending
+// bit are left untouched, through the round it decides in.
+func TestKernelRoundSparseActive(t *testing.T) {
+	const n, rounds, untouched = 130, 2, -7
+	inputs, rs := make([]int, n), make([]int, n)
+	for i := range inputs {
+		inputs[i], rs[i] = i%3&1, rounds
+	}
+	procs := vectorOf(t, inputs, rs)
+	objs := make([]sim.Process, n)
+	for i, p := range procs {
+		objs[i] = p.Clone()
+	}
+	k := procs[0].(*Proc).BuildKernel(procs)
+	active, sending := sim.NewBitSet(n), sim.NewBitSet(n)
+	payloads := make([]int64, n)
+	for i := range payloads {
+		payloads[i] = untouched
+		if i%9 == 0 || i == 63 || i == 64 || i == n-1 {
+			active.Set(i)
+			if i%2 == 0 {
+				sending.Set(i) // stale from an earlier round
+			}
+		}
+	}
+	cols := &sim.TallyColumns{Ones: make([]int32, n), Zeros: make([]int32, n), Count: make([]int32, n),
+		MaskZero: make([]int32, n), MaskOne: make([]int32, n)} // all zero: the empty inbox
+	for r := 1; r <= rounds+1; r++ {
+		k.KernelRound(r, active, cols, payloads, sending)
+		for i := 0; i < n; i++ {
+			if !active.Get(i) {
+				if payloads[i] != untouched || sending.Get(i) {
+					t.Fatalf("round %d: inactive process %d: payload %d sending %v, want untouched and clear",
+						r, i, payloads[i], sending.Get(i))
+				}
+				continue
+			}
+			want, wantSend := objs[i].Round(r, nil)
+			if payloads[i] != want || sending.Get(i) != wantSend {
+				t.Fatalf("round %d: process %d: kernel (%#x, %v), Round (%#x, %v)", r, i, payloads[i], sending.Get(i), want, wantSend)
 			}
 		}
 	}

@@ -2,9 +2,12 @@ package sim
 
 import "math/bits"
 
-// BitSet is a fixed-capacity bit set used to describe which receivers a
-// crashing process's final-round message still reaches (per-message
-// fail-stop granularity, Section 3.1 of the paper).
+// BitSet is a fixed-capacity bit set: a crashing process's delivery mask
+// (which receivers its final-round message still reaches, the per-message
+// fail-stop granularity of Section 3.1 of the paper), and the engine's
+// per-process flag columns (alive, halted, corrupt, sending, active).
+// Word k holds indices 64k … 64k+63, index i at bit i&63. Bits at or past
+// Len are always clear, so Count is a plain popcount.
 type BitSet struct {
 	n     int
 	words []uint64
@@ -32,6 +35,17 @@ func (b *BitSet) Clear(i int) {
 func (b *BitSet) Get(i int) bool {
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
 }
+
+// Words returns the number of 64-bit words the set spans.
+func (b *BitSet) Words() int { return len(b.words) }
+
+// Word returns word k: indices 64k … 64k+63, index i at bit i&63.
+func (b *BitSet) Word(k int) uint64 { return b.words[k] }
+
+// SetWord overwrites word k. The caller keeps bits at or past Len clear;
+// a word derived from other sets of the same capacity by and, and-not or
+// a subset of their bits always does.
+func (b *BitSet) SetWord(k int, w uint64) { b.words[k] = w }
 
 // Fill marks every index as present.
 func (b *BitSet) Fill() {
@@ -71,6 +85,18 @@ func (b *BitSet) Reset(n int) {
 	b.ClearAll()
 }
 
+// Pack resets the set to capacity len(flags) and marks every i whose
+// flags[i] is true, reusing the word storage: the bridge from a runner
+// that keeps its flags as bools (internal/netsim) to a View.
+func (b *BitSet) Pack(flags []bool) {
+	b.Reset(len(flags))
+	for i, f := range flags {
+		if f {
+			b.Set(i)
+		}
+	}
+}
+
 // Clone returns a deep copy of the set.
 func (b *BitSet) Clone() *BitSet {
 	c := &BitSet{n: b.n, words: make([]uint64, len(b.words))}
@@ -79,98 +105,11 @@ func (b *BitSet) Clone() *BitSet {
 }
 
 // CopyFrom overwrites the set with src's capacity and contents, reusing
-// the word storage when possible (clear-and-refill). It is the
-// allocation-free counterpart of Clone.
+// the word storage when possible. It is the allocation-free counterpart
+// of Clone.
 func (b *BitSet) CopyFrom(src *BitSet) {
-	b.Reset(src.n)
-	copy(b.words, src.words)
-}
-
-// The batch operations below are the word-level kernel of the SoA
-// engine's columnar Phase B (see soa.go): delivery plans are applied as
-// whole-word mask intersections and popcount sweeps instead of
-// per-receiver Get loops. Each requires the operand to have the same
-// capacity; property and fuzz tests (bitset_prop_test.go) pin every op
-// against the naive per-bit reference, including the word-boundary
-// edges at n = 63, 64, 65.
-
-// OrWith unions src into b (b |= src).
-func (b *BitSet) OrWith(src *BitSet) {
-	b.checkLen(src)
-	for i, w := range src.words {
-		b.words[i] |= w
-	}
-}
-
-// AndWith intersects b with src (b &= src).
-func (b *BitSet) AndWith(src *BitSet) {
-	b.checkLen(src)
-	for i, w := range src.words {
-		b.words[i] &= w
-	}
-}
-
-// AndNotWith subtracts src from b (b &^= src).
-func (b *BitSet) AndNotWith(src *BitSet) {
-	b.checkLen(src)
-	for i, w := range src.words {
-		b.words[i] &^= w
-	}
-}
-
-// CountAnd returns the masked popcount |b ∩ other| without writing to
-// either set.
-func (b *BitSet) CountAnd(other *BitSet) int {
-	b.checkLen(other)
-	c := 0
-	for i, w := range b.words {
-		c += bits.OnesCount64(w & other.words[i])
-	}
-	return c
-}
-
-// FillUpTo marks exactly the indices [0, k) as present and clears the
-// rest (k is clamped to [0, n]).
-func (b *BitSet) FillUpTo(k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k > b.n {
-		k = b.n
-	}
-	full := k >> 6
-	for i := range b.words {
-		switch {
-		case i < full:
-			b.words[i] = ^uint64(0)
-		case i == full && k&63 != 0:
-			b.words[i] = (1 << uint(k&63)) - 1
-		default:
-			b.words[i] = 0
-		}
-	}
-}
-
-// ForEachIn calls fn(i) for every present index i, ascending. The word
-// loop with trailing-zero extraction is the sweep primitive the SoA
-// engine uses to apply a delivery group's tallies to exactly the
-// receivers inside its mask.
-func (b *BitSet) ForEachIn(fn func(i int)) {
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// checkLen panics on capacity mismatch: silently zipping different-size
-// word slices would corrupt tallies.
-func (b *BitSet) checkLen(other *BitSet) {
-	if b.n != other.n {
-		panic("sim: BitSet batch op on mismatched capacities")
-	}
+	b.n = src.n
+	b.words = append(b.words[:0], src.words...)
 }
 
 // trim clears bits beyond the logical length so Count stays exact.

@@ -1,19 +1,20 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 
 	"synran/internal/rng"
 )
 
-// Property tests for the word-level batch operations (the SoA engine's
-// Phase B kernel): every op is checked against a naive per-bit
-// reference on randomized patterns, concentrating on the word-boundary
-// capacities n = 63, 64, 65 where a masking bug in the partial last
-// word (or a missing trim) would hide from round-number sizes.
+// Property tests for the word access the engine's packed flag columns
+// rest on: every word read is checked against the per-bit reference on
+// randomized patterns, concentrating on the word-boundary capacities
+// n = 63, 64, 65 where a masking bug in the partial last word would hide
+// from round-number sizes.
 
 // propSizes are the capacities the property tests sweep: the word
-// edges the bitset.go contract names, plus 1 and the two-word edges.
+// edges, plus 1 and the two-word edges.
 var propSizes = []int{1, 63, 64, 65, 127, 128, 129}
 
 // randomBits fills b with an s-seeded pattern and returns the
@@ -30,176 +31,57 @@ func randomBits(b *BitSet, s *rng.Stream) []bool {
 	return ref
 }
 
-func TestBitSetBatchOpsMatchNaive(t *testing.T) {
+// TestBitSetWordsMatchBits checks Words, Word, SetWord and Pack against
+// the per-bit reference, and that no bit at or past Len is ever set.
+func TestBitSetWordsMatchBits(t *testing.T) {
 	for _, n := range propSizes {
 		s := rng.New(uint64(n)*0x9e37 + 1)
 		for trial := 0; trial < 64; trial++ {
-			a, b := NewBitSet(n), NewBitSet(n)
-			ra := randomBits(a, s)
-			rb := randomBits(b, s)
-
-			// CountAnd is read-only: check it first, on the originals.
-			wantAnd := 0
-			for i := range ra {
-				if ra[i] && rb[i] {
-					wantAnd++
-				}
+			a := NewBitSet(n)
+			ref := randomBits(a, s)
+			if a.Words() != (n+63)/64 {
+				t.Fatalf("n=%d Words=%d, want %d", n, a.Words(), (n+63)/64)
 			}
-			if got := a.CountAnd(b); got != wantAnd {
-				t.Fatalf("n=%d trial=%d CountAnd=%d want %d", n, trial, got, wantAnd)
-			}
-
-			ops := []struct {
-				name string
-				do   func(x, y *BitSet)
-				ref  func(x, y bool) bool
-			}{
-				{"OrWith", (*BitSet).OrWith, func(x, y bool) bool { return x || y }},
-				{"AndWith", (*BitSet).AndWith, func(x, y bool) bool { return x && y }},
-				{"AndNotWith", (*BitSet).AndNotWith, func(x, y bool) bool { return x && !y }},
-			}
-			for _, op := range ops {
-				x := a.Clone()
-				op.do(x, b)
-				for i := range ra {
-					if want := op.ref(ra[i], rb[i]); x.Get(i) != want {
-						t.Fatalf("n=%d trial=%d %s bit %d = %v, want %v",
-							n, trial, op.name, i, x.Get(i), want)
-					}
-				}
-				// Count must agree too: a stray bit above n would show
-				// here even though Get never reads it.
-				want := 0
-				for i := range ra {
-					if op.ref(ra[i], rb[i]) {
-						want++
-					}
-				}
-				if got := x.Count(); got != want {
-					t.Fatalf("n=%d trial=%d %s Count=%d want %d", n, trial, op.name, got, want)
-				}
-			}
-
-			// ForEachIn must visit exactly the set bits, ascending.
 			var visited []int
-			a.ForEachIn(func(i int) { visited = append(visited, i) })
+			for k := 0; k < a.Words(); k++ {
+				for w := a.Word(k); w != 0; w &= w - 1 {
+					visited = append(visited, k<<6|bits.TrailingZeros64(w))
+				}
+			}
 			j := 0
-			for i := range ra {
-				if !ra[i] {
+			for i, set := range ref {
+				if !set {
 					continue
 				}
 				if j >= len(visited) || visited[j] != i {
-					t.Fatalf("n=%d trial=%d ForEachIn visited %v, missing/misordered at bit %d", n, trial, visited, i)
+					t.Fatalf("n=%d trial=%d word scan visited %v, missing/misordered at bit %d", n, trial, visited, i)
 				}
 				j++
 			}
 			if j != len(visited) {
-				t.Fatalf("n=%d trial=%d ForEachIn visited extra indices: %v", n, trial, visited[j:])
+				t.Fatalf("n=%d trial=%d word scan visited indices past the set: %v", n, trial, visited[j:])
 			}
-		}
-	}
-}
 
-func TestBitSetFillUpTo(t *testing.T) {
-	for _, n := range propSizes {
-		b := NewBitSet(n)
-		s := rng.New(uint64(n) + 7)
-		for _, k := range []int{-1, 0, 1, n / 2, n - 1, n, n + 1} {
-			randomBits(b, s) // pre-dirty: FillUpTo must clear the rest
-			b.FillUpTo(k)
-			want := k
-			if want < 0 {
-				want = 0
+			p := NewBitSet(0)
+			p.Pack(ref)
+			b := NewBitSet(n)
+			for k := 0; k < a.Words(); k++ {
+				b.SetWord(k, a.Word(k))
 			}
-			if want > n {
-				want = n
-			}
-			if got := b.Count(); got != want {
-				t.Fatalf("n=%d FillUpTo(%d) Count=%d want %d", n, k, got, want)
-			}
-			for i := 0; i < n; i++ {
-				if b.Get(i) != (i < want) {
-					t.Fatalf("n=%d FillUpTo(%d) bit %d = %v", n, k, i, b.Get(i))
+			for name, c := range map[string]*BitSet{"Pack": p, "SetWord": b} {
+				if c.Len() != n || c.Count() != a.Count() {
+					t.Fatalf("n=%d trial=%d %s: Len %d Count %d, want %d %d", n, trial, name, c.Len(), c.Count(), n, a.Count())
+				}
+				for i, set := range ref {
+					if c.Get(i) != set {
+						t.Fatalf("n=%d trial=%d %s bit %d = %v, want %v", n, trial, name, i, c.Get(i), set)
+					}
 				}
 			}
+			// Count is a popcount: a stray bit past Len would show here.
+			if a.Fill(); a.Count() != n {
+				t.Fatalf("n=%d Fill counts %d", n, a.Count())
+			}
 		}
 	}
-}
-
-func TestBitSetBatchOpsPanicOnMismatch(t *testing.T) {
-	a, b := NewBitSet(64), NewBitSet(65)
-	for _, op := range []struct {
-		name string
-		do   func()
-	}{
-		{"OrWith", func() { a.OrWith(b) }},
-		{"AndWith", func() { a.AndWith(b) }},
-		{"AndNotWith", func() { a.AndNotWith(b) }},
-		{"CountAnd", func() { a.CountAnd(b) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s on mismatched capacities did not panic", op.name)
-				}
-			}()
-			op.do()
-		}()
-	}
-}
-
-// FuzzBitSetBatchOps drives the batch ops with fuzzer-chosen capacities
-// and bit patterns, cross-checking against the per-bit reference. The
-// capacity is folded into 1..130 so the corpus stays around the word
-// edges the ops are most likely to get wrong.
-func FuzzBitSetBatchOps(f *testing.F) {
-	f.Add(uint16(63), uint64(1), uint64(2))
-	f.Add(uint16(64), uint64(0xffffffffffffffff), uint64(0))
-	f.Add(uint16(65), uint64(0x8000000000000001), uint64(3))
-	f.Fuzz(func(t *testing.T, rawN uint16, seedA, seedB uint64) {
-		n := int(rawN)%130 + 1
-		a, b := NewBitSet(n), NewBitSet(n)
-		sa, sb := rng.New(seedA), rng.New(seedB)
-		ra := randomBits(a, sa)
-		rb := randomBits(b, sb)
-
-		wantAnd := 0
-		for i := range ra {
-			if ra[i] && rb[i] {
-				wantAnd++
-			}
-		}
-		if got := a.CountAnd(b); got != wantAnd {
-			t.Fatalf("n=%d CountAnd=%d want %d", n, got, wantAnd)
-		}
-
-		or, and, andnot := a.Clone(), a.Clone(), a.Clone()
-		or.OrWith(b)
-		and.AndWith(b)
-		andnot.AndNotWith(b)
-		for i := range ra {
-			if or.Get(i) != (ra[i] || rb[i]) {
-				t.Fatalf("n=%d OrWith bit %d wrong", n, i)
-			}
-			if and.Get(i) != (ra[i] && rb[i]) {
-				t.Fatalf("n=%d AndWith bit %d wrong", n, i)
-			}
-			if andnot.Get(i) != (ra[i] && !rb[i]) {
-				t.Fatalf("n=%d AndNotWith bit %d wrong", n, i)
-			}
-		}
-		if and.Count() != wantAnd {
-			t.Fatalf("n=%d AndWith Count=%d want %d", n, and.Count(), wantAnd)
-		}
-
-		k := int(seedA % uint64(n+2))
-		a.FillUpTo(k)
-		want := k
-		if want > n {
-			want = n
-		}
-		if a.Count() != want {
-			t.Fatalf("n=%d FillUpTo(%d) Count=%d want %d", n, k, a.Count(), want)
-		}
-	})
 }

@@ -32,7 +32,7 @@ type Forger interface {
 }
 
 // Corrupt reports whether process p has been corrupted.
-func (e *Execution) Corrupt(p int) bool { return e.corrupt[p] }
+func (e *Execution) Corrupt(p int) bool { return e.corrupt.Get(p) }
 
 // CorruptCount returns the number of corrupted processes.
 func (e *Execution) CorruptCount() int { return e.corrupted }
@@ -47,17 +47,17 @@ func (e *Execution) applyForgeries(forgeries []Forgery) {
 	for i := range forgeries {
 		f := forgeries[i]
 		v := f.Sender
-		if v < 0 || v >= e.cfg.N || !e.alive[v] {
+		if v < 0 || v >= e.cfg.N || !e.alive.Get(v) {
 			continue
 		}
 		if !f.Silent && len(f.PerReceiver) != e.cfg.N {
 			continue
 		}
-		if !e.corrupt[v] {
+		if !e.corrupt.Get(v) {
 			if e.crashed+e.corrupted >= e.cfg.T {
 				continue
 			}
-			e.corrupt[v] = true
+			e.corrupt.Set(v)
 			e.corrupted++
 		}
 		e.forged[v] = &f

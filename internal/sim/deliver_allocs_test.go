@@ -33,8 +33,12 @@ func TestFinishRoundDeliverAllocs(t *testing.T) {
 	// Two delivery masks the "adversary" alternates between, mimicking a
 	// reusable adversary recycling its buffers.
 	maskA, maskB := NewBitSet(n), NewBitSet(n)
-	maskA.FillUpTo(n / 2)
-	maskB.FillUpTo(n / 4)
+	for i := 0; i < n/2; i++ {
+		maskA.Set(i)
+		if i < n/4 {
+			maskB.Set(i)
+		}
+	}
 
 	victim := 0
 	round := func() {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Digest is an observer that folds every engine event into an FNV-1a
 // hash. Two executions with identical digests made identical decisions,
@@ -32,8 +35,9 @@ func (d *Digest) mix(words ...uint64) {
 // OnRound implements Observer.
 func (d *Digest) OnRound(r int, v *View) {
 	d.mix(0x01, uint64(r))
-	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) {
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
 			d.mix(uint64(i), uint64(v.Payload(i))+1)
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // TraceObserver writes a human-readable line per engine event. Useful in
@@ -16,10 +17,10 @@ var _ Observer = (*TraceObserver)(nil)
 // OnRound prints the round header with the Phase-A payload vector.
 func (t *TraceObserver) OnRound(r int, v *View) {
 	ones, sending := 0, 0
-	for i := 0; i < v.N; i++ {
-		if v.IsSending(i) {
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
 			sending++
-			if v.Payload(i)&1 == 1 {
+			if v.Payload(k<<6|bits.TrailingZeros64(w))&1 == 1 {
 				ones++
 			}
 		}

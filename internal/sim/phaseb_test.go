@@ -16,13 +16,13 @@ func senderMajorInboxes(e *Execution) ([][]Recv, int) {
 	inboxes := make([][]Recv, e.cfg.N)
 	messages := 0
 	for i := range e.procs {
-		if e.corrupt[i] {
+		if e.corrupt.Get(i) {
 			// Byzantine sender: per-receiver forged payloads.
-			if !e.alive[i] {
+			if !e.alive.Get(i) {
 				continue
 			}
 			for j := range e.procs {
-				if j == i || !e.alive[j] || e.halted[j] || e.corrupt[j] {
+				if j == i || !e.alive.Get(j) || e.halted.Get(j) || e.corrupt.Get(j) {
 					continue
 				}
 				if f, ok := e.forged[i]; ok && !f.Silent {
@@ -32,7 +32,7 @@ func senderMajorInboxes(e *Execution) ([][]Recv, int) {
 			}
 			continue
 		}
-		if !e.sending[i] {
+		if !e.sending.Get(i) {
 			continue
 		}
 		mask := e.deliver[i]
@@ -43,7 +43,7 @@ func senderMajorInboxes(e *Execution) ([][]Recv, int) {
 			if mask != nil && !mask.Get(j) {
 				continue
 			}
-			if !e.alive[j] || e.halted[j] || e.corrupt[j] {
+			if !e.alive.Get(j) || e.halted.Get(j) || e.corrupt.Get(j) {
 				continue
 			}
 			inboxes[j] = append(inboxes[j], Recv{From: i, Payload: e.payloads[i]})
@@ -83,17 +83,23 @@ func randomizeOpenRound(e *Execution, s *rng.Stream) {
 	n := e.cfg.N
 	density := func() int { return []int{0, 1, 5, 9, 10}[s.Intn(5)] }
 	pAlive, pHalted, pCorrupt, pSending := density(), density(), density(), density()
-	flag := func(p int) bool { return s.Intn(10) < p }
+	flag := func(b *BitSet, i, p int) {
+		if s.Intn(10) < p {
+			b.Set(i)
+		} else {
+			b.Clear(i)
+		}
+	}
 	e.corrupted = 0
 	e.forged = make(map[int]*Forgery)
 	for i := 0; i < n; i++ {
-		e.alive[i] = flag(pAlive)
-		e.halted[i] = flag(pHalted)
-		e.corrupt[i] = flag(pCorrupt)
-		e.sending[i] = flag(pSending)
+		flag(&e.alive, i, pAlive)
+		flag(&e.halted, i, pHalted)
+		flag(&e.corrupt, i, pCorrupt)
+		flag(&e.sending, i, pSending)
 		e.payloads[i] = int64(s.Intn(2000)) - 1000
 		e.deliver[i] = randomMask(n, s)
-		if e.corrupt[i] {
+		if e.corrupt.Get(i) {
 			e.corrupted++
 			switch s.Intn(3) { // 0: no forgery this round
 			case 1:

@@ -22,6 +22,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"synran/internal/metrics"
 	"synran/internal/rng"
@@ -79,13 +80,13 @@ type CrashPlan struct {
 // View is the full-information snapshot handed to the adversary after
 // Phase A of a round. It is safe by contract: per-process state is
 // exposed only through read-only accessor methods (IsAlive, Payload,
-// ...), never as raw slices, so adversaries cannot mutate engine state
-// and cannot accidentally retain live buffers — which is what lets the
-// engine reuse one View (and its backing arrays) across rounds and
-// snapshots. A View is valid only for the duration of the Plan / Forge /
-// OnRound call it is passed to; to experiment with hypothetical futures,
-// snapshot Exec (Clone, CloneInto, or a SnapshotArena) and drive the
-// snapshot.
+// AliveWord, ...) that return values, never slices or sets, so
+// adversaries cannot mutate engine state and cannot accidentally retain
+// live buffers — which is what lets the engine reuse one View (and its
+// backing arrays) across rounds and snapshots. A View is valid only for
+// the duration of the Plan / Forge / OnRound call it is passed to; to
+// experiment with hypothetical futures, snapshot Exec (Clone, CloneInto,
+// or a SnapshotArena) and drive the snapshot.
 type View struct {
 	Round  int
 	N      int
@@ -98,10 +99,10 @@ type View struct {
 	// Rng is the adversary's private random stream; draws advance it.
 	Rng *rng.Stream
 
-	alive    []bool
-	halted   []bool
-	corrupt  []bool
-	sending  []bool
+	alive    *BitSet
+	halted   *BitSet
+	corrupt  *BitSet
+	sending  *BitSet
 	payloads []int64 // Phase-A outputs; meaningful where sending is true
 	procs    []Process
 }
@@ -111,19 +112,20 @@ type View struct {
 // (internal/netsim) and adversary unit tests that need synthetic views.
 type ViewState struct {
 	Round, N, T, Budget int
-	Alive               []bool
-	Halted              []bool
-	Corrupt             []bool
-	Sending             []bool
+	Alive               *BitSet
+	Halted              *BitSet
+	Corrupt             *BitSet
+	Sending             *BitSet
 	Payloads            []int64
 	Procs               []Process
 	Exec                *Execution
 	Rng                 *rng.Stream
 }
 
-// NewView assembles a View over the given state. The slices are aliased,
-// not copied: the caller must not mutate them while the View is in use.
-// Nil slices are read as all-false (all-zero for Payloads).
+// NewView assembles a View over the given state. The sets and slices are
+// aliased, not copied: the caller must not mutate them while the View is
+// in use. Each non-nil set has capacity N; nil sets are read as all-false
+// (a nil Payloads as all-zero).
 func NewView(s ViewState) *View {
 	return &View{
 		Round:    s.Round,
@@ -143,18 +145,53 @@ func NewView(s ViewState) *View {
 
 // IsAlive reports whether process i has not crashed. Read-only; never
 // aliases engine state beyond the View's validity window.
-func (v *View) IsAlive(i int) bool { return v.alive != nil && v.alive[i] }
+func (v *View) IsAlive(i int) bool { return v.alive != nil && v.alive.Get(i) }
 
 // IsHalted reports whether process i stopped voluntarily (halted
 // processes are alive and non-faulty).
-func (v *View) IsHalted(i int) bool { return v.halted != nil && v.halted[i] }
+func (v *View) IsHalted(i int) bool { return v.halted != nil && v.halted.Get(i) }
 
 // IsCorrupt reports whether process i has been corrupted by a Byzantine
 // adversary (always false in the fail-stop model).
-func (v *View) IsCorrupt(i int) bool { return v.corrupt != nil && v.corrupt[i] }
+func (v *View) IsCorrupt(i int) bool { return v.corrupt != nil && v.corrupt.Get(i) }
 
 // IsSending reports whether process i broadcasts a message this round.
-func (v *View) IsSending(i int) bool { return v.sending != nil && v.sending[i] }
+func (v *View) IsSending(i int) bool { return v.sending != nil && v.sending.Get(i) }
+
+// Words returns the number of 64-process words the flag columns span.
+// Word k of a column covers processes 64k … 64k+63, process i at bit
+// i&63, and bits at or past N are clear, so a consumer visits a column's
+// members in ascending order with
+//
+//	for k := 0; k < v.Words(); k++ {
+//		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+//			i := k<<6 | bits.TrailingZeros64(w)
+//			...
+//		}
+//	}
+//
+// at O(N/64 + members) instead of O(N).
+func (v *View) Words() int { return (v.N + 63) >> 6 }
+
+// SendingWord returns a copy of word k of the sending column.
+func (v *View) SendingWord(k int) uint64 { return word(v.sending, k) }
+
+// AliveWord returns a copy of word k of the alive column.
+func (v *View) AliveWord(k int) uint64 { return word(v.alive, k) }
+
+// HaltedWord returns a copy of word k of the halted column.
+func (v *View) HaltedWord(k int) uint64 { return word(v.halted, k) }
+
+// LiveWord returns word k of the live set: alive and not halted.
+func (v *View) LiveWord(k int) uint64 { return word(v.alive, k) &^ word(v.halted, k) }
+
+// word reads word k of a View column; a nil column is all-false.
+func word(b *BitSet, k int) uint64 {
+	if b == nil {
+		return 0
+	}
+	return b.words[k]
+}
 
 // Payload returns process i's Phase-A output for this round; it is
 // meaningful only where IsSending(i) is true.
@@ -183,13 +220,10 @@ func (v *View) Proc(i int) Process {
 // AliveCount returns the number of non-crashed processes (halted
 // processes are alive: they stopped voluntarily and are non-faulty).
 func (v *View) AliveCount() int {
-	c := 0
-	for _, a := range v.alive {
-		if a {
-			c++
-		}
+	if v.alive == nil {
+		return 0
 	}
-	return c
+	return v.alive.Count()
 }
 
 // Adversary is a (possibly adaptive, full-information) fault strategy.
@@ -363,10 +397,11 @@ type Execution struct {
 	inputs []int
 	advRng *rng.Stream
 
-	alive       []bool
-	halted      []bool
-	corrupt     []bool
-	decidedSeen []bool
+	// Per-process flags, one bit each (see BitSet for the word layout).
+	alive       BitSet
+	halted      BitSet
+	corrupt     BitSet
+	decidedSeen BitSet
 	crashed     int
 	corrupted   int // number of true entries in corrupt
 	faults      Faults
@@ -376,8 +411,11 @@ type Execution struct {
 	phaseAOpen bool
 
 	payloads []int64
-	sending  []bool
-	deliver  []*BitSet // per-sender override for the open round; nil = all
+	sending  BitSet
+	// deliver[v] is this round's delivery mask for object-core victim v,
+	// set by the victim loop and cleared by the phaseB that reads it, so
+	// every entry is nil outside finish; nil = deliver to all.
+	deliver []*BitSet
 
 	// inboxes[j] is the message list Phase A of the next round hands to
 	// process j. Phase A consumes it, so Phase B rebuilds it in place.
@@ -404,8 +442,8 @@ type Execution struct {
 	tallyMode    bool
 	kernel       TallyKernel
 	cols         TallyColumns
-	act          []bool
-	eligible     *BitSet
+	act          BitSet // Phase A's active set: alive, not halted, not corrupt
+	eligible     BitSet
 	victimGroups []soaGroup
 	groupScratch []*BitSet // per-group mask copies: one per distinct plan mask, not per victim
 	classTab     [8]soaClass
@@ -424,7 +462,7 @@ func NewExecution(cfg Config, procs []Process, inputs []int, advSeed uint64) (*E
 
 // Reset reinitializes the execution to round zero for a new run,
 // validating exactly as NewExecution would, but reusing every
-// per-process buffer (bools, payloads, inboxes, delivery masks, the
+// per-process buffer (flag words, payloads, inboxes, delivery masks, the
 // adversary rng) already owned by the receiver. Resetting a zero
 // Execution is equivalent to NewExecution. The previous procs slice is
 // replaced by the given one; all other state is overwritten in place.
@@ -461,16 +499,13 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	} else {
 		e.advRng.Reseed(advSeed)
 	}
-	e.alive = resizeBools(e.alive, n)
-	e.halted = resizeBools(e.halted, n)
-	e.corrupt = resizeBools(e.corrupt, n)
-	e.decidedSeen = resizeBools(e.decidedSeen, n)
-	for i := range e.alive {
-		e.alive[i] = true
-		e.halted[i] = false
-		e.corrupt[i] = false
-		e.decidedSeen[i] = false
-	}
+	e.alive.Reset(n)
+	e.alive.Fill()
+	e.halted.Reset(n)
+	e.corrupt.Reset(n)
+	e.decidedSeen.Reset(n)
+	e.sending.Reset(n)
+	e.act.Reset(n)
 	e.crashed = 0
 	e.corrupted = 0
 	e.faults = Faults{}
@@ -478,10 +513,8 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	e.round = 0
 	e.phaseAOpen = false
 	e.payloads = resizeInt64s(e.payloads, n)
-	e.sending = resizeBools(e.sending, n)
 	for i := range e.payloads {
 		e.payloads[i] = 0
-		e.sending[i] = false
 	}
 	e.deliver = resizeMasks(e.deliver, n)
 	e.deliverScratch = resizeMasks(e.deliverScratch, n)
@@ -516,16 +549,8 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	return nil
 }
 
-// resizeBools returns s with length n, reusing its storage when
+// resizeInt64s returns s with length n, reusing its storage when
 // possible. Contents are unspecified; callers overwrite every element.
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// resizeInt64s is resizeBools for payload vectors.
 func resizeInt64s(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
@@ -533,7 +558,7 @@ func resizeInt64s(s []int64, n int) []int64 {
 	return s[:n]
 }
 
-// resizeMasks is resizeBools for delivery-mask vectors; grown tails keep
+// resizeMasks is resizeInt64s for delivery-mask vectors; grown tails keep
 // their previous *BitSet values (possibly nil) for later reuse.
 func resizeMasks(s []*BitSet, n int) []*BitSet {
 	if cap(s) < n {
@@ -579,10 +604,10 @@ func (e *Execution) Round() int { return e.round }
 func (e *Execution) Budget() int { return e.cfg.T - e.crashed - e.corrupted }
 
 // Alive reports whether process p has not crashed. Read-only value.
-func (e *Execution) Alive(p int) bool { return e.alive[p] }
+func (e *Execution) Alive(p int) bool { return e.alive.Get(p) }
 
 // Halted reports whether process p stopped voluntarily. Read-only value.
-func (e *Execution) Halted(p int) bool { return e.halted[p] }
+func (e *Execution) Halted(p int) bool { return e.halted.Get(p) }
 
 // Input returns process p's initial value without allocating.
 func (e *Execution) Input(p int) int { return e.inputs[p] }
@@ -622,8 +647,8 @@ func (e *Execution) Done() bool {
 		// equivalent (corruption leaves tally mode before it can corrupt).
 		return e.haltRound != 0
 	}
-	for i := range e.alive {
-		if e.alive[i] && !e.corrupt[i] && !e.halted[i] {
+	for k, a := range e.alive.words {
+		if a&^e.corrupt.words[k]&^e.halted.words[k] != 0 {
 			return false
 		}
 	}
@@ -644,7 +669,7 @@ func (e *Execution) Clone() *Execution {
 }
 
 // CloneInto overwrites dst with a deep copy of e, reusing every buffer
-// dst already owns (bool/payload vectors, inboxes, delivery BitSets, the
+// dst already owns (flag words, payloads, inboxes, delivery BitSets, the
 // adversary rng, and — for processes implementing ProcessCopier — the
 // process state machines themselves). A nil dst allocates a fresh
 // Execution, making CloneInto(nil) identical to Clone. It returns dst.
@@ -667,17 +692,18 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	} else {
 		dst.advRng.CopyFrom(e.advRng)
 	}
-	dst.alive = append(dst.alive[:0], e.alive...)
-	dst.halted = append(dst.halted[:0], e.halted...)
-	dst.corrupt = append(dst.corrupt[:0], e.corrupt...)
-	dst.decidedSeen = append(dst.decidedSeen[:0], e.decidedSeen...)
+	dst.alive.CopyFrom(&e.alive)
+	dst.halted.CopyFrom(&e.halted)
+	dst.corrupt.CopyFrom(&e.corrupt)
+	dst.decidedSeen.CopyFrom(&e.decidedSeen)
+	dst.sending.CopyFrom(&e.sending)
+	dst.act.CopyFrom(&e.act)
 	dst.crashed = e.crashed
 	dst.corrupted = e.corrupted
 	dst.faults = e.faults
 	dst.round = e.round
 	dst.phaseAOpen = e.phaseAOpen
 	dst.payloads = append(dst.payloads[:0], e.payloads...)
-	dst.sending = append(dst.sending[:0], e.sending...)
 	dst.decideRound = e.decideRound
 	dst.haltRound = e.haltRound
 	dst.messages = e.messages
@@ -699,7 +725,6 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 			dst.kernel = e.kernel.KernelClone()
 		}
 		dst.cols.copyFrom(&e.cols)
-		dst.act = append(dst.act[:0], e.act...)
 		dst.classTab = e.classTab
 		for i, p := range e.procs {
 			if dst.procs[i] == nil {
@@ -783,32 +808,34 @@ func (e *Execution) StepPhaseA() (*View, error) {
 	}
 	r := e.round + 1
 	e.forged = nil // forgeries are per round
+	// Only alive, non-halted, non-corrupt processes run; the rest send
+	// nothing. Corrupted processes' honest state machines are frozen; the
+	// adversary speaks for them via forgeries.
+	act, sending := e.act.words, e.sending.words
+	for k, a := range e.alive.words {
+		a &^= e.halted.words[k] | e.corrupt.words[k]
+		act[k] = a
+		sending[k] &= a
+	}
 	if e.tallyMode {
-		for i := range e.procs {
-			e.deliver[i] = nil
-			a := e.alive[i] && !e.halted[i] && !e.corrupt[i]
-			e.act[i] = a
-			if !a {
-				e.sending[i] = false
+		e.kernel.KernelRound(r, &e.act, &e.cols, e.payloads, &e.sending)
+	} else {
+		for k, w := range act {
+			for ; w != 0; w &= w - 1 {
+				i := k<<6 | bits.TrailingZeros64(w)
+				var inbox []Recv
+				if r > 1 {
+					inbox = e.inboxes[i]
+				}
+				p, send := e.procs[i].Round(r, inbox)
+				e.payloads[i] = p
+				if send {
+					e.sending.Set(i)
+				} else {
+					e.sending.Clear(i)
+				}
 			}
 		}
-		e.kernel.KernelRound(r, e.act, &e.cols, e.payloads, e.sending)
-		e.phaseAOpen = true
-		return e.view(r), nil
-	}
-	for i, p := range e.procs {
-		e.deliver[i] = nil
-		if !e.alive[i] || e.halted[i] || e.corrupt[i] {
-			// Corrupted processes' honest state machines are frozen; the
-			// adversary speaks for them via forgeries.
-			e.sending[i] = false
-			continue
-		}
-		var inbox []Recv
-		if r > 1 {
-			inbox = e.inboxes[i]
-		}
-		e.payloads[i], e.sending[i] = p.Round(r, inbox)
 	}
 	e.phaseAOpen = true
 	return e.view(r), nil
@@ -827,10 +854,10 @@ func (e *Execution) view(r int) *View {
 		Budget:   e.Budget(),
 		Exec:     e,
 		Rng:      e.advRng,
-		alive:    e.alive,
-		halted:   e.halted,
-		corrupt:  e.corrupt,
-		sending:  e.sending,
+		alive:    &e.alive,
+		halted:   &e.halted,
+		corrupt:  &e.corrupt,
+		sending:  &e.sending,
 		payloads: e.payloads,
 		procs:    e.procs,
 	}
@@ -931,14 +958,14 @@ func (e *Execution) applyVictims(r int, plans []CrashPlan, crash bool) {
 	}
 	for _, plan := range plans {
 		v := plan.Victim
-		if v < 0 || v >= e.cfg.N || !e.alive[v] || e.corrupt[v] {
+		if v < 0 || v >= e.cfg.N || !e.alive.Get(v) || e.corrupt.Get(v) {
 			continue
 		}
 		if spent >= budget {
 			break
 		}
 		spent++
-		e.alive[v] = false
+		e.alive.Clear(v)
 		if crash {
 			e.crashed++
 		} else {
@@ -961,16 +988,16 @@ func (e *Execution) applyVictims(r int, plans []CrashPlan, crash bool) {
 // recordDelivery records that victim v's round message still reaches
 // the receivers in mask (nil = no one) and returns how many it reaches.
 // It is the victim loop's one core-specific step: the object core
-// copies the mask into v's scratch slot for phaseB, the columnar core
-// adds v to its mask's group for phaseBTally.
+// copies a sending victim's mask into v's scratch slot for phaseB, the
+// columnar core adds v to its mask's group for phaseBTally.
 func (e *Execution) recordDelivery(v int, mask *BitSet) int {
 	if e.tallyMode {
 		return e.groupVictim(v, mask)
 	}
-	e.deliver[v] = e.deliverSlot(v, mask)
-	if !e.sending[v] {
+	if !e.sending.Get(v) {
 		return 0
 	}
+	e.deliver[v] = e.deliverSlot(v, mask)
 	return e.deliver[v].Count()
 }
 
@@ -990,34 +1017,45 @@ type splice struct{ at, from int }
 // lists the receiver-dependent senders as splices, then each inbox is a
 // few bulk copies of that run with the splices merged in. The result is
 // element for element what a sender-major loop builds (an internal test
-// keeps that loop as the oracle).
+// keeps that loop as the oracle). It clears the delivery overrides it
+// consumed.
 func (e *Execution) phaseB() {
 	run, splices := e.run[:0], e.splices[:0]
-	for i := range e.procs {
-		switch {
-		case e.corrupt[i]:
-			// A corrupt sender with no forgery this round stays silent.
-			if f := e.forged[i]; e.alive[i] && f != nil && !f.Silent {
+	alive, corrupt, sending := e.alive.words, e.corrupt.words, e.sending.words
+	for k := range alive {
+		// Candidate senders: non-corrupt senders, and alive corrupt
+		// processes, which speak through forgeries.
+		for w := sending[k]&^corrupt[k] | alive[k]&corrupt[k]; w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			switch {
+			case corrupt[k]&(1<<uint(i&63)) != 0:
+				// A corrupt sender with no forgery this round stays silent.
+				if f := e.forged[i]; f != nil && !f.Silent {
+					splices = append(splices, splice{at: len(run), from: i})
+				}
+			case e.deliver[i] != nil:
 				splices = append(splices, splice{at: len(run), from: i})
+			default:
+				run = append(run, Recv{From: i, Payload: e.payloads[i]})
 			}
-		case !e.sending[i]:
-		case e.deliver[i] != nil:
-			splices = append(splices, splice{at: len(run), from: i})
-		default:
-			run = append(run, Recv{From: i, Payload: e.payloads[i]})
 		}
 	}
 	e.run, e.splices = run, splices
 
 	self := 0 // first run entry from a sender >= j
+	var eligible uint64
 	for j, inbox := range e.inboxes {
+		if j&63 == 0 {
+			k := j >> 6
+			eligible = alive[k] &^ e.halted.words[k] &^ corrupt[k]
+		}
 		inbox = inbox[:0]
 		for self < len(run) && run[self].From < j {
 			self++
 		}
 		// Delivery to crashed, halted, or corrupted processes is
 		// harmless; skip it to keep inboxes meaningful.
-		if e.alive[j] && !e.halted[j] && !e.corrupt[j] {
+		if eligible&(1<<uint(j&63)) != 0 {
 			skip := -1
 			if self < len(run) && run[self].From == j {
 				skip = self
@@ -1029,7 +1067,7 @@ func (e *Execution) phaseB() {
 				i := s.from
 				switch {
 				case i == j:
-				case e.corrupt[i]:
+				case e.corrupt.Get(i):
 					inbox = append(inbox, Recv{From: i, Payload: e.forged[i].PerReceiver[j]})
 				case e.deliver[i].Get(j):
 					inbox = append(inbox, Recv{From: i, Payload: e.payloads[i]})
@@ -1039,6 +1077,9 @@ func (e *Execution) phaseB() {
 			e.messages += len(inbox)
 		}
 		e.inboxes[j] = inbox
+	}
+	for _, s := range splices {
+		e.deliver[s.from] = nil
 	}
 }
 
@@ -1062,7 +1103,7 @@ func (e *Execution) finishBookkeeping(r int) {
 		// replaces two interface dispatches per live process. decidedSeen
 		// is left stale, which only observers and metrics read — both nil
 		// here and fixed for the execution's lifetime.
-		allDecided, anyAliveActive := e.kernel.KernelBookkeep(e.alive, e.corrupt, e.halted)
+		allDecided, anyAliveActive := e.kernel.KernelBookkeep(&e.alive, &e.corrupt, &e.halted)
 		if e.decideRound == 0 && allDecided {
 			e.decideRound = r
 		}
@@ -1075,32 +1116,32 @@ func (e *Execution) finishBookkeeping(r int) {
 	}
 	allDecided := true
 	anyAliveActive := false
-	for i := range e.procs {
-		if !e.alive[i] || e.corrupt[i] {
-			continue
-		}
-		if v, ok := e.procDecided(i); !ok {
-			allDecided = false
-		} else if !e.decidedSeen[i] {
-			e.decidedSeen[i] = true
-			if obs := e.cfg.Observer; obs != nil {
-				obs.OnDecide(r, i, v)
+	for k, a := range e.alive.words {
+		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if v, ok := e.procDecided(i); !ok {
+				allDecided = false
+			} else if !e.decidedSeen.Get(i) {
+				e.decidedSeen.Set(i)
+				if obs := e.cfg.Observer; obs != nil {
+					obs.OnDecide(r, i, v)
+				}
+				if m := e.cfg.Metrics; m != nil {
+					m.Decisions.Inc(e.cfg.MetricsShard)
+				}
 			}
-			if m := e.cfg.Metrics; m != nil {
-				m.Decisions.Inc(e.cfg.MetricsShard)
+			if !e.halted.Get(i) && e.procStopped(i) {
+				e.halted.Set(i)
+				if obs := e.cfg.Observer; obs != nil {
+					obs.OnHalt(r, i)
+				}
+				if m := e.cfg.Metrics; m != nil {
+					m.Halts.Inc(e.cfg.MetricsShard)
+				}
 			}
-		}
-		if !e.halted[i] && e.procStopped(i) {
-			e.halted[i] = true
-			if obs := e.cfg.Observer; obs != nil {
-				obs.OnHalt(r, i)
+			if !e.halted.Get(i) {
+				anyAliveActive = true
 			}
-			if m := e.cfg.Metrics; m != nil {
-				m.Halts.Inc(e.cfg.MetricsShard)
-			}
-		}
-		if e.alive[i] && !e.halted[i] {
-			anyAliveActive = true
 		}
 	}
 	if e.decideRound == 0 && allDecided {
@@ -1146,41 +1187,41 @@ func (e *Execution) Result() *Result {
 	for i := range res.Decisions {
 		res.Decisions[i] = -1
 	}
-	common := -1
-	agreement := true
-	for i := range e.procs {
-		if !e.alive[i] || e.corrupt[i] {
-			continue
-		}
-		res.Survivors++
-		v, ok := e.procDecided(i)
-		if !ok {
-			agreement = false
-			continue
-		}
-		res.Decisions[i] = v
-		res.Decided[i] = true
-		if common == -1 {
-			common = v
-		} else if common != v {
-			agreement = false
-		}
-	}
-	res.Agreement = agreement
-	res.Validity = true
 	// Byzantine-aware validity: only the CORRECT processes' inputs bind
 	// the decision (standard weak validity; identical to the fail-stop
-	// condition when nothing is corrupted).
-	var correctInputs []int
+	// condition when nothing is corrupted). v0 is their common input, or
+	// -1 if they disagree or every process is corrupt.
+	v0 := -1
 	for i, x := range e.inputs {
-		if !e.corrupt[i] {
-			correctInputs = append(correctInputs, x)
+		if e.corrupt.Get(i) {
+			continue
+		}
+		if v0 == -1 {
+			v0 = x
+		} else if x != v0 {
+			v0 = -1
+			break
 		}
 	}
-	allSame, v0 := allEqual(correctInputs)
-	if allSame {
-		for i := range e.procs {
-			if res.Decided[i] && res.Decisions[i] != v0 {
+	common := -1
+	res.Agreement, res.Validity = true, true
+	for k, a := range e.alive.words {
+		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			res.Survivors++
+			v, ok := e.procDecided(i)
+			if !ok {
+				res.Agreement = false
+				continue
+			}
+			res.Decisions[i] = v
+			res.Decided[i] = true
+			if common == -1 {
+				common = v
+			} else if common != v {
+				res.Agreement = false
+			}
+			if v0 != -1 && v != v0 {
 				res.Validity = false
 			}
 		}
@@ -1196,16 +1237,4 @@ func (e *Execution) Result() *Result {
 		}
 	}
 	return res
-}
-
-func allEqual(xs []int) (bool, int) {
-	if len(xs) == 0 {
-		return false, 0
-	}
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return false, 0
-		}
-	}
-	return true, xs[0]
 }

@@ -22,10 +22,16 @@ import (
 // object path, and the conformance harness pins byte-identical behavior
 // between the two engines on every case.
 //
+// Every per-process flag (alive, halted, corrupt, sending, active,
+// eligible) is a packed BitSet column, and every per-round loop visits
+// a column's set bits word by word, so a round costs O(n/64 + members):
+// once SynRan's flood stage leaves a few survivors of n, a round no
+// longer touches all n processes.
+//
 // Aliasing contract (extends the PR-2 arena rules in DESIGN.md): the
-// tally columns, the eligibility bitset, and the per-victim delivery
-// scratch masks are engine-owned. Adversary plan masks are only read
-// during the FinishRound call they were passed to; the engine copies
+// tally columns, the flag columns, and the per-victim delivery scratch
+// masks are engine-owned. Adversary plan masks are only read during
+// the FinishRound call they were passed to; the engine copies
 // each victim's mask into its own deliverScratch slot (satellite fix for
 // the per-plan Deliver.Clone allocation) and groups victims sharing one
 // adversary mask pointer so a shared rescue mask costs one sweep total.
@@ -118,12 +124,16 @@ func (t *TallyColumns) WitnessedMask(i int) int64 {
 // behave bit-identically to driving those processes through the object
 // path — same payloads, same decisions, same rng consumption. The
 // conformance differential lane enforces this on every case.
+//
+// The flag arguments are the engine's packed columns (capacity n, see
+// BitSet); kernels visit their set bits word by word, so a round costs
+// O(n/64 + members) however few processes remain.
 type TallyKernel interface {
-	// KernelRound runs Phase A of round r for every process i with
-	// active[i] true, reading its delivery tally from t (unread when
-	// r == 1) and writing payloads[i] and sending[i]. Entries with
-	// active[i] false are left untouched.
-	KernelRound(r int, active []bool, t *TallyColumns, payloads []int64, sending []bool)
+	// KernelRound runs Phase A of round r for every process i in active,
+	// reading its delivery tally from t (unread when r == 1) and writing
+	// payloads[i] and sending's bit i. Inactive processes' payloads and
+	// sending bits are left untouched.
+	KernelRound(r int, active *BitSet, t *TallyColumns, payloads []int64, sending *BitSet)
 	// KernelClass classifies a wire payload the way the protocol's
 	// aggregation does: one is the countValues class, mz/mo whether the
 	// payload's witnessed-value set contains 0 resp. 1. It must be a pure
@@ -134,16 +144,17 @@ type TallyKernel interface {
 	KernelDecided(i int) (value int, ok bool)
 	KernelStopped(i int) bool
 	// KernelBookkeep is the batch form of the per-process Decided/Stopped
-	// sweep at the end of a round: for every i with alive[i] && !corrupt[i]
-	// it marks halted[i] when the process has stopped, and reports whether
-	// all such processes have decided and whether any remains active. The
-	// engine uses it on the observer- and metrics-free path (Monte-Carlo
-	// rollouts), where no per-process event attribution is needed.
-	KernelBookkeep(alive, corrupt, halted []bool) (allDecided, anyAliveActive bool)
+	// sweep at the end of a round: for every i in alive but not corrupt
+	// it sets halted's bit i when the process has stopped, and reports
+	// whether all such processes have decided and whether any remains
+	// active. The engine uses it on the observer- and metrics-free path
+	// (Monte-Carlo rollouts), where no per-process event attribution is
+	// needed.
+	KernelBookkeep(alive, corrupt, halted *BitSet) (allDecided, anyAliveActive bool)
 	// KernelConsensus is the batch form of the survivors' common-decision
 	// scan: the agreed value over every alive, non-corrupt, decided
 	// process, or -1 if none decided or they disagree.
-	KernelConsensus(alive, corrupt []bool) int
+	KernelConsensus(alive, corrupt *BitSet) int
 	// KernelReseed mirrors Reseeder.Reseed for process i.
 	KernelReseed(i int, seed uint64)
 	// KernelClone returns a deep copy; KernelCopyInto overwrites dst
@@ -210,7 +221,6 @@ func (e *Execution) enterTallyMode() {
 		e.cols.MaskZero[i] = 0
 		e.cols.MaskOne[i] = 0
 	}
-	e.act = resizeBools(e.act, n)
 	for v := int64(0); v < int64(len(e.classTab)); v++ {
 		one, mz, mo := k.KernelClass(v)
 		e.classTab[v] = soaClass{one: one, mz: mz, mo: mo}
@@ -276,11 +286,9 @@ func (e *Execution) groupSlot(gi int, mask *BitSet) *BitSet {
 // victims sharing its adversary mask pointer; each distinct mask is
 // copied into engine scratch ONCE per group, so a mass-crash plan
 // sharing one mask costs O(n/64) total, not O(victims·n/64). A victim
-// delivering to no one (not sending, or a nil mask) keeps a nil
-// deliver entry: there is no per-receiver Phase B to feed.
+// delivering to no one (not sending, or a nil mask) joins no group.
 func (e *Execution) groupVictim(v int, mask *BitSet) int {
-	e.deliver[v] = nil
-	if !e.sending[v] || mask == nil {
+	if !e.sending.Get(v) || mask == nil {
 		return 0
 	}
 	gi := -1
@@ -296,7 +304,6 @@ func (e *Execution) groupVictim(v int, mask *BitSet) int {
 		gi = len(e.victimGroups) - 1
 	}
 	g := &e.victimGroups[gi]
-	e.deliver[v] = g.mask
 	c := e.classify(e.payloads[v])
 	g.cnt++
 	if c.one {
@@ -318,32 +325,21 @@ func (e *Execution) groupVictim(v int, mask *BitSet) int {
 // broadcast) + (the groups of this round's victims whose masks name
 // it), instead of appending n² inbox entries.
 func (e *Execution) phaseBTally() {
-	n := e.cfg.N
-
 	// Eligible receivers — alive && !halted && !corrupt after this
 	// round's crashes, exactly the set the object path's delivery loop
-	// appends to — computed as act ∧ alive in the same pass as the
-	// full-broadcast totals: act is Phase A's activity vector, and only
-	// alive can have changed since (this round's victims; halting comes
-	// after). The totals cover surviving senders only; this round's
-	// victims are added back mask-wise by their groups.
-	if e.eligible == nil {
-		e.eligible = NewBitSet(n)
-	} else {
-		e.eligible.Reset(n)
-	}
+	// appends to — computed as act ∧ alive in the same word pass as the
+	// full-broadcast totals: act is Phase A's active set, and only alive
+	// can have changed since (this round's victims; halting comes
+	// after). The totals cover the surviving senders, alive ∧ sending;
+	// this round's victims are added back mask-wise by their groups.
+	e.eligible.Reset(e.cfg.N)
 	ew := e.eligible.words
-	alive, act, sending := e.alive, e.act, e.sending
+	alive, act, sending := e.alive.words, e.act.words, e.sending.words
 	var fullOnes, fullZeros, fullMZ, fullMO, fullCnt int32
-	for j := 0; j < n; j++ {
-		if !alive[j] {
-			continue
-		}
-		if act[j] {
-			ew[j>>6] |= 1 << uint(j&63)
-		}
-		if sending[j] {
-			c := e.classify(e.payloads[j])
+	for wi, a := range alive {
+		ew[wi] = act[wi] & a
+		for w := sending[wi] & a; w != 0; w &= w - 1 {
+			c := e.classify(e.payloads[wi<<6|bits.TrailingZeros64(w)])
 			fullCnt++
 			if c.one {
 				fullOnes++
@@ -366,12 +362,12 @@ func (e *Execution) phaseBTally() {
 	// (alive/halted/corrupt never revert), so the kernel never reads
 	// them again.
 	for wi, w := range ew {
-		base := wi << 6
-		for w != 0 {
-			j := base + bits.TrailingZeros64(w)
-			w &= w - 1
+		sw := sending[wi]
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			j := wi<<6 | b
 			ones, zeros, mz, mo, cnt := fullOnes, fullZeros, fullMZ, fullMO, fullCnt
-			if sending[j] {
+			if sw&(1<<uint(b)) != 0 {
 				c := e.classify(e.payloads[j])
 				cnt--
 				if c.one {
@@ -401,17 +397,10 @@ func (e *Execution) phaseBTally() {
 	for gi := range e.victimGroups {
 		g := &e.victimGroups[gi]
 		mw := g.mask.words
-		ew := e.eligible.words
-		lim := len(mw)
-		if len(ew) < lim {
-			lim = len(ew)
-		}
+		lim := min(len(mw), len(ew))
 		for wi := 0; wi < lim; wi++ {
-			w := mw[wi] & ew[wi]
-			base := wi << 6
-			for w != 0 {
-				j := base + bits.TrailingZeros64(w)
-				w &= w - 1
+			for w := mw[wi] & ew[wi]; w != 0; w &= w - 1 {
+				j := wi<<6 | bits.TrailingZeros64(w)
 				e.cols.Ones[j] += g.ones
 				e.cols.Zeros[j] += g.zeros
 				e.cols.Count[j] += g.cnt
@@ -475,21 +464,20 @@ func (e *Execution) Step(adv Adversary) error {
 // accessor form of Result().DecidedValue().
 func (e *Execution) ConsensusValue() int {
 	if e.tallyMode {
-		return e.kernel.KernelConsensus(e.alive, e.corrupt)
+		return e.kernel.KernelConsensus(&e.alive, &e.corrupt)
 	}
 	v := -1
-	for i := range e.procs {
-		if !e.alive[i] || e.corrupt[i] {
-			continue
-		}
-		d, ok := e.procDecided(i)
-		if !ok {
-			continue
-		}
-		if v == -1 {
-			v = d
-		} else if v != d {
-			return -1
+	for k, a := range e.alive.words {
+		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
+			d, ok := e.procDecided(k<<6 | bits.TrailingZeros64(w))
+			if !ok {
+				continue
+			}
+			if v == -1 {
+				v = d
+			} else if v != d {
+				return -1
+			}
 		}
 	}
 	return v
@@ -502,8 +490,8 @@ func (e *Execution) HaltRound() int {
 	if e.haltRound != 0 {
 		return e.haltRound
 	}
-	for i := range e.procs {
-		if e.alive[i] && !e.corrupt[i] {
+	for k, a := range e.alive.words {
+		if a&^e.corrupt.words[k] != 0 {
 			return 0
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"synran/internal/sim"
 )
@@ -62,16 +63,16 @@ func NewRecorder(n, t int, seed uint64) *Recorder {
 func (r *Recorder) OnRound(round int, v *sim.View) {
 	at := len(r.log.Events)
 	r.log.Events = append(r.log.Events, Event{Kind: "round", Round: round, Alive: v.AliveCount()})
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) {
-			continue
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			p := v.Payload(i)
+			r.log.Events[at].Sending++
+			if p&1 == 1 {
+				r.log.Events[at].Ones++
+			}
+			r.log.Events = append(r.log.Events, Event{Kind: "send", Round: round, Proc: i, Payload: p})
 		}
-		p := v.Payload(i)
-		r.log.Events[at].Sending++
-		if p&1 == 1 {
-			r.log.Events[at].Ones++
-		}
-		r.log.Events = append(r.log.Events, Event{Kind: "send", Round: round, Proc: i, Payload: p})
 	}
 }
 

@@ -1,6 +1,9 @@
 package valency
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"synran/internal/core"
 	"synran/internal/rng"
 	"synran/internal/sim"
@@ -137,13 +140,14 @@ func (a *LowerBound) candidates(v *sim.View, perRound int) [][]sim.CrashPlan {
 		return cands
 	}
 	ones, zeros := senderIDsByValue(v)
+	alive := v.AliveCount()
 	for _, senders := range [][]int{ones, zeros} {
 		if len(senders) == 0 {
 			continue
 		}
 		// The v.N/10+1 size is the cheapest plan that breaks SynRan-style
 		// stop tests (diff > N^{r-2}/10); the others bracket the budget.
-		for _, k := range []int{1, v.AliveCount()/10 + 1, perRound / 2, perRound} {
+		for _, k := range []int{1, alive/10 + 1, perRound / 2, perRound} {
 			if k <= 0 || k > len(senders) || k > perRound {
 				continue
 			}
@@ -156,10 +160,9 @@ func (a *LowerBound) candidates(v *sim.View, perRound int) [][]sim.CrashPlan {
 		// View split (Section 3.4 case 3): one victim whose final message
 		// only half the receivers hear.
 		half := sim.NewBitSet(v.N)
-		cnt := 0
-		for i := 0; i < v.N && cnt < v.AliveCount()/2; i++ {
-			if v.IsAlive(i) {
-				half.Set(i)
+		for wi, cnt := 0, 0; wi < v.Words() && cnt < alive/2; wi++ {
+			for w := v.AliveWord(wi); w != 0 && cnt < alive/2; w &= w - 1 {
+				half.Set(wi<<6 | bits.TrailingZeros64(w))
 				cnt++
 			}
 		}
@@ -183,10 +186,12 @@ func dedupeCandidates(cands [][]sim.CrashPlan) [][]sim.CrashPlan {
 	return out
 }
 
+// planKey encodes a plan's victims (full ids, varint-coded) and whether
+// each delivers to a subset.
 func planKey(plans []sim.CrashPlan) string {
-	b := make([]byte, 0, len(plans)*3)
+	b := make([]byte, 0, len(plans)*4)
 	for _, p := range plans {
-		b = append(b, byte(p.Victim), byte(p.Victim>>8))
+		b = binary.AppendUvarint(b, uint64(p.Victim))
 		if p.Deliver != nil {
 			b = append(b, 1)
 		} else {
@@ -198,14 +203,16 @@ func planKey(plans []sim.CrashPlan) string {
 
 // senderIDsByValue partitions the round's plain-payload senders.
 func senderIDsByValue(v *sim.View) (ones, zeros []int) {
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) || wire.IsFlood(v.Payload(i)) {
-			continue
-		}
-		if wire.Bit(v.Payload(i)) == 1 {
-			ones = append(ones, i)
-		} else {
-			zeros = append(zeros, i)
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if p := v.Payload(i); wire.IsFlood(p) {
+				continue
+			} else if wire.Bit(p) == 1 {
+				ones = append(ones, i)
+			} else {
+				zeros = append(zeros, i)
+			}
 		}
 	}
 	return ones, zeros

@@ -1,6 +1,8 @@
 package valency
 
 import (
+	"math/bits"
+
 	"synran/internal/core"
 	"synran/internal/sim"
 	"synran/internal/wire"
@@ -155,12 +157,12 @@ func (a *Stepwise) classify(v *sim.View, plan []sim.CrashPlan) (*Estimate, bool)
 // appendSendersWithBit appends this round's plain senders carrying the
 // bit to dst.
 func appendSendersWithBit(dst []int, v *sim.View, bit int) []int {
-	for i := 0; i < v.N; i++ {
-		if !v.IsSending(i) || wire.IsFlood(v.Payload(i)) {
-			continue
-		}
-		if wire.Bit(v.Payload(i)) == bit {
-			dst = append(dst, i)
+	for k := 0; k < v.Words(); k++ {
+		for w := v.SendingWord(k); w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if p := v.Payload(i); !wire.IsFlood(p) && wire.Bit(p) == bit {
+				dst = append(dst, i)
+			}
 		}
 	}
 	return dst
@@ -176,9 +178,9 @@ func (a *Stepwise) halfMask(v *sim.View) *sim.BitSet {
 	}
 	mask := a.half
 	cnt, want := 0, v.AliveCount()/2
-	for i := 0; i < v.N && cnt < want; i++ {
-		if v.IsAlive(i) {
-			mask.Set(i)
+	for k := 0; k < v.Words() && cnt < want; k++ {
+		for w := v.AliveWord(k); w != 0 && cnt < want; w &= w - 1 {
+			mask.Set(k<<6 | bits.TrailingZeros64(w))
 			cnt++
 		}
 	}

@@ -29,7 +29,7 @@ bench:
 
 # The snapshot-engine benchmarks recorded as a machine-readable JSON
 # artifact (the checked-in baseline CI gates against).
-BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale
+BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale|AsyncSplitter
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_sim.json
 
@@ -39,8 +39,9 @@ bench-json:
 # disabled metrics path's more than 2% (the "metrics off = free"
 # budget), the SoA stepwise lane's more than 34% (baseline 3
 # allocs/op, so the columnar core stays two orders of magnitude under
-# the object engine's 1063-alloc seed), or any at-scale engine lane's
-# (object and soa at n = 1024, soa-1e5 at n = 10^5) more than 20%.
+# the object engine's 1063-alloc seed), any at-scale engine lane's
+# (object and soa at n = 1024, soa-1e5 at n = 10^5) more than 20%, or
+# the async engine's Splitter execution's more than 20%.
 # Twenty iterations measure the steady state: Go builds its
 # type-assertion caches on randomly sampled calls, so a single
 # iteration of the rollout path now and then catches a one-off
@@ -53,7 +54,7 @@ bench-json:
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchtime=20x -benchmem . | \
 		$(GO) run ./cmd/benchjson -out - -baseline BENCH_sim.json \
-		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20' > /dev/null
+		-check 'BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20' > /dev/null
 
 # Seeded chaos soak under the race detector: the fault injector, the
 # hardened synchronizer's safety/termination properties, and the
@@ -99,8 +100,9 @@ scenarios:
 	$(GO) run ./cmd/synran-bench -scenario-dir testdata/corpus
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/conformance
 
-# Regenerate every experiment table at full size (minutes) or quick size
-# (seconds). Exit status is non-zero if any paper claim fails.
+# Regenerate every experiment table at full size (~25 s on 2 cores) or
+# quick size (under a second). Exit status is non-zero if any paper
+# claim fails.
 experiments:
 	$(GO) run ./cmd/synran-bench
 

@@ -1,11 +1,13 @@
 package synran_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
 
 	"synran/internal/adversary"
+	"synran/internal/async"
 	"synran/internal/core"
 	"synran/internal/experiments"
 	"synran/internal/metrics"
@@ -456,4 +458,29 @@ func BenchmarkEngineAtScale(b *testing.B) {
 	b.Run("object", func(b *testing.B) { run(b, 1024, sim.EngineObject) })
 	b.Run("soa", func(b *testing.B) { run(b, 1024, sim.EngineSoA) })
 	b.Run("soa-1e5", func(b *testing.B) { run(b, 100000, sim.EngineSoA) })
+}
+
+// BenchmarkAsyncSplitter is the asynchronous engine's row: one E15 FLP
+// execution per op, parity-coin Ben-Or at n = 8, t = 3, half/half
+// inputs, seed 42, under the Splitter. The deterministic protocol never
+// decides, so every op runs to the 1500·n delivery cap E15 gives it
+// (12,000 deliveries) while the pending set grows. Part of the
+// BENCH_SNAPSHOT set; bench-check gates its allocs/op.
+func BenchmarkAsyncSplitter(b *testing.B) {
+	const n, t = 8, 3
+	inputs := workload.HalfHalf(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		procs, err := async.NewBenOrProcs(n, t, inputs, async.CoinParity, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exec, err := async.NewExecution(async.Config{N: n, T: t, MaxSteps: 1500 * n}, procs, inputs, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exec.Run(async.NewSplitter()); !errors.Is(err, async.ErrMaxSteps) {
+			b.Fatalf("the FLP loop ended: %v", err)
+		}
+	}
 }

@@ -49,11 +49,13 @@ type Process interface {
 	Halted() bool
 }
 
-// View is the scheduler's full-information snapshot. The Alive and
-// Pending slices are defensive copies owned by the engine's reusable
-// view buffers: mutating them cannot corrupt engine state, and they are
-// only valid for the duration of the Next call (the next step overwrites
-// them in place).
+// View is the scheduler's full-information snapshot. The engine hands
+// the same View to every Next call of one execution and rewrites all of
+// its fields before each call, so a View and the slices it holds are
+// only valid for the duration of that call. Alive and Pending are
+// defensive copies owned by the engine's reusable view buffers:
+// mutating them, or any field of the View, cannot corrupt engine state.
+// Pending is in Seq order.
 type View struct {
 	Step    int
 	N, T    int
@@ -146,9 +148,10 @@ type Execution struct {
 	crashes int
 	advRng  *rng.Stream
 
-	// viewAlive/viewPending back the defensive copies handed to
-	// schedulers; reused across steps so views cost no allocation in
-	// steady state.
+	// v is the View handed to schedulers, and viewAlive/viewPending
+	// back its defensive copies; all are reused across steps so views
+	// cost no allocation in steady state.
+	v           View
 	viewAlive   []bool
 	viewPending []Message
 }
@@ -161,6 +164,9 @@ func NewExecution(cfg Config, procs []Process, inputs []int, seed uint64) (*Exec
 	}
 	if cfg.T < 0 || cfg.T >= cfg.N {
 		return nil, fmt.Errorf("async: T = %d out of [0, n-1]", cfg.T)
+	}
+	if cfg.MaxSteps < 0 {
+		return nil, fmt.Errorf("async: MaxSteps = %d, want >= 0 (0 picks the default)", cfg.MaxSteps)
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps(cfg.N)
@@ -223,12 +229,13 @@ func (e *Execution) done() bool {
 }
 
 // view assembles the scheduler's snapshot in the execution's reusable
-// buffers: Alive and Pending are defensive copies, so a buggy (or
-// malicious) scheduler mutating them cannot corrupt engine state.
+// View and buffers: every field is rewritten and Alive and Pending are
+// defensive copies, so a buggy (or malicious) scheduler mutating the
+// view cannot corrupt engine state or the next step's view.
 func (e *Execution) view() *View {
 	e.viewAlive = append(e.viewAlive[:0], e.alive...)
 	e.viewPending = append(e.viewPending[:0], e.pending...)
-	return &View{
+	e.v = View{
 		Step:    e.steps,
 		N:       e.cfg.N,
 		T:       e.cfg.T,
@@ -238,21 +245,22 @@ func (e *Execution) view() *View {
 		Procs:   e.procs,
 		Rng:     e.advRng,
 	}
+	return &e.v
 }
 
-// findSeq locates the pending message with the given sequence number
-// (pending is kept in seq order, so binary search applies); -1 = gone.
-func (e *Execution) findSeq(seq int) int {
-	lo, hi := 0, len(e.pending)
+// findSeq locates the message with the given sequence number in a
+// Seq-ordered pending slice by binary search; -1 = gone.
+func findSeq(pending []Message, seq int) int {
+	lo, hi := 0, len(pending)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if e.pending[mid].Seq < seq {
+		if pending[mid].Seq < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(e.pending) && e.pending[lo].Seq == seq {
+	if lo < len(pending) && pending[lo].Seq == seq {
 		return lo
 	}
 	return -1
@@ -294,7 +302,7 @@ func (e *Execution) Run(sched Scheduler) (*Result, error) {
 		}
 		idx := -1
 		if chosenSeq >= 0 {
-			idx = e.findSeq(chosenSeq)
+			idx = findSeq(e.pending, chosenSeq)
 		}
 		if idx < 0 {
 			// The chosen message died with the crash (or the index was

@@ -2,8 +2,11 @@ package async
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"synran/internal/rng"
 )
 
 func mkBenOr(t *testing.T, n, tt int, inputs []int, mode CoinMode, seed uint64) []Process {
@@ -70,6 +73,11 @@ func TestExecutionValidation(t *testing.T) {
 	}
 	if _, err := NewExecution(Config{N: 4, T: 4}, procs, uniform(4, 0), 1); err == nil {
 		t.Fatal("T >= N must be rejected")
+	}
+	// A negative cap would end every run at step 0 with ErrMaxSteps, which
+	// callers count as non-termination: E15's FLP claim would hold vacuously.
+	if _, err := NewExecution(Config{N: 4, T: 1, MaxSteps: -1}, procs, uniform(4, 0), 1); err == nil {
+		t.Fatal("MaxSteps < 0 must be rejected")
 	}
 }
 
@@ -265,9 +273,10 @@ func TestSplitterTallyMatchesDeliveries(t *testing.T) {
 	}
 }
 
-// vandalSched mutates every view slice it is handed after making its
-// pick — a worst-case buggy scheduler. With defensive copies the
-// vandalism must not leak into engine state.
+// vandalSched mutates every view slice and the View's scalar fields
+// after making its pick — a worst-case buggy scheduler. The engine
+// reuses one View per execution, so the vandalism must not leak into
+// engine state or into the next step's view.
 type vandalSched struct{ inner Scheduler }
 
 func (s vandalSched) Name() string { return "vandal" }
@@ -280,7 +289,14 @@ func (s vandalSched) Next(v *View) Action {
 	for i := range v.Pending {
 		v.Pending[i] = Message{Seq: -1, From: -1, To: -1, Payload: -1}
 	}
+	v.Step, v.Budget = -1, 0
 	return act
+}
+
+func (s vandalSched) Delivered(m Message) {
+	if obs, ok := s.inner.(DeliveryObserver); ok {
+		obs.Delivered(m)
+	}
 }
 
 // deliveryLog records the engine's true delivery sequence (the async
@@ -298,7 +314,7 @@ func (d *deliveryLog) Delivered(m Message) {
 }
 
 func TestMutatingSchedulerDoesNotAffectDigest(t *testing.T) {
-	run := func(sched Scheduler) (*deliveryLog, *Result) {
+	run := func(sched Scheduler) (*deliveryLog, *Result, error) {
 		rec := &deliveryLog{Scheduler: sched}
 		procs := mkBenOr(t, 5, 2, half(5), CoinRandom, 7)
 		exec, err := NewExecution(Config{N: 5, T: 2}, procs, half(5), 7)
@@ -306,24 +322,31 @@ func TestMutatingSchedulerDoesNotAffectDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := exec.Run(rec)
-		if err != nil {
-			t.Fatal(err)
+		return rec, res, err
+	}
+	for _, mk := range []func() Scheduler{
+		func() Scheduler { return FIFO{} },
+		func() Scheduler { return NewSplitter() },
+		func() Scheduler { return &RandomSched{CrashProb: 0.02} },
+	} {
+		name := mk().Name()
+		clean, cleanRes, cleanErr := run(mk())
+		vandal, vandalRes, vandalErr := run(vandalSched{inner: mk()})
+		if (cleanErr == nil) != (vandalErr == nil) {
+			t.Fatalf("%s: errors diverged: %v vs %v", name, cleanErr, vandalErr)
 		}
-		return rec, res
-	}
-	clean, cleanRes := run(FIFO{})
-	vandal, vandalRes := run(vandalSched{inner: FIFO{}})
-	if len(clean.log) != len(vandal.log) {
-		t.Fatalf("delivery counts diverged: %d vs %d", len(clean.log), len(vandal.log))
-	}
-	for i := range clean.log {
-		if clean.log[i] != vandal.log[i] {
-			t.Fatalf("delivery %d diverged: %+v vs %+v", i, clean.log[i], vandal.log[i])
+		if len(clean.log) != len(vandal.log) {
+			t.Fatalf("%s: delivery counts diverged: %d vs %d", name, len(clean.log), len(vandal.log))
 		}
-	}
-	if cleanRes.Steps != vandalRes.Steps || cleanRes.DecidedValue() != vandalRes.DecidedValue() ||
-		cleanRes.Crashes != vandalRes.Crashes {
-		t.Fatalf("results diverged: %+v vs %+v", cleanRes, vandalRes)
+		for i := range clean.log {
+			if clean.log[i] != vandal.log[i] {
+				t.Fatalf("%s: delivery %d diverged: %+v vs %+v", name, i, clean.log[i], vandal.log[i])
+			}
+		}
+		if cleanErr == nil && (cleanRes.Steps != vandalRes.Steps ||
+			cleanRes.DecidedValue() != vandalRes.DecidedValue() || cleanRes.Crashes != vandalRes.Crashes) {
+			t.Fatalf("%s: results diverged: %+v vs %+v", name, cleanRes, vandalRes)
+		}
 	}
 }
 
@@ -350,5 +373,158 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if errA == nil && (a.Steps != b.Steps || a.DecidedValue() != b.DecidedValue()) {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
+	}
+}
+
+// scanPick is the Splitter's pick by a rescan of the whole pending set,
+// the rule its index must reproduce: the first message of least score.
+func scanPick(s *Splitter, v *View) int {
+	bestIdx, bestScore := 0, 1<<30
+	for idx, m := range v.Pending {
+		score := s.score(groupKey{m.To, m.Payload})
+		if score < bestScore {
+			bestScore, bestIdx = score, idx
+			if score == 0 {
+				break // nothing scores lower; skip the rest of the scan
+			}
+		}
+	}
+	return bestIdx
+}
+
+// scanOracle runs a Splitter and checks every pick against scanPick.
+// With tell it forwards Delivered; without, the Splitter never hears of
+// a delivery. With noise > 0, at that rate per step each, it crashes a
+// random live process, so crash compaction and same-step re-picks
+// occur, and it delivers a random pending message in place of the pick.
+type scanOracle struct {
+	inner *Splitter
+	tell  bool
+	noise float64
+	rng   *rng.Stream
+
+	picks, repicks, mismatches int
+	lastStep                   int
+	first                      string
+}
+
+func (o *scanOracle) Name() string { return "scan-oracle" }
+
+func (o *scanOracle) Next(v *View) Action {
+	if o.picks > 0 && v.Step == o.lastStep {
+		o.repicks++
+	}
+	o.picks, o.lastStep = o.picks+1, v.Step
+	want := scanPick(o.inner, v)
+	act := o.inner.Next(v)
+	if act.Deliver != want {
+		if o.mismatches == 0 {
+			o.first = fmt.Sprintf("step %d: index picked %d, scan %d of %d pending",
+				v.Step, act.Deliver, want, len(v.Pending))
+		}
+		o.mismatches++
+	}
+	if o.noise == 0 {
+		return act
+	}
+	if v.Budget > 0 && o.rng.Float64() < o.noise {
+		var live []int
+		for i, a := range v.Alive {
+			if a {
+				live = append(live, i)
+			}
+		}
+		act.Victim = live[o.rng.Intn(len(live))]
+	}
+	if o.rng.Float64() < o.noise {
+		act.Deliver = o.rng.Intn(len(v.Pending))
+	}
+	return act
+}
+
+func (o *scanOracle) Delivered(m Message) {
+	if o.tell {
+		o.inner.Delivered(m)
+	}
+}
+
+func TestSplitterIndexMatchesScan(t *testing.T) {
+	seeds := uint64(12)
+	if testing.Short() {
+		seeds = 3
+	}
+	var picks, repicks, halted int
+	check := func(label string, o *scanOracle) {
+		t.Helper()
+		picks += o.picks
+		repicks += o.repicks
+		if o.mismatches > 0 {
+			t.Errorf("%s: %d of %d picks differ from the scan; first at %s",
+				label, o.mismatches, o.picks, o.first)
+		}
+	}
+	run := func(n int, mode CoinMode, sched Scheduler, seed uint64) {
+		t.Helper()
+		tt := (n - 1) / 2
+		procs := mkBenOr(t, n, tt, half(n), mode, seed)
+		exec, err := NewExecution(Config{N: n, T: tt, MaxSteps: 1500 * n}, procs, half(n), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Run(sched); err != nil && !errors.Is(err, ErrMaxSteps) {
+			t.Fatal(err)
+		}
+		for _, p := range procs {
+			if p.Halted() {
+				halted++
+			}
+		}
+	}
+	for _, mode := range []CoinMode{CoinParity, CoinRandom} {
+		for _, n := range []int{4, 5, 8, 12} {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				for _, noise := range []float64{0, 0.002} {
+					o := &scanOracle{inner: NewSplitter(), tell: true, noise: noise, rng: rng.New(seed)}
+					run(n, mode, o, seed)
+					check(fmt.Sprintf("coin %d n=%d seed %d noise %.3f", mode, n, seed, noise), o)
+				}
+			}
+		}
+	}
+	// Foreign views: a Splitter never told of a delivery, and one reused
+	// on a second execution, must still pick as the scan does.
+	for seed := uint64(1); seed <= seeds; seed++ {
+		deaf := &scanOracle{inner: NewSplitter()}
+		run(5, CoinRandom, deaf, seed)
+		check(fmt.Sprintf("deaf splitter seed %d", seed), deaf)
+		reused := &scanOracle{inner: NewSplitter(), tell: true}
+		run(5, CoinRandom, reused, seed)
+		run(8, CoinParity, reused, seed+100)
+		check(fmt.Sprintf("reused splitter seed %d", seed), reused)
+	}
+	// Hand-built views. The second has the first's Step and Seqs, so only
+	// its identity shows that it is another view; then the Splitter hears
+	// of a delivery that the view does not reflect.
+	hand := NewSplitter()
+	pick := func(v *View) {
+		t.Helper()
+		if got, want := hand.Next(v).Deliver, scanPick(hand, v); got != want {
+			t.Errorf("hand-built view %v: index picked %d, scan %d", v.Pending, got, want)
+		}
+	}
+	pick(&View{N: 3, T: 1, Pending: []Message{
+		{Seq: 0, To: 1, Payload: Pack(typeReport, 1, 0)},
+		{Seq: 1, To: 2, Payload: Pack(typePropose, 1, valBottom)},
+	}})
+	v := &View{N: 3, T: 1, Pending: []Message{
+		{Seq: 0, To: 1, Payload: Pack(typePropose, 1, valBottom)},
+		{Seq: 1, To: 2, Payload: Pack(typeReport, 1, 0)},
+	}}
+	pick(v)
+	hand.Delivered(v.Pending[0])
+	pick(v)
+	t.Logf("%d picks compared, %d re-picks, %d processes halted", picks, repicks, halted)
+	if repicks == 0 || halted == 0 {
+		t.Fatalf("%d re-picks and %d halts: the compaction paths never ran", repicks, halted)
 	}
 }

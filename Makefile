@@ -90,17 +90,21 @@ conformance:
 
 # The declarative scenario surface: codec round-trip and corpus tests,
 # the checked-in corpus through every lane of the conformance binary
-# and as a bench outcome table, then a short coverage-guided fuzz that
-# mutates corpus entries hunting for engine divergences — any finding
-# is minimized and written back into testdata/corpus as a repro.
+# and as a bench outcome table, an async entry through asyncsim and an
+# async -one repro with a delivery cap (the form async findings print),
+# then a short coverage-guided fuzz that mutates corpus entries hunting
+# for engine divergences — any finding is minimized and written back
+# into testdata/corpus as a repro.
 scenarios:
 	$(GO) test -count=1 ./internal/scenario
 	$(GO) test -count=1 -run 'Scenario|Corpus' ./internal/conformance ./internal/cli
 	$(GO) run ./cmd/conformance -scenario-dir testdata/corpus
 	$(GO) run ./cmd/synran-bench -scenario-dir testdata/corpus
+	$(GO) run ./cmd/asyncsim -scenario testdata/corpus/async-splitter.scenario
+	$(GO) run ./cmd/conformance -one "protocol=async-benor,adversary=splitter,coin=parity,workload=half,n=4,t=1,seed=1,maxrounds=500"
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/conformance
 
-# Regenerate every experiment table at full size (~25 s on 2 cores) or
+# Regenerate every experiment table at full size (~11 s on 2 cores) or
 # quick size (under a second). Exit status is non-zero if any paper
 # claim fails.
 experiments:

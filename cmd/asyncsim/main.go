@@ -14,8 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"synran/internal/cli"
+	"synran/internal/scenario"
+	"synran/internal/workload"
 )
 
 func main() {
@@ -24,9 +27,9 @@ func main() {
 	common.Register(flag.CommandLine, cli.FlagSeed|cli.FlagWorkers|cli.FlagDeadline|cli.FlagMetrics|cli.FlagScenario|cli.FlagCheckpoint)
 	flag.IntVar(&opts.N, "n", 7, "number of processes")
 	flag.IntVar(&opts.T, "t", -1, "crash budget (default (n-1)/2; Ben-Or needs t < n/2)")
-	flag.StringVar(&opts.Scheduler, "scheduler", "fifo", "scheduler: fifo|random|splitter|syncround")
-	flag.StringVar(&opts.Coin, "coin", "random", "coin: random|parity (parity = deterministic, FLP)")
-	flag.StringVar(&opts.Workload, "workload", "half", "inputs: zeros|ones|half|random")
+	flag.StringVar(&opts.Scheduler, "scheduler", "fifo", "scheduler: "+strings.Join(scenario.Schedulers(), "|"))
+	flag.StringVar(&opts.Coin, "coin", "random", "coin: "+strings.Join(scenario.Coins(), "|")+" (parity = deterministic, FLP)")
+	flag.StringVar(&opts.Workload, "workload", "half", "inputs: "+strings.Join(workload.Names(), "|"))
 	flag.IntVar(&opts.Trials, "trials", 1, "number of runs")
 	flag.IntVar(&opts.MaxSteps, "maxsteps", 0, "delivery cap (0 = default)")
 	flag.Parse()

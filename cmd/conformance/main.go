@@ -9,6 +9,7 @@
 //
 //	conformance -quick -seed 42
 //	conformance -one "protocol=floodset,adversary=waves,workload=half,n=5,t=2,seed=3"
+//	conformance -one "protocol=async-benor,adversary=splitter,coin=parity,n=4,t=1,seed=1,maxrounds=500"
 //	conformance -scenario-dir testdata/corpus
 //	conformance -scenario testdata/corpus/benor-unsafe.scenario
 package main
@@ -25,7 +26,7 @@ func main() {
 	var opts cli.ConformanceOptions
 	common := cli.CommonFlags{Seed: 42}
 	common.Register(flag.CommandLine, cli.FlagSeed|cli.FlagWorkers|cli.FlagQuick|cli.FlagEngine|cli.FlagDeadline|cli.FlagMetrics|cli.FlagScenario|cli.FlagCheckpoint)
-	flag.StringVar(&opts.One, "one", "", "check a single case spec (as printed in a divergence repro) instead of the grid")
+	flag.StringVar(&opts.One, "one", "", "check a single case spec (the repro every finding prints, sync or async) instead of the grid")
 	flag.IntVar(&opts.Seeds, "seeds", 1, "seeds per grid point")
 	flag.IntVar(&opts.MaxRounds, "maxrounds", 0, "per-lane round cap (0 = harness default)")
 	flag.Parse()

@@ -18,6 +18,7 @@ import (
 
 	"synran"
 	"synran/internal/cli"
+	"synran/internal/workload"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 	flag.IntVar(&opts.T, "t", -1, "crash budget (default n-1)")
 	flag.StringVar(&opts.Protocol, "protocol", "synran", "protocol: "+strings.Join(synran.Protocols(), "|"))
 	flag.StringVar(&opts.Adversary, "adversary", "splitvote", "adversary: "+strings.Join(synran.Adversaries(), "|"))
-	flag.StringVar(&opts.Workload, "workload", "half", "inputs: zeros|ones|half|random")
+	flag.StringVar(&opts.Workload, "workload", "half", "inputs: "+strings.Join(workload.Names(), "|"))
 	flag.IntVar(&opts.Trials, "trials", 1, "number of runs (seed, seed+1, ...)")
 	flag.BoolVar(&opts.Trace, "trace", false, "print a per-round trace (single trial only)")
 	flag.BoolVar(&opts.Digest, "digest", false, "print the execution digest (single trial only)")

@@ -9,7 +9,14 @@
 //
 // The engine is deterministic given the scheduler's choices: pending
 // messages carry sequence numbers, and schedulers pick among them by
-// index, so a seed reproduces an execution exactly.
+// index, so a seed reproduces an execution exactly. A scheduler reads
+// the engine's state through a read-only View, which copies nothing.
+//
+// Every Ben-Or trial in the repository (asyncsim, E15, the conformance
+// async lane, -scenario files) is built and run by scenario.RunAsync,
+// which names the schedulers and coins; examples/flploop and
+// BenchmarkAsyncSplitter drive this package directly to show and
+// measure its API.
 package async
 
 import (
@@ -50,21 +57,37 @@ type Process interface {
 }
 
 // View is the scheduler's full-information snapshot. The engine hands
-// the same View to every Next call of one execution and rewrites all of
-// its fields before each call, so a View and the slices it holds are
-// only valid for the duration of that call. Alive and Pending are
-// defensive copies owned by the engine's reusable view buffers:
-// mutating them, or any field of the View, cannot corrupt engine state.
-// Pending is in Seq order.
+// the same View to every Next call of one execution and rewrites its
+// scalar fields before each call. Alive flags, pending messages and
+// processes are exposed only through read-only accessors over the
+// engine's own state, so a View costs no copy, a scheduler cannot
+// mutate engine state through it, and it is valid only for the duration
+// of the call it is passed to.
 type View struct {
-	Step    int
-	N, T    int
-	Budget  int
-	Alive   []bool
-	Pending []Message
-	Procs   []Process
-	Rng     *rng.Stream
+	Step   int
+	N, T   int
+	Budget int
+	Rng    *rng.Stream
+
+	alive   []bool
+	pending []Message // in Seq order
+	procs   []Process
 }
+
+// IsAlive reports whether process i has not crashed.
+func (v *View) IsAlive(i int) bool { return v.alive[i] }
+
+// NumPending returns the number of in-flight messages.
+func (v *View) NumPending() int { return len(v.pending) }
+
+// Pending returns a copy of the i-th in-flight message; the pending set
+// is in Seq order, and Action.Deliver indexes it.
+func (v *View) Pending(i int) Message { return v.pending[i] }
+
+// Proc exposes process i's state machine (full-information model). The
+// returned Process is live engine state: a scheduler may inspect it but
+// must not call Init or Deliver on it.
+func (v *View) Proc(i int) Process { return v.procs[i] }
 
 // Action is one scheduler decision: crash a process (Victim >= 0), or
 // deliver the pending message at index Deliver.
@@ -148,12 +171,7 @@ type Execution struct {
 	crashes int
 	advRng  *rng.Stream
 
-	// v is the View handed to schedulers, and viewAlive/viewPending
-	// back its defensive copies; all are reused across steps so views
-	// cost no allocation in steady state.
-	v           View
-	viewAlive   []bool
-	viewPending []Message
+	v View // the View handed to schedulers, reused across steps
 }
 
 // NewExecution assembles an asynchronous execution.
@@ -228,22 +246,19 @@ func (e *Execution) done() bool {
 	return true
 }
 
-// view assembles the scheduler's snapshot in the execution's reusable
-// View and buffers: every field is rewritten and Alive and Pending are
-// defensive copies, so a buggy (or malicious) scheduler mutating the
-// view cannot corrupt engine state or the next step's view.
+// view points the execution's reusable View at the current state. Every
+// scalar field is rewritten, so a scheduler that overwrote one changes
+// nothing the engine or the next step reads.
 func (e *Execution) view() *View {
-	e.viewAlive = append(e.viewAlive[:0], e.alive...)
-	e.viewPending = append(e.viewPending[:0], e.pending...)
 	e.v = View{
 		Step:    e.steps,
 		N:       e.cfg.N,
 		T:       e.cfg.T,
 		Budget:  e.cfg.T - e.crashes,
-		Alive:   e.viewAlive,
-		Pending: e.viewPending,
-		Procs:   e.procs,
 		Rng:     e.advRng,
+		alive:   e.alive,
+		pending: e.pending,
+		procs:   e.procs,
 	}
 	return &e.v
 }

@@ -231,9 +231,10 @@ func (c *crashingSplitter) Name() string { return "crashing-splitter" }
 func (c *crashingSplitter) Next(v *View) Action {
 	act := c.inner.Next(v)
 	if !c.crashed && v.Budget > 0 {
-		for idx, m := range v.Pending {
+		for idx := 0; idx < v.NumPending(); idx++ {
+			m := v.Pending(idx)
 			typ, _, val := Unpack(m.Payload)
-			if typ == typeReport && (val == 0 || val == 1) && v.Alive[m.From] {
+			if typ == typeReport && (val == 0 || val == 1) && v.IsAlive(m.From) {
 				c.crashed = true
 				return Action{Victim: m.From, Deliver: idx}
 			}
@@ -273,22 +274,17 @@ func TestSplitterTallyMatchesDeliveries(t *testing.T) {
 	}
 }
 
-// vandalSched mutates every view slice and the View's scalar fields
-// after making its pick — a worst-case buggy scheduler. The engine
-// reuses one View per execution, so the vandalism must not leak into
-// engine state or into the next step's view.
+// vandalSched overwrites the View's scalar fields after making its pick
+// — a worst-case buggy scheduler (alive flags, pending messages and
+// processes have no writable form). The engine reuses one View per
+// execution, so the vandalism must not leak into engine state or into
+// the next step's view.
 type vandalSched struct{ inner Scheduler }
 
 func (s vandalSched) Name() string { return "vandal" }
 
 func (s vandalSched) Next(v *View) Action {
 	act := s.inner.Next(v)
-	for i := range v.Alive {
-		v.Alive[i] = false
-	}
-	for i := range v.Pending {
-		v.Pending[i] = Message{Seq: -1, From: -1, To: -1, Payload: -1}
-	}
 	v.Step, v.Budget = -1, 0
 	return act
 }
@@ -380,7 +376,8 @@ func TestDeterministicReplay(t *testing.T) {
 // the rule its index must reproduce: the first message of least score.
 func scanPick(s *Splitter, v *View) int {
 	bestIdx, bestScore := 0, 1<<30
-	for idx, m := range v.Pending {
+	for idx := 0; idx < v.NumPending(); idx++ {
+		m := v.Pending(idx)
 		score := s.score(groupKey{m.To, m.Payload})
 		if score < bestScore {
 			bestScore, bestIdx = score, idx
@@ -420,7 +417,7 @@ func (o *scanOracle) Next(v *View) Action {
 	if act.Deliver != want {
 		if o.mismatches == 0 {
 			o.first = fmt.Sprintf("step %d: index picked %d, scan %d of %d pending",
-				v.Step, act.Deliver, want, len(v.Pending))
+				v.Step, act.Deliver, want, v.NumPending())
 		}
 		o.mismatches++
 	}
@@ -429,15 +426,15 @@ func (o *scanOracle) Next(v *View) Action {
 	}
 	if v.Budget > 0 && o.rng.Float64() < o.noise {
 		var live []int
-		for i, a := range v.Alive {
-			if a {
+		for i := 0; i < v.N; i++ {
+			if v.IsAlive(i) {
 				live = append(live, i)
 			}
 		}
 		act.Victim = live[o.rng.Intn(len(live))]
 	}
 	if o.rng.Float64() < o.noise {
-		act.Deliver = o.rng.Intn(len(v.Pending))
+		act.Deliver = o.rng.Intn(v.NumPending())
 	}
 	return act
 }
@@ -509,19 +506,19 @@ func TestSplitterIndexMatchesScan(t *testing.T) {
 	pick := func(v *View) {
 		t.Helper()
 		if got, want := hand.Next(v).Deliver, scanPick(hand, v); got != want {
-			t.Errorf("hand-built view %v: index picked %d, scan %d", v.Pending, got, want)
+			t.Errorf("hand-built view %v: index picked %d, scan %d", v.pending, got, want)
 		}
 	}
-	pick(&View{N: 3, T: 1, Pending: []Message{
+	pick(&View{N: 3, T: 1, pending: []Message{
 		{Seq: 0, To: 1, Payload: Pack(typeReport, 1, 0)},
 		{Seq: 1, To: 2, Payload: Pack(typePropose, 1, valBottom)},
 	}})
-	v := &View{N: 3, T: 1, Pending: []Message{
+	v := &View{N: 3, T: 1, pending: []Message{
 		{Seq: 0, To: 1, Payload: Pack(typePropose, 1, valBottom)},
 		{Seq: 1, To: 2, Payload: Pack(typeReport, 1, 0)},
 	}}
 	pick(v)
-	hand.Delivered(v.Pending[0])
+	hand.Delivered(v.Pending(0))
 	pick(v)
 	t.Logf("%d picks compared, %d re-picks, %d processes halted", picks, repicks, halted)
 	if repicks == 0 || halted == 0 {

@@ -83,8 +83,10 @@ type BenOr struct {
 	phase int
 	stage int // 1 = collecting reports, 2 = collecting proposals
 
-	reports   map[int]*[2]int // phase -> counts of reported 0/1
-	proposals map[int]*[3]int // phase -> counts of proposed 0/1/bottom
+	// Per-phase tallies, indexed by phase number: the counts of reported
+	// 0/1 and of proposed 0/1/bottom, including buffered future phases.
+	reports   [][2]int
+	proposals [][3]int
 
 	flips   int
 	decided bool
@@ -110,8 +112,6 @@ func NewBenOr(id, n, t, input int, mode CoinMode, stream *rng.Stream) (*BenOr, e
 	return &BenOr{
 		id: id, n: n, t: t, mode: mode, rng: stream,
 		v: input, phase: 1, stage: 1,
-		reports:   make(map[int]*[2]int),
-		proposals: make(map[int]*[3]int),
 	}, nil
 }
 
@@ -195,31 +195,29 @@ func (b *BenOr) takeOut() []Send {
 }
 
 func (b *BenOr) countReport(phase, val int) {
-	c, ok := b.reports[phase]
-	if !ok {
-		c = &[2]int{}
-		b.reports[phase] = c
+	if phase >= len(b.reports) {
+		b.reports = append(b.reports, make([][2]int, phase+1-len(b.reports))...)
 	}
-	c[val]++
+	b.reports[phase][val]++
 }
 
 func (b *BenOr) countProposal(phase, val int) {
-	c, ok := b.proposals[phase]
-	if !ok {
-		c = &[3]int{}
-		b.proposals[phase] = c
+	if phase >= len(b.proposals) {
+		b.proposals = append(b.proposals, make([][3]int, phase+1-len(b.proposals))...)
 	}
-	c[val]++
+	b.proposals[phase][val]++
 }
 
 // advance runs the phase state machine as far as the buffered counts
 // allow (buffered future-phase messages can satisfy a wave instantly).
+// Entering a stage counts the process's own report or proposal, so the
+// current phase's tally always exists.
 func (b *BenOr) advance() {
 	for !b.halted {
 		switch b.stage {
 		case 1: // waiting for n-t reports of the current phase
 			c := b.reports[b.phase]
-			if c == nil || c[0]+c[1] < b.n-b.t {
+			if c[0]+c[1] < b.n-b.t {
 				return
 			}
 			prop := valBottom
@@ -233,7 +231,7 @@ func (b *BenOr) advance() {
 			b.stage = 2
 		case 2: // waiting for n-t proposals of the current phase
 			c := b.proposals[b.phase]
-			if c == nil || c[0]+c[1]+c[2] < b.n-b.t {
+			if c[0]+c[1]+c[2] < b.n-b.t {
 				return
 			}
 			switch {

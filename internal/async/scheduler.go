@@ -38,11 +38,11 @@ func (s *RandomSched) Name() string { return "random" }
 
 // Next implements Scheduler.
 func (s *RandomSched) Next(v *View) Action {
-	act := Action{Victim: -1, Deliver: v.Rng.Intn(len(v.Pending))}
+	act := Action{Victim: -1, Deliver: v.Rng.Intn(v.NumPending())}
 	if s.CrashProb > 0 && v.Budget > 0 && v.Rng.Float64() < s.CrashProb {
 		var live []int
-		for i, a := range v.Alive {
-			if a {
+		for i := 0; i < v.N; i++ {
+			if v.IsAlive(i) {
 				live = append(live, i)
 			}
 		}
@@ -133,19 +133,20 @@ func (s *Splitter) Next(v *View) Action {
 	if len(s.heap) == 0 {
 		return Action{Victim: -1, Deliver: 0}
 	}
-	return Action{Victim: -1, Deliver: findSeq(v.Pending, s.heap[0].seq)}
+	return Action{Victim: -1, Deliver: findSeq(v.pending, s.heap[0].seq)}
 }
 
-// sync brings the index up to v. Between two steps of one execution the
-// engine only appends messages with fresh Seqs and removes the one it
-// reports to Delivered, so the index is current once it adds the tail
-// of v.Pending past its last Seq. Anything else the engine does removes
+// sync brings the index up to v, reading the engine's pending slice
+// behind it directly. Between two steps of one execution the engine
+// only appends messages with fresh Seqs and removes the one it reports
+// to Delivered, so the index is current once it adds the tail of the
+// pending set past its last Seq. Anything else the engine does removes
 // messages up to last without a report — a crash or halt compaction, a
 // delivery the Splitter was not told of — so it shows as a different
 // count of them; that, or another execution's view, rebuilds the index
 // from v.
 func (s *Splitter) sync(v *View) {
-	p, c := v.Pending, s.count
+	p, c := v.pending, s.count
 	if v != s.view || c > len(p) ||
 		c > 0 && p[c-1].Seq > s.last || c < len(p) && p[c].Seq <= s.last {
 		s.reset(v)
@@ -371,8 +372,8 @@ func (s *SyncRound) Name() string { return "syncround" }
 // Next implements Scheduler.
 func (s *SyncRound) Next(v *View) Action {
 	best, bestCount := 0, 1<<30
-	for idx, m := range v.Pending {
-		c := 0
+	for idx := 0; idx < v.NumPending(); idx++ {
+		m, c := v.Pending(idx), 0
 		if m.To < len(s.delivered) {
 			c = s.delivered[m.To]
 		}

@@ -1,16 +1,13 @@
 package cli
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
-	"synran/internal/async"
 	"synran/internal/metrics"
 	"synran/internal/scenario"
 	"synran/internal/stats"
 	"synran/internal/trials"
-	"synran/internal/workload"
 )
 
 // AsyncOptions configures AsyncSim. Like SimOptions, the semantic
@@ -83,71 +80,34 @@ func AsyncSim(opts AsyncOptions, w io.Writer) error {
 	return AsyncScenario(s, opts, w)
 }
 
-// AsyncScenario runs one async-benor scenario through asyncsim's
-// execution core; synchronous scenarios dispatch to SimScenario so
-// every binary accepts every scenario. The scheduler and coin come from
-// the scenario package's constructors — the same ones the conformance
-// harness and -scenario files use.
+// AsyncScenario runs one async-benor scenario through
+// scenario.RunAsync, the run path E15, the conformance harness and
+// -scenario files share; synchronous scenarios dispatch to SimScenario
+// so every binary accepts every scenario.
 func AsyncScenario(s scenario.Scenario, opts AsyncOptions, w io.Writer) error {
 	if !s.IsAsync() {
 		return SimScenario(s, SimOptions{Workers: opts.Workers, Metrics: opts.Metrics, Durable: opts.Durable}, w)
 	}
-	mode, err := scenario.CoinMode(s.Coin)
-	if err != nil {
-		return err
-	}
-	if _, err := scenario.NewAsyncScheduler(s.Adversary); err != nil {
-		return err // validate before fanning out
-	}
-
 	fp, err := scenario.Compact(s)
 	if err != nil {
 		return err
 	}
 	outs, _, err := trials.DurableWorker(opts.Durable, BatchScope("async", fp), fp, opts.Workers, s.Trials, opts.Metrics, func(worker, i int) (asyncTrial, error) {
-		runSeed := s.TrialSeed(i)
-		inputs, err := workload.Named(s.Workload, s.N, runSeed)
+		run, err := scenario.RunAsync(&s, i, nil)
 		if err != nil {
 			return asyncTrial{}, err
 		}
-		procs, err := async.NewBenOrProcs(s.N, s.T, inputs, mode, runSeed)
-		if err != nil {
-			return asyncTrial{}, err
-		}
-		exec, err := async.NewExecution(async.Config{
-			N: s.N, T: s.T, MaxSteps: s.MaxRounds,
-		}, procs, inputs, runSeed)
-		if err != nil {
-			return asyncTrial{}, err
-		}
-		sched, _ := scenario.NewAsyncScheduler(s.Adversary)
-		res, err := exec.Run(sched)
-		if err != nil {
-			if errors.Is(err, async.ErrMaxSteps) {
-				out := asyncTrial{Timeout: true}
-				if s.Expect.Any() {
-					out.Expect = s.CheckExpect(scenario.Outcome{
-						Decided: -1, Rounds: exec.Steps(), Partial: true,
-					})
-				}
-				return out, nil
-			}
-			return asyncTrial{}, err
-		}
+		o := run.Outcome()
+		out := asyncTrial{Timeout: o.Partial}
 		if s.Expect.Any() {
-			out := asyncTrial{Decided: res.DecidedValue(), Steps: float64(res.Steps)}
-			out.Expect = s.CheckExpect(scenario.Outcome{
-				Agreement: res.Agreement, Validity: res.Validity,
-				Decided: res.DecidedValue(), Rounds: res.Steps, Crashes: res.Crashes,
-			})
-			fillAsyncStats(&out, procs)
-			return out, nil
+			out.Expect = s.CheckExpect(o)
+		} else if !o.Partial && (!o.Agreement || !o.Validity) {
+			return asyncTrial{}, fmt.Errorf("safety violated on seed %d", s.TrialSeed(i))
 		}
-		if !res.Agreement || !res.Validity {
-			return asyncTrial{}, fmt.Errorf("safety violated on seed %d", runSeed)
+		if !o.Partial {
+			out.Decided, out.Steps = o.Decided, float64(o.Rounds)
+			out.Phase, out.Flips = float64(run.MaxPhase), float64(run.Flips)
 		}
-		out := asyncTrial{Decided: res.DecidedValue(), Steps: float64(res.Steps)}
-		fillAsyncStats(&out, procs)
 		return out, nil
 	})
 	// Same error discipline as simMany: a failing or interrupted batch
@@ -186,7 +146,7 @@ func AsyncScenario(s scenario.Scenario, opts AsyncOptions, w io.Writer) error {
 		fmt.Fprintf(w, "coin flips : %s\n", stats.Summarize(flips))
 		fmt.Fprintf(w, "decisions  : 0 → %d, 1 → %d\n", decided[0], decided[1])
 	}
-	if timeouts == s.Trials && mode == async.CoinParity {
+	if timeouts == s.Trials && s.Coin == "parity" {
 		fmt.Fprintln(w, "every run looped forever: the FLP schedule, demonstrated")
 	}
 	if s.Expect.Any() {
@@ -199,16 +159,4 @@ func AsyncScenario(s scenario.Scenario, opts AsyncOptions, w io.Writer) error {
 		fmt.Fprintf(w, "expect     : ok (%d trials)\n", s.Trials)
 	}
 	return nil
-}
-
-// fillAsyncStats pulls the per-process phase and coin-flip observations
-// out of the Ben-Or processes after a completed run.
-func fillAsyncStats(out *asyncTrial, procs []async.Process) {
-	for _, p := range procs {
-		b := p.(*async.BenOr)
-		if ph := float64(b.Phase()); ph > out.Phase {
-			out.Phase = ph
-		}
-		out.Flips += float64(b.Flips())
-	}
 }

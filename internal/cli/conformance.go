@@ -6,6 +6,7 @@ import (
 
 	"synran/internal/conformance"
 	"synran/internal/metrics"
+	"synran/internal/scenario"
 	"synran/internal/trials"
 )
 
@@ -23,10 +24,11 @@ type ConformanceOptions struct {
 	// default, "object" = object reference core); the cross-core
 	// differential lane runs either way.
 	Engine string
-	// MaxRounds caps each synchronous lane (0 = the harness default).
+	// MaxRounds caps each synchronous lane, and a -one async case's
+	// deliveries (0 = the harness default).
 	MaxRounds int
-	// One, when non-empty, checks a single case spec (the -one repro flag
-	// a Divergence prints) instead of the grid.
+	// One, when non-empty, checks a single case spec (the -one repro
+	// every finding prints, sync or async) instead of the grid.
 	One string
 	// Scenario, when non-empty, checks a single .scenario file through
 	// every applicable lane (the repro line a corpus violation prints).
@@ -81,18 +83,22 @@ func Conformance(opts ConformanceOptions, w io.Writer) error {
 	return nil
 }
 
-// conformanceOne replays a single case spec — the reproduction path a
-// reported Divergence names.
+// conformanceOne replays a single case spec — the reproduction path
+// every reported finding names, sync or async — through every lane the
+// scenario takes.
 func conformanceOne(opts ConformanceOptions, w io.Writer) error {
-	c, err := conformance.ParseCase(opts.One)
+	s, err := conformance.ParseOne(opts.One)
 	if err != nil {
 		return err
 	}
 	if opts.MaxRounds > 0 {
-		c.MaxRounds = opts.MaxRounds
+		s.MaxRounds = opts.MaxRounds
 	}
-	fmt.Fprintf(w, "conformance case: %s\n", c.Name())
-	divs, violations, err := conformance.CheckSync(c, nil)
+	// A case is one seeded check; expectations belong to -scenario files,
+	// whose violations name the file to replay.
+	s.Expect = scenario.Expect{}
+	fmt.Fprintf(w, "conformance case: %s\n", conformance.CaseName(s))
+	divs, violations, err := conformance.CheckScenario(scenario.Entry{Scenario: s}, nil)
 	if err != nil {
 		return err
 	}

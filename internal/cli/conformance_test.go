@@ -23,15 +23,22 @@ func TestConformanceQuickSweep(t *testing.T) {
 }
 
 func TestConformanceOneCase(t *testing.T) {
-	var sb strings.Builder
-	err := Conformance(ConformanceOptions{
-		One: "protocol=synran,adversary=splitvote,workload=half,n=5,t=2,seed=7",
-	}, &sb)
-	if err != nil {
-		t.Fatalf("single case failed: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "synran/splitvote/half/n=5/t=2/seed=7") {
-		t.Fatalf("output missing the case name:\n%s", sb.String())
+	for _, tc := range []struct{ spec, name string }{
+		{"protocol=synran,adversary=splitvote,workload=half,n=5,t=2,seed=7",
+			"synran/splitvote/half/n=5/t=2/seed=7"},
+		// The repro form async findings print, delivery cap included.
+		{"protocol=async-benor,adversary=splitter,coin=parity,workload=half,n=4,t=1,seed=1,maxrounds=500",
+			"async-benor/splitter/parity/half/n=4/t=1/seed=1"},
+		{"protocol=async-benor,adversary=random,n=5,seed=3",
+			"async-benor/random/random/half/n=5/t=2/seed=3"},
+	} {
+		var sb strings.Builder
+		if err := Conformance(ConformanceOptions{One: tc.spec}, &sb); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.spec, err, sb.String())
+		}
+		if !strings.Contains(sb.String(), "conformance case: "+tc.name+"\n") {
+			t.Fatalf("%s: output missing the case name %s:\n%s", tc.spec, tc.name, sb.String())
+		}
 	}
 }
 

@@ -1,57 +1,19 @@
 package conformance
 
 import (
-	"errors"
 	"fmt"
 
 	"synran/internal/async"
-	"synran/internal/workload"
+	"synran/internal/scenario"
 )
 
-// AsyncCase identifies one asynchronous conformance check. The async
-// engine has no rounds to diff against the synchronous lanes, so its
-// contract is replay determinism — two runs of the same seeded case
-// must deliver the exact same message sequence — plus the same
-// recomputed safety invariants the synchronous oracles check.
-type AsyncCase struct {
-	Scheduler string // fifo | random | splitter | syncround
-	Coin      string // random | parity
-	Workload  string
-	N, T      int
-	Seed      uint64
-	MaxSteps  int
-}
-
-// Name is the case's identifier in reports.
-func (c AsyncCase) Name() string {
-	return fmt.Sprintf("async-benor/%s/%s/%s/n=%d/t=%d/seed=%d",
-		c.Scheduler, orDefault(c.Coin, "random"), c.Workload, c.N, c.T, c.Seed)
-}
-
-// Repro is the reproduction command (asyncsim runs the same engine and
-// scheduler; -trials 1 replays the exact case).
-func (c AsyncCase) Repro() string {
-	return fmt.Sprintf("go run ./cmd/asyncsim -n %d -t %d -scheduler %s -coin %s -workload %s -seed %d -trials 1",
-		c.N, c.T, c.Scheduler, orDefault(c.Coin, "random"), c.Workload, c.Seed)
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// asyncCase wraps an AsyncCase as the Case a Divergence carries, reusing
-// the sync report plumbing (the repro text is the asyncsim command).
-func (c AsyncCase) asCase() Case {
-	return Case{
-		Protocol:  "async-benor",
-		Adversary: c.Scheduler,
-		Workload:  c.Workload,
-		N:         c.N, T: c.T, Seed: c.Seed,
-	}
-}
+// The async lane. The async engine has no rounds to diff against the
+// synchronous lanes, so its contract is replay determinism — two runs of
+// the same seeded scenario must deliver the exact same message sequence
+// — plus the same recomputed safety invariants the synchronous oracles
+// check. Both runs go through scenario.RunAsync, the run path every
+// async-benor trial takes, so a finding replays through -one as the run
+// the lane saw.
 
 // recordingSched wraps a scheduler, logging every message the engine
 // actually delivers (and forwarding the callback when the inner
@@ -73,103 +35,69 @@ func (r *recordingSched) Delivered(m async.Message) {
 	}
 }
 
-// newAsyncSched builds a scheduler by name.
-func newAsyncSched(name string) (async.Scheduler, error) {
-	switch name {
-	case "", "fifo":
-		return async.FIFO{}, nil
-	case "random":
-		return &async.RandomSched{CrashProb: 0.02}, nil
-	case "splitter":
-		return async.NewSplitter(), nil
-	case "syncround":
-		return async.NewSyncRound(), nil
-	default:
-		return nil, fmt.Errorf("conformance: unknown async scheduler %q", name)
-	}
-}
-
-// asyncRun is one replay of an async case.
+// asyncRun is one replay of an async scenario: the run, and every
+// delivery the engine made, recorded by the wrapper around the
+// scenario's scheduler.
 type asyncRun struct {
-	sched    *recordingSched
-	res      *async.Result
-	timedOut bool
+	sched *recordingSched
+	run   scenario.AsyncRun
 }
 
-// runAsyncOnce executes the case once with fresh processes, execution,
-// and scheduler.
-func (c AsyncCase) runAsyncOnce() (*asyncRun, error) {
-	inputs, err := workload.Named(c.Workload, c.N, c.Seed)
+// runAsyncOnce runs the scenario's base seed once, recording deliveries.
+func runAsyncOnce(s scenario.Scenario) (*asyncRun, error) {
+	var rec *recordingSched
+	run, err := scenario.RunAsync(&s, 0, func(inner async.Scheduler) async.Scheduler {
+		rec = &recordingSched{inner: inner}
+		return rec
+	})
 	if err != nil {
 		return nil, err
 	}
-	mode := async.CoinRandom
-	if c.Coin == "parity" {
-		mode = async.CoinParity
-	}
-	procs, err := async.NewBenOrProcs(c.N, c.T, inputs, mode, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	exec, err := async.NewExecution(async.Config{N: c.N, T: c.T, MaxSteps: c.MaxSteps},
-		procs, inputs, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := newAsyncSched(c.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	sched := &recordingSched{inner: inner}
-	res, err := exec.Run(sched)
-	run := &asyncRun{sched: sched}
-	if err != nil {
-		if !errors.Is(err, async.ErrMaxSteps) {
-			return nil, err
+	return &asyncRun{sched: rec, run: run}, nil
+}
+
+// CheckAsync runs an async scenario's base seed twice and compares the
+// delivery sequences message for message (replay determinism — this is
+// the check that catches a scheduler whose internal state drifts from
+// what the engine actually delivered, such as the pre-fix Splitter
+// tally), then applies the invariant recomputations to the result.
+func CheckAsync(s scenario.Scenario) ([]Divergence, []string, error) {
+	// The lane checks the base seed alone, and its repro names just that.
+	s.Trials, s.Expect = 1, scenario.Expect{}
+	var runs [2]*asyncRun
+	for i := range runs {
+		r, err := runAsyncOnce(s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("conformance: %s run %d: %w", CaseName(s), i+1, err)
 		}
-		run.timedOut = true
-		return run, nil
+		runs[i] = r
 	}
-	run.res = res
-	return run, nil
+	return asyncFindings(s, runs[0], runs[1])
 }
 
-// CheckAsync runs the case twice and compares the delivery sequences
-// message for message (replay determinism — this is the check that
-// catches a scheduler whose internal state drifts from what the engine
-// actually delivered, such as the pre-fix Splitter tally), then applies
-// the invariant recomputations to the result.
-func (c AsyncCase) Check() ([]Divergence, []string, error) {
-	return CheckAsync(c)
-}
-
-// CheckAsync is the package-level form of AsyncCase.Check.
-func CheckAsync(c AsyncCase) ([]Divergence, []string, error) {
-	a, err := c.runAsyncOnce()
+// asyncFindings diffs two replays of s and recomputes the invariants on
+// the first. Every finding carries the -one repro of s.
+func asyncFindings(s scenario.Scenario, a, b *asyncRun) ([]Divergence, []string, error) {
+	spec, err := scenario.Compact(s)
 	if err != nil {
-		return nil, nil, fmt.Errorf("conformance: %s run 1: %w", c.Name(), err)
+		return nil, nil, err
 	}
-	b, err := c.runAsyncOnce()
-	if err != nil {
-		return nil, nil, fmt.Errorf("conformance: %s run 2: %w", c.Name(), err)
-	}
-
+	name, repro := CaseName(s), reproOne(spec)
 	var divs []Divergence
-	cc := c.asCase()
 	div := func(field, av, bv string, idx int) {
 		divs = append(divs, Divergence{
-			Case: cc, LaneA: "async-run1", LaneB: "async-run2",
+			Name: name, Repro: repro, LaneA: "async-run1", LaneB: "async-run2",
 			Field: field, A: av, B: bv, EventIndex: idx,
 		})
 	}
 	if idx, av, bv := diffDeliveries(a.sched.log, b.sched.log); idx >= 0 {
 		div("delivery", av, bv, idx)
 	}
-	if a.timedOut != b.timedOut {
-		div("timeout", fmt.Sprint(a.timedOut), fmt.Sprint(b.timedOut), -1)
+	ra, rb := a.run.Res, b.run.Res
+	if (ra == nil) != (rb == nil) {
+		div("timeout", fmt.Sprint(ra == nil), fmt.Sprint(rb == nil), -1)
 	}
-	if a.res != nil && b.res != nil {
-		ra, rb := a.res, b.res
+	if ra != nil && rb != nil {
 		if ra.Steps != rb.Steps {
 			div("Result.Steps", fmt.Sprint(ra.Steps), fmt.Sprint(rb.Steps), -1)
 		}
@@ -181,9 +109,9 @@ func CheckAsync(c AsyncCase) ([]Divergence, []string, error) {
 		}
 	}
 
-	violations := asyncInvariants(c, a)
+	violations := asyncInvariants(s, a)
 	for i := range violations {
-		violations[i] = fmt.Sprintf("%s: %s\n  repro: %s", c.Name(), violations[i], c.Repro())
+		violations[i] = fmt.Sprintf("%s: %s\n  repro: %s", name, violations[i], repro)
 	}
 	return divs, violations, nil
 }
@@ -209,15 +137,14 @@ func diffDeliveries(a, b []async.Message) (int, string, string) {
 // step accounting, crash budget, agreement/validity from the raw
 // decision vector, and — for the Splitter — the tally-vs-deliveries
 // cross-check that pins the Delivered-callback fix.
-func asyncInvariants(c AsyncCase, run *asyncRun) []string {
+func asyncInvariants(s scenario.Scenario, run *asyncRun) []string {
 	var out []string
-	res := run.res
-	if res != nil {
+	if res := run.run.Res; res != nil {
 		if res.Steps != len(run.sched.log) {
 			out = append(out, fmt.Sprintf("Result.Steps=%d but %d deliveries observed", res.Steps, len(run.sched.log)))
 		}
-		if res.Crashes > c.T {
-			out = append(out, fmt.Sprintf("%d crashes, budget t=%d", res.Crashes, c.T))
+		if res.Crashes > s.T {
+			out = append(out, fmt.Sprintf("%d crashes, budget t=%d", res.Crashes, s.T))
 		}
 		common := -1
 		for i, ok := range res.Decided {
@@ -270,7 +197,7 @@ func asyncInvariants(c AsyncCase, run *asyncRun) []string {
 // (including the synchronous-round emulation) on the randomized coin,
 // with the deterministic parity coin added for the benign FIFO schedule
 // (the adversarial schedules loop it forever by design — E15).
-func AsyncCases(cfg SweepConfig) []AsyncCase {
+func AsyncCases(cfg SweepConfig) []scenario.Scenario {
 	scheds := []string{"fifo", "syncround", "splitter"}
 	if !cfg.Quick {
 		scheds = append(scheds, "random")
@@ -283,20 +210,19 @@ func AsyncCases(cfg SweepConfig) []AsyncCase {
 	if seeds <= 0 {
 		seeds = 1
 	}
-	var out []AsyncCase
+	var out []scenario.Scenario
+	add := func(s scenario.Scenario) {
+		s.Protocol = scenario.ProtocolAsyncBenOr
+		s.Normalize()
+		out = append(out, s)
+	}
 	for _, sched := range scheds {
 		for _, wl := range workloads {
-			for s := 0; s < seeds; s++ {
-				out = append(out, AsyncCase{
-					Scheduler: sched, Workload: wl,
-					N: 5, T: 2, Seed: cfg.Seed + uint64(len(out)),
-				})
+			for i := 0; i < seeds; i++ {
+				add(scenario.Scenario{Adversary: sched, Workload: wl, N: 5, T: 2, Seed: cfg.Seed + uint64(len(out))})
 			}
 		}
 	}
-	out = append(out, AsyncCase{
-		Scheduler: "fifo", Coin: "parity", Workload: "half",
-		N: 4, T: 1, Seed: cfg.Seed,
-	})
+	add(scenario.Scenario{Adversary: "fifo", Coin: "parity", Workload: "half", N: 4, T: 1, Seed: cfg.Seed})
 	return out
 }

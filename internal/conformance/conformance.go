@@ -20,10 +20,12 @@
 // every lane they watch.
 //
 // The asynchronous engine (internal/async) cannot be compared
-// event-for-event with the round-based engines; async.go checks it by
-// replay determinism (two runs of the same seeded case must deliver the
-// same message sequence) and by the same invariant recomputations, with
-// the SyncRound scheduler as the synchronous-round lane.
+// event-for-event with the round-based engines; async.go checks an
+// async-benor scenario by replay determinism (two runs of the same
+// seeded scenario must deliver the same message sequence) and by the
+// same invariant recomputations, with the SyncRound scheduler as the
+// synchronous-round lane. Sync and async findings alike print one repro
+// form: the case's compact scenario spec under -one.
 package conformance
 
 import (
@@ -91,8 +93,8 @@ func (c Case) Name() string {
 
 // Spec renders the case in the -one flag syntax ParseCase accepts —
 // the scenario package's compact encoding of the case's Scenario view.
-// A case no scenario can express (the async wrapper, a doctored test
-// value) falls back to the identity rendering.
+// A case no scenario can express (a doctored test value) falls back to
+// the identity rendering.
 func (c Case) Spec() string {
 	spec, err := scenario.Compact(c.Scenario())
 	if err != nil {
@@ -106,20 +108,28 @@ func (c Case) Spec() string {
 }
 
 // Repro is the minimal reproduction command for the case.
-func (c Case) Repro() string {
-	return fmt.Sprintf("go run ./cmd/conformance -one %q", c.Spec())
+func (c Case) Repro() string { return reproOne(c.Spec()) }
+
+// reproOne is the one reproduction command every conformance finding
+// prints: the case's compact scenario spec, replayed through -one.
+func reproOne(spec string) string {
+	return fmt.Sprintf("go run ./cmd/conformance -one %q", spec)
 }
 
-// ParseCase parses the -one flag syntax emitted by Repro:
-// "protocol=synran,adversary=splitvote,workload=half,n=5,t=2,seed=42".
-// It delegates to the scenario package's compact codec on the harness's
-// historical grid defaults (protocol synran, adversary none, workload
-// half, n=5, t = the protocol default), so -one accepts exactly the
-// validated scenario vocabulary.
+// ParseOne parses the -one flag syntax every repro prints, e.g.
+// "protocol=synran,adversary=splitvote,workload=half,n=5,t=2,seed=42"
+// or an async-benor spec. It delegates to the scenario package's
+// compact codec on the harness's historical grid defaults (n=5, t = the
+// protocol default, every other key at its scenario default: protocol
+// synran, adversary none or scheduler fifo, workload half), so -one
+// accepts exactly the validated scenario vocabulary.
+func ParseOne(spec string) (scenario.Scenario, error) {
+	return scenario.ParseCompactWith(scenario.Scenario{N: 5, T: -1}, spec)
+}
+
+// ParseCase parses a synchronous -one spec into its differential Case.
 func ParseCase(spec string) (Case, error) {
-	s, err := scenario.ParseCompactWith(scenario.Scenario{
-		Protocol: "synran", Adversary: "none", Workload: "half", N: 5, T: -1,
-	}, spec)
+	s, err := ParseOne(spec)
 	if err != nil {
 		return Case{}, err
 	}
@@ -153,7 +163,9 @@ func (c *Case) normalize() {
 // Divergence is one cross-lane disagreement, with enough context to
 // reproduce and localize it.
 type Divergence struct {
-	Case         Case
+	// Name identifies the case and Repro is the -one command that
+	// replays it.
+	Name, Repro  string
 	LaneA, LaneB string
 	// Field names what disagrees ("event", "Result.Messages", a metrics
 	// counter, ...).
@@ -171,7 +183,7 @@ func (d Divergence) String() string {
 		at = fmt.Sprintf(" at event %d", d.EventIndex)
 	}
 	return fmt.Sprintf("%s: %s vs %s disagree on %s%s: %s != %s\n  repro: %s",
-		d.Case.Name(), d.LaneA, d.LaneB, d.Field, at, d.A, d.B, d.Case.Repro())
+		d.Name, d.LaneA, d.LaneB, d.Field, at, d.A, d.B, d.Repro)
 }
 
 // lane is one engine run of a case: its recorded trace, its Result, and
@@ -425,7 +437,7 @@ func compareLanes(c Case, a, b *lane) []Divergence {
 	var out []Divergence
 	div := func(field, av, bv string, idx int) {
 		out = append(out, Divergence{
-			Case: c, LaneA: a.name, LaneB: b.name,
+			Name: c.Name(), Repro: c.Repro(), LaneA: a.name, LaneB: b.name,
 			Field: field, A: av, B: bv, EventIndex: idx,
 		})
 	}
@@ -452,7 +464,7 @@ func compareResults(c Case, a, b *lane, out *[]Divergence) {
 	ra, rb := a.res, b.res
 	div := func(field string, av, bv interface{}) {
 		*out = append(*out, Divergence{
-			Case: c, LaneA: a.name, LaneB: b.name,
+			Name: c.Name(), Repro: c.Repro(), LaneA: a.name, LaneB: b.name,
 			Field: "Result." + field, A: fmt.Sprint(av), B: fmt.Sprint(bv), EventIndex: -1,
 		})
 	}
@@ -680,11 +692,12 @@ type caseOutcome struct {
 }
 
 // sweepFingerprint identifies a sweep batch for the checkpoint journal:
-// resuming under any changed knob (or grid size) is refused rather than
-// silently mixing cases.
+// resuming under any changed knob, grid size or Divergence layout (its
+// %#v spelling lists every field) is refused rather than silently
+// mixing cases or decoding findings with zeroed fields.
 func sweepFingerprint(kind string, cfg SweepConfig, cases int) string {
-	return fmt.Sprintf("conformance=%s,quick=%v,seed=%d,seeds=%d,engine=%q,maxrounds=%d,cases=%d",
-		kind, cfg.Quick, cfg.Seed, cfg.Seeds, cfg.Engine, cfg.MaxRounds, cases)
+	return fmt.Sprintf("conformance=%s,quick=%v,seed=%d,seeds=%d,engine=%q,maxrounds=%d,cases=%d,shard=%#v",
+		kind, cfg.Quick, cfg.Seed, cfg.Seeds, cfg.Engine, cfg.MaxRounds, cases, Divergence{})
 }
 
 // Sweep runs the full grid (sync differential lanes plus async replay
@@ -720,7 +733,7 @@ func Sweep(cfg SweepConfig) (*Summary, error) {
 		func(worker, i int) (caseOutcome, error) {
 			divs, violations, err := CheckAsync(asyncCases[i])
 			if err != nil {
-				return caseOutcome{}, fmt.Errorf("async case %s: %w", asyncCases[i].Name(), err)
+				return caseOutcome{}, fmt.Errorf("async case %s: %w", CaseName(asyncCases[i]), err)
 			}
 			return caseOutcome{Divs: divs, Violations: violations}, nil
 		})

@@ -1,11 +1,13 @@
 package conformance
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"synran/internal/async"
 	"synran/internal/metrics"
+	"synran/internal/scenario"
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -161,12 +163,22 @@ func TestWireOracleCatchesMalformedPayload(t *testing.T) {
 	}
 }
 
+func asyncScenario(t *testing.T, s scenario.Scenario) scenario.Scenario {
+	t.Helper()
+	s.Protocol = scenario.ProtocolAsyncBenOr
+	ns, err := s.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ns
+}
+
 func TestCheckAsyncSplitterAndSyncRound(t *testing.T) {
 	for _, sched := range []string{"fifo", "syncround", "splitter", "random"} {
-		c := AsyncCase{Scheduler: sched, Workload: "half", N: 5, T: 2, Seed: 11}
-		divs, violations, err := CheckAsync(c)
+		s := asyncScenario(t, scenario.Scenario{Adversary: sched, Workload: "half", N: 5, T: 2, Seed: 11})
+		divs, violations, err := CheckAsync(s)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%s: %v", CaseName(s), err)
 		}
 		for _, d := range divs {
 			t.Errorf("%s: unexpected divergence: %s", sched, d)
@@ -177,24 +189,90 @@ func TestCheckAsyncSplitterAndSyncRound(t *testing.T) {
 	}
 }
 
+// TestAsyncLaneMatchesScenarioRun: the async lane runs exactly the
+// scenario it is given — the run scenario.RunOutcome, asyncsim and
+// -scenario files take — and a finding's repro parses back to that
+// scenario, delivery cap included. A lane with its own scheduler table
+// (one once crashed the random scheduler at 0.02 per step against
+// everyone else's 0.01) or a repro that drops a key fails here.
+func TestAsyncLaneMatchesScenarioRun(t *testing.T) {
+	seeds := uint64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	var cases []scenario.Scenario
+	for _, sched := range scenario.Schedulers() {
+		for seed := uint64(0); seed < seeds; seed++ {
+			cases = append(cases, asyncScenario(t, scenario.Scenario{Adversary: sched, N: 5, T: 2, Seed: seed}))
+		}
+	}
+	cases = append(cases,
+		asyncScenario(t, scenario.Scenario{Adversary: "splitter", Coin: "parity", N: 4, T: 1, Seed: 1, MaxRounds: 500}),
+		asyncScenario(t, scenario.Scenario{Adversary: "random", N: 5, T: 2, Seed: 3, MaxRounds: 40}))
+	partial := 0
+	for _, s := range cases {
+		name := CaseName(s)
+		lane, err := runAsyncOnce(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := scenario.RunOutcome(&s, 0, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := scenario.Outcome{Decided: -1, Rounds: len(lane.sched.log), Partial: lane.run.Res == nil}
+		if res := lane.run.Res; res != nil {
+			got.Agreement, got.Validity = res.Agreement, res.Validity
+			got.Decided, got.Crashes = res.DecidedValue(), res.Crashes
+		}
+		if got != want {
+			t.Errorf("%s: lane ran %+v, scenario run %+v", name, got, want)
+		}
+		if got.Partial {
+			partial++
+		}
+
+		// A replay one delivery short is a finding; its repro must name s.
+		short := &asyncRun{sched: &recordingSched{log: lane.sched.log[:len(lane.sched.log)-1]}, run: lane.run}
+		divs, _, err := asyncFindings(s, lane, short)
+		if err != nil || len(divs) == 0 {
+			t.Fatalf("%s: a short replay must diverge (err %v)", name, err)
+		}
+		spec, err := strconv.Unquote(strings.TrimPrefix(divs[0].Repro, "go run ./cmd/conformance -one "))
+		if err != nil {
+			t.Fatalf("%s: repro %q: %v", name, divs[0].Repro, err)
+		}
+		back, err := ParseOne(spec)
+		if err != nil {
+			t.Fatalf("%s: repro %q does not parse: %v", name, divs[0].Repro, err)
+		}
+		if back != s {
+			t.Errorf("%s: repro %q replays %+v, not %+v", name, divs[0].Repro, back, s)
+		}
+	}
+	if partial < 2 {
+		t.Fatalf("%d runs hit the delivery cap; the maxrounds cases never ran to it", partial)
+	}
+}
+
 // TestAsyncInvariantsCatchTallyDrift reintroduces the pre-fix Splitter
 // semantics by hand — a tally entry the engine never delivered — and
 // checks the harness flags exactly the drift the Delivered-callback fix
 // removed.
 func TestAsyncInvariantsCatchTallyDrift(t *testing.T) {
-	c := AsyncCase{Scheduler: "splitter", Workload: "half", N: 5, T: 2, Seed: 4}
-	run, err := c.runAsyncOnce()
+	s := asyncScenario(t, scenario.Scenario{Adversary: "splitter", Workload: "half", N: 5, T: 2, Seed: 4})
+	run, err := runAsyncOnce(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := asyncInvariants(c, run); len(vs) != 0 {
+	if vs := asyncInvariants(s, run); len(vs) != 0 {
 		t.Fatalf("clean splitter run must pass, got %v", vs)
 	}
 	// Drift the tally: record a report delivery that never happened (what
 	// Next-side recording did whenever a same-step crash re-picked).
 	sp := run.sched.inner.(*async.Splitter)
 	sp.Delivered(async.Message{From: 0, To: 1, Payload: async.Pack(1, 1, 0)})
-	vs := asyncInvariants(c, run)
+	vs := asyncInvariants(s, run)
 	if len(vs) != 1 || !strings.Contains(vs[0], "splitter tally drift") {
 		t.Fatalf("want exactly the tally-drift violation, got %v", vs)
 	}

@@ -13,14 +13,15 @@ import (
 )
 
 // This file is the harness's scenario surface: corpus entries
-// (testdata/corpus/*.scenario) are the primary case source, Case and
-// AsyncCase are derived views of a Scenario, and a failing scenario can
-// be minimized and written back as a ready-to-run corpus repro.
+// (testdata/corpus/*.scenario) are the primary case source, the sync
+// differential Case is a derived view of a Scenario (the async lane
+// takes the Scenario itself), and a failing scenario can be minimized
+// and written back as a ready-to-run corpus repro.
 
 // FromScenario derives the synchronous differential Case a scenario
 // describes. Live/chaos scenarios have no lock-step differential lanes
 // (SweepCorpus checks them through the outcome/expect lane instead),
-// and async scenarios convert via AsyncFromScenario.
+// and async scenarios run through CheckAsync.
 func FromScenario(s scenario.Scenario) (Case, error) {
 	if s.IsAsync() {
 		return Case{}, fmt.Errorf("conformance: %q is an async scenario (replay-determinism lane, not the sync differential lanes)", s.Protocol)
@@ -28,25 +29,29 @@ func FromScenario(s scenario.Scenario) (Case, error) {
 	if s.Live || s.Chaos != "" {
 		return Case{}, fmt.Errorf("conformance: live/chaos scenarios have no lock-step differential lanes (run via -scenario)")
 	}
+	return caseOf(s), nil
+}
+
+// caseOf is the differential Case a synchronous scenario describes.
+func caseOf(s scenario.Scenario) Case {
 	c := Case{
 		Protocol: s.Protocol, Adversary: s.Adversary, Workload: s.Workload,
 		N: s.N, T: s.T, Seed: s.Seed, Engine: s.Engine, MaxRounds: s.MaxRounds,
 		FaultBudget: s.FaultBudget,
 	}
 	c.normalize()
-	return c, nil
+	return c
 }
 
-// AsyncFromScenario derives the replay-determinism AsyncCase from an
-// async-benor scenario.
-func AsyncFromScenario(s scenario.Scenario) (AsyncCase, error) {
-	if !s.IsAsync() {
-		return AsyncCase{}, fmt.Errorf("conformance: %q is not an async scenario", s.Protocol)
+// CaseName names a scenario's case in reports: the differential Case's
+// name, or for an async scenario its scheduler, coin, workload, size
+// and seed.
+func CaseName(s scenario.Scenario) string {
+	if s.IsAsync() {
+		return fmt.Sprintf("async-benor/%s/%s/%s/n=%d/t=%d/seed=%d",
+			s.Adversary, s.Coin, s.Workload, s.N, s.T, s.Seed)
 	}
-	return AsyncCase{
-		Scheduler: s.Adversary, Coin: s.Coin, Workload: s.Workload,
-		N: s.N, T: s.T, Seed: s.Seed, MaxSteps: s.MaxRounds,
-	}, nil
+	return caseOf(s).Name()
 }
 
 // Scenario is the declarative form of the case (trials 1, no
@@ -107,11 +112,8 @@ func CheckScenario(e scenario.Entry, oracles []Oracle) ([]Divergence, []string, 
 	)
 	switch {
 	case s.IsAsync():
-		ac, err := AsyncFromScenario(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		divs, violations, err = CheckAsync(ac)
+		var err error
+		divs, violations, err = CheckAsync(s)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -120,17 +120,6 @@ func TestFromScenarioRoundTrip(t *testing.T) {
 	if _, err := FromScenario(scenario.Scenario{N: 5, Live: true}); err == nil {
 		t.Fatal("live scenario must not convert to a sync Case")
 	}
-	ac, err := AsyncFromScenario(scenario.Scenario{
-		Protocol: "async-benor", Adversary: "splitter", Coin: "parity",
-		Workload: "half", N: 5, T: 2, Seed: 3, MaxRounds: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := AsyncCase{Scheduler: "splitter", Coin: "parity", Workload: "half",
-		N: 5, T: 2, Seed: 3, MaxSteps: 500}
-	if ac != want {
-		t.Fatalf("async conversion: got %+v want %+v", ac, want)
-	}
 }
 
 // TestMinimizeScenarioInjected seeds a synthetic divergence predicate

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
-	"synran/internal/async"
+	"synran/internal/scenario"
 	"synran/internal/stats"
 	"synran/internal/trials"
-	"synran/internal/workload"
 )
 
 // E15Asynchrony reproduces the asynchronous context of Section 1.2: the
@@ -32,84 +30,57 @@ func E15Asynchrony(cfg Config) (*Result, error) {
 	res := &Result{ID: "E15", Table: tb}
 
 	type cell struct {
-		label string
-		mode  async.CoinMode
-		mk    func() async.Scheduler
-		cap   int
+		label, coin, sched string
+		cap                int
 	}
 	for _, n := range ns {
 		t := (n - 1) / 2
 		cells := []cell{
-			{"parity (deterministic)", async.CoinParity,
-				func() async.Scheduler { return async.NewSplitter() }, 1500 * n},
-			{"random", async.CoinRandom,
-				func() async.Scheduler { return async.FIFO{} }, 0},
-			{"random", async.CoinRandom,
-				func() async.Scheduler { return async.NewSplitter() }, 25000 * n},
+			{"parity (deterministic)", "parity", "splitter", 1500 * n},
+			{"random", "random", "fifo", 0},
+			{"random", "random", "splitter", 25000 * n},
 		}
 		fifoFlips, splitterFlips := -1.0, -1.0
 		for ci, c := range cells {
-			type outcome struct {
-				terminated bool
-				phases     float64
-				flips      float64
+			s, err := scenario.Scenario{
+				Protocol: scenario.ProtocolAsyncBenOr, Adversary: c.sched, Coin: c.coin,
+				Workload: "half", N: n, T: t, Seed: cfg.Seed + uint64(n*1000+ci*100),
+				MaxRounds: c.cap, Trials: reps,
+			}.Normalized()
+			if err != nil {
+				return nil, err
 			}
-			outs, err := trials.Run(cfg.Workers, reps, func(i int) (outcome, error) {
-				seed := cfg.Seed + uint64(n*1000+ci*100+i)
-				inputs := workload.HalfHalf(n)
-				procs, err := async.NewBenOrProcs(n, t, inputs, c.mode, seed)
-				if err != nil {
-					return outcome{}, err
+			runs, err := trials.Run(cfg.Workers, reps, func(i int) (scenario.AsyncRun, error) {
+				run, err := scenario.RunAsync(&s, i, nil)
+				if err == nil && run.Res != nil && (!run.Res.Agreement || !run.Res.Validity) {
+					err = fmt.Errorf("async safety violated: %s n=%d", c.label, n)
 				}
-				exec, err := async.NewExecution(async.Config{N: n, T: t, MaxSteps: c.cap}, procs, inputs, seed)
-				if err != nil {
-					return outcome{}, err
-				}
-				run, err := exec.Run(c.mk())
-				if err != nil {
-					if errors.Is(err, async.ErrMaxSteps) {
-						return outcome{}, nil // non-termination: counted by omission
-					}
-					return outcome{}, err
-				}
-				if !run.Agreement || !run.Validity {
-					return outcome{}, fmt.Errorf("async safety violated: %s n=%d", c.label, n)
-				}
-				maxPhase, totalFlips := 0, 0
-				for _, p := range procs {
-					b := p.(*async.BenOr)
-					if b.Phase() > maxPhase {
-						maxPhase = b.Phase()
-					}
-					totalFlips += b.Flips()
-				}
-				return outcome{terminated: true, phases: float64(maxPhase), flips: float64(totalFlips)}, nil
+				return run, err
 			})
 			if err != nil {
 				return nil, err
 			}
 			terminated := 0
 			var phases, flips []float64
-			for _, o := range outs {
-				if !o.terminated {
-					continue
+			for _, r := range runs {
+				if r.Res == nil {
+					continue // non-termination: counted by omission
 				}
 				terminated++
-				phases = append(phases, o.phases)
-				flips = append(flips, o.flips)
+				phases = append(phases, float64(r.MaxPhase))
+				flips = append(flips, float64(r.Flips))
 			}
 			ps, fs := stats.Summarize(phases), stats.Summarize(flips)
-			schedName := c.mk().Name()
-			tb.AddRow(c.label, schedName, n, t,
+			tb.AddRow(c.label, c.sched, n, t,
 				fmt.Sprintf("%d/%d", terminated, reps), ps.Mean, fs.Mean)
 			switch {
-			case c.mode == async.CoinParity:
+			case c.coin == "parity":
 				res.Claims = append(res.Claims, Claim{
 					Name: fmt.Sprintf("n=%d: FLP — deterministic variant never terminates under the splitter", n),
 					OK:   terminated == 0,
 					Got:  fmt.Sprintf("terminated %d/%d", terminated, reps),
 				})
-			case schedName == "fifo":
+			case c.sched == "fifo":
 				fifoFlips = fs.Mean
 				res.Claims = append(res.Claims, Claim{
 					Name: fmt.Sprintf("n=%d: randomized Ben-Or terminates under FIFO", n),

@@ -19,12 +19,14 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"synran"
 	"synran/internal/chaos"
 	"synran/internal/sim"
+	"synran/internal/workload"
 )
 
 // ProtocolAsyncBenOr selects the asynchronous Ben-Or engine
@@ -33,17 +35,6 @@ import (
 // delivered messages (async.Config.MaxSteps); engine/live/chaos and
 // the netsim knobs do not apply.
 const ProtocolAsyncBenOr = "async-benor"
-
-// Schedulers returns the async scheduler names an async-benor
-// scenario's Adversary field accepts.
-func Schedulers() []string { return []string{"fifo", "random", "splitter", "syncround"} }
-
-// Coins returns the coin modes an async-benor scenario accepts.
-func Coins() []string { return []string{"random", "parity"} }
-
-// Workloads returns the input-vector generators Workload accepts
-// (workload.Named's name set).
-func Workloads() []string { return []string{"zeros", "ones", "half", "random"} }
 
 // Expect is a scenario's optional outcome assertions. Nil pointer
 // fields (and zero Rounds) are unchecked; set fields must match the
@@ -84,7 +75,8 @@ type Scenario struct {
 	// Coin selects the async coin mode ("random" or "parity"); async
 	// scenarios only (default "random").
 	Coin string
-	// Workload names the input-vector generator (default "half").
+	// Workload names the input-vector generator (default "half"; see
+	// workload.Names).
 	Workload string
 	// N is the number of processes (required, > 0).
 	N int
@@ -267,11 +259,11 @@ func IsOmission(adversaryName string) bool {
 
 // validateAsync checks the async-benor-only field combinations.
 func (s *Scenario) validateAsync() error {
-	if !containsName(Schedulers(), s.Adversary) {
-		return errf("unknown async scheduler %q (want %s)", s.Adversary, strings.Join(Schedulers(), "|"))
+	if _, err := newScheduler(s.Adversary); err != nil {
+		return err
 	}
-	if !containsName(Coins(), s.Coin) {
-		return errf("unknown coin %q (want %s)", s.Coin, strings.Join(Coins(), "|"))
+	if _, err := coinMode(s.Coin); err != nil {
+		return err
 	}
 	if err := validWorkload(s.Workload); err != nil {
 		return err
@@ -304,19 +296,10 @@ func (s *Scenario) validateCommon() error {
 }
 
 func validWorkload(name string) error {
-	if containsName(Workloads(), name) {
+	if slices.Contains(workload.Names(), name) {
 		return nil
 	}
-	return errf("unknown workload %q (want %s)", name, strings.Join(Workloads(), "|"))
-}
-
-func containsName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return errf("unknown workload %q (want %s)", name, strings.Join(workload.Names(), "|"))
 }
 
 // TrialSeed is trial i's seed: Seed + i, the repository-wide

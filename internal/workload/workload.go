@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"synran/internal/rng"
 )
@@ -55,18 +56,33 @@ func Chain(n int) [][]int {
 	return out
 }
 
+// named is the one table of workloads by name, in the order Names
+// lists them.
+var named = []struct {
+	name string
+	gen  func(n int, seed uint64) []int
+}{
+	{"zeros", func(n int, _ uint64) []int { return Uniform(n, 0) }},
+	{"ones", func(n int, _ uint64) []int { return Uniform(n, 1) }},
+	{"half", func(n int, _ uint64) []int { return HalfHalf(n) }},
+	{"random", func(n int, seed uint64) []int { return Random(n, 0.5, rng.New(seed)) }},
+}
+
+// Names returns the workload names Named accepts.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, w := range named {
+		out[i] = w.name
+	}
+	return out
+}
+
 // Named resolves a workload by name; the CLI tools use it.
 func Named(name string, n int, seed uint64) ([]int, error) {
-	switch name {
-	case "zeros":
-		return Uniform(n, 0), nil
-	case "ones":
-		return Uniform(n, 1), nil
-	case "half":
-		return HalfHalf(n), nil
-	case "random":
-		return Random(n, 0.5, rng.New(seed)), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown workload %q (want zeros|ones|half|random)", name)
+	for _, w := range named {
+		if w.name == name {
+			return w.gen(n, seed), nil
+		}
 	}
+	return nil, fmt.Errorf("workload: unknown workload %q (want %s)", name, strings.Join(Names(), "|"))
 }

@@ -111,7 +111,7 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 		k.floodLeft[i] = int32(cp.floodLeft)
 		k.histLen[i] = int32(len(cp.nHist))
 		k.h1[i], k.h2[i], k.h3[i] = histWindow(cp.nHist, cp.n)
-		k.streams[i] = *cp.rng
+		k.streams[i] = cp.rng
 	}
 	return k
 }
@@ -371,7 +371,7 @@ func (k *kernel) KernelSync(i int, p sim.Process) {
 	cp.decision = int(k.decision[i])
 	cp.floodMask = int64(k.floodMask[i])
 	cp.floodLeft = int(k.floodLeft[i])
-	cp.rng.CopyFrom(&k.streams[i])
+	cp.rng = k.streams[i]
 	l := int(k.histLen[i])
 	if cap(cp.nHist) < l {
 		cp.nHist = make([]int, l)

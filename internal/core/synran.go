@@ -76,68 +76,88 @@ const (
 type Proc struct {
 	id   int
 	n    int
-	rng  *rng.Stream
+	rng  rng.Stream
 	opts Options
 
-	b       int  // current choice for the consensus value
-	decided bool // the pseudocode's `decided` flag (revocable!)
-
-	st         stage
-	nHist      []int // nHist[r-1] = N_i^r, the messages received in round r
+	b  int // current choice for the consensus value
+	st stage
+	// nHist[r-1] = N_i^r, the messages received in round r; rounds <= 0
+	// read as n (the pseudocode's N^{-1} = N^0 = n initialization). It
+	// is allocated at the first probabilistic round, which a process the
+	// columnar core runs never reaches.
+	nHist      []int
 	q          float64
 	flip       func() int // nil = fair coin from rng; tests may script it
 	floodMask  int64
 	floodLeft  int
 	decision   int
+	decided    bool // the pseudocode's `decided` flag (revocable!)
 	hasDecided bool // irrevocable: set when the process halts with a value
 }
 
 var _ sim.Process = (*Proc)(nil)
 
-// NewProc builds one SynRan process with the given input bit. The rng
-// stream must be private to this process.
+// NewProc builds one SynRan process with the given input bit, holding
+// a copy of stream as its private coin.
 func NewProc(id, n, input int, stream *rng.Stream, opts Options) (*Proc, error) {
-	if input != 0 && input != 1 {
-		return nil, fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
+	tmpl := template(n, opts)
+	p := new(Proc)
+	if err := p.init(&tmpl, id, input); err != nil {
+		return nil, err
 	}
-	if n <= 0 || id < 0 || id >= n {
-		return nil, fmt.Errorf("core: process id %d out of range for n=%d", id, n)
-	}
-	fl := opts.FloodRounds
-	if fl <= 0 {
-		fl = FloodRounds(n)
-	}
-	return &Proc{
-		id:   id,
-		n:    n,
-		rng:  stream,
-		opts: opts,
-		b:    input,
-		st:   stageProb,
-		q:    DetThreshold(n),
-		// nHist is indexed by round; rounds <= 0 read as n (the
-		// pseudocode's N^{-1} = N^0 = n initialization).
-		nHist:     make([]int, 0, 16),
-		floodLeft: fl,
-	}, nil
+	p.rng = *stream
+	return p, nil
 }
 
-// NewProcs builds the full process vector for an execution, splitting
-// one rng stream per process from seed.
+// NewProcs builds the full process vector for an execution as one
+// block of Procs, splitting each process's rng stream from seed in
+// place. The columnar core adopts such a vector into its kernel and
+// reads the objects again only on Process(i) or a fall-back, so the
+// vector costs a constant number of allocations, not three per
+// process.
 func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, error) {
 	if len(inputs) != n {
 		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), n)
 	}
-	root := rng.New(seed)
+	var root rng.Stream
+	root.Reseed(seed)
+	tmpl := template(n, opts)
+	block := make([]Proc, n)
 	procs := make([]sim.Process, n)
-	for i := range procs {
-		p, err := NewProc(i, n, inputs[i], root.Split(uint64(i)), opts)
-		if err != nil {
+	for i := range block {
+		p := &block[i]
+		if err := p.init(&tmpl, i, inputs[i]); err != nil {
 			return nil, err
 		}
+		root.SplitInto(&p.rng, uint64(i))
 		procs[i] = p
 	}
 	return procs, nil
+}
+
+// template is the state every process of an n-process vector starts
+// from, so the threshold and the flood-stage length are computed once
+// per vector.
+func template(n int, opts Options) Proc {
+	fl := opts.FloodRounds
+	if fl <= 0 {
+		fl = FloodRounds(n)
+	}
+	return Proc{n: n, opts: opts, st: stageProb, q: DetThreshold(n), floodLeft: fl}
+}
+
+// init validates id and input and starts p from tmpl as process id,
+// leaving its coin stream zero.
+func (p *Proc) init(tmpl *Proc, id, input int) error {
+	if input != 0 && input != 1 {
+		return fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
+	}
+	if tmpl.n <= 0 || id < 0 || id >= tmpl.n {
+		return fmt.Errorf("core: process id %d out of range for n=%d", id, tmpl.n)
+	}
+	*p = *tmpl
+	p.id, p.b = id, input
+	return nil
 }
 
 // B returns the process's current choice for the consensus value.
@@ -174,27 +194,20 @@ func (p *Proc) SetFlip(f func() int) { p.flip = f }
 // Clone implements sim.Process.
 func (p *Proc) Clone() sim.Process {
 	c := *p
-	c.rng = p.rng.Clone()
 	c.nHist = append([]int(nil), p.nHist...)
 	return &c
 }
 
 // CopyFrom implements sim.ProcessCopier: overwrite this process with a
-// deep copy of src, reusing the receiver's rng and history storage so
+// deep copy of src, reusing the receiver's history storage so
 // arena-backed snapshots (sim.CloneInto) allocate nothing per process.
 func (p *Proc) CopyFrom(src sim.Process) bool {
 	s, ok := src.(*Proc)
 	if !ok {
 		return false
 	}
-	stream, hist := p.rng, p.nHist
+	hist := p.nHist
 	*p = *s
-	if stream == nil {
-		stream = s.rng.Clone()
-	} else {
-		stream.CopyFrom(s.rng)
-	}
-	p.rng = stream
 	p.nHist = append(hist[:0], s.nHist...)
 	return true
 }
@@ -258,6 +271,9 @@ func (p *Proc) probRound(rr int, inbox []sim.Recv) (int64, bool) {
 		zeros++
 	}
 	n := len(inbox) + 1
+	if p.nHist == nil {
+		p.nHist = make([]int, 0, 16)
+	}
 	p.nHist = append(p.nHist, n)
 	if len(p.nHist) != rr {
 		// Defensive: history must stay aligned with round numbers.

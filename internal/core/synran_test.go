@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -526,5 +527,56 @@ func TestCountValuesMixedMasks(t *testing.T) {
 	// {1}→one, {0}→zero, {0,1}→zero (conservative), plain 1, plain 0.
 	if ones != 2 || zeros != 3 {
 		t.Fatalf("ones=%d zeros=%d, want 2/3", ones, zeros)
+	}
+}
+
+// TestNewProcsAllocationsFlat pins the one-block process vector: NewProcs
+// makes the same few allocations at n = 64 as at n = 4096, never one
+// per process.
+func TestNewProcsAllocationsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		inputs := inputsHalf(n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewProcs(n, inputs, 1, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small > 2 || large != small {
+		t.Fatalf("NewProcs allocates %.0f times at n = 64 and %.0f at n = 4096, want at most 2 at both", small, large)
+	}
+}
+
+// TestCloneAndCopyFromOwnTheirCoin pins the by-value coin stream: a
+// Clone's flips leave the original's stream where it was, and CopyFrom
+// into a recycled Proc, or a zero one, reproduces the source's next
+// flips without advancing the source.
+func TestCloneAndCopyFromOwnTheirCoin(t *testing.T) {
+	const flips = 64
+	draw := func(p *Proc) []int {
+		out := make([]int, flips)
+		for i := range out {
+			out[i] = p.rng.Bit()
+		}
+		return out
+	}
+	procs, err := NewProcs(4, inputsHalf(4), 9, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := procs[0].(*Proc)
+	clone := src.Clone().(*Proc)
+	cloned := draw(clone)
+	if got := draw(src); !reflect.DeepEqual(got, cloned) {
+		t.Fatalf("after the clone's %d flips the original flips %v, want the clone's %v", flips, got, cloned)
+	}
+	for name, dst := range map[string]*Proc{"recycled": procs[1].(*Proc), "zero": {}} {
+		if !dst.CopyFrom(src) {
+			t.Fatalf("%s: CopyFrom rejected a *Proc", name)
+		}
+		copied := draw(dst)
+		if got := draw(src); !reflect.DeepEqual(got, copied) {
+			t.Fatalf("%s: the copy flips %v, the source then flips %v", name, copied, got)
+		}
 	}
 }

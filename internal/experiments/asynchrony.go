@@ -5,8 +5,15 @@ import (
 
 	"synran/internal/scenario"
 	"synran/internal/stats"
-	"synran/internal/trials"
 )
+
+// asyncSample is one E15 trial's outcome, its journal shard under
+// -checkpoint: whether the run terminated before the delivery cap, and
+// if so the Ben-Or processes' highest phase and total coin flips.
+type asyncSample struct {
+	Terminated      bool
+	MaxPhase, Flips int
+}
 
 // E15Asynchrony reproduces the asynchronous context of Section 1.2: the
 // paper contrasts its synchronous bounds with FLP impossibility ("there
@@ -50,12 +57,16 @@ func E15Asynchrony(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			runs, err := trials.Run(cfg.Workers, reps, func(i int) (scenario.AsyncRun, error) {
+			key := fmt.Sprintf("E15-n%d-%s-%s", n, c.coin, c.sched)
+			runs, err := runCell(cfg, key, reps, nil, func(_, i int) (asyncSample, error) {
 				run, err := scenario.RunAsync(&s, i, nil)
-				if err == nil && run.Res != nil && (!run.Res.Agreement || !run.Res.Validity) {
-					err = fmt.Errorf("async safety violated: %s n=%d", c.label, n)
+				if err != nil || run.Res == nil {
+					return asyncSample{}, err
 				}
-				return run, err
+				if !run.Res.Agreement || !run.Res.Validity {
+					return asyncSample{}, fmt.Errorf("async safety violated: %s n=%d", c.label, n)
+				}
+				return asyncSample{Terminated: true, MaxPhase: run.MaxPhase, Flips: run.Flips}, nil
 			})
 			if err != nil {
 				return nil, err
@@ -63,7 +74,7 @@ func E15Asynchrony(cfg Config) (*Result, error) {
 			terminated := 0
 			var phases, flips []float64
 			for _, r := range runs {
-				if r.Res == nil {
+				if !r.Terminated {
 					continue // non-termination: counted by omission
 				}
 				terminated++

@@ -35,25 +35,22 @@ type sample struct {
 // runCell runs one table cell: reps trials of trial, batched through
 // trials.DurableWorker, so every cell checkpoints under -checkpoint and
 // resumes under -resume. Trial i must derive everything from i; the
-// samples come back in trial order, identical at every worker count. A
+// shards come back in trial order, identical at every worker count. A
 // failing trial fails the cell with an error naming the cell and the
-// trial. m meters the batch and counts its partial runs; nil disables
-// both.
+// trial. m meters the batch; nil disables metering.
 //
 // The journal scope is the cell's key, which must be unique across
 // RunAll. The fingerprint names the key, the quick flag, the seed, reps
-// and the shard type, whose %#v spelling lists every field: a journal
-// written for another cell, configuration or sample layout is refused,
-// never decoded into a sample with silently zero fields.
-func runCell(cfg Config, key string, reps int, m *metrics.Engine, trial func(worker, i int) (sample, error)) ([]sample, error) {
-	fp := fmt.Sprintf("cell=%s,quick=%t,seed=%d,reps=%d,shard=%#v", key, cfg.Quick, cfg.Seed, reps, sample{})
-	ss, _, err := trials.DurableWorker(cfg.Durable, key, fp, cfg.Workers, reps, m, func(worker, i int) (sample, error) {
+// and the shard type T, whose %#v spelling lists every field: a journal
+// written for another cell, configuration or shard layout is refused,
+// never decoded into a shard with silently zero fields.
+func runCell[T any](cfg Config, key string, reps int, m *metrics.Engine, trial func(worker, i int) (T, error)) ([]T, error) {
+	var shard T
+	fp := fmt.Sprintf("cell=%s,quick=%t,seed=%d,reps=%d,shard=%#v", key, cfg.Quick, cfg.Seed, reps, shard)
+	ss, _, err := trials.DurableWorker(cfg.Durable, key, fp, cfg.Workers, reps, m, func(worker, i int) (T, error) {
 		s, err := trial(worker, i)
 		if err != nil {
 			return s, fmt.Errorf("%s trial %d: %w", key, i, err)
-		}
-		if s.Partial && m != nil {
-			m.TrialsDegraded.Inc(worker)
 		}
 		return s, nil
 	})
@@ -61,8 +58,9 @@ func runCell(cfg Config, key string, reps int, m *metrics.Engine, trial func(wor
 }
 
 // runNamed runs a cell that synran names by protocol × adversary: trial
-// i is synran.Run(spec(i)) with m on the trial's worker shard. A probe
-// set as the spec's Observer records into the sample.
+// i is synran.Run(spec(i)) with m on the trial's worker shard, which
+// also counts the cell's partial runs. A probe set as the spec's
+// Observer records into the sample.
 func runNamed(cfg Config, key string, reps int, m *metrics.Engine, spec func(i int) (synran.Spec, error)) ([]sample, error) {
 	return runCell(cfg, key, reps, m, func(worker, i int) (sample, error) {
 		s, err := spec(i)
@@ -71,7 +69,11 @@ func runNamed(cfg Config, key string, reps int, m *metrics.Engine, spec func(i i
 		}
 		s.Metrics, s.MetricsShard = m, worker
 		res, err := synran.Run(s)
-		return sampleOf(res, err, s.Observer)
+		smp, err := sampleOf(res, err, s.Observer)
+		if err == nil && smp.Partial && m != nil {
+			m.TrialsDegraded.Inc(worker)
+		}
+		return smp, err
 	})
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -13,12 +15,23 @@ import (
 	"synran/internal/trials"
 )
 
+// quickCells is the number of trial cells each experiment of the quick
+// suite runs, each journaled under its own scope. The experiments
+// missing from it (E1, E2, E7, E10, E12) run no trial cell: they
+// compute inside coinflip and concentration.
+var quickCells = map[string]int{
+	"E3": 6, "E4": 7, "E5": 14, "E6": 4, "E8": 2, "E9": 2, "E11": 8,
+	"E13": 4, "E14": 2, "E15": 6, "E16": 9, "E17": 1, "E18": 4, "E19": 4,
+}
+
 // TestRunAllCheckpointResume runs the whole quick suite with every cell
 // journaling under one checkpoint directory, then runs it again resuming
-// from those journals. Both runs must reproduce the golden tables, and
-// the resumed run must load every shard instead of running it: no
-// journal append in any cell, no metered trial, and every metered shard
-// the first run journaled counted as resumed.
+// from those journals. Both runs must reproduce the golden tables. The
+// first run must leave a journal scope for every cell, unmetered ones
+// such as E15's included, and the resumed run must load every shard
+// instead of running it: no journal append in any cell, no metered
+// trial, and every metered shard the first run journaled counted as
+// resumed.
 func TestRunAllCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full quick-suite runs; make soak runs this under -race")
@@ -47,6 +60,18 @@ func TestRunAllCheckpointResume(t *testing.T) {
 	}
 
 	first, appended := run(false)
+	scopes, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]int{}
+	for _, s := range scopes {
+		id, _, _ := strings.Cut(s.Name(), "-")
+		cells[id]++
+	}
+	if !reflect.DeepEqual(cells, quickCells) {
+		t.Fatalf("first run left journal scopes per experiment %v, want one per cell %v", cells, quickCells)
+	}
 	journaled := first.ShardsJournaled.Value()
 	if journaled == 0 || journaled != first.TrialsRun.Value() {
 		t.Fatalf("first run journaled %d metered shards for %d metered trials", journaled, first.TrialsRun.Value())

@@ -31,31 +31,29 @@ var _ sim.Process = (*Proc)(nil)
 // NewProc builds a FloodSet process that floods for rounds exchange
 // rounds. For a t-resilient instance pass rounds = t+1.
 func NewProc(id, input, rounds int) (*Proc, error) {
+	p := new(Proc)
+	if err := p.init(id, input, rounds); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// init validates input and rounds and starts p as process id.
+func (p *Proc) init(id, input, rounds int) error {
 	if input != 0 && input != 1 {
-		return nil, fmt.Errorf("floodset: input %d, want 0 or 1", input)
+		return fmt.Errorf("floodset: input %d, want 0 or 1", input)
 	}
 	if rounds < 1 {
-		return nil, fmt.Errorf("floodset: rounds = %d, want >= 1", rounds)
+		return fmt.Errorf("floodset: rounds = %d, want >= 1", rounds)
 	}
-	m := wire.ValueMask(input)
-	return &Proc{id: id, rounds: rounds, mask: m}, nil
+	*p = Proc{id: id, rounds: rounds, mask: wire.ValueMask(input)}
+	return nil
 }
 
 // NewProcs builds the full process vector for an execution with crash
 // budget t (flooding for t+1 rounds).
 func NewProcs(n, t int, inputs []int) ([]sim.Process, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("floodset: %d inputs for n=%d", len(inputs), n)
-	}
-	procs := make([]sim.Process, n)
-	for i := range procs {
-		p, err := NewProc(i, inputs[i], t+1)
-		if err != nil {
-			return nil, err
-		}
-		procs[i] = p
-	}
-	return procs, nil
+	return newVector(n, t+1, inputs)
 }
 
 // NewProcsTolerant builds a process vector that additionally rides out
@@ -71,16 +69,23 @@ func NewProcsTolerant(n, t, extra int, inputs []int) ([]sim.Process, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("floodset: extra = %d, want >= 0", extra)
 	}
+	return newVector(n, t+extra+1, inputs)
+}
+
+// newVector builds n processes flooding for rounds rounds as one block
+// of Procs: the columnar core adopts the vector into its kernel, so it
+// costs a constant number of allocations, not one per process.
+func newVector(n, rounds int, inputs []int) ([]sim.Process, error) {
 	if len(inputs) != n {
 		return nil, fmt.Errorf("floodset: %d inputs for n=%d", len(inputs), n)
 	}
+	block := make([]Proc, n)
 	procs := make([]sim.Process, n)
-	for i := range procs {
-		p, err := NewProc(i, inputs[i], t+extra+1)
-		if err != nil {
+	for i := range block {
+		if err := block[i].init(i, inputs[i], rounds); err != nil {
 			return nil, err
 		}
-		procs[i] = p
+		procs[i] = &block[i]
 	}
 	return procs, nil
 }

@@ -193,3 +193,31 @@ func TestPayloadsAreTaggedFloodWords(t *testing.T) {
 		t.Fatalf("decided (%d, %v), want (0, true) on a mixed witness set", v, ok)
 	}
 }
+
+// TestNewProcsAllocationsFlat pins the one-block process vector that
+// NewProcs and NewProcsTolerant share: the same few allocations at
+// n = 64 as at n = 4096, never one per process.
+func TestNewProcsAllocationsFlat(t *testing.T) {
+	allocs := func(n int, tolerant bool) float64 {
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = i & 1
+		}
+		return testing.AllocsPerRun(10, func() {
+			var err error
+			if tolerant {
+				_, err = NewProcsTolerant(n, n/2, n/2, inputs)
+			} else {
+				_, err = NewProcs(n, n-1, inputs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tolerant := range []bool{false, true} {
+		if small, large := allocs(64, tolerant), allocs(4096, tolerant); small > 2 || large != small {
+			t.Errorf("tolerant=%v: %.0f allocations at n = 64 and %.0f at n = 4096, want at most 2 at both", tolerant, small, large)
+		}
+	}
+}

@@ -431,8 +431,9 @@ type Execution struct {
 
 	viewBuf View // reusable adversary view; rebuilt by view() each round
 
-	// deliverScratch[v] is victim v's persistent delivery-mask slot; both
-	// engines copy crash-plan masks into it instead of cloning per plan.
+	// deliverScratch[v] is object-core victim v's persistent
+	// delivery-mask slot; crash-plan masks are copied into it instead of
+	// cloned per plan.
 	deliverScratch []*BitSet
 
 	// Columnar-core state (a kernel-capable process vector under the
@@ -516,37 +517,46 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	for i := range e.payloads {
 		e.payloads[i] = 0
 	}
-	e.deliver = resizeMasks(e.deliver, n)
-	e.deliverScratch = resizeMasks(e.deliverScratch, n)
-	for i := range e.deliver {
-		e.deliver[i] = nil
-	}
 	e.enterTallyMode()
-	// In tally mode inboxes are never filled, so skip the cap-n
-	// preallocation: at n = 10^6 the object engine's n² inbox reservation
-	// alone would be ~16 GB. If the execution later falls back to the
-	// object path (Byzantine forgeries), the buffers grow lazily.
-	// Otherwise every missing inbox is cut from one shared block, capped
-	// at n so it can never grow into its neighbour (Phase B appends at
-	// most n-1 messages per receiver).
-	e.inboxes = resizeRecvBufs(e.inboxes, n)
-	var block []Recv
-	for i := 0; i < n; i++ {
-		switch {
-		case e.inboxes[i] != nil:
-			e.inboxes[i] = e.inboxes[i][:0]
-		case !e.tallyMode:
-			if len(block) == 0 {
-				block = make([]Recv, (n-i)*n)
-			}
-			e.inboxes[i], block = block[:0:n], block[n:]
-		}
+	if !e.tallyMode {
+		e.sizeObjectCore(true)
 	}
 	e.decideRound = 0
 	e.haltRound = 0
 	e.messages = 0
 	e.viewBuf = View{}
 	return nil
+}
+
+// sizeObjectCore sizes the object core's per-process buffers, which
+// the columnar core never reads: it clears every delivery override and
+// empties every inbox. Reset calls it for an object-core run and
+// leaveTallyMode on a fall-back. With reserve, every missing inbox is
+// cut from one shared block, capped at n so it can never grow into its
+// neighbour (Phase B appends at most n-1 messages per receiver). A
+// fall-back leaves them to grow lazily instead: tally mode never
+// preallocates inboxes, because at n = 10^6 the object engine's n²
+// inbox reservation alone would be ~16 GB.
+func (e *Execution) sizeObjectCore(reserve bool) {
+	n := e.cfg.N
+	e.deliver = resizeMasks(e.deliver, n)
+	e.deliverScratch = resizeMasks(e.deliverScratch, n)
+	for i := range e.deliver {
+		e.deliver[i] = nil
+	}
+	e.inboxes = resizeRecvBufs(e.inboxes, n)
+	var block []Recv
+	for i := 0; i < n; i++ {
+		switch {
+		case e.inboxes[i] != nil:
+			e.inboxes[i] = e.inboxes[i][:0]
+		case reserve:
+			if len(block) == 0 {
+				block = make([]Recv, (n-i)*n)
+			}
+			e.inboxes[i], block = block[:0:n], block[n:]
+		}
+	}
 }
 
 // resizeInt64s returns s with length n, reusing its storage when
@@ -738,6 +748,29 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 			}
 			dst.procs[i] = p.Clone()
 		}
+
+		// The object core's buffers. A columnar dst never reads them
+		// and sizes them itself if it falls back.
+		dst.deliver = resizeMasks(dst.deliver, n)
+		dst.deliverScratch = resizeMasks(dst.deliverScratch, n)
+		for i := 0; i < n; i++ {
+			src := e.deliver[i]
+			if src == nil {
+				dst.deliver[i] = nil
+				continue
+			}
+			dst.deliver[i] = dst.deliverSlot(i, src)
+		}
+		// An open round's inboxes were consumed by its Phase A and are
+		// rebuilt by its Phase B, so only a closed round's are worth
+		// copying.
+		dst.inboxes = resizeRecvBufs(dst.inboxes, n)
+		for i := 0; i < n; i++ {
+			dst.inboxes[i] = dst.inboxes[i][:0]
+			if !e.phaseAOpen {
+				dst.inboxes[i] = append(dst.inboxes[i], e.inboxes[i]...)
+			}
+		}
 	}
 
 	dst.forged = nil
@@ -747,27 +780,6 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 			fc := *f
 			fc.PerReceiver = append([]int64(nil), f.PerReceiver...)
 			dst.forged[k] = &fc
-		}
-	}
-
-	dst.deliver = resizeMasks(dst.deliver, n)
-	dst.deliverScratch = resizeMasks(dst.deliverScratch, n)
-	for i := 0; i < n; i++ {
-		src := e.deliver[i]
-		if src == nil {
-			dst.deliver[i] = nil
-			continue
-		}
-		dst.deliver[i] = dst.deliverSlot(i, src)
-	}
-
-	// An open round's inboxes were consumed by its Phase A and are
-	// rebuilt by its Phase B, so only a closed round's are worth copying.
-	dst.inboxes = resizeRecvBufs(dst.inboxes, n)
-	for i := 0; i < n; i++ {
-		dst.inboxes[i] = dst.inboxes[i][:0]
-		if !e.phaseAOpen {
-			dst.inboxes[i] = append(dst.inboxes[i], e.inboxes[i]...)
 		}
 	}
 

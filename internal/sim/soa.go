@@ -28,13 +28,14 @@ import (
 // once SynRan's flood stage leaves a few survivors of n, a round no
 // longer touches all n processes.
 //
-// Aliasing contract (extends the PR-2 arena rules in DESIGN.md): the
-// tally columns, the flag columns, and the per-victim delivery scratch
-// masks are engine-owned. Adversary plan masks are only read during
-// the FinishRound call they were passed to; the engine copies
-// each victim's mask into its own deliverScratch slot (satellite fix for
-// the per-plan Deliver.Clone allocation) and groups victims sharing one
-// adversary mask pointer so a shared rescue mask costs one sweep total.
+// Aliasing contract (extends the arena rules in DESIGN.md): the tally
+// columns, the flag columns, and the delivery scratch masks are
+// engine-owned. Adversary plan masks are only read during the
+// FinishRound call they were passed to: the object core copies each
+// victim's mask into its own deliverScratch slot instead of cloning it
+// per plan, and the columnar core groups victims sharing one adversary
+// mask pointer, copying that mask once, so a shared rescue mask costs
+// one sweep total.
 
 // Engine names accepted by Config.Engine. The zero value "" is the
 // default: the columnar core whenever procs[0]'s KernelBuilder adopts
@@ -230,12 +231,13 @@ func (e *Execution) enterTallyMode() {
 // leaveTallyMode syncs every process object from the kernel and drops to
 // the object path permanently (used when a Byzantine forgery arrives:
 // corruption needs per-receiver payloads, which columns cannot carry).
-// Inboxes were initialized empty in tally mode; they grow lazily from
-// the next Phase B on.
+// It sizes the object core's buffers, which tally mode leaves unsized;
+// the inboxes grow lazily from the next Phase B on.
 func (e *Execution) leaveTallyMode() {
 	for i, p := range e.procs {
 		e.kernel.KernelSync(i, p)
 	}
+	e.sizeObjectCore(false)
 	e.tallyMode = false
 }
 

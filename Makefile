@@ -33,20 +33,22 @@ BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_sim.json
 
-# The allocation gates bench-check applies, benchmark=tolerance: each
-# row's allocs/op may exceed its checked-in BENCH_sim.json baseline by
-# at most that fraction. The arena estimator gets 20%, the disabled
-# metrics path 2% (the "metrics off = free" budget), the SoA stepwise
-# lane 34% (baseline 3 allocs/op, so the columnar core stays two orders
-# of magnitude under the object engine's 1063-alloc seed), every
-# at-scale engine lane (object and soa at n = 1024, soa-1e5 at
-# n = 10^5) 20%, and the async engine's Splitter execution 20%.
+# The gates bench-check applies, benchmark=tolerance: each row's
+# allocs/op and its B/op may each exceed its checked-in BENCH_sim.json
+# baseline by at most that fraction (bytes catch what counts cannot: a
+# process vector is one allocation at any n). The arena estimator gets
+# 20%, the disabled metrics path 2% (the "metrics off = free" budget),
+# the SoA stepwise lane 34% (baseline 3 allocs/op, so the columnar core
+# stays two orders of magnitude under the object engine's 1063-alloc
+# seed), every at-scale engine lane (object and soa at n = 1024,
+# soa-1e5 at n = 10^5) 20%, and the async engine's Splitter execution
+# 20%.
 BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20
 
 # Re-run the snapshot benches for 20 iterations each and fail if any
-# BENCH_GATES row regressed past its tolerance. CI's bench-smoke job
-# runs this target and uploads the two files it leaves:
-# bench-smoke.txt (the raw bench output, also printed) and
+# BENCH_GATES row's allocs/op or B/op regressed past its tolerance.
+# CI's bench-smoke job runs this target and uploads the two files it
+# leaves: bench-smoke.txt (the raw bench output, also printed) and
 # BENCH_sim.ci.json (the same results as JSON).
 # Twenty iterations measure the steady state: Go builds its
 # type-assertion caches on randomly sampled calls, so a single
@@ -108,7 +110,7 @@ scenarios:
 	$(GO) run ./cmd/conformance -one "protocol=async-benor,adversary=splitter,coin=parity,workload=half,n=4,t=1,seed=1,maxrounds=500"
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime 10s ./internal/conformance
 
-# Regenerate every experiment table at full size (~11 s on 2 cores) or
+# Regenerate every experiment table at full size (~9 s on 2 cores) or
 # quick size (under a second). Exit status is non-zero if any paper
 # claim fails.
 experiments:

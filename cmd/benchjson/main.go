@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output (stdin) into
-// the JSON benchmark artifact, and optionally gates on an allocation
-// baseline — the tool behind `make bench-json` and the CI bench smoke
-// job.
+// the JSON benchmark artifact, and optionally gates allocs/op and B/op
+// on a baseline — the tool behind `make bench-json` and the CI bench
+// smoke job.
 //
 // Usage:
 //
@@ -39,8 +39,8 @@ func run() error {
 	var (
 		out       = flag.String("out", "BENCH_sim.json", "output JSON file (- for stdout)")
 		baseline  = flag.String("baseline", "", "baseline JSON to compare against (optional)")
-		check     = flag.String("check", "", "comma-separated benchmark names whose allocs/op are gated against the baseline (name or name=tolerance)")
-		tolerance = flag.Float64("tolerance", 0.20, "default allowed fractional allocs/op regression (0.20 = +20%)")
+		check     = flag.String("check", "", "comma-separated benchmark names whose allocs/op and B/op are gated against the baseline (name or name=tolerance)")
+		tolerance = flag.Float64("tolerance", 0.20, "default allowed fractional allocs/op and B/op regression (0.20 = +20%)")
 	)
 	flag.Parse()
 
@@ -87,12 +87,12 @@ func run() error {
 				}
 				name = name[:eq]
 			}
-			if err := benchfmt.CheckAllocs(base, rep, name, tol); err != nil {
+			if err := benchfmt.Check(base, rep, name, tol); err != nil {
 				return err
 			}
-			cur := rep.Find(name)
-			fmt.Fprintf(os.Stderr, "benchjson: %s ok at %.0f allocs/op (baseline %.0f, tolerance +%.0f%%)\n",
-				name, cur.AllocsPerOp, base.Find(name).AllocsPerOp, tol*100)
+			cur, old := rep.Find(name), base.Find(name)
+			fmt.Fprintf(os.Stderr, "benchjson: %s ok at %.0f allocs/op, %.0f B/op (baseline %.0f, %.0f; tolerance +%.0f%%)\n",
+				name, cur.AllocsPerOp, cur.BytesPerOp, old.AllocsPerOp, old.BytesPerOp, tol*100)
 		}
 	}
 	return nil

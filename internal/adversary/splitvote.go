@@ -35,7 +35,9 @@ import (
 // experiment E8.
 //
 // The implementation is allocation-free after warm-up: sender sets,
-// plan slices, and delivery masks live in reusable scratch fields, the
+// plan slices, and delivery masks live in reusable scratch fields, each
+// sized once from the first round's sender or victim count (no round
+// has more senders than round 1), the
 // per-receiver base update is computed columnar (totals minus per-mask
 // group corrections, O(n·groups) instead of O(n²)), and all rescue
 // victims share ONE delivery mask — the engine copies it per victim
@@ -54,6 +56,7 @@ type SplitVote struct {
 
 	started   bool  // bases initialized for the current run
 	floodSeen bool  // senderSets observed a flood payload this round
+	senders   int   // this round's sender count, counted by senderSets
 	bases     []int // per-receiver N from the previous round (self included)
 
 	// Reusable scratch (never shared between clones). Plan slices and
@@ -154,7 +157,7 @@ func (a *SplitVote) trimAndSplit(v *sim.View, oneSenders []int, ones, hi int) []
 	if excess <= 0 {
 		return nil
 	}
-	plans := a.plans[:0]
+	plans := a.planBuf(excess)
 	for k := 0; k < excess; k++ {
 		victim := oneSenders[k]
 		plan := sim.CrashPlan{Victim: victim}
@@ -167,6 +170,14 @@ func (a *SplitVote) trimAndSplit(v *sim.View, oneSenders []int, ones, hi int) []
 	}
 	a.plans = plans
 	return plans
+}
+
+// planBuf returns the empty plan scratch with room for victims plans.
+func (a *SplitVote) planBuf(victims int) []sim.CrashPlan {
+	if cap(a.plans) < victims {
+		a.plans = make([]sim.CrashPlan, 0, victims)
+	}
+	return a.plans[:0]
 }
 
 // splitGroup selects the receivers that get the extra 1-message.
@@ -227,7 +238,7 @@ func (a *SplitVote) rescue(v *sim.View, zeroSenders []int) []sim.CrashPlan {
 			got++
 		}
 	}
-	plans := a.plans[:0]
+	plans := a.planBuf(len(zeroSenders))
 	for _, z := range zeroSenders {
 		plans = append(plans, sim.CrashPlan{Victim: z, Deliver: seen})
 	}
@@ -278,10 +289,7 @@ func (a *SplitVote) commonBase(v *sim.View) int {
 // result is identical to the old O(n²) double loop — a victim's own row
 // gets its self-exclusion terms added back at the end — at O(n·groups).
 func (a *SplitVote) updateBases(v *sim.View, plans []sim.CrashPlan) {
-	senders := 0
-	for k := 0; k < v.Words(); k++ {
-		senders += bits.OnesCount64(v.SendingWord(k))
-	}
+	senders := a.senders
 	hidden := 0
 	gm, gc := a.groupMasks[:0], a.groupCounts[:0]
 	for _, p := range plans {
@@ -338,9 +346,20 @@ func (a *SplitVote) updateBases(v *sim.View, plans []sim.CrashPlan) {
 	a.groupCounts = a.groupCounts[:0]
 }
 
-// senderSets partitions this round's senders by broadcast value into the
-// reusable scratch slices.
+// senderSets counts this round's senders and partitions them by
+// broadcast value into the reusable scratch slices, each sized for every
+// sender so that neither grows by append.
 func (a *SplitVote) senderSets(v *sim.View) {
+	a.senders = 0
+	for k := 0; k < v.Words(); k++ {
+		a.senders += bits.OnesCount64(v.SendingWord(k))
+	}
+	if cap(a.oneSenders) < a.senders {
+		a.oneSenders = make([]int, 0, a.senders)
+	}
+	if cap(a.zeroSenders) < a.senders {
+		a.zeroSenders = make([]int, 0, a.senders)
+	}
 	a.oneSenders = a.oneSenders[:0]
 	a.zeroSenders = a.zeroSenders[:0]
 	a.floodSeen = false

@@ -156,12 +156,13 @@ func ReadJSON(r io.Reader) (*Report, error) {
 	return &rep, nil
 }
 
-// CheckAllocs compares the named benchmark's allocs/op in current
-// against baseline and returns an error when it regressed by more than
-// tolerance (a fraction: 0.20 allows +20%). Allocation counts are the
-// stable axis to gate on — unlike ns/op they do not vary with CI host
-// load. Improvements (fewer allocations) always pass.
-func CheckAllocs(baseline, current *Report, name string, tolerance float64) error {
+// Check compares the named benchmark's allocs/op and B/op in current
+// against baseline and returns an error when either regressed by more
+// than tolerance (a fraction: 0.20 allows +20%). Allocation counts and
+// bytes are the stable axes to gate on — unlike ns/op they do not vary
+// with CI host load — and each sees what the other cannot: a buffer
+// allocated once at any size grows only B/op. Improvements always pass.
+func Check(baseline, current *Report, name string, tolerance float64) error {
 	base := baseline.Find(name)
 	if base == nil {
 		return fmt.Errorf("benchfmt: baseline has no result named %q", name)
@@ -170,10 +171,17 @@ func CheckAllocs(baseline, current *Report, name string, tolerance float64) erro
 	if cur == nil {
 		return fmt.Errorf("benchfmt: current run has no result named %q", name)
 	}
-	limit := base.AllocsPerOp * (1 + tolerance)
-	if cur.AllocsPerOp > limit {
-		return fmt.Errorf("benchfmt: %s allocs/op regressed: %.0f > %.0f (baseline %.0f +%.0f%%)",
-			name, cur.AllocsPerOp, limit, base.AllocsPerOp, tolerance*100)
+	for _, m := range []struct {
+		unit      string
+		base, cur float64
+	}{
+		{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
+		{"B/op", base.BytesPerOp, cur.BytesPerOp},
+	} {
+		if limit := m.base * (1 + tolerance); m.cur > limit {
+			return fmt.Errorf("benchfmt: %s %s regressed: %.0f > %.0f (baseline %.0f +%.0f%%)",
+				name, m.unit, m.cur, limit, m.base, tolerance*100)
+		}
 	}
 	return nil
 }

@@ -99,23 +99,48 @@ func TestCheckAllocs(t *testing.T) {
 
 	within := parseSample(t)
 	within.Find(name).AllocsPerOp = 3300 // +10%
-	if err := CheckAllocs(baseline, within, name, 0.20); err != nil {
+	if err := Check(baseline, within, name, 0.20); err != nil {
 		t.Fatalf("+10%% rejected at 20%% tolerance: %v", err)
 	}
 
 	regressed := parseSample(t)
 	regressed.Find(name).AllocsPerOp = 4000 // +34%
-	if err := CheckAllocs(baseline, regressed, name, 0.20); err == nil {
+	if err := Check(baseline, regressed, name, 0.20); err == nil {
 		t.Fatal("+34% accepted at 20% tolerance")
 	}
 
 	improved := parseSample(t)
 	improved.Find(name).AllocsPerOp = 10
-	if err := CheckAllocs(baseline, improved, name, 0.20); err != nil {
+	if err := Check(baseline, improved, name, 0.20); err != nil {
 		t.Fatalf("improvement rejected: %v", err)
 	}
 
-	if err := CheckAllocs(baseline, within, "BenchmarkNope", 0.2); err == nil {
+	if err := Check(baseline, within, "BenchmarkNope", 0.2); err == nil {
 		t.Fatal("missing benchmark name accepted")
+	}
+}
+
+// TestCheckBytes pins the B/op gate: a row whose allocation count
+// holds while its bytes grow past the tolerance fails, and the error
+// names the unit.
+func TestCheckBytes(t *testing.T) {
+	baseline := parseSample(t)
+	const name = "BenchmarkValencyEstimate/arena"
+	bytes := baseline.Find(name).BytesPerOp
+	if bytes == 0 {
+		t.Fatal("sample row has no B/op")
+	}
+
+	within := parseSample(t)
+	within.Find(name).BytesPerOp = bytes * 1.1
+	if err := Check(baseline, within, name, 0.20); err != nil {
+		t.Fatalf("+10%% B/op rejected at 20%% tolerance: %v", err)
+	}
+
+	grown := parseSample(t)
+	grown.Find(name).BytesPerOp = bytes * 1.5
+	err := Check(baseline, grown, name, 0.20)
+	if err == nil || !strings.Contains(err.Error(), "B/op") {
+		t.Fatalf("+50%% B/op at equal allocs/op: error %v, want a B/op regression", err)
 	}
 }

@@ -68,9 +68,10 @@ type Case struct {
 	// base execution; 0 picks half the sequential lane's halt round.
 	SnapRound int
 	// AllowUnsafe disables the agreement/validity oracles for cases that
-	// deliberately exceed a protocol's resilience condition (Ben-Or under
-	// a crash-heavy adversary with t >= n/2). Differential checking still
-	// applies in full: every lane must be unsafe in exactly the same way.
+	// deliberately leave a protocol's fault model (synran.ExpectSafe is
+	// false: Ben-Or under any adversary, a crash-model protocol under
+	// the equivocator). Differential checking still applies in full:
+	// every lane must be unsafe in exactly the same way.
 	AllowUnsafe bool
 	// SkipNetsim excludes the live-runner lane: look-ahead adversaries
 	// (lowerbound, stepwise) need the lock-step engine's clonable Exec.
@@ -151,11 +152,11 @@ func (c *Case) normalize() {
 	if scenario.IsOmission(c.Adversary) && c.FaultBudget == 0 {
 		c.FaultBudget = c.T
 	}
-	// Ben-Or's resilience condition is t < n/2 against an adaptive
-	// crasher; the shared grid budget t=(n-1)/2 sits exactly on the
-	// boundary, so adversarial cases may legitimately violate safety —
+	// A protocol under faults outside its fault model (Ben-Or's
+	// symmetric coin under any adversary, a crash-model protocol under
+	// the Byzantine equivocator) may legitimately violate safety —
 	// identically on every lane.
-	if c.Protocol == synran.ProtocolBenOr && c.Adversary != synran.AdversaryNone {
+	if !synran.ExpectSafe(c.Protocol, c.Adversary, c.N, c.T) {
 		c.AllowUnsafe = true
 	}
 }

@@ -293,11 +293,10 @@ func clampBudget(s *scenario.Scenario) {
 // minimization shrinks n under it.
 func clampT(s scenario.Scenario, n int) int {
 	max := n
-	switch {
-	case s.IsAsync():
+	if s.IsAsync() {
 		max = (n - 1) / 2
-	case s.Protocol == synran.ProtocolLateBeacon:
-		max = (n - 1) / 3
+	} else if m, err := synran.ProtocolFaults(s.Protocol); err == nil {
+		max = m.MaxT(n)
 	}
 	if s.T > max {
 		return max

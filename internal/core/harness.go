@@ -29,14 +29,12 @@ type RunSpec struct {
 }
 
 // Run executes SynRan once under the given adversary and returns the
-// execution result.
+// execution result. The execution starts from the kernel NewKernel
+// builds, so on the columnar core it holds no Proc objects, unless the
+// options rule the kernel out.
 func Run(spec RunSpec) (*sim.Result, error) {
 	if spec.Adversary == nil {
 		return nil, fmt.Errorf("core: RunSpec.Adversary is nil")
-	}
-	procs, err := NewProcs(spec.N, spec.Inputs, spec.Seed, spec.Opts)
-	if err != nil {
-		return nil, err
 	}
 	cfg := sim.Config{
 		N:            spec.N,
@@ -47,9 +45,27 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		MetricsShard: spec.MetricsShard,
 		Engine:       spec.Engine,
 	}
-	exec, err := sim.NewExecution(cfg, procs, spec.Inputs, spec.Seed^0x5eed5eed5eed5eed)
+	exec, err := newExecution(cfg, spec.Inputs, spec.Seed, spec.Opts, spec.Seed^0x5eed5eed5eed5eed)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Run(spec.Adversary)
+}
+
+// newExecution builds a SynRan execution of the vector (cfg.N, inputs,
+// seed, opts) with adversary seed advSeed: from NewKernel's kernel when
+// opts allow one, from NewProcs' vector otherwise.
+func newExecution(cfg sim.Config, inputs []int, seed uint64, opts Options, advSeed uint64) (*sim.Execution, error) {
+	k, err := NewKernel(cfg.N, inputs, seed, opts)
+	if err != nil {
+		return nil, err
+	}
+	if k != nil {
+		return sim.NewKernelExecution(cfg, k, inputs, advSeed)
+	}
+	procs, err := NewProcs(cfg.N, inputs, seed, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewExecution(cfg, procs, inputs, advSeed)
 }

@@ -46,9 +46,9 @@ func classifyPayload(p int64) (one, mz, mo bool) {
 //
 // The nHist slice becomes a 3-deep sliding window (h1..h3): probRound
 // only ever reads N^{r-1}, N^{r-2}, N^{r-3}, and histLen preserves the
-// alignment invariant so KernelSync can reconstruct an object-form
-// history that keeps working if the execution falls back to the object
-// path mid-run (Byzantine forgeries).
+// alignment invariant so get can rebuild an object-form history that
+// keeps working if the execution falls back to the object path mid-run
+// (Byzantine forgeries).
 type kernel struct {
 	n    int
 	opts Options
@@ -69,51 +69,93 @@ type kernel struct {
 var _ sim.TallyKernel = (*kernel)(nil)
 var _ sim.KernelBuilder = (*Proc)(nil)
 
+// columnar reports whether processes with these options can run as a
+// kernel. LeaderCoin needs the lowest-id sender of the round,
+// per-message information a tally cannot carry; every other option
+// (SymmetricCoin, SharedCoinSeed, FloodRounds) is column-friendly. The
+// one other bar, an injected coin (SetFlip), is an object-level hook
+// that only an existing Proc can carry, so only BuildKernel checks it.
+func (o Options) columnar() bool { return !o.LeaderCoin }
+
+// NewKernel builds SynRan's columnar kernel straight from (n, inputs,
+// seed): the vector NewProcs(n, inputs, seed, opts) builds, with the
+// same validation and errors, written into columns without any Proc
+// objects. Each coin stream is split straight into the kernel's stream
+// column. It returns a nil kernel when opts rule the kernel out, and
+// the caller then builds the process vector.
+func NewKernel(n int, inputs []int, seed uint64, opts Options) (sim.TallyKernel, error) {
+	if !opts.columnar() {
+		return nil, nil
+	}
+	v, err := newVector(n, inputs, seed, opts)
+	if err != nil {
+		return nil, err
+	}
+	k := newKernel(n, n, opts, v.tmpl.q)
+	var p Proc
+	for i, x := range inputs {
+		if err := p.init(&v.tmpl, i, x); err != nil {
+			return nil, err
+		}
+		k.set(i, &p)
+		v.root.SplitInto(&k.streams[i], uint64(i))
+	}
+	return k, nil
+}
+
 // BuildKernel implements sim.KernelBuilder: adopt the full process
 // vector into a columnar kernel, or return nil when the vector is not
-// kernel-capable. LeaderCoin needs the lowest-id sender of the round
-// (per-message information a tally cannot carry) and an injected flip
-// function is an object-level hook, so both disable the kernel; every
-// other option (SymmetricCoin, SharedCoinSeed, FloodRounds) is
-// column-friendly. All processes must be Procs with identical options.
+// kernel-capable: every process must be a Proc with identical,
+// columnar options and no injected coin.
 func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 	for _, q := range procs {
 		cp, ok := q.(*Proc)
-		if !ok || cp.flip != nil || cp.opts.LeaderCoin || cp.opts != p.opts {
+		if !ok || cp.flip != nil || !cp.opts.columnar() || cp.opts != p.opts {
 			return nil
 		}
 	}
-	k := &kernel{
-		n:          p.n,
-		opts:       p.opts,
-		q:          p.q,
-		b:          make([]int8, len(procs)),
-		st:         make([]int8, len(procs)),
-		decided:    make([]bool, len(procs)),
-		hasDecided: make([]bool, len(procs)),
-		decision:   make([]int8, len(procs)),
-		floodMask:  make([]int8, len(procs)),
-		floodLeft:  make([]int32, len(procs)),
-		histLen:    make([]int32, len(procs)),
-		h1:         make([]int32, len(procs)),
-		h2:         make([]int32, len(procs)),
-		h3:         make([]int32, len(procs)),
-		streams:    make([]rng.Stream, len(procs)),
-	}
+	k := newKernel(len(procs), p.n, p.opts, p.q)
 	for i, q := range procs {
-		cp := q.(*Proc)
-		k.b[i] = int8(cp.b)
-		k.st[i] = int8(cp.st)
-		k.decided[i] = cp.decided
-		k.hasDecided[i] = cp.hasDecided
-		k.decision[i] = int8(cp.decision)
-		k.floodMask[i] = int8(cp.floodMask)
-		k.floodLeft[i] = int32(cp.floodLeft)
-		k.histLen[i] = int32(len(cp.nHist))
-		k.h1[i], k.h2[i], k.h3[i] = histWindow(cp.nHist, cp.n)
-		k.streams[i] = cp.rng
+		k.set(i, q.(*Proc))
 	}
 	return k
+}
+
+// newKernel allocates the columns of a size-process kernel for SynRan
+// at system size n.
+func newKernel(size, n int, opts Options, q float64) *kernel {
+	return &kernel{
+		n:          n,
+		opts:       opts,
+		q:          q,
+		b:          make([]int8, size),
+		st:         make([]int8, size),
+		decided:    make([]bool, size),
+		hasDecided: make([]bool, size),
+		decision:   make([]int8, size),
+		floodMask:  make([]int8, size),
+		floodLeft:  make([]int32, size),
+		histLen:    make([]int32, size),
+		h1:         make([]int32, size),
+		h2:         make([]int32, size),
+		h3:         make([]int32, size),
+		streams:    make([]rng.Stream, size),
+	}
+}
+
+// set writes process p's state into row i of the columns: the one step
+// by which both kernel constructors fill the kernel.
+func (k *kernel) set(i int, p *Proc) {
+	k.b[i] = int8(p.b)
+	k.st[i] = int8(p.st)
+	k.decided[i] = p.decided
+	k.hasDecided[i] = p.hasDecided
+	k.decision[i] = int8(p.decision)
+	k.floodMask[i] = int8(p.floodMask)
+	k.floodLeft[i] = int32(p.floodLeft)
+	k.histLen[i] = int32(len(p.nHist))
+	k.h1[i], k.h2[i], k.h3[i] = histWindow(p.nHist, p.n)
+	k.streams[i] = p.rng
 }
 
 // histWindow extracts the last three history entries (newest first),
@@ -353,41 +395,63 @@ func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
 	return true
 }
 
-// KernelSync implements sim.TallyKernel: write process i's columnar
-// state back into its object form. The reconstructed nHist has the
-// right length and a correct 3-entry tail; older entries are padded
-// with n, which the protocol never reads again (probRound only looks
-// back three rounds), so a synced Proc continues bit-identically if
-// the engine falls back to the object path.
-func (k *kernel) KernelSync(i int, p sim.Process) {
-	cp, ok := p.(*Proc)
-	if !ok {
-		return
+// KernelProcess implements sim.TallyKernel: a fresh Proc holding
+// process i's current state.
+func (k *kernel) KernelProcess(i int) sim.Process {
+	p := new(Proc)
+	k.get(i, p, make([]int, k.histLen[i]))
+	return p
+}
+
+// KernelProcs implements sim.TallyKernel: the whole vector as one block
+// of Procs, their histories cut from one shared block.
+func (k *kernel) KernelProcs() []sim.Process {
+	total := 0
+	for _, l := range k.histLen {
+		total += int(l)
 	}
-	cp.b = int(k.b[i])
-	cp.st = stage(k.st[i])
-	cp.decided = k.decided[i]
-	cp.hasDecided = k.hasDecided[i]
-	cp.decision = int(k.decision[i])
-	cp.floodMask = int64(k.floodMask[i])
-	cp.floodLeft = int(k.floodLeft[i])
-	cp.rng = k.streams[i]
-	l := int(k.histLen[i])
-	if cap(cp.nHist) < l {
-		cp.nHist = make([]int, l)
-	} else {
-		cp.nHist = cp.nHist[:l]
+	hist := make([]int, total)
+	block := make([]Proc, len(k.b))
+	procs := make([]sim.Process, len(k.b))
+	for i := range block {
+		l := int(k.histLen[i])
+		k.get(i, &block[i], hist[:l:l])
+		hist = hist[l:]
+		procs[i] = &block[i]
+	}
+	return procs
+}
+
+// get writes row i of the columns into p in object form, with hist
+// (length histLen[i]) as its history: the inverse of set. The rebuilt
+// history has the right length and a correct 3-entry tail; older
+// entries are padded with n, which the protocol never reads again
+// (probRound only looks back three rounds), so the Proc continues
+// bit-identically on the object path.
+func (k *kernel) get(i int, p *Proc, hist []int) {
+	*p = Proc{
+		id: i, n: k.n, opts: k.opts, q: k.q, rng: k.streams[i],
+		b:          int(k.b[i]),
+		st:         stage(k.st[i]),
+		decided:    k.decided[i],
+		hasDecided: k.hasDecided[i],
+		decision:   int(k.decision[i]),
+		floodMask:  int64(k.floodMask[i]),
+		floodLeft:  int(k.floodLeft[i]),
+	}
+	l := len(hist)
+	if l == 0 {
+		return // nil, as NewProcs leaves it: allocated at the first probabilistic round
 	}
 	for j := 0; j < l-3; j++ {
-		cp.nHist[j] = cp.n
+		hist[j] = k.n
 	}
-	if l >= 1 {
-		cp.nHist[l-1] = int(k.h1[i])
-	}
+	hist[l-1] = int(k.h1[i])
 	if l >= 2 {
-		cp.nHist[l-2] = int(k.h2[i])
+		hist[l-2] = int(k.h2[i])
 	}
 	if l >= 3 {
-		cp.nHist[l-3] = int(k.h3[i])
+		hist[l-3] = int(k.h3[i])
 	}
+	p.nHist = hist
 }

@@ -103,13 +103,17 @@ func stateOf(p sim.Process) procState {
 	}
 }
 
-// TestDefaultCoreTracksObjectCore drives SynRan on the default core and
-// the object core in lockstep, up to a round cap. After every Step both
-// must have recorded the same trace (each broadcast payload, crash,
-// decision and halt so far) and every Process(i) must hold the same
-// state, coin stream included; finished runs must have identical
-// Results. The Forger cases take the default core off its kernel, in
-// round 1 or mid-run, through leaveTallyMode and KernelSync.
+// TestDefaultCoreTracksObjectCore drives SynRan on the object core and,
+// in lockstep with it, on the default core by both routes into it: the
+// vector NewProcs builds, adopted through BuildKernel, and the kernel
+// NewKernel builds with no Proc objects. A third lane pins the object
+// core to NewKernel's kernel, which then runs the vector the kernel
+// builds. After every Step each lane must have recorded the same trace
+// as the object core (each broadcast payload, crash, decision and halt
+// so far) and every Process(i) must hold the same state, coin stream
+// included; finished runs must have identical Results. The Forger
+// cases take the default core off its kernel, in round 1 or mid-run,
+// through the fall-back that builds the whole vector from the kernel.
 func TestDefaultCoreTracksObjectCore(t *testing.T) {
 	const n, tt, maxRounds = 16, 15, 60
 	inputs := inputsHalf(n)
@@ -125,49 +129,191 @@ func TestDefaultCoreTracksObjectCore(t *testing.T) {
 			return &lateForger{Equivocator: adversary.Equivocator{Corruptions: 3}, from: 3}
 		}},
 	}
+	type lane struct {
+		name string
+		e    *sim.Execution
+		adv  sim.Adversary
+		rec  *trace.Recorder
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(engine string) (*sim.Execution, sim.Adversary, *trace.Recorder) {
+			newLane := func(name, engine string, constructed bool) *lane {
 				rec := trace.NewRecorder(n, tt, 7)
-				procs, err := NewProcs(n, inputs, 7, Options{})
+				cfg := sim.Config{N: n, T: tt, Engine: engine, Observer: rec}
+				var e *sim.Execution
+				var err error
+				if constructed {
+					var k sim.TallyKernel
+					if k, err = NewKernel(n, inputs, 7, Options{}); err == nil {
+						e, err = sim.NewKernelExecution(cfg, k, inputs, 7)
+					}
+				} else {
+					var procs []sim.Process
+					if procs, err = NewProcs(n, inputs, 7, Options{}); err == nil {
+						e, err = sim.NewExecution(cfg, procs, inputs, 7)
+					}
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := sim.NewExecution(sim.Config{N: n, T: tt, Engine: engine, Observer: rec}, procs, inputs, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e, c.adv(), rec
+				return &lane{name, e, c.adv(), rec}
 			}
-			def, defAdv, defRec := run("")
-			obj, objAdv, objRec := run(sim.EngineObject)
-			for obj.Round() < maxRounds && !obj.Done() {
-				if def.Done() {
-					t.Fatalf("default core finished after %d rounds, object core did not", def.Round())
-				}
-				if err := def.Step(defAdv); err != nil {
+			obj := newLane("object", sim.EngineObject, false)
+			defs := []*lane{newLane("adopted", "", false), newLane("constructed", "", true),
+				newLane("object from a kernel", sim.EngineObject, true)}
+			for obj.e.Round() < maxRounds && !obj.e.Done() {
+				if err := obj.e.Step(obj.adv); err != nil {
 					t.Fatal(err)
 				}
-				if err := obj.Step(objAdv); err != nil {
-					t.Fatal(err)
-				}
-				if i, dv, ov := trace.FirstDiff(defRec.Log(), objRec.Log()); i >= 0 {
-					t.Fatalf("after round %d, trace event %d: default %s, object %s", obj.Round(), i, dv, ov)
-				}
-				for i := 0; i < n; i++ {
-					if ds, os := stateOf(def.Process(i)), stateOf(obj.Process(i)); ds != os {
-						t.Fatalf("after round %d process %d: default %+v, object %+v", obj.Round(), i, ds, os)
+				for _, d := range defs {
+					if d.e.Done() {
+						t.Fatalf("%s finished after %d rounds, the object core did not", d.name, d.e.Round())
+					}
+					if err := d.e.Step(d.adv); err != nil {
+						t.Fatal(err)
+					}
+					if i, dv, ov := trace.FirstDiff(d.rec.Log(), obj.rec.Log()); i >= 0 {
+						t.Fatalf("%s: after round %d, trace event %d: %s, object core %s", d.name, obj.e.Round(), i, dv, ov)
+					}
+					for i := 0; i < n; i++ {
+						if ds, os := stateOf(d.e.Process(i)), stateOf(obj.e.Process(i)); ds != os {
+							t.Fatalf("%s: after round %d process %d: %+v, object core %+v", d.name, obj.e.Round(), i, ds, os)
+						}
 					}
 				}
 			}
-			if def.Done() != obj.Done() {
-				t.Fatalf("after round %d: default core done %v, object core done %v", obj.Round(), def.Done(), obj.Done())
-			}
-			if obj.Done() {
-				if dr, or := def.Result(), obj.Result(); !reflect.DeepEqual(dr, or) {
-					t.Fatalf("results differ:\ndefault %+v\nobject  %+v", dr, or)
+			for _, d := range defs {
+				if d.e.Done() != obj.e.Done() {
+					t.Fatalf("%s: after round %d: done %v, object core done %v", d.name, obj.e.Round(), d.e.Done(), obj.e.Done())
+				}
+				if obj.e.Done() {
+					if dr, or := d.e.Result(), obj.e.Result(); !reflect.DeepEqual(dr, or) {
+						t.Fatalf("%s: results differ:\n%+v\nobject core %+v", d.name, dr, or)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestNewKernelBuildsNewProcsVector pins the two constructors to one
+// vector: the Procs a NewKernel kernel builds equal NewProcs' field for
+// field, NewKernel rejects exactly what NewProcs rejects with the same
+// error, and options that rule the kernel out yield no kernel.
+func TestNewKernelBuildsNewProcsVector(t *testing.T) {
+	for _, opts := range []Options{{}, {SymmetricCoin: true, FloodRounds: 5}, {SharedCoinSeed: 9}} {
+		for _, n := range []int{1, 5, 130} {
+			inputs := inputsHalf(n)
+			want, err := NewProcs(n, inputs, 11, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := NewKernel(n, inputs, 11, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := k.KernelProcs(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("opts %+v, n = %d: NewKernel's vector differs from NewProcs'", opts, n)
+			}
+			for i := 0; i < n; i++ {
+				if got := k.KernelProcess(i); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("opts %+v, n = %d: KernelProcess(%d) = %+v, NewProcs built %+v", opts, n, i, got, want[i])
+				}
+			}
+		}
+	}
+	for name, inputs := range map[string][]int{"short": {0, 1}, "non-binary": {0, 1, 2}} {
+		_, perr := NewProcs(3, inputs, 1, Options{})
+		k, kerr := NewKernel(3, inputs, 1, Options{})
+		if perr == nil || kerr == nil || perr.Error() != kerr.Error() || k != nil {
+			t.Errorf("%s inputs: NewProcs error %v, NewKernel (%v, %v), want the same error and no kernel", name, perr, k, kerr)
+		}
+	}
+	if k, err := NewKernel(4, inputsHalf(4), 1, Options{LeaderCoin: true}); k != nil || err != nil {
+		t.Fatalf("LeaderCoin: NewKernel returned (%v, %v), want no kernel and no error", k, err)
+	}
+}
+
+// TestNewKernelAllocationsFlat pins the columnar constructor: the same
+// allocations (the kernel and its columns) at n = 64 as at n = 4096.
+func TestNewKernelAllocationsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		inputs := inputsHalf(n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewKernel(n, inputs, 1, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); large != small {
+		t.Fatalf("NewKernel allocates %.0f times at n = 64 and %.0f at n = 4096, want equal", small, large)
+	}
+}
+
+// TestCloneIntoColumnarAllocationsFlat pins that a columnar execution
+// clones no process objects: CloneInto a fresh dst costs the same
+// allocations at n = 64 as at n = 4096.
+func TestCloneIntoColumnarAllocationsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		inputs := inputsHalf(n)
+		k, err := NewKernel(n, inputs, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewKernelExecution(sim.Config{N: n, T: n / 2}, k, inputs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Step(&adversary.SplitVote{}); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { _ = e.CloneInto(nil) })
+	}
+	if small, large := allocs(64), allocs(4096); large != small {
+		t.Fatalf("CloneInto(nil) allocates %.0f times at n = 64 and %.0f at n = 4096, want equal", small, large)
+	}
+}
+
+// TestProcessIsACopyOnTheColumnarCore pins the columnar Process
+// contract: it returns a copy built at the call, so scribbling over
+// every returned Proc leaves the execution's next rounds exactly as
+// those of an untouched twin.
+func TestProcessIsACopyOnTheColumnarCore(t *testing.T) {
+	const n = 16
+	inputs := inputsHalf(n)
+	build := func() *sim.Execution {
+		k, err := NewKernel(n, inputs, 3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewKernelExecution(sim.Config{N: n, T: n - 1}, k, inputs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e, twin := build(), build()
+	adv, twinAdv := &adversary.SplitVote{}, &adversary.SplitVote{}
+	for !twin.Done() {
+		for i := 0; i < n; i++ {
+			p := e.Process(i).(*Proc)
+			p.b, p.st, p.decided, p.floodLeft = 1-p.b, stageDone, !p.decided, 0
+			p.nHist = append(p.nHist, 0, 0, 0)
+			p.rng.Reseed(99)
+		}
+		if err := e.Step(adv); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Step(twinAdv); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if got, want := stateOf(e.Process(i)), stateOf(twin.Process(i)); got != want {
+				t.Fatalf("after round %d process %d: %+v, untouched twin %+v", twin.Round(), i, got, want)
+			}
+		}
+	}
+	if !e.Done() || !reflect.DeepEqual(e.Result(), twin.Result()) {
+		t.Fatal("the scribbled execution ended differently from its twin")
 	}
 }

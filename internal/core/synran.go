@@ -111,28 +111,44 @@ func NewProc(id, n, input int, stream *rng.Stream, opts Options) (*Proc, error) 
 
 // NewProcs builds the full process vector for an execution as one
 // block of Procs, splitting each process's rng stream from seed in
-// place. The columnar core adopts such a vector into its kernel and
-// reads the objects again only on Process(i) or a fall-back, so the
-// vector costs a constant number of allocations, not three per
-// process.
+// place, so the vector costs a constant number of allocations, not
+// three per process. NewKernel builds the same vector in columnar
+// form; both start every process from the same vector template.
 func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("core: %d inputs for n=%d", len(inputs), n)
+	v, err := newVector(n, inputs, seed, opts)
+	if err != nil {
+		return nil, err
 	}
-	var root rng.Stream
-	root.Reseed(seed)
-	tmpl := template(n, opts)
 	block := make([]Proc, n)
 	procs := make([]sim.Process, n)
 	for i := range block {
 		p := &block[i]
-		if err := p.init(&tmpl, i, inputs[i]); err != nil {
+		if err := p.init(&v.tmpl, i, inputs[i]); err != nil {
 			return nil, err
 		}
-		root.SplitInto(&p.rng, uint64(i))
+		v.root.SplitInto(&p.rng, uint64(i))
 		procs[i] = p
 	}
 	return procs, nil
+}
+
+// vector is what every process of an n-process vector starts from:
+// the template state, and the root stream its coin is split from under
+// its id.
+type vector struct {
+	tmpl Proc
+	root rng.Stream
+}
+
+// newVector checks the vector's shape and prepares its template and
+// root stream.
+func newVector(n int, inputs []int, seed uint64, opts Options) (vector, error) {
+	if len(inputs) != n {
+		return vector{}, fmt.Errorf("core: %d inputs for n=%d", len(inputs), n)
+	}
+	v := vector{tmpl: template(n, opts)}
+	v.root.Reseed(seed)
+	return v, nil
 }
 
 // template is the state every process of an n-process vector starts

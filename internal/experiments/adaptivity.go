@@ -96,9 +96,10 @@ func E11AdaptivityGap(cfg Config) (*Result, error) {
 	means := make(map[string][]float64) // proto/adv -> means per n
 	for _, n := range ns {
 		t := n - 1
+		inputs := workload.HalfHalf(n) // shared read-only by the cells' trials
 		for _, c := range cells {
 			ss, err := runSafe(cfg, fmt.Sprintf("E11-n%d-%s-%s", n, c.proto, c.adv), reps, nil, func(i int) (synran.Spec, error) {
-				return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: c.proto, Adversary: c.adv,
+				return synran.Spec{N: n, T: t, Inputs: inputs, Protocol: c.proto, Adversary: c.adv,
 					Seed: cfg.Seed + uint64(n*100+i), Observer: &stabilizationObserver{}}, nil
 			})
 			if err != nil {

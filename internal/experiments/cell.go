@@ -144,10 +144,12 @@ func decidedAgree(res *sim.Result) bool {
 }
 
 // halfSpec is the spec of a cell that runs protocol × adversary on the
-// half-and-half workload, trial i at seed seed(i).
+// half-and-half workload, trial i at seed seed(i). The cell's trials
+// share one input vector, read-only: an execution copies its inputs.
 func halfSpec(protocol, adversary string, n, t int, seed func(i int) uint64) func(i int) (synran.Spec, error) {
+	inputs := workload.HalfHalf(n)
 	return func(i int) (synran.Spec, error) {
-		return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: protocol, Adversary: adversary, Seed: seed(i)}, nil
+		return synran.Spec{N: n, T: t, Inputs: inputs, Protocol: protocol, Adversary: adversary, Seed: seed(i)}, nil
 	}
 }
 

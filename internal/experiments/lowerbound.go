@@ -39,12 +39,13 @@ func E6LowerBound(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		key := fmt.Sprintf("E6-n%d-forced", n)
+		inputs := workload.HalfHalf(n) // shared read-only by the cell's trials
 		forced, err := runCell(cfg, key, reps, nil, func(_, i int) (sample, error) {
 			lb := valency.NewLowerBound(n, seed(i))
 			lb.Est.RolloutsPerAdversary = 12
 			lb.Est.Workers = 1 // the outer trial pool already saturates the cores
 			res, err := core.Run(core.RunSpec{
-				N: n, T: t, Inputs: workload.HalfHalf(n), Seed: seed(i), Adversary: lb,
+				N: n, T: t, Inputs: inputs, Seed: seed(i), Adversary: lb,
 				MaxRounds: 50 * n,
 			})
 			return sampleOf(res, err, nil)
@@ -88,8 +89,9 @@ func E8AdversaryCost(cfg Config) (*Result, error) {
 
 	for _, n := range ns {
 		t := n - 1
+		inputs := workload.HalfHalf(n) // shared read-only by the cell's trials
 		ss, err := runSafe(cfg, fmt.Sprintf("E8-n%d", n), reps, nil, func(i int) (synran.Spec, error) {
-			return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: synran.ProtocolSynRan,
+			return synran.Spec{N: n, T: t, Inputs: inputs, Protocol: synran.ProtocolSynRan,
 				Adversary: synran.AdversarySplitVote, Seed: cfg.Seed + uint64(n*100+i), Observer: &blockProbe{}}, nil
 		})
 		if err != nil {

@@ -39,17 +39,26 @@ func E9Safety(cfg Config) (*Result, error) {
 	}
 	const workloads = 4
 	workloadRoot := rng.New(cfg.Seed ^ 0x9afe)
+	halves := make(map[int][]int) // one half vector per n, shared read-only
+	for _, tr := range triples {
+		if halves[tr.n] == nil {
+			halves[tr.n] = workload.HalfHalf(tr.n)
+		}
+	}
 	type counts struct{ runs, agr, val, term int }
 	sweep := func(key string, symmetric bool) (counts, error) {
 		ss, err := runCell(cfg, key, len(triples)*workloads, nil, func(_, k int) (sample, error) {
 			ci, wi := k/workloads, k%workloads
 			n, t, s := triples[ci].n, triples[ci].t, triples[ci].s
-			inputs := [workloads][]int{
-				workload.Uniform(n, 0),
-				workload.Uniform(n, 1),
-				workload.HalfHalf(n),
-				workload.Random(n, 0.5, workloadRoot.Split(uint64(ci))),
-			}[wi]
+			var inputs []int
+			switch wi {
+			case 0, 1:
+				inputs = workload.Uniform(n, wi)
+			case 2:
+				inputs = halves[n]
+			default:
+				inputs = workload.Random(n, 0.5, workloadRoot.Split(uint64(ci)))
+			}
 			advs := []sim.Adversary{
 				adversary.None{},
 				&adversary.Random{PerRound: 0.8, MaxPerRound: 3},

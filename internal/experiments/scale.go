@@ -35,8 +35,9 @@ func E17ScaleSoA(cfg Config) (*Result, error) {
 	var ratios []float64
 	for _, n := range ns {
 		t := n - 1
+		inputs := workload.HalfHalf(n) // shared read-only by the cell's trials
 		ss, err := runSafe(cfg, fmt.Sprintf("E17-n%d", n), reps, cfg.Metrics, func(i int) (synran.Spec, error) {
-			return synran.Spec{N: n, T: t, Inputs: workload.HalfHalf(n), Protocol: synran.ProtocolSynRan,
+			return synran.Spec{N: n, T: t, Inputs: inputs, Protocol: synran.ProtocolSynRan,
 				Adversary: synran.AdversarySplitVote, Seed: trials.Seed(cfg.Seed+uint64(n), i), Engine: sim.EngineSoA}, nil
 		})
 		if err != nil {

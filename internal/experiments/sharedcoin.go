@@ -42,6 +42,7 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 	means := make(map[string][]float64)
 	for _, n := range ns {
 		t := n - 1
+		inputs := workload.HalfHalf(n) // shared read-only by the cells' trials
 		for _, c := range cells {
 			key := fmt.Sprintf("E13-n%d-%s", n, c.key)
 			ss, err := runCell(cfg, key, reps, nil, func(_, i int) (sample, error) {
@@ -49,7 +50,7 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 				obs := &stabilizationObserver{}
 				run, err := core.Run(core.RunSpec{
 					N: n, T: t,
-					Inputs:    workload.HalfHalf(n),
+					Inputs:    inputs,
 					Opts:      c.opts(seed),
 					Seed:      seed,
 					Adversary: &adversary.SplitVote{},

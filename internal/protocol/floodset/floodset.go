@@ -66,18 +66,26 @@ func NewProcs(n, t int, inputs []int) ([]sim.Process, error) {
 // FloodSet by exactly the fault budget, but correct against
 // omission-split and omission-random at budget <= extra.
 func NewProcsTolerant(n, t, extra int, inputs []int) ([]sim.Process, error) {
-	if extra < 0 {
-		return nil, fmt.Errorf("floodset: extra = %d, want >= 0", extra)
+	if err := checkExtra(extra); err != nil {
+		return nil, err
 	}
 	return newVector(n, t+extra+1, inputs)
 }
 
+func checkExtra(extra int) error {
+	if extra < 0 {
+		return fmt.Errorf("floodset: extra = %d, want >= 0", extra)
+	}
+	return nil
+}
+
 // newVector builds n processes flooding for rounds rounds as one block
-// of Procs: the columnar core adopts the vector into its kernel, so it
-// costs a constant number of allocations, not one per process.
+// of Procs, so the vector costs a constant number of allocations, not
+// one per process. newKernel builds the same vector in columnar form;
+// both start every process through init.
 func newVector(n, rounds int, inputs []int) ([]sim.Process, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("floodset: %d inputs for n=%d", len(inputs), n)
+	if err := checkLen(n, inputs); err != nil {
+		return nil, err
 	}
 	block := make([]Proc, n)
 	procs := make([]sim.Process, n)
@@ -88,6 +96,13 @@ func newVector(n, rounds int, inputs []int) ([]sim.Process, error) {
 		procs[i] = &block[i]
 	}
 	return procs, nil
+}
+
+func checkLen(n int, inputs []int) error {
+	if len(inputs) != n {
+		return fmt.Errorf("floodset: %d inputs for n=%d", len(inputs), n)
+	}
+	return nil
 }
 
 // Round implements sim.Process.

@@ -25,6 +25,40 @@ type kernel struct {
 var _ sim.TallyKernel = (*kernel)(nil)
 var _ sim.KernelBuilder = (*Proc)(nil)
 
+// NewKernel builds FloodSet's columnar kernel straight from (n, t,
+// inputs): the vector NewProcs(n, t, inputs) builds, with the same
+// validation and errors, written into columns without any Proc
+// objects.
+func NewKernel(n, t int, inputs []int) (sim.TallyKernel, error) {
+	return newKernel(n, t+1, inputs)
+}
+
+// NewKernelTolerant is NewKernel for the vector NewProcsTolerant(n, t,
+// extra, inputs) builds.
+func NewKernelTolerant(n, t, extra int, inputs []int) (sim.TallyKernel, error) {
+	if err := checkExtra(extra); err != nil {
+		return nil, err
+	}
+	return newKernel(n, t+extra+1, inputs)
+}
+
+// newKernel is newVector in columnar form: each process starts through
+// init, as in newVector, and is written into its row by set.
+func newKernel(n, rounds int, inputs []int) (sim.TallyKernel, error) {
+	if err := checkLen(n, inputs); err != nil {
+		return nil, err
+	}
+	k := makeKernel(n, rounds)
+	var p Proc
+	for i, x := range inputs {
+		if err := p.init(i, x, rounds); err != nil {
+			return nil, err
+		}
+		k.set(i, &p)
+	}
+	return k, nil
+}
+
 // BuildKernel implements sim.KernelBuilder: adopt the process vector
 // into a columnar kernel, or return nil (object path) unless every
 // process is a *Proc flooding for the same number of rounds.
@@ -35,21 +69,31 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 			return nil
 		}
 	}
-	k := &kernel{
-		rounds:   p.rounds,
-		mask:     make([]int8, len(procs)),
-		sent:     make([]int32, len(procs)),
-		decision: make([]int8, len(procs)),
-		done:     make([]bool, len(procs)),
-	}
+	k := makeKernel(len(procs), p.rounds)
 	for i, q := range procs {
-		cp := q.(*Proc)
-		k.mask[i] = int8(cp.mask)
-		k.sent[i] = int32(cp.sent)
-		k.decision[i] = int8(cp.decision)
-		k.done[i] = cp.done
+		k.set(i, q.(*Proc))
 	}
 	return k
+}
+
+// makeKernel allocates the columns of an n-process kernel.
+func makeKernel(n, rounds int) *kernel {
+	return &kernel{
+		rounds:   rounds,
+		mask:     make([]int8, n),
+		sent:     make([]int32, n),
+		decision: make([]int8, n),
+		done:     make([]bool, n),
+	}
+}
+
+// set writes process p's state into row i: the one step by which both
+// kernel constructors fill the kernel.
+func (k *kernel) set(i int, p *Proc) {
+	k.mask[i] = int8(p.mask)
+	k.sent[i] = int32(p.sent)
+	k.decision[i] = int8(p.decision)
+	k.done[i] = p.done
 }
 
 // KernelRound implements sim.TallyKernel: round runs for each active
@@ -173,15 +217,33 @@ func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
 	return true
 }
 
-// KernelSync implements sim.TallyKernel: write process i's columnar
-// state back into its object form.
-func (k *kernel) KernelSync(i int, p sim.Process) {
-	cp, ok := p.(*Proc)
-	if !ok {
-		return
+// KernelProcess implements sim.TallyKernel: a fresh Proc holding
+// process i's current state.
+func (k *kernel) KernelProcess(i int) sim.Process {
+	p := new(Proc)
+	k.get(i, p)
+	return p
+}
+
+// KernelProcs implements sim.TallyKernel: the whole vector as one block
+// of Procs.
+func (k *kernel) KernelProcs() []sim.Process {
+	block := make([]Proc, len(k.mask))
+	procs := make([]sim.Process, len(k.mask))
+	for i := range block {
+		k.get(i, &block[i])
+		procs[i] = &block[i]
 	}
-	cp.mask = int64(k.mask[i])
-	cp.sent = int(k.sent[i])
-	cp.decision = int(k.decision[i])
-	cp.done = k.done[i]
+	return procs
+}
+
+// get writes row i into p in object form: the inverse of set.
+func (k *kernel) get(i int, p *Proc) {
+	*p = Proc{
+		id: i, rounds: k.rounds,
+		mask:     int64(k.mask[i]),
+		sent:     int(k.sent[i]),
+		decision: int(k.decision[i]),
+		done:     k.done[i],
+	}
 }

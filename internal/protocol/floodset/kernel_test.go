@@ -76,34 +76,41 @@ func (a *lateForger) Forge(v *sim.View) []sim.Forgery {
 // and halt so far) and hold the same process state, field by field,
 // and the finished Results must be identical — including the vectors
 // the kernel rejects and runs that leave the columnar core through a
-// Forger.
+// Forger. A case whose vector NewKernel or NewKernelTolerant can build
+// (kernel set) runs the default core a second time from that kernel,
+// with no Proc objects, against the same object core.
 func TestDefaultCoreTracksObjectCore(t *testing.T) {
 	const n, tt = 6, 2
 	inputs := []int{1, 0, 1, 1, 0, 1}
 	uniform := []int{tt + 1, tt + 1, tt + 1, tt + 1, tt + 1, tt + 1}
 	tolerant := []int{2*tt + 1, 2*tt + 1, 2*tt + 1, 2*tt + 1, 2*tt + 1, 2*tt + 1}
+	floodset := func() (sim.TallyKernel, error) { return NewKernel(n, tt, inputs) }
+	omitflood := func() (sim.TallyKernel, error) { return NewKernelTolerant(n, tt, tt, inputs) }
 	cases := []struct {
 		name    string
 		rounds  []int
 		foreign []int // entries wrapped as non-FloodSet processes
+		kernel  func() (sim.TallyKernel, error)
 		budget  int
 		adv     func() sim.Adversary
 	}{
-		{name: "no faults", rounds: uniform,
+		{name: "no faults", rounds: uniform, kernel: floodset,
 			adv: func() sim.Adversary { return adversary.None{} }},
-		{name: "random crashes", rounds: uniform,
+		{name: "splitvote", rounds: uniform, kernel: floodset,
+			adv: func() sim.Adversary { return &adversary.SplitVote{} }},
+		{name: "random crashes", rounds: uniform, kernel: floodset,
 			adv: func() sim.Adversary { return &adversary.Random{PerRound: 0.9, MaxPerRound: 2} }},
-		{name: "omitflood under omission-split", rounds: tolerant, budget: tt,
+		{name: "omitflood under omission-split", rounds: tolerant, kernel: omitflood, budget: tt,
 			adv: func() sim.Adversary { return &adversary.Omission{Budget: tt} }},
-		{name: "omitflood under omission-random", rounds: tolerant, budget: tt,
+		{name: "omitflood under omission-random", rounds: tolerant, kernel: omitflood, budget: tt,
 			adv: func() sim.Adversary { return &adversary.Omission{Mode: "random", Budget: tt} }},
 		{name: "mixed rounds", rounds: []int{3, 4, 3, 3, 5, 3},
 			adv: func() sim.Adversary { return &adversary.Random{PerRound: 0.9} }},
 		{name: "foreign process", rounds: uniform, foreign: []int{3},
 			adv: func() sim.Adversary { return &adversary.Random{PerRound: 0.9} }},
-		{name: "equivocator from round 1", rounds: uniform,
+		{name: "equivocator from round 1", rounds: uniform, kernel: floodset,
 			adv: func() sim.Adversary { return &adversary.Equivocator{Corruptions: 1} }},
-		{name: "equivocator from round 3", rounds: tolerant,
+		{name: "equivocator from round 3", rounds: tolerant, kernel: omitflood,
 			adv: func() sim.Adversary { return &lateForger{Equivocator: adversary.Equivocator{Corruptions: tt}, from: 3} }},
 	}
 	state := func(p sim.Process) Proc {
@@ -112,45 +119,127 @@ func TestDefaultCoreTracksObjectCore(t *testing.T) {
 		}
 		return *p.(*Proc)
 	}
+	type lane struct {
+		name string
+		e    *sim.Execution
+		adv  sim.Adversary
+		rec  *trace.Recorder
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(engine string) (*sim.Execution, sim.Adversary, *trace.Recorder) {
+			newLane := func(name, engine string, kernel func() (sim.TallyKernel, error)) *lane {
 				rec := trace.NewRecorder(n, tt, 7)
 				cfg := sim.Config{N: n, T: tt, Engine: engine, FaultBudget: c.budget, Observer: rec}
-				e, err := sim.NewExecution(cfg, vectorOf(t, inputs, c.rounds, c.foreign...), inputs, 7)
+				var e *sim.Execution
+				var err error
+				if kernel != nil {
+					var k sim.TallyKernel
+					if k, err = kernel(); err == nil {
+						e, err = sim.NewKernelExecution(cfg, k, inputs, 7)
+					}
+				} else {
+					e, err = sim.NewExecution(cfg, vectorOf(t, inputs, c.rounds, c.foreign...), inputs, 7)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				return e, c.adv(), rec
+				return &lane{name, e, c.adv(), rec}
 			}
-			def, defAdv, defRec := run("")
-			obj, objAdv, objRec := run(sim.EngineObject)
-			for !obj.Done() {
-				if def.Done() {
-					t.Fatalf("default core finished after %d rounds, object core did not", def.Round())
-				}
-				if err := def.Step(defAdv); err != nil {
+			obj := newLane("object", sim.EngineObject, nil)
+			defs := []*lane{newLane("adopted", "", nil)}
+			if c.kernel != nil {
+				defs = append(defs, newLane("constructed", "", c.kernel))
+			}
+			for !obj.e.Done() {
+				if err := obj.e.Step(obj.adv); err != nil {
 					t.Fatal(err)
 				}
-				if err := obj.Step(objAdv); err != nil {
-					t.Fatal(err)
-				}
-				if i, dv, ov := trace.FirstDiff(defRec.Log(), objRec.Log()); i >= 0 {
-					t.Fatalf("after round %d, trace event %d: default %s, object %s", obj.Round(), i, dv, ov)
-				}
-				for i := 0; i < n; i++ {
-					if dp, op := state(def.Process(i)), state(obj.Process(i)); dp != op {
-						t.Fatalf("after round %d process %d: default %+v, object %+v", obj.Round(), i, dp, op)
+				for _, d := range defs {
+					if d.e.Done() {
+						t.Fatalf("%s default core finished after %d rounds, object core did not", d.name, d.e.Round())
+					}
+					if err := d.e.Step(d.adv); err != nil {
+						t.Fatal(err)
+					}
+					if i, dv, ov := trace.FirstDiff(d.rec.Log(), obj.rec.Log()); i >= 0 {
+						t.Fatalf("%s: after round %d, trace event %d: default %s, object %s", d.name, obj.e.Round(), i, dv, ov)
+					}
+					for i := 0; i < n; i++ {
+						if dp, op := state(d.e.Process(i)), state(obj.e.Process(i)); dp != op {
+							t.Fatalf("%s: after round %d process %d: default %+v, object %+v", d.name, obj.e.Round(), i, dp, op)
+						}
 					}
 				}
 			}
-			if !def.Done() {
-				t.Fatalf("object core finished after %d rounds, default core did not", obj.Round())
-			}
-			if dr, or := def.Result(), obj.Result(); !reflect.DeepEqual(dr, or) {
-				t.Fatalf("results differ:\ndefault %+v\nobject  %+v", dr, or)
+			for _, d := range defs {
+				if !d.e.Done() {
+					t.Fatalf("%s: object core finished after %d rounds, default core did not", d.name, obj.e.Round())
+				}
+				if dr, or := d.e.Result(), obj.e.Result(); !reflect.DeepEqual(dr, or) {
+					t.Fatalf("%s: results differ:\ndefault %+v\nobject  %+v", d.name, dr, or)
+				}
 			}
 		})
+	}
+}
+
+// TestNewKernelBuildsNewProcsVector pins each kernel constructor to its
+// process constructor: the kernel's Procs equal the vector's field for
+// field, and both reject the same inputs with the same error.
+func TestNewKernelBuildsNewProcsVector(t *testing.T) {
+	inputs := []int{1, 0, 0, 1, 1}
+	pairs := map[string]struct {
+		procs  func(in []int) ([]sim.Process, error)
+		kernel func(in []int) (sim.TallyKernel, error)
+	}{
+		"floodset": {func(in []int) ([]sim.Process, error) { return NewProcs(5, 2, in) },
+			func(in []int) (sim.TallyKernel, error) { return NewKernel(5, 2, in) }},
+		"omitflood": {func(in []int) ([]sim.Process, error) { return NewProcsTolerant(5, 2, 2, in) },
+			func(in []int) (sim.TallyKernel, error) { return NewKernelTolerant(5, 2, 2, in) }},
+		"negative extra": {func(in []int) ([]sim.Process, error) { return NewProcsTolerant(5, 2, -1, in) },
+			func(in []int) (sim.TallyKernel, error) { return NewKernelTolerant(5, 2, -1, in) }},
+	}
+	for name, c := range pairs {
+		for _, in := range [][]int{inputs, inputs[:4], {1, 0, 2, 1, 1}} {
+			want, perr := c.procs(in)
+			k, kerr := c.kernel(in)
+			if perr != nil || kerr != nil {
+				if perr == nil || kerr == nil || perr.Error() != kerr.Error() || k != nil {
+					t.Errorf("%s, inputs %v: process constructor error %v, kernel constructor (%v, %v)", name, in, perr, k, kerr)
+				}
+				continue
+			}
+			if got := k.KernelProcs(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, inputs %v: the kernel's vector differs from the process constructor's", name, in)
+			}
+		}
+	}
+}
+
+// TestNewKernelAllocationsFlat pins both columnar constructors: the
+// same allocations at n = 64 as at n = 4096.
+func TestNewKernelAllocationsFlat(t *testing.T) {
+	allocs := func(n int, tolerant bool) float64 {
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = i & 1
+		}
+		return testing.AllocsPerRun(10, func() {
+			var err error
+			if tolerant {
+				_, err = NewKernelTolerant(n, n/2, n/2, inputs)
+			} else {
+				_, err = NewKernel(n, n-1, inputs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tolerant := range []bool{false, true} {
+		if small, large := allocs(64, tolerant), allocs(4096, tolerant); large != small {
+			t.Errorf("tolerant=%v: %.0f allocations at n = 64 and %.0f at n = 4096, want equal", tolerant, small, large)
+		}
 	}
 }
 
@@ -174,10 +263,8 @@ func TestKernelRoundIgnoresRoundOneTally(t *testing.T) {
 		if payloads[i] != want || sending.Get(i) != wantSend {
 			t.Errorf("process %d: kernel sends (%v, %#x), Round (%v, %#x)", i, sending.Get(i), payloads[i], wantSend, want)
 		}
-		synced := *p
-		k.KernelSync(i, &synced)
-		if synced != *p {
-			t.Errorf("process %d: kernel state %+v, Round state %+v", i, synced, *p)
+		if got := k.KernelProcess(i).(*Proc); *got != *p {
+			t.Errorf("process %d: kernel state %+v, Round state %+v", i, *got, *p)
 		}
 	}
 }

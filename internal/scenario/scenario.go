@@ -117,16 +117,15 @@ type Scenario struct {
 func (s *Scenario) IsAsync() bool { return s.Protocol == ProtocolAsyncBenOr }
 
 // DefaultT is the crash-budget default for a protocol at size n:
-// (n-1)/2, except phaseking's (n-1)/4 (it needs n > 4t) and
-// latebeacon's (n-1)/3 (it needs 3t < n).
+// (n-1)/2, or less where the protocol's resilience condition demands
+// it: phaseking's (n-1)/4 (it needs 4t < n) and latebeacon's (n-1)/3
+// (it needs 3t < n).
 func DefaultT(protocol string, n int) int {
-	switch protocol {
-	case synran.ProtocolPhaseKing:
-		return (n - 1) / 4
-	case synran.ProtocolLateBeacon:
-		return (n - 1) / 3
+	t := (n - 1) / 2
+	if m, err := synran.ProtocolFaults(protocol); err == nil {
+		t = min(t, m.MaxT(n))
 	}
-	return (n - 1) / 2
+	return t
 }
 
 // Normalize fills every defaultable field in place: protocol, adversary
@@ -202,8 +201,8 @@ func (s *Scenario) Validate() error {
 	if err := synran.ValidAdversary(s.Adversary); err != nil {
 		return errf("%v", err)
 	}
-	if s.Protocol == synran.ProtocolLateBeacon && 3*s.T >= s.N {
-		return errf("latebeacon needs 3t < n, got n = %d, t = %d", s.N, s.T)
+	if m, _ := synran.ProtocolFaults(s.Protocol); !m.Resilient(s.N, s.T) {
+		return errf("%s needs %dt < n, got n = %d, t = %d", s.Protocol, m.Resilience, s.N, s.T)
 	}
 	if s.Coin != "" {
 		return errf("coin = %q applies only to protocol %q", s.Coin, ProtocolAsyncBenOr)
@@ -253,8 +252,7 @@ func (s *Scenario) Validate() error {
 // adaptive-omission families, whose demotions FaultBudget bounds on
 // every engine (no chaos schedule required).
 func IsOmission(adversaryName string) bool {
-	return adversaryName == synran.AdversaryOmissionSplit ||
-		adversaryName == synran.AdversaryOmissionRandom
+	return synran.Injects(adversaryName) == synran.FaultOmission
 }
 
 // validateAsync checks the async-benor-only field combinations.

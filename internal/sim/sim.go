@@ -436,10 +436,10 @@ type Execution struct {
 	// cloned per plan.
 	deliverScratch []*BitSet
 
-	// Columnar-core state (a kernel-capable process vector under the
-	// default engine; see soa.go). While tallyMode is set, the process
-	// objects in procs are stale — the kernel holds the truth — and the
-	// Process accessor syncs them on demand.
+	// Columnar-core state (see soa.go). While tallyMode is set the
+	// kernel is the whole process state and procs is nil: Process builds
+	// a process from the kernel when called, and a Byzantine fall-back
+	// builds the whole vector once.
 	tallyMode    bool
 	kernel       TallyKernel
 	cols         TallyColumns
@@ -452,7 +452,8 @@ type Execution struct {
 
 // NewExecution validates the configuration and assembles an execution.
 // procs[i] receives inputs[i]; advSeed seeds the stream exposed to the
-// adversary through View.Rng.
+// adversary through View.Rng. A kernel-capable vector under a columnar
+// cfg is adopted into its kernel (see Reset).
 func NewExecution(cfg Config, procs []Process, inputs []int, advSeed uint64) (*Execution, error) {
 	e := &Execution{}
 	if err := e.Reset(cfg, procs, inputs, advSeed); err != nil {
@@ -461,19 +462,57 @@ func NewExecution(cfg Config, procs []Process, inputs []int, advSeed uint64) (*E
 	return e, nil
 }
 
+// NewKernelExecution is NewExecution for a vector given in columnar
+// form: k, built by a protocol's kernel constructor from the same
+// inputs, is the execution's whole process state, and no process
+// object exists unless the run falls back to the object core. Under an
+// EngineObject cfg the execution runs the vector k.KernelProcs builds,
+// so a run path hands its kernel here whatever the engine.
+func NewKernelExecution(cfg Config, k TallyKernel, inputs []int, advSeed uint64) (*Execution, error) {
+	e := &Execution{}
+	if err := e.start(cfg, inputs, advSeed); err != nil {
+		return nil, err
+	}
+	if cfg.columnar() {
+		e.adopt(k)
+	} else {
+		e.runObjects(k.KernelProcs())
+	}
+	return e, nil
+}
+
 // Reset reinitializes the execution to round zero for a new run,
 // validating exactly as NewExecution would, but reusing every
 // per-process buffer (flag words, payloads, inboxes, delivery masks, the
 // adversary rng) already owned by the receiver. Resetting a zero
-// Execution is equivalent to NewExecution. The previous procs slice is
-// replaced by the given one; all other state is overwritten in place.
+// Execution is equivalent to NewExecution. A kernel-capable vector
+// under a columnar cfg is adopted into its kernel, and the execution
+// then holds no process objects; otherwise the given procs replace the
+// previous ones. All other state is overwritten in place.
 func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uint64) error {
+	if cfg.N > 0 && len(procs) != cfg.N {
+		return fmt.Errorf("sim: %d processes for N = %d", len(procs), cfg.N)
+	}
+	if err := e.start(cfg, inputs, advSeed); err != nil {
+		return err
+	}
+	if kb, ok := procs[0].(KernelBuilder); ok && cfg.columnar() {
+		if k := kb.BuildKernel(procs); k != nil {
+			e.adopt(k)
+			return nil
+		}
+	}
+	e.runObjects(procs)
+	return nil
+}
+
+// start validates cfg and inputs and resets every piece of state both
+// cores share; the caller then picks the core through adopt or
+// runObjects.
+func (e *Execution) start(cfg Config, inputs []int, advSeed uint64) error {
 	n := cfg.N
 	if n <= 0 {
 		return fmt.Errorf("sim: N = %d, want > 0", n)
-	}
-	if len(procs) != n {
-		return fmt.Errorf("sim: %d processes for N = %d", len(procs), n)
 	}
 	if len(inputs) != n {
 		return fmt.Errorf("sim: %d inputs for N = %d", len(inputs), n)
@@ -493,7 +532,6 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 		return err
 	}
 	e.cfg = cfg
-	e.procs = procs
 	e.inputs = append(e.inputs[:0], inputs...)
 	if e.advRng == nil {
 		e.advRng = rng.New(advSeed)
@@ -517,10 +555,6 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 	for i := range e.payloads {
 		e.payloads[i] = 0
 	}
-	e.enterTallyMode()
-	if !e.tallyMode {
-		e.sizeObjectCore(true)
-	}
 	e.decideRound = 0
 	e.haltRound = 0
 	e.messages = 0
@@ -530,7 +564,7 @@ func (e *Execution) Reset(cfg Config, procs []Process, inputs []int, advSeed uin
 
 // sizeObjectCore sizes the object core's per-process buffers, which
 // the columnar core never reads: it clears every delivery override and
-// empties every inbox. Reset calls it for an object-core run and
+// empties every inbox. runObjects calls it for an object-core run and
 // leaveTallyMode on a fall-back. With reserve, every missing inbox is
 // cut from one shared block, capped at n so it can never grow into its
 // neighbour (Phase B appends at most n-1 messages per receiver). A
@@ -596,9 +630,9 @@ func resizeRecvBufs(s [][]Recv, n int) [][]Recv {
 // model section documents: scalar accessors (N, T, Round, Budget, Alive,
 // Halted, Corrupt, Input) return values and never alias engine state;
 // slice-returning accessors (Inputs, Result) return fresh copies the
-// caller owns; Process is the single deliberate exception — it hands out
-// the LIVE state machine, because the full-information adversary is
-// entitled to inspect it.
+// caller owns; Process is the single deliberate exception — on the
+// object core it hands out the LIVE state machine, because the
+// full-information adversary is entitled to inspect it.
 
 // N returns the number of processes. Read-only value.
 func (e *Execution) N() int { return e.cfg.N }
@@ -628,14 +662,15 @@ func (e *Execution) Input(p int) int { return e.inputs[p] }
 func (e *Execution) Inputs() []int { return append([]int(nil), e.inputs...) }
 
 // Process exposes process p's state machine (full-information model).
-// The returned Process is LIVE engine state, not a copy: callers may
-// inspect it but must not call Round on it — snapshot the execution and
-// drive the snapshot instead. On the SoA engine the truth lives in the
-// columnar kernel; the object is synced from it on demand so the
-// full-information contract is engine-independent.
+// On the object core the returned Process is LIVE engine state: callers
+// may inspect it but must not call Round on it — snapshot the execution
+// and drive the snapshot instead. On the columnar core the execution
+// holds no process objects, so Process returns a copy of p built from
+// the kernel at the call: it reads the same state, but it does not
+// follow later rounds, and mutating it does not reach the execution.
 func (e *Execution) Process(p int) Process {
 	if e.tallyMode {
-		e.kernel.KernelSync(p, e.procs[p])
+		return e.kernel.KernelProcess(p)
 	}
 	return e.procs[p]
 }
@@ -718,30 +753,25 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	dst.haltRound = e.haltRound
 	dst.messages = e.messages
 
-	if cap(dst.procs) < n {
-		grown := make([]Process, n)
-		copy(grown, dst.procs)
-		dst.procs = grown
-	} else {
-		dst.procs = dst.procs[:n]
-	}
 	dst.tallyMode = e.tallyMode
 	if e.tallyMode {
-		// Columnar core: the kernel holds the truth, so clone it (a few
-		// flat column copies) instead of every process object. dst keeps
-		// stale object shells — created once per slot — which Process()
-		// syncs from the kernel on demand.
+		// Columnar core: the kernel is the whole process state, so clone
+		// it (a few flat column copies); dst holds no process objects
+		// either.
 		if dst.kernel == nil || !e.kernel.KernelCopyInto(dst.kernel) {
 			dst.kernel = e.kernel.KernelClone()
 		}
 		dst.cols.copyFrom(&e.cols)
 		dst.classTab = e.classTab
-		for i, p := range e.procs {
-			if dst.procs[i] == nil {
-				dst.procs[i] = p.Clone()
-			}
-		}
+		dst.procs = nil
 	} else {
+		if cap(dst.procs) < n {
+			grown := make([]Process, n)
+			copy(grown, dst.procs)
+			dst.procs = grown
+		} else {
+			dst.procs = dst.procs[:n]
+		}
 		for i, p := range e.procs {
 			if d, ok := dst.procs[i].(ProcessCopier); ok && d.CopyFrom(p) {
 				continue
@@ -793,8 +823,9 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 func (e *Execution) ReseedProcesses(seed uint64) {
 	var root rng.Stream
 	root.Reseed(seed)
+	n := e.cfg.N
 	if e.tallyMode {
-		for i := range e.procs {
+		for i := 0; i < n; i++ {
 			e.kernel.KernelReseed(i, root.SplitSeed(uint64(i)))
 		}
 	} else {
@@ -804,7 +835,7 @@ func (e *Execution) ReseedProcesses(seed uint64) {
 			}
 		}
 	}
-	e.advRng.Reseed(root.SplitSeed(uint64(len(e.procs))))
+	e.advRng.Reseed(root.SplitSeed(uint64(n)))
 }
 
 // StepPhaseA runs Phase A of the next round: every live, non-halted

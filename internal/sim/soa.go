@@ -16,11 +16,14 @@ import (
 // self-exclusion pass, and one popcount/word sweep per distinct delivery
 // mask. Protocols participate through a TallyKernel — a columnar state
 // machine that advances every process of a round in one call — which
-// core.Proc provides for SynRan and floodset.Proc for FloodSet and its
-// omission-tolerant variant. Everything else (crash validity rules,
-// observer events, metrics, Result bookkeeping) is shared with the
-// object path, and the conformance harness pins byte-identical behavior
-// between the two engines on every case.
+// core and floodset build for SynRan, FloodSet and its
+// omission-tolerant variant, straight from a vector's parameters or by
+// adopting a handed-in process vector. A columnar execution holds no
+// process objects: Process(i) builds one from the kernel when called.
+// Everything else (crash validity rules, observer events, metrics,
+// Result bookkeeping) is shared with the object path, and the
+// conformance harness pins byte-identical behavior between the two
+// engines on every case.
 //
 // Every per-process flag (alive, halted, corrupt, sending, active,
 // eligible) is a packed BitSet column, and every per-round loop visits
@@ -38,8 +41,9 @@ import (
 // one sweep total.
 
 // Engine names accepted by Config.Engine. The zero value "" is the
-// default: the columnar core whenever procs[0]'s KernelBuilder adopts
-// the process vector, the object core otherwise.
+// default: the columnar core for a kernel built by a protocol's kernel
+// constructor or adopted from a handed-in vector by procs[0]'s
+// KernelBuilder, the object core otherwise.
 const (
 	// EngineObject pins the original object-per-process,
 	// inbox-per-receiver core, the reference path; it runs every Process
@@ -118,13 +122,14 @@ func (t *TallyColumns) WitnessedMask(i int) int64 {
 
 // TallyKernel is a columnar protocol state machine: the whole process
 // vector's state held as flat arrays, advanced one round per call. It is
-// the protocol half of the SoA engine; core.Proc and floodset.Proc build
-// one (via KernelBuilder) for kernel-capable vectors.
+// the protocol half of the SoA engine; core and floodset build one
+// from (n, inputs, seed), and core.Proc and floodset.Proc adopt a
+// kernel-capable vector into one (via KernelBuilder).
 //
-// Determinism contract: a kernel adopted from a process vector must
-// behave bit-identically to driving those processes through the object
-// path — same payloads, same decisions, same rng consumption. The
-// conformance differential lane enforces this on every case.
+// Determinism contract: a kernel must behave bit-identically to driving
+// the process vector it stands for through the object path — same
+// payloads, same decisions, same rng consumption. The conformance
+// differential lane enforces this on every case.
 //
 // The flag arguments are the engine's packed columns (capacity n, see
 // BitSet); kernels visit their set bits word by word, so a round costs
@@ -162,17 +167,24 @@ type TallyKernel interface {
 	// (reusing its storage) and reports false on a type mismatch.
 	KernelClone() TallyKernel
 	KernelCopyInto(dst TallyKernel) bool
-	// KernelSync writes process i's current columnar state back into its
-	// object form p (a process of the type the kernel was adopted from),
-	// so the full-information Process accessor and the Byzantine
-	// fall-back path stay exact.
-	KernelSync(i int, p Process)
+	// KernelProcess builds the object form of process i from its current
+	// columnar state: a fresh process the caller owns, which continues
+	// exactly as process i would. The full-information Process accessor
+	// returns it.
+	KernelProcess(i int) Process
+	// KernelProcs builds the object form of the whole vector from the
+	// current state, as one block: the Byzantine fall-back's process
+	// vector, and the vector a kernel execution pinned to the object core
+	// runs.
+	KernelProcs() []Process
 }
 
 // KernelBuilder is implemented by processes that can adopt a whole
-// process vector into a TallyKernel. The engine probes procs[0] at
-// Reset; a nil kernel (vector not kernel-capable) falls back to the
-// object path.
+// process vector into a TallyKernel. Reset probes procs[0]; a nil
+// kernel (vector not kernel-capable) falls back to the object path.
+// Protocols with a kernel also offer a constructor that builds it
+// straight from the vector's parameters, with no process objects; run
+// paths hand that kernel to NewKernelExecution.
 type KernelBuilder interface {
 	BuildKernel(procs []Process) TallyKernel
 }
@@ -196,21 +208,18 @@ type soaGroup struct {
 	delivered                int
 }
 
-// enterTallyMode probes the process vector for a kernel and initializes
-// the columnar state. Called from Reset after validation.
-func (e *Execution) enterTallyMode() {
-	e.tallyMode = false
-	if e.cfg.Engine == EngineObject || len(e.procs) == 0 {
-		return
-	}
-	kb, ok := e.procs[0].(KernelBuilder)
-	if !ok {
-		return
-	}
-	k := kb.BuildKernel(e.procs)
-	if k == nil {
-		return
-	}
+// columnar reports whether cfg runs a kernel-capable vector on the
+// columnar core: every engine but EngineObject. It is the one engine
+// check of both routes into an execution, Reset's and
+// NewKernelExecution's.
+func (cfg Config) columnar() bool { return cfg.Engine != EngineObject }
+
+// adopt puts the execution on the columnar core with k as its whole
+// process state: the execution holds no process objects from here on.
+// Both routes into the columnar core end here, a handed-in vector
+// through Reset and a constructed kernel through NewKernelExecution.
+func (e *Execution) adopt(k TallyKernel) {
+	e.procs = nil
 	e.kernel = k
 	e.tallyMode = true
 	n := e.cfg.N
@@ -228,15 +237,22 @@ func (e *Execution) enterTallyMode() {
 	}
 }
 
-// leaveTallyMode syncs every process object from the kernel and drops to
-// the object path permanently (used when a Byzantine forgery arrives:
-// corruption needs per-receiver payloads, which columns cannot carry).
-// It sizes the object core's buffers, which tally mode leaves unsized;
-// the inboxes grow lazily from the next Phase B on.
+// runObjects puts the execution on the object core over procs and
+// sizes the object core's buffers, inboxes reserved.
+func (e *Execution) runObjects(procs []Process) {
+	e.procs = procs
+	e.tallyMode = false
+	e.sizeObjectCore(true)
+}
+
+// leaveTallyMode builds the whole process vector from the kernel, once,
+// and drops to the object path permanently (used when a Byzantine
+// forgery arrives: corruption needs per-receiver payloads, which
+// columns cannot carry). It sizes the object core's buffers, which
+// tally mode leaves unsized; the inboxes grow lazily from the next
+// Phase B on.
 func (e *Execution) leaveTallyMode() {
-	for i, p := range e.procs {
-		e.kernel.KernelSync(i, p)
-	}
+	e.procs = e.kernel.KernelProcs()
 	e.sizeObjectCore(false)
 	e.tallyMode = false
 }

@@ -199,9 +199,29 @@ func ParseChaosSpec(spec string) (ChaosConfig, error) { return chaos.ParseSpec(s
 // hardened live runner exhausts Spec.FaultBudget.
 var ErrFaultBudget = netsim.ErrFaultBudget
 
-// Run executes the spec and returns the result.
+// Run executes the spec and returns the result. A lock-step run starts
+// from the protocol's kernel constructor where it has one, so on the
+// columnar core the execution holds no process objects; every other
+// run starts from its process vector.
 func Run(spec Spec) (*Result, error) {
-	procs, err := NewProtocol(orDefault(spec.Protocol, ProtocolSynRan), spec.N, spec.T, spec.Inputs, spec.Seed)
+	cfg := sim.Config{
+		N: spec.N, T: spec.T, MaxRounds: spec.MaxRounds, Engine: spec.Engine,
+		FaultBudget: spec.FaultBudget,
+		Observer:    spec.Observer,
+		Metrics:     spec.Metrics, MetricsShard: spec.MetricsShard,
+	}
+	live := spec.Live || spec.Chaos != nil
+	p, err := protocolNamed(orDefault(spec.Protocol, ProtocolSynRan))
+	if err != nil {
+		return nil, err
+	}
+	var kernel sim.TallyKernel
+	var procs []sim.Process
+	if p.kernel != nil && !live {
+		kernel, err = p.kernel(spec.N, spec.T, spec.Inputs, spec.Seed)
+	} else {
+		procs, err = p.procs(spec.N, spec.T, spec.Inputs, spec.Seed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +229,7 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.Config{
-		N: spec.N, T: spec.T, MaxRounds: spec.MaxRounds, Engine: spec.Engine,
-		FaultBudget: spec.FaultBudget,
-		Observer:    spec.Observer,
-		Metrics:     spec.Metrics, MetricsShard: spec.MetricsShard,
-	}
-	if spec.Live || spec.Chaos != nil {
+	if live {
 		if LockStepOnly(spec.Adversary) {
 			return nil, fmt.Errorf("synran: adversary %q needs the lock-step engine", spec.Adversary)
 		}
@@ -236,27 +250,198 @@ func Run(spec Spec) (*Result, error) {
 		}
 		return netsim.RunChaos(cfg, procs, spec.Inputs, adv, spec.Seed, opts)
 	}
-	exec, err := sim.NewExecution(cfg, procs, spec.Inputs, spec.Seed)
+	var exec *sim.Execution
+	if kernel != nil {
+		exec, err = sim.NewKernelExecution(cfg, kernel, spec.Inputs, spec.Seed)
+	} else {
+		exec, err = sim.NewExecution(cfg, procs, spec.Inputs, spec.Seed)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return exec.Run(adv)
 }
 
+// FaultClass is a set of fault kinds: the faults an adversary injects,
+// or the faults a protocol tolerates.
+type FaultClass uint8
+
+// The fault classes.
+const (
+	// FaultCrash is a fail-stop crash, charged to the crash budget T.
+	FaultCrash FaultClass = 1 << iota
+	// FaultOmission is a send-omission demotion, charged to
+	// Spec.FaultBudget: the victim's links fall silent, which every
+	// receiver sees as a crash.
+	FaultOmission
+	// FaultByzantine is a corruption, charged to T: the adversary speaks
+	// for the process and may tell each receiver something different.
+	FaultByzantine
+)
+
+// FaultModel is a protocol's fault model: the fault classes it
+// tolerates, and the resilience condition its budget t must meet.
+type FaultModel struct {
+	// Tolerates holds every fault class under which the protocol keeps
+	// agreement and validity while its resilience condition holds.
+	Tolerates FaultClass
+	// Resilience is k in the resilience condition k·t < n; 0 allows
+	// any t.
+	Resilience int
+}
+
+// Resilient reports whether (n, t) meets the resilience condition.
+func (m FaultModel) Resilient(n, t int) bool { return m.Resilience == 0 || m.Resilience*t < n }
+
+// MaxT returns the largest t the resilience condition allows at n.
+func (m FaultModel) MaxT(n int) int {
+	if m.Resilience == 0 {
+		return n
+	}
+	return (n - 1) / m.Resilience
+}
+
+// protocolDef is one Spec.Protocol: its constructors and its fault
+// model.
+type protocolDef struct {
+	name  string
+	procs func(n, t int, inputs []int, seed uint64) ([]sim.Process, error)
+	// kernel builds the protocol's columnar kernel straight from the
+	// vector's parameters; nil when the protocol has none.
+	kernel func(n, t int, inputs []int, seed uint64) (sim.TallyKernel, error)
+	faults FaultModel
+}
+
+// tolerant is the fault model of a protocol safe against crashes and
+// omission demotions (crash-equivalent to every receiver) at any t.
+var tolerant = FaultModel{Tolerates: FaultCrash | FaultOmission}
+
+// protocols is the protocol table, in documentation order.
+var protocols = []protocolDef{
+	{name: ProtocolSynRan,
+		procs: func(n, _ int, in []int, seed uint64) ([]sim.Process, error) {
+			return core.NewProcs(n, in, seed, core.Options{})
+		},
+		kernel: func(n, _ int, in []int, seed uint64) (sim.TallyKernel, error) {
+			return core.NewKernel(n, in, seed, core.Options{})
+		},
+		faults: tolerant},
+	// Ben-Or's symmetric coin is the ablation: crashes can break its
+	// validity (experiment E5), so it tolerates no fault class.
+	{name: ProtocolBenOr,
+		procs: func(n, _ int, in []int, seed uint64) ([]sim.Process, error) { return benor.NewProcs(n, in, seed) }},
+	{name: ProtocolFloodSet,
+		procs:  func(n, t int, in []int, _ uint64) ([]sim.Process, error) { return floodset.NewProcs(n, t, in) },
+		kernel: func(n, t int, in []int, _ uint64) (sim.TallyKernel, error) { return floodset.NewKernel(n, t, in) },
+		faults: tolerant},
+	{name: ProtocolLeaderCoin,
+		procs: func(n, _ int, in []int, seed uint64) ([]sim.Process, error) {
+			return core.NewProcs(n, in, seed, core.Options{LeaderCoin: true})
+		},
+		faults: tolerant},
+	{name: ProtocolEarlyStop,
+		procs:  func(n, t int, in []int, _ uint64) ([]sim.Process, error) { return earlystop.NewProcs(n, t, in) },
+		faults: tolerant},
+	{name: ProtocolPhaseKing,
+		procs:  func(n, t int, in []int, _ uint64) ([]sim.Process, error) { return phaseking.NewProcs(n, t, in) },
+		faults: FaultModel{Tolerates: FaultCrash | FaultOmission | FaultByzantine, Resilience: 4}},
+	{name: ProtocolOmitFlood,
+		procs: func(n, t int, in []int, _ uint64) ([]sim.Process, error) {
+			return floodset.NewProcsTolerant(n, t, t, in)
+		},
+		kernel: func(n, t int, in []int, _ uint64) (sim.TallyKernel, error) {
+			return floodset.NewKernelTolerant(n, t, t, in)
+		},
+		faults: tolerant},
+	{name: ProtocolLateBeacon,
+		procs: func(n, t int, in []int, seed uint64) ([]sim.Process, error) {
+			return latebeacon.NewProcs(n, t, in, seed)
+		},
+		faults: FaultModel{Tolerates: FaultCrash | FaultOmission, Resilience: 3}},
+}
+
+// adversaryDef is one Spec.Adversary: its constructor, the fault class
+// it injects, and whether it needs the clonable lock-step engine
+// (look-ahead rollouts or Byzantine corruption).
+type adversaryDef struct {
+	name     string
+	injects  FaultClass
+	lockStep bool
+	build    func(n, t, budget int, seed uint64) sim.Adversary
+}
+
+// adversaries is the adversary table, in documentation order.
+var adversaries = []adversaryDef{
+	{AdversaryNone, 0, false, func(int, int, int, uint64) sim.Adversary { return adversary.None{} }},
+	{AdversaryRandom, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+		return &adversary.Random{PerRound: 0.7, MaxPerRound: 2}
+	}},
+	{AdversarySplitVote, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.SplitVote{} }},
+	{AdversaryMassCrash, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+		return &adversary.MassCrash{AtRound: 2, Fraction: 0.7, PreferValue: 1}
+	}},
+	{AdversaryPush0, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 0} }},
+	{AdversaryPush1, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 1} }},
+	{AdversaryLowerBound, FaultCrash, true, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewLowerBound(n, seed) }},
+	{AdversaryWaves, FaultCrash, false, func(n, t, _ int, seed uint64) sim.Adversary { return adversary.NewWaves(n, t, seed) }},
+	{AdversaryLeaderKiller, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+		return adversary.NewCombo(adversary.LeaderKiller{}, &adversary.SplitVote{})
+	}},
+	{AdversaryEquivocator, FaultByzantine, true, func(_, t, _ int, _ uint64) sim.Adversary {
+		return &adversary.Equivocator{Corruptions: t}
+	}},
+	{AdversaryStepwise, FaultCrash, true, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewStepwise(n, seed) }},
+	{AdversaryOmissionSplit, FaultOmission, false, func(_, _, budget int, _ uint64) sim.Adversary {
+		return &adversary.Omission{Mode: "split", Budget: budget}
+	}},
+	{AdversaryOmissionRandom, FaultOmission, false, func(_, _, budget int, _ uint64) sim.Adversary {
+		return &adversary.Omission{Mode: "random", Budget: budget}
+	}},
+	{AdversaryLateSplit, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+		return &adversary.Late{Inner: &adversary.SplitVote{}, Tag: "split"}
+	}},
+	{AdversaryLateRandom, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+		return &adversary.Late{Inner: &adversary.Random{PerRound: 0.7, MaxPerRound: 2}, Tag: "random"}
+	}},
+}
+
 // Protocols returns every Spec.Protocol name NewProtocol accepts, in
 // documentation order.
 func Protocols() []string {
-	return []string{ProtocolSynRan, ProtocolBenOr, ProtocolFloodSet,
-		ProtocolLeaderCoin, ProtocolEarlyStop, ProtocolPhaseKing,
-		ProtocolOmitFlood, ProtocolLateBeacon}
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = p.name
+	}
+	return names
 }
 
 // Adversaries returns every Spec.Adversary name NewAdversary accepts.
 func Adversaries() []string {
-	return []string{AdversaryNone, AdversaryRandom, AdversarySplitVote,
-		AdversaryMassCrash, AdversaryPush0, AdversaryPush1, AdversaryLowerBound,
-		AdversaryWaves, AdversaryLeaderKiller, AdversaryEquivocator, AdversaryStepwise,
-		AdversaryOmissionSplit, AdversaryOmissionRandom, AdversaryLateSplit, AdversaryLateRandom}
+	names := make([]string, len(adversaries))
+	for i, a := range adversaries {
+		names[i] = a.name
+	}
+	return names
+}
+
+// protocolNamed looks name up in the protocol table.
+func protocolNamed(name string) (*protocolDef, error) {
+	for i := range protocols {
+		if protocols[i].name == name {
+			return &protocols[i], nil
+		}
+	}
+	return nil, fmt.Errorf("synran: unknown protocol %q (want %s)", name, strings.Join(Protocols(), "|"))
+}
+
+// adversaryNamed looks name up in the adversary table.
+func adversaryNamed(name string) (*adversaryDef, error) {
+	for i := range adversaries {
+		if adversaries[i].name == name {
+			return &adversaries[i], nil
+		}
+	}
+	return nil, fmt.Errorf("synran: unknown adversary %q (want %s)", name, strings.Join(Adversaries(), "|"))
 }
 
 // ValidProtocol returns nil iff name is a Spec.Protocol value ("" is
@@ -266,12 +451,8 @@ func ValidProtocol(name string) error {
 	if name == "" {
 		return nil
 	}
-	for _, p := range Protocols() {
-		if name == p {
-			return nil
-		}
-	}
-	return fmt.Errorf("synran: unknown protocol %q (want %s)", name, strings.Join(Protocols(), "|"))
+	_, err := protocolNamed(name)
+	return err
 }
 
 // ValidAdversary returns nil iff name is a Spec.Adversary value ("" is
@@ -280,45 +461,55 @@ func ValidAdversary(name string) error {
 	if name == "" {
 		return nil
 	}
-	for _, a := range Adversaries() {
-		if name == a {
-			return nil
-		}
+	_, err := adversaryNamed(name)
+	return err
+}
+
+// ProtocolFaults returns the fault model of the named protocol.
+func ProtocolFaults(name string) (FaultModel, error) {
+	p, err := protocolNamed(name)
+	if err != nil {
+		return FaultModel{}, err
 	}
-	return fmt.Errorf("synran: unknown adversary %q (want %s)", name, strings.Join(Adversaries(), "|"))
+	return p.faults, nil
+}
+
+// Injects returns the fault class the named adversary injects: 0 for
+// AdversaryNone and for an unknown name.
+func Injects(adversaryName string) FaultClass {
+	if a, err := adversaryNamed(adversaryName); err == nil {
+		return a.injects
+	}
+	return 0
+}
+
+// ExpectSafe reports whether protocol is expected to keep agreement and
+// validity against adversary at (n, t): the adversary injects only
+// fault classes the protocol tolerates, and (n, t) meets the protocol's
+// resilience condition. It is false for an unknown protocol.
+func ExpectSafe(protocol, adversaryName string, n, t int) bool {
+	p, err := protocolNamed(protocol)
+	if err != nil {
+		return false
+	}
+	return Injects(adversaryName)&^p.faults.Tolerates == 0 && p.faults.Resilient(n, t)
 }
 
 // LockStepOnly reports whether the adversary needs the clonable
 // lock-step engine (look-ahead rollouts or Byzantine corruption), which
 // excludes the live/chaos runner and the netsim conformance lane.
 func LockStepOnly(adversaryName string) bool {
-	return adversaryName == AdversaryLowerBound || adversaryName == AdversaryStepwise ||
-		adversaryName == AdversaryEquivocator
+	a, err := adversaryNamed(adversaryName)
+	return err == nil && a.lockStep
 }
 
 // NewProtocol builds a process vector by protocol name.
 func NewProtocol(name string, n, t int, inputs []int, seed uint64) ([]sim.Process, error) {
-	switch name {
-	case ProtocolSynRan:
-		return core.NewProcs(n, inputs, seed, core.Options{})
-	case ProtocolBenOr:
-		return benor.NewProcs(n, inputs, seed)
-	case ProtocolFloodSet:
-		return floodset.NewProcs(n, t, inputs)
-	case ProtocolLeaderCoin:
-		return core.NewProcs(n, inputs, seed, core.Options{LeaderCoin: true})
-	case ProtocolEarlyStop:
-		return earlystop.NewProcs(n, t, inputs)
-	case ProtocolPhaseKing:
-		return phaseking.NewProcs(n, t, inputs)
-	case ProtocolOmitFlood:
-		return floodset.NewProcsTolerant(n, t, t, inputs)
-	case ProtocolLateBeacon:
-		return latebeacon.NewProcs(n, t, inputs, seed)
-	default:
-		return nil, fmt.Errorf("synran: unknown protocol %q (want %s)",
-			name, strings.Join(Protocols(), "|"))
+	p, err := protocolNamed(name)
+	if err != nil {
+		return nil, err
 	}
+	return p.procs(n, t, inputs, seed)
 }
 
 // NewAdversary builds an adversary by name. The crash budget t is only
@@ -334,41 +525,11 @@ func NewAdversary(name string, n, t int, seed uint64) (sim.Adversary, error) {
 // themselves; keep it equal to the engine's FaultBudget so plans are
 // applied rather than skipped). Other families ignore budget.
 func NewAdversaryBudget(name string, n, t, budget int, seed uint64) (sim.Adversary, error) {
-	switch name {
-	case AdversaryNone:
-		return adversary.None{}, nil
-	case AdversaryRandom:
-		return &adversary.Random{PerRound: 0.7, MaxPerRound: 2}, nil
-	case AdversarySplitVote:
-		return &adversary.SplitVote{}, nil
-	case AdversaryMassCrash:
-		return &adversary.MassCrash{AtRound: 2, Fraction: 0.7, PreferValue: 1}, nil
-	case AdversaryPush0:
-		return &adversary.PushTo{Value: 0}, nil
-	case AdversaryPush1:
-		return &adversary.PushTo{Value: 1}, nil
-	case AdversaryLowerBound:
-		return valency.NewLowerBound(n, seed), nil
-	case AdversaryStepwise:
-		return valency.NewStepwise(n, seed), nil
-	case AdversaryWaves:
-		return adversary.NewWaves(n, t, seed), nil
-	case AdversaryLeaderKiller:
-		return adversary.NewCombo(adversary.LeaderKiller{}, &adversary.SplitVote{}), nil
-	case AdversaryEquivocator:
-		return &adversary.Equivocator{Corruptions: t}, nil
-	case AdversaryOmissionSplit:
-		return &adversary.Omission{Mode: "split", Budget: budget}, nil
-	case AdversaryOmissionRandom:
-		return &adversary.Omission{Mode: "random", Budget: budget}, nil
-	case AdversaryLateSplit:
-		return &adversary.Late{Inner: &adversary.SplitVote{}, Tag: "split"}, nil
-	case AdversaryLateRandom:
-		return &adversary.Late{Inner: &adversary.Random{PerRound: 0.7, MaxPerRound: 2}, Tag: "random"}, nil
-	default:
-		return nil, fmt.Errorf("synran: unknown adversary %q (want %s)",
-			name, strings.Join(Adversaries(), "|"))
+	a, err := adversaryNamed(name)
+	if err != nil {
+		return nil, err
 	}
+	return a.build(n, t, budget, seed), nil
 }
 
 // UniformInputs returns n copies of bit v.

@@ -36,20 +36,16 @@ type AsyncOptions struct {
 
 // Scenario is the declarative form of the flag surface: an async-benor
 // scenario whose adversary is the scheduler and whose round budget is
-// the delivery cap. The -t<0 default ((n-1)/2, the Ben-Or resilience
-// maximum) resolves here before the scenario is built.
+// the delivery cap. A negative -t takes the protocol default
+// (scenario.DefaultT, the Ben-Or resilience maximum) in Normalize.
 func (opts AsyncOptions) Scenario() (scenario.Scenario, error) {
-	t := opts.T
-	if t < 0 {
-		t = (opts.N - 1) / 2
-	}
 	s := scenario.Scenario{
 		Protocol:  scenario.ProtocolAsyncBenOr,
 		Adversary: opts.Scheduler,
 		Coin:      opts.Coin,
 		Workload:  opts.Workload,
 		N:         opts.N,
-		T:         t,
+		T:         opts.T,
 		Seed:      opts.Seed,
 		MaxRounds: opts.MaxSteps,
 		Trials:    opts.Trials,

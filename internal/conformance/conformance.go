@@ -643,10 +643,7 @@ func Cases(cfg SweepConfig) []Case {
 	}
 	for _, n := range sizes {
 		for _, proto := range protocols {
-			t := (n - 1) / 2
-			if proto == synran.ProtocolPhaseKing {
-				t = (n - 1) / 4 // phase king needs n > 4t
-			}
+			t := scenario.DefaultT(proto, n)
 			for _, adv := range adversaries {
 				for _, wl := range workloads {
 					add(Case{Protocol: proto, Adversary: adv, Workload: wl, N: n, T: t})

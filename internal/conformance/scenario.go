@@ -292,16 +292,7 @@ func clampBudget(s *scenario.Scenario) {
 // clampT keeps the crash budget inside the resilience condition when
 // minimization shrinks n under it.
 func clampT(s scenario.Scenario, n int) int {
-	max := n
-	if s.IsAsync() {
-		max = (n - 1) / 2
-	} else if m, err := synran.ProtocolFaults(s.Protocol); err == nil {
-		max = m.MaxT(n)
-	}
-	if s.T > max {
-		return max
-	}
-	return s.T
+	return min(s.T, scenario.Faults(s.Protocol).MaxT(n))
 }
 
 // WriteRepro writes a minimized failing scenario into dir as

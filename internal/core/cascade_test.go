@@ -91,6 +91,36 @@ func TestCascadeProposeZero(t *testing.T) {
 	}
 }
 
+// TestCascadeTies pins each threshold's strictness at n = 20, where
+// N' = 20 puts 7/10, 6/10, 5/10 and 4/10 on whole counts of ones (14,
+// 12, 10 and 8): a count on a threshold falls through to the next
+// branch.
+func TestCascadeTies(t *testing.T) {
+	for _, c := range []struct {
+		ones    int // O, own 1 included, of N = 20
+		b       int // -1: the coin decides
+		decided bool
+	}{
+		{14, 1, false},  // not above 7/10: propose 1
+		{12, -1, false}, // not above 6/10: the coin band
+		{10, -1, false}, // not below 5/10: the coin band
+		{8, 0, false},   // not below 4/10: propose 0
+	} {
+		p, err := NewProc(0, 20, 1, newTestStream(1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := false
+		p.SetFlip(func() int { flipped = true; return 0 })
+		p.Round(1, nil)
+		p.Round(2, mkInbox(c.ones-1, 20-c.ones))
+		if flipped != (c.b == -1) || c.b != -1 && p.B() != c.b || p.TentativelyDecided() != c.decided {
+			t.Errorf("O = %d: b = %d, decided = %v, coin flipped %v; want b = %d (-1: coin), decided = %v",
+				c.ones, p.B(), p.TentativelyDecided(), flipped, c.b, c.decided)
+		}
+	}
+}
+
 func TestCascadeCoinBand(t *testing.T) {
 	// O = 11: 10 ≤ 10·O/10 ≤ 12 → coin flip. Script both outcomes.
 	for _, want := range []int{0, 1} {

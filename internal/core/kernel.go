@@ -1,69 +1,27 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"synran/internal/rng"
 	"synran/internal/sim"
-	"synran/internal/wire"
 )
 
-// Thin wire aliases so the vectorized round reads like Proc.Round.
-func plainPayload(b int) int64   { return wire.Plain(b) }
-func floodPayload(m int64) int64 { return wire.Flood(m) }
-func valueMaskOf(b int) int64    { return wire.ValueMask(b) }
-
-// floodDecision is finishFlood's rule: singleton {1} decides 1,
-// anything else decides 0.
-func floodDecision(m int64) int {
-	if m == wire.MaskOne {
-		return 1
-	}
-	return 0
-}
-
-// classifyPayload gives one payload's contribution to the round tally:
-// one is countValues' class, mz/mo the witnessed-value-set bits absorb
-// would union in.
-func classifyPayload(p int64) (one, mz, mo bool) {
-	if wire.IsFlood(p) {
-		m := wire.Mask(p)
-		return m == wire.MaskOne, m&wire.MaskZero != 0, m&wire.MaskOne != 0
-	}
-	b := wire.Bit(p)
-	return b == 1, b == 0, b == 1
-}
-
-// kernel is the SynRan protocol as a structure-of-arrays state machine:
-// every Proc field flattened into one column per field, advanced for the
-// whole vector in a single KernelRound call. It exists so the columnar
-// core (the engine's default) can run million-process rounds
-// without touching n heap objects — and it must stay bit-identical to
-// driving the same Procs through the object path (same payloads, same
-// decisions, same rng consumption); the conformance differential lane
-// pins that on every case.
-//
-// The nHist slice becomes a 3-deep sliding window (h1..h3): probRound
-// only ever reads N^{r-1}, N^{r-2}, N^{r-3}, and histLen preserves the
-// alignment invariant so get can rebuild an object-form history that
-// keeps working if the execution falls back to the object path mid-run
-// (Byzantine forgeries).
+// kernel is the SynRan protocol for the columnar core (the engine's
+// default): the whole vector's states in one slice and its coin streams
+// in another, advanced in a single KernelRound call, so a
+// million-process round touches no heap objects. Each process runs
+// state.round, the function Proc.Round runs, on the tally the engine's
+// columns hold for it, and draws its private coin from its stream, as
+// Proc does.
 type kernel struct {
-	n    int
-	opts Options
-	q    float64
-
-	b          []int8
-	st         []int8
-	decided    []bool
-	hasDecided []bool
-	decision   []int8
-	floodMask  []int8
-	floodLeft  []int32
-	histLen    []int32
-	h1, h2, h3 []int32 // N^{r-1}, N^{r-2}, N^{r-3}; rounds <= 0 read as n
-	streams    []rng.Stream
+	opts    Options
+	q       float64
+	states  []state
+	streams []rng.Stream
+	// stopped marks each process whose state has stopped, which is when
+	// it decides, so bookkeeping sweeps words instead of states.
+	stopped sim.BitSet
 }
 
 var _ sim.TallyKernel = (*kernel)(nil)
@@ -79,10 +37,10 @@ func (o Options) columnar() bool { return !o.LeaderCoin }
 
 // NewKernel builds SynRan's columnar kernel straight from (n, inputs,
 // seed): the vector NewProcs(n, inputs, seed, opts) builds, with the
-// same validation and errors, written into columns without any Proc
-// objects. Each coin stream is split straight into the kernel's stream
-// column. It returns a nil kernel when opts rule the kernel out, and
-// the caller then builds the process vector.
+// same validation and errors, without any Proc objects. Each coin
+// stream is split straight into the kernel's stream slice. It returns a
+// nil kernel when opts rule the kernel out, and the caller then builds
+// the process vector.
 func NewKernel(n int, inputs []int, seed uint64, opts Options) (sim.TallyKernel, error) {
 	if !opts.columnar() {
 		return nil, nil
@@ -91,13 +49,13 @@ func NewKernel(n int, inputs []int, seed uint64, opts Options) (sim.TallyKernel,
 	if err != nil {
 		return nil, err
 	}
-	k := newKernel(n, n, opts, v.tmpl.q)
+	k := newKernel(n, opts, v.tmpl.q)
 	var p Proc
 	for i, x := range inputs {
-		if err := p.init(&v.tmpl, i, x); err != nil {
+		if err := p.init(&v.tmpl, n, i, x); err != nil {
 			return nil, err
 		}
-		k.set(i, &p)
+		k.states[i] = p.s
 		v.root.SplitInto(&k.streams[i], uint64(i))
 	}
 	return k, nil
@@ -114,69 +72,40 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 			return nil
 		}
 	}
-	k := newKernel(len(procs), p.n, p.opts, p.q)
+	k := newKernel(len(procs), p.opts, p.q)
 	for i, q := range procs {
 		k.set(i, q.(*Proc))
 	}
 	return k
 }
 
-// newKernel allocates the columns of a size-process kernel for SynRan
-// at system size n.
-func newKernel(size, n int, opts Options, q float64) *kernel {
-	return &kernel{
-		n:          n,
-		opts:       opts,
-		q:          q,
-		b:          make([]int8, size),
-		st:         make([]int8, size),
-		decided:    make([]bool, size),
-		hasDecided: make([]bool, size),
-		decision:   make([]int8, size),
-		floodMask:  make([]int8, size),
-		floodLeft:  make([]int32, size),
-		histLen:    make([]int32, size),
-		h1:         make([]int32, size),
-		h2:         make([]int32, size),
-		h3:         make([]int32, size),
-		streams:    make([]rng.Stream, size),
+// newKernel allocates a size-process kernel.
+func newKernel(size int, opts Options, q float64) *kernel {
+	k := &kernel{
+		opts:    opts,
+		q:       q,
+		states:  make([]state, size),
+		streams: make([]rng.Stream, size),
 	}
+	k.stopped.Reset(size)
+	return k
 }
 
-// set writes process p's state into row i of the columns: the one step
-// by which both kernel constructors fill the kernel.
+// set writes process p into row i; get is its inverse.
 func (k *kernel) set(i int, p *Proc) {
-	k.b[i] = int8(p.b)
-	k.st[i] = int8(p.st)
-	k.decided[i] = p.decided
-	k.hasDecided[i] = p.hasDecided
-	k.decision[i] = int8(p.decision)
-	k.floodMask[i] = int8(p.floodMask)
-	k.floodLeft[i] = int32(p.floodLeft)
-	k.histLen[i] = int32(len(p.nHist))
-	k.h1[i], k.h2[i], k.h3[i] = histWindow(p.nHist, p.n)
-	k.streams[i] = p.rng
-}
-
-// histWindow extracts the last three history entries (newest first),
-// padding missing rounds with the N^{r<=0} = n convention.
-func histWindow(nHist []int, n int) (h1, h2, h3 int32) {
-	h1, h2, h3 = int32(n), int32(n), int32(n)
-	if l := len(nHist); l >= 1 {
-		h1 = int32(nHist[l-1])
-		if l >= 2 {
-			h2 = int32(nHist[l-2])
-		}
-		if l >= 3 {
-			h3 = int32(nHist[l-3])
-		}
+	k.states[i], k.streams[i] = p.s, p.rng
+	if p.s.done() {
+		k.stopped.Set(i)
 	}
-	return h1, h2, h3
 }
 
-// KernelRound implements sim.TallyKernel: round runs for each active
-// process, visited word by word, and each word's sending bits are
-// written back at once.
+func (k *kernel) get(i int, p *Proc) {
+	*p = Proc{id: i, s: k.states[i], rng: k.streams[i], opts: k.opts, q: k.q}
+}
+
+// KernelRound implements sim.TallyKernel: each active process, visited
+// word by word, runs state.round on its tally row, and each word's
+// sending and stopped bits are written back at once.
 func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
 	for wi := 0; wi < active.Words(); wi++ {
 		aw := active.Word(wi)
@@ -184,137 +113,54 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 			continue
 		}
 		sw := sending.Word(wi) &^ aw
+		stw := k.stopped.Word(wi)
 		for w := aw; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			i := wi<<6 | b
-			p, send := k.round(i, r, t)
+			s := &k.states[i]
+			tl := tally{
+				ones:  int(t.Ones[i]),
+				zeros: int(t.Zeros[i]),
+				count: int(t.Count[i]),
+			}
+			if s.readsMask() {
+				tl.mask = t.WitnessedMask(i)
+			}
+			p, send, coin := s.round(r, tl, k.q, &k.opts)
+			if coin {
+				p = s.adopt(k.streams[i].Bit())
+			}
 			payloads[i] = p
 			if send {
 				sw |= 1 << uint(b)
 			}
+			if s.done() {
+				stw |= 1 << uint(b)
+			}
 		}
 		sending.SetWord(wi, sw)
+		k.stopped.SetWord(wi, stw)
 	}
 }
 
-// round is Proc.Round for process i on columns: the branch structure
-// (and rng consumption) is identical.
-func (k *kernel) round(i, r int, t *sim.TallyColumns) (int64, bool) {
-	if stage(k.st[i]) == stageDone {
-		return 0, false
-	}
-	if r == 1 {
-		return plainPayload(int(k.b[i])), true
-	}
-	switch stage(k.st[i]) {
-	case stageProb:
-		return k.probRound(i, r-1, t)
-	case stageWarmup:
-		m := valueMaskOf(int(k.b[i])) | t.WitnessedMask(i)
-		k.floodMask[i] = int8(m)
-		k.st[i] = int8(stageFlood)
-		return floodPayload(m), true
-	case stageFlood:
-		m := int64(k.floodMask[i]) | t.WitnessedMask(i)
-		k.floodMask[i] = int8(m)
-		k.floodLeft[i]--
-		if k.floodLeft[i] <= 0 {
-			k.haltProc(i, floodDecision(m))
-			return 0, false
-		}
-		return floodPayload(m), true
-	}
-	return 0, false
-}
-
-// probRound is Proc.probRound on columns: one iteration of the
-// pseudocode's main loop for exchange round rr, whose delivered
-// aggregates are t's row i.
-func (k *kernel) probRound(i, rr int, t *sim.TallyColumns) (int64, bool) {
-	ones, zeros := int(t.Ones[i]), int(t.Zeros[i])
-	b := int(k.b[i])
-	if b == 1 {
-		ones++
-	} else {
-		zeros++
-	}
-	nn := int(t.Count[i]) + 1
-
-	// Slide the history window (the object path's nHist append); the
-	// checks below read the pre-append values N^{rr-1..rr-3}.
-	oldH1, oldH2, oldH3 := k.h1[i], k.h2[i], k.h3[i]
-	k.h1[i], k.h2[i], k.h3[i] = int32(nn), oldH1, oldH2
-	k.histLen[i]++
-	if int(k.histLen[i]) != rr {
-		// Defensive, mirroring the object path's alignment panic.
-		panic(fmt.Sprintf("core: kernel history misaligned: %d entries at round %d", k.histLen[i], rr))
-	}
-
-	// IF (N_i^r < sqrt(n/log n)): switch to the deterministic protocol.
-	if float64(nn) < k.q {
-		k.st[i] = int8(stageWarmup)
-		return plainPayload(b), true
-	}
-
-	// IF (decided = TRUE): diff = N^{r-3} − N^r; stop if diff ≤ N^{r-2}/10.
-	if k.decided[i] {
-		diff := int(oldH3) - nn
-		if 10*diff <= int(oldH2) {
-			k.haltProc(i, b)
-			return 0, false
-		}
-		k.decided[i] = false
-	}
-
-	// Threshold cascade against N' = N_i^{r-1}.
-	nPrev := int(oldH1)
-	switch {
-	case 10*ones > 7*nPrev:
-		b = 1
-		k.decided[i] = true
-	case 10*ones > 6*nPrev:
-		b = 1
-	case !k.opts.SymmetricCoin && zeros == 0:
-		b = 1
-	case 10*ones < 4*nPrev:
-		b = 0
-		k.decided[i] = true
-	case 10*ones < 5*nPrev:
-		b = 0
-	default:
-		if k.opts.SharedCoinSeed != 0 {
-			b = sharedCoin(k.opts.SharedCoinSeed, rr)
-		} else {
-			b = k.streams[i].Bit()
-		}
-	}
-	k.b[i] = int8(b)
-	return plainPayload(b), true
-}
-
-func (k *kernel) haltProc(i, v int) {
-	k.decision[i] = int8(v)
-	k.hasDecided[i] = true
-	k.st[i] = int8(stageDone)
-}
-
-// KernelClass implements sim.TallyKernel: the classification countValues
-// and absorb apply per message, as a pure function of the payload.
+// KernelClass implements sim.TallyKernel: the classification the
+// object path's inbox fold applies to each payload value.
 func (k *kernel) KernelClass(p int64) (one, mz, mo bool) {
 	return classifyPayload(p)
 }
 
 // KernelDecided implements sim.TallyKernel.
 func (k *kernel) KernelDecided(i int) (int, bool) {
-	return int(k.decision[i]), k.hasDecided[i]
+	return int(k.states[i].b), k.states[i].done()
 }
 
 // KernelStopped implements sim.TallyKernel.
-func (k *kernel) KernelStopped(i int) bool { return stage(k.st[i]) == stageDone }
+func (k *kernel) KernelStopped(i int) bool { return k.states[i].done() }
 
 // KernelBookkeep implements sim.TallyKernel: the end-of-round
 // decided/stopped sweep over the alive, non-corrupt words, one call
-// instead of two interface dispatches per live process.
+// instead of two interface dispatches per live process. A process
+// decides when it stops, so the stopped words answer both.
 func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
 	allDecided = true
 	for wi := 0; wi < alive.Words(); wi++ {
@@ -322,18 +168,12 @@ func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided,
 		if live == 0 {
 			continue
 		}
-		hw := halted.Word(wi)
-		for w := live; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			i := wi<<6 | b
-			if !k.hasDecided[i] {
-				allDecided = false
-			}
-			if stage(k.st[i]) == stageDone {
-				hw |= 1 << uint(b)
-			}
-		}
+		stop := live & k.stopped.Word(wi)
+		hw := halted.Word(wi) | stop
 		halted.SetWord(wi, hw)
+		if stop != live {
+			allDecided = false
+		}
 		if live&^hw != 0 {
 			anyAliveActive = true
 		}
@@ -345,12 +185,8 @@ func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided,
 func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
 	v := -1
 	for wi := 0; wi < alive.Words(); wi++ {
-		for w := alive.Word(wi) &^ corrupt.Word(wi); w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			if !k.hasDecided[i] {
-				continue
-			}
-			d := int(k.decision[i])
+		for w := alive.Word(wi) &^ corrupt.Word(wi) & k.stopped.Word(wi); w != 0; w &= w - 1 {
+			d := int(k.states[wi<<6|bits.TrailingZeros64(w)].b)
 			if v == -1 {
 				v = d
 			} else if v != d {
@@ -366,32 +202,23 @@ func (k *kernel) KernelReseed(i int, seed uint64) { k.streams[i].Reseed(seed) }
 
 // KernelClone implements sim.TallyKernel.
 func (k *kernel) KernelClone() sim.TallyKernel {
-	c := &kernel{n: k.n, opts: k.opts, q: k.q}
+	c := &kernel{}
 	k.KernelCopyInto(c)
 	return c
 }
 
 // KernelCopyInto implements sim.TallyKernel: overwrite dst reusing its
-// column storage (the arena-snapshot hot path — a handful of flat
-// copies instead of n ProcessCopier calls).
+// storage (the arena-snapshot hot path — three flat copies instead of
+// n ProcessCopier calls).
 func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
 	d, ok := dst.(*kernel)
 	if !ok {
 		return false
 	}
-	d.n, d.opts, d.q = k.n, k.opts, k.q
-	d.b = append(d.b[:0], k.b...)
-	d.st = append(d.st[:0], k.st...)
-	d.decided = append(d.decided[:0], k.decided...)
-	d.hasDecided = append(d.hasDecided[:0], k.hasDecided...)
-	d.decision = append(d.decision[:0], k.decision...)
-	d.floodMask = append(d.floodMask[:0], k.floodMask...)
-	d.floodLeft = append(d.floodLeft[:0], k.floodLeft...)
-	d.histLen = append(d.histLen[:0], k.histLen...)
-	d.h1 = append(d.h1[:0], k.h1...)
-	d.h2 = append(d.h2[:0], k.h2...)
-	d.h3 = append(d.h3[:0], k.h3...)
+	d.opts, d.q = k.opts, k.q
+	d.states = append(d.states[:0], k.states...)
 	d.streams = append(d.streams[:0], k.streams...)
+	d.stopped.CopyFrom(&k.stopped)
 	return true
 }
 
@@ -399,59 +226,18 @@ func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
 // process i's current state.
 func (k *kernel) KernelProcess(i int) sim.Process {
 	p := new(Proc)
-	k.get(i, p, make([]int, k.histLen[i]))
+	k.get(i, p)
 	return p
 }
 
 // KernelProcs implements sim.TallyKernel: the whole vector as one block
-// of Procs, their histories cut from one shared block.
+// of Procs.
 func (k *kernel) KernelProcs() []sim.Process {
-	total := 0
-	for _, l := range k.histLen {
-		total += int(l)
-	}
-	hist := make([]int, total)
-	block := make([]Proc, len(k.b))
-	procs := make([]sim.Process, len(k.b))
+	block := make([]Proc, len(k.states))
+	procs := make([]sim.Process, len(block))
 	for i := range block {
-		l := int(k.histLen[i])
-		k.get(i, &block[i], hist[:l:l])
-		hist = hist[l:]
+		k.get(i, &block[i])
 		procs[i] = &block[i]
 	}
 	return procs
-}
-
-// get writes row i of the columns into p in object form, with hist
-// (length histLen[i]) as its history: the inverse of set. The rebuilt
-// history has the right length and a correct 3-entry tail; older
-// entries are padded with n, which the protocol never reads again
-// (probRound only looks back three rounds), so the Proc continues
-// bit-identically on the object path.
-func (k *kernel) get(i int, p *Proc, hist []int) {
-	*p = Proc{
-		id: i, n: k.n, opts: k.opts, q: k.q, rng: k.streams[i],
-		b:          int(k.b[i]),
-		st:         stage(k.st[i]),
-		decided:    k.decided[i],
-		hasDecided: k.hasDecided[i],
-		decision:   int(k.decision[i]),
-		floodMask:  int64(k.floodMask[i]),
-		floodLeft:  int(k.floodLeft[i]),
-	}
-	l := len(hist)
-	if l == 0 {
-		return // nil, as NewProcs leaves it: allocated at the first probabilistic round
-	}
-	for j := 0; j < l-3; j++ {
-		hist[j] = k.n
-	}
-	hist[l-1] = int(k.h1[i])
-	if l >= 2 {
-		hist[l-2] = int(k.h2[i])
-	}
-	if l >= 3 {
-		hist[l-3] = int(k.h3[i])
-	}
-	p.nHist = hist
 }

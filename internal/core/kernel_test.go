@@ -81,26 +81,16 @@ func (a *lateForger) Forge(v *sim.View) []sim.Forgery {
 	return a.Equivocator.Forge(v)
 }
 
-// procState is the part of a Proc both cores must agree on. The
-// history counts by its length and its last three entries, the only
-// ones the protocol reads: KernelSync pads older entries with n.
+// procState is the part of a Proc both cores must agree on: its
+// protocol state and its coin stream.
 type procState struct {
-	b, st, decision, floodLeft int
-	decided, hasDecided        bool
-	floodMask                  int64
-	histLen                    int
-	h1, h2, h3                 int32
-	coin                       rng.Stream
+	s    state
+	coin rng.Stream
 }
 
 func stateOf(p sim.Process) procState {
 	q := p.(*Proc)
-	h1, h2, h3 := histWindow(q.nHist, q.n)
-	return procState{
-		b: q.b, st: int(q.st), decision: q.decision, floodLeft: q.floodLeft,
-		decided: q.decided, hasDecided: q.hasDecided, floodMask: q.floodMask,
-		histLen: len(q.nHist), h1: h1, h2: h2, h3: h3, coin: q.rng,
-	}
+	return procState{s: q.s, coin: q.rng}
 }
 
 // TestDefaultCoreTracksObjectCore drives SynRan on the object core and,
@@ -297,8 +287,8 @@ func TestProcessIsACopyOnTheColumnarCore(t *testing.T) {
 	for !twin.Done() {
 		for i := 0; i < n; i++ {
 			p := e.Process(i).(*Proc)
-			p.b, p.st, p.decided, p.floodLeft = 1-p.b, stageDone, !p.decided, 0
-			p.nHist = append(p.nHist, 0, 0, 0)
+			p.s.b, p.s.st, p.s.decided, p.s.floodLeft = 1-p.s.b, stageDone, !p.s.decided, 0
+			p.s.histLen, p.s.h = p.s.histLen+3, [3]int32{}
 			p.rng.Reseed(99)
 		}
 		if err := e.Step(adv); err != nil {

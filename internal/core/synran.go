@@ -49,7 +49,7 @@ type Options struct {
 }
 
 // stage is the phase of a SynRan process's lifecycle.
-type stage int
+type stage int8
 
 const (
 	// stageProb is the probabilistic voting stage (the main loop).
@@ -65,7 +65,10 @@ const (
 	stageDone
 )
 
-// Proc is one SynRan process. It implements sim.Process.
+// state is one SynRan process's protocol state, held by value: a Proc
+// wraps one, and the columnar kernel holds one per process. round is
+// its only transition, so both engine cores run one copy of the
+// protocol.
 //
 // The implementation follows the Section 4 pseudocode line by line; the
 // comments quote the pseudocode's conditions. Two points the paper
@@ -73,26 +76,220 @@ const (
 // the deterministic protocol is FloodSet with decision rule
 // "singleton {v} → v, otherwise 0", and counts include the process's own
 // current value ("including b_i").
+type state struct {
+	// b is the current choice for the consensus value; once the process
+	// halts (st == stageDone), it is the irrevocable decision.
+	b         int8
+	st        stage
+	decided   bool // the pseudocode's `decided` flag (revocable!)
+	floodMask int8
+	floodLeft int32
+	// histLen counts the probabilistic rounds witnessed. h holds
+	// N_i^{r-1}, N_i^{r-2}, N_i^{r-3} for the next one, rounds <= 0
+	// reading n (the pseudocode's N^{-1} = N^0 = n initialization): the
+	// protocol never looks further back.
+	histLen int32
+	h       [3]int32
+}
+
+// tally is what a round reads of the messages delivered to one process
+// in the previous exchange round: how many count as ones and as zeros,
+// how many arrived, and the set of values they witness (wire.MaskZero
+// | wire.MaskOne bits).
+type tally struct {
+	ones, zeros, count int
+	mask               int64
+}
+
+// readsMask reports whether s's next round reads the witnessed set of
+// its tally. Only the deterministic stage does, so the columnar kernel
+// reads the mask columns for no voting process.
+func (s *state) readsMask() bool { return s.st == stageWarmup || s.st == stageFlood }
+
+// classifyPayload gives one payload's contribution to the round tally:
+// one is its vote (a stray deterministic-stage message, possible for
+// one handover round, votes 1 only for the singleton set {1}: a mixed
+// set counts as a zero, the conservative default matching the flood
+// decision), mz/mo the witnessed-value-set bits it carries.
+func classifyPayload(p int64) (one, mz, mo bool) {
+	if wire.IsFlood(p) {
+		m := wire.Mask(p)
+		return m == wire.MaskOne, m&wire.MaskZero != 0, m&wire.MaskOne != 0
+	}
+	b := wire.Bit(p)
+	return b == 1, b == 0, b == 1
+}
+
+// add counts c messages carrying payload p.
+func (t *tally) add(p int64, c int) {
+	one, mz, mo := classifyPayload(p)
+	if one {
+		t.ones += c
+	} else {
+		t.zeros += c
+	}
+	if mz {
+		t.mask |= wire.MaskZero
+	}
+	if mo {
+		t.mask |= wire.MaskOne
+	}
+}
+
+// tallyOf folds an inbox into its tally. Every legal payload is below
+// 8, so it counts messages per payload value and classifies each value
+// once.
+func tallyOf(inbox []sim.Recv) tally {
+	var perValue [8]int
+	t := tally{count: len(inbox)}
+	for _, m := range inbox {
+		if uint64(m.Payload) < uint64(len(perValue)) {
+			perValue[m.Payload]++
+		} else {
+			t.add(m.Payload, 1)
+		}
+	}
+	for v, c := range perValue {
+		if c > 0 {
+			t.add(int64(v), c)
+		}
+	}
+	return t
+}
+
+// round is callback r of one process: it consumes t, the tally of
+// exchange round r−1 (unread when r == 1), and returns the payload for
+// exchange round r and whether it is sent. q is the deterministic-stage
+// trigger sqrt(n/log n). A process that reaches the private-coin
+// branch returns coin = true and no payload: the caller draws the bit
+// and completes the round with adopt.
+func (s *state) round(r int, t tally, q float64, opts *Options) (payload int64, send, coin bool) {
+	if s.done() {
+		return 0, false, false
+	}
+	if r == 1 {
+		// First loop iteration: nothing received yet, send the input.
+		return wire.Plain(int(s.b)), true, false
+	}
+	switch s.st {
+	case stageProb:
+		return s.probRound(r-1, t, q, opts)
+	case stageWarmup:
+		// t holds the plain values of the handover round; seed the flood
+		// set with them plus our own frozen b, then start flooding.
+		s.floodMask = int8(wire.ValueMask(int(s.b)) | t.mask)
+		s.st = stageFlood
+		return wire.Flood(int64(s.floodMask)), true, false
+	case stageFlood:
+		s.floodMask |= int8(t.mask)
+		s.floodLeft--
+		if s.floodLeft <= 0 {
+			// A singleton witnessed set {v} decides v; a mixed set decides
+			// 0. Lemmas 4.2/4.3 guarantee the set is the singleton {v}
+			// whenever some process already decided v in the
+			// probabilistic stage, so this default never contradicts an
+			// earlier decision.
+			v := 0
+			if int64(s.floodMask) == wire.MaskOne {
+				v = 1
+			}
+			s.halt(v)
+			return 0, false, false
+		}
+		return wire.Flood(int64(s.floodMask)), true, false
+	}
+	return 0, false, false
+}
+
+// probRound executes one iteration of the pseudocode's main loop for
+// exchange round rr, whose messages t tallies.
+func (s *state) probRound(rr int, t tally, q float64, opts *Options) (int64, bool, bool) {
+	// compute O_i^r, Z_i^r, N_i^r (including b_i).
+	ones, zeros := t.ones, t.zeros
+	if s.b == 1 {
+		ones++
+	} else {
+		zeros++
+	}
+	n := t.count + 1
+	prev := s.h // N^{rr-1}, N^{rr-2}, N^{rr-3}
+	s.h = [3]int32{int32(n), prev[0], prev[1]}
+	s.histLen++
+	if int(s.histLen) != rr {
+		// Defensive: history must stay aligned with round numbers.
+		panic(fmt.Sprintf("core: history misaligned: %d entries at round %d", s.histLen, rr))
+	}
+
+	// IF (N_i^r < sqrt(n/log n)): switch to the deterministic protocol.
+	// The pseudocode performs this check before the stop check.
+	if float64(n) < q {
+		s.st = stageWarmup
+		return wire.Plain(int(s.b)), true, false // "send b_i to all processes"
+	}
+
+	// IF (decided = TRUE): diff = N^{r-3} − N^r; stop if diff ≤ N^{r-2}/10.
+	if s.decided {
+		diff := int(prev[2]) - n
+		if 10*diff <= int(prev[1]) {
+			s.halt(int(s.b))
+			return 0, false, false // STOP: no further messages
+		}
+		s.decided = false
+	}
+
+	// Threshold cascade against N' = N_i^{r-1}.
+	nPrev := int(prev[0])
+	switch {
+	case 10*ones > 7*nPrev:
+		s.b, s.decided = 1, true
+	case 10*ones > 6*nPrev:
+		s.b = 1
+	case !opts.SymmetricCoin && zeros == 0:
+		// The one-side-bias rule: ELSE IF Z_i^r = 0 THEN b_i = 1.
+		s.b = 1
+	case 10*ones < 4*nPrev:
+		s.b, s.decided = 0, true
+	case 10*ones < 5*nPrev:
+		s.b = 0
+	case opts.SharedCoinSeed != 0:
+		s.b = int8(sharedCoin(opts.SharedCoinSeed, rr))
+	default:
+		return 0, true, true // the private coin, drawn by the caller
+	}
+	return wire.Plain(int(s.b)), true, false
+}
+
+// adopt completes a round that reached the private-coin branch: the
+// process takes bit as b and broadcasts it.
+func (s *state) adopt(bit int) int64 {
+	s.b = int8(bit & 1)
+	return wire.Plain(bit)
+}
+
+func (s *state) halt(v int) {
+	s.b = int8(v)
+	s.st = stageDone
+}
+
+// done reports whether the process has halted, which is when it
+// decides.
+func (s *state) done() bool { return s.st == stageDone }
+
+// sharedCoin derives the public common coin for a round from the dealer
+// seed. Every process computes the same bit.
+func sharedCoin(seed uint64, round int) int {
+	return int(rng.Uint64At(seed^uint64(round)*0x9e3779b97f4a7c15) & 1)
+}
+
+// Proc is one SynRan process: its protocol state and its private coin.
+// It implements sim.Process.
 type Proc struct {
 	id   int
-	n    int
+	s    state
 	rng  rng.Stream
 	opts Options
-
-	b  int // current choice for the consensus value
-	st stage
-	// nHist[r-1] = N_i^r, the messages received in round r; rounds <= 0
-	// read as n (the pseudocode's N^{-1} = N^0 = n initialization). It
-	// is allocated at the first probabilistic round, which a process the
-	// columnar core runs never reaches.
-	nHist      []int
-	q          float64
-	flip       func() int // nil = fair coin from rng; tests may script it
-	floodMask  int64
-	floodLeft  int
-	decision   int
-	decided    bool // the pseudocode's `decided` flag (revocable!)
-	hasDecided bool // irrevocable: set when the process halts with a value
+	q    float64    // the deterministic-stage trigger sqrt(n/log n)
+	flip func() int // nil = fair coin from rng; tests may script it
 }
 
 var _ sim.Process = (*Proc)(nil)
@@ -102,7 +299,7 @@ var _ sim.Process = (*Proc)(nil)
 func NewProc(id, n, input int, stream *rng.Stream, opts Options) (*Proc, error) {
 	tmpl := template(n, opts)
 	p := new(Proc)
-	if err := p.init(&tmpl, id, input); err != nil {
+	if err := p.init(&tmpl, n, id, input); err != nil {
 		return nil, err
 	}
 	p.rng = *stream
@@ -123,7 +320,7 @@ func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, er
 	procs := make([]sim.Process, n)
 	for i := range block {
 		p := &block[i]
-		if err := p.init(&v.tmpl, i, inputs[i]); err != nil {
+		if err := p.init(&v.tmpl, n, i, inputs[i]); err != nil {
 			return nil, err
 		}
 		v.root.SplitInto(&p.rng, uint64(i))
@@ -133,8 +330,8 @@ func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, er
 }
 
 // vector is what every process of an n-process vector starts from:
-// the template state, and the root stream its coin is split from under
-// its id.
+// the template process, and the root stream its coin is split from
+// under its id.
 type vector struct {
 	tmpl Proc
 	root rng.Stream
@@ -151,7 +348,7 @@ func newVector(n int, inputs []int, seed uint64, opts Options) (vector, error) {
 	return v, nil
 }
 
-// template is the state every process of an n-process vector starts
+// template is the process every process of an n-process vector starts
 // from, so the threshold and the flood-stage length are computed once
 // per vector.
 func template(n int, opts Options) Proc {
@@ -159,39 +356,41 @@ func template(n int, opts Options) Proc {
 	if fl <= 0 {
 		fl = FloodRounds(n)
 	}
-	return Proc{n: n, opts: opts, st: stageProb, q: DetThreshold(n), floodLeft: fl}
+	h := int32(n)
+	return Proc{opts: opts, q: DetThreshold(n),
+		s: state{st: stageProb, floodLeft: int32(fl), h: [3]int32{h, h, h}}}
 }
 
-// init validates id and input and starts p from tmpl as process id,
-// leaving its coin stream zero.
-func (p *Proc) init(tmpl *Proc, id, input int) error {
+// init validates id and input and starts p from tmpl as process id of
+// n, leaving its coin stream zero.
+func (p *Proc) init(tmpl *Proc, n, id, input int) error {
 	if input != 0 && input != 1 {
 		return fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
 	}
-	if tmpl.n <= 0 || id < 0 || id >= tmpl.n {
-		return fmt.Errorf("core: process id %d out of range for n=%d", id, tmpl.n)
+	if n <= 0 || id < 0 || id >= n {
+		return fmt.Errorf("core: process id %d out of range for n=%d", id, n)
 	}
 	*p = *tmpl
-	p.id, p.b = id, input
+	p.id, p.s.b = id, int8(input)
 	return nil
 }
 
 // B returns the process's current choice for the consensus value.
-func (p *Proc) B() int { return p.b }
+func (p *Proc) B() int { return int(p.s.b) }
 
 // Stage returns which stage of the protocol the process is in
 // (exported for the full-information adversary and for tests).
-func (p *Proc) Stage() int { return int(p.st) }
+func (p *Proc) Stage() int { return int(p.s.st) }
 
 // TentativelyDecided reports the pseudocode's revocable `decided` flag.
-func (p *Proc) TentativelyDecided() bool { return p.decided }
+func (p *Proc) TentativelyDecided() bool { return p.s.decided }
 
 // Decided implements sim.Process: the irrevocable decision, available
 // once the process halts.
-func (p *Proc) Decided() (int, bool) { return p.decision, p.hasDecided }
+func (p *Proc) Decided() (int, bool) { return int(p.s.b), p.s.done() }
 
 // Stopped implements sim.Process.
-func (p *Proc) Stopped() bool { return p.st == stageDone }
+func (p *Proc) Stopped() bool { return p.s.done() }
 
 // Reseed implements sim.Reseeder: it replaces the process's future coin
 // flips with a fresh stream so cloned executions can sample independent
@@ -210,144 +409,44 @@ func (p *Proc) SetFlip(f func() int) { p.flip = f }
 // Clone implements sim.Process.
 func (p *Proc) Clone() sim.Process {
 	c := *p
-	c.nHist = append([]int(nil), p.nHist...)
 	return &c
 }
 
 // CopyFrom implements sim.ProcessCopier: overwrite this process with a
-// deep copy of src, reusing the receiver's history storage so
-// arena-backed snapshots (sim.CloneInto) allocate nothing per process.
+// copy of src, so arena-backed snapshots (sim.CloneInto) allocate
+// nothing per process.
 func (p *Proc) CopyFrom(src sim.Process) bool {
 	s, ok := src.(*Proc)
-	if !ok {
-		return false
+	if ok {
+		*p = *s
 	}
-	hist := p.nHist
-	*p = *s
-	p.nHist = append(hist[:0], s.nHist...)
-	return true
+	return ok
 }
 
 var _ sim.ProcessCopier = (*Proc)(nil)
 
-// histN returns N_i^r with the pseudocode's convention N^r = n for r <= 0.
-func (p *Proc) histN(r int) int {
-	if r <= 0 {
-		return p.n
-	}
-	if r > len(p.nHist) {
-		// Rounds the process has not witnessed (unreachable by construction).
-		return p.n
-	}
-	return p.nHist[r-1]
-}
-
 // Round implements sim.Process. Callback r consumes the messages of
 // exchange round r−1 and returns the payload for exchange round r.
 func (p *Proc) Round(r int, inbox []sim.Recv) (int64, bool) {
-	if p.st == stageDone {
-		return 0, false
+	payload, send, coin := p.s.round(r, tallyOf(inbox), p.q, &p.opts)
+	if coin {
+		payload = p.s.adopt(p.coin(inbox))
 	}
-	if r == 1 {
-		// First loop iteration: nothing received yet, send the input.
-		return wire.Plain(p.b), true
-	}
-
-	switch p.st {
-	case stageProb:
-		return p.probRound(r-1, inbox)
-	case stageWarmup:
-		// inbox holds the plain values of the handover round; seed the
-		// flood set with them plus our own frozen b, then start flooding.
-		p.floodMask = wire.ValueMask(p.b)
-		p.absorb(inbox)
-		p.st = stageFlood
-		return wire.Flood(p.floodMask), true
-	case stageFlood:
-		p.absorb(inbox)
-		p.floodLeft--
-		if p.floodLeft <= 0 {
-			p.finishFlood()
-			return 0, false
-		}
-		return wire.Flood(p.floodMask), true
-	default:
-		return 0, false
-	}
+	return payload, send
 }
 
-// probRound executes one iteration of the pseudocode's main loop for
-// exchange round rr (whose messages are in inbox).
-func (p *Proc) probRound(rr int, inbox []sim.Recv) (int64, bool) {
-	// compute O_i^r, Z_i^r, N_i^r (including b_i).
-	ones, zeros := countValues(inbox)
-	if p.b == 1 {
-		ones++
-	} else {
-		zeros++
-	}
-	n := len(inbox) + 1
-	if p.nHist == nil {
-		p.nHist = make([]int, 0, 16)
-	}
-	p.nHist = append(p.nHist, n)
-	if len(p.nHist) != rr {
-		// Defensive: history must stay aligned with round numbers.
-		panic(fmt.Sprintf("core: history misaligned: %d entries at round %d", len(p.nHist), rr))
-	}
-
-	// IF (N_i^r < sqrt(n/log n)): switch to the deterministic protocol.
-	// The pseudocode performs this check before the stop check.
-	if float64(n) < p.q {
-		p.st = stageWarmup
-		return wire.Plain(p.b), true // "send b_i to all processes"
-	}
-
-	// IF (decided = TRUE): diff = N^{r-3} − N^r; stop if diff ≤ N^{r-2}/10.
-	if p.decided {
-		diff := p.histN(rr-3) - n
-		if 10*diff <= p.histN(rr-2) {
-			p.halt(p.b)
-			return 0, false // STOP: no further messages
-		}
-		p.decided = false
-	}
-
-	// Threshold cascade against N' = N_i^{r-1}.
-	nPrev := p.histN(rr - 1)
+// coin draws the bit of a round that reached the private-coin branch:
+// the lowest-id sender's bit under LeaderCoin, else the scripted flip,
+// else the process's rng.
+func (p *Proc) coin(inbox []sim.Recv) int {
 	switch {
-	case 10*ones > 7*nPrev:
-		p.b = 1
-		p.decided = true
-	case 10*ones > 6*nPrev:
-		p.b = 1
-	case !p.opts.SymmetricCoin && zeros == 0:
-		// The one-side-bias rule: ELSE IF Z_i^r = 0 THEN b_i = 1.
-		p.b = 1
-	case 10*ones < 4*nPrev:
-		p.b = 0
-		p.decided = true
-	case 10*ones < 5*nPrev:
-		p.b = 0
+	case p.opts.LeaderCoin:
+		return leaderBit(inbox, int(p.s.b))
+	case p.flip != nil:
+		return p.flip()
 	default:
-		switch {
-		case p.opts.SharedCoinSeed != 0:
-			p.b = sharedCoin(p.opts.SharedCoinSeed, rr)
-		case p.opts.LeaderCoin:
-			p.b = leaderBit(inbox, p.b)
-		case p.flip != nil:
-			p.b = p.flip() & 1
-		default:
-			p.b = p.rng.Bit()
-		}
+		return p.rng.Bit()
 	}
-	return wire.Plain(p.b), true
-}
-
-// sharedCoin derives the public common coin for a round from the dealer
-// seed. Every process computes the same bit.
-func sharedCoin(seed uint64, round int) int {
-	return int(rng.Uint64At(seed^uint64(round)*0x9e3779b97f4a7c15) & 1)
 }
 
 // leaderBit returns the bit of the lowest-id plain-payload sender in the
@@ -364,59 +463,4 @@ func leaderBit(inbox []sim.Recv, own int) int {
 		}
 	}
 	return bit
-}
-
-// absorb unions every value witnessed in inbox into the flood mask.
-// Plain messages contribute their bit; flood messages their whole set.
-func (p *Proc) absorb(inbox []sim.Recv) {
-	for _, m := range inbox {
-		if wire.IsFlood(m.Payload) {
-			p.floodMask |= wire.Mask(m.Payload)
-		} else {
-			p.floodMask |= wire.ValueMask(wire.Bit(m.Payload))
-		}
-	}
-}
-
-// finishFlood applies the deterministic stage's decision rule: a
-// singleton witnessed set {v} decides v; a mixed set decides 0. Lemmas
-// 4.2/4.3 guarantee the set is the singleton {v} whenever some process
-// already decided v in the probabilistic stage, so this default never
-// contradicts an earlier decision.
-func (p *Proc) finishFlood() {
-	switch p.floodMask {
-	case wire.MaskOne:
-		p.halt(1)
-	default:
-		p.halt(0)
-	}
-}
-
-func (p *Proc) halt(v int) {
-	p.decision = v
-	p.hasDecided = true
-	p.st = stageDone
-}
-
-// countValues tallies ones and zeros in an inbox, interpreting stray
-// deterministic-stage messages (possible for one handover round) by
-// their witnessed set: singleton sets count as their value, a mixed set
-// counts as a zero (the conservative default, matching finishFlood).
-func countValues(inbox []sim.Recv) (ones, zeros int) {
-	for _, m := range inbox {
-		if wire.IsFlood(m.Payload) {
-			if wire.Mask(m.Payload) == wire.MaskOne {
-				ones++
-			} else {
-				zeros++
-			}
-			continue
-		}
-		if wire.Bit(m.Payload) == 1 {
-			ones++
-		} else {
-			zeros++
-		}
-	}
-	return ones, zeros
 }

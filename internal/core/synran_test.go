@@ -301,25 +301,29 @@ func TestTentativeDecisionIsRevocable(t *testing.T) {
 
 func TestStopAfterQuietRounds(t *testing.T) {
 	const n = 20
-	p, err := NewProc(0, n, 1, newTestStream(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	inbox := make([]sim.Recv, n-1)
 	for i := range inbox {
 		inbox[i] = sim.Recv{From: i + 1, Payload: 1}
 	}
-	p.Round(1, nil)
-	p.Round(2, inbox) // decides tentatively
-	if _, send := p.Round(3, inbox); send {
-		t.Fatal("stop test passes on a quiet round: the process must halt silently")
-	}
-	v, ok := p.Decided()
-	if !ok || v != 1 {
-		t.Fatalf("halted process decision = (%d, %v), want (1, true)", v, ok)
-	}
-	if !p.Stopped() {
-		t.Fatal("process must report Stopped after halting")
+	// Round 3 hears everyone (diff = 0), or all but two, the stop
+	// test's tie: diff = N^0 − N^2 = 2 and 10·2 = N^1 = 20.
+	for _, heard := range []int{n - 1, n - 3} {
+		p, err := NewProc(0, n, 1, newTestStream(1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Round(1, nil)
+		p.Round(2, inbox) // decides tentatively
+		if _, send := p.Round(3, inbox[:heard]); send {
+			t.Fatalf("heard %d: stop test passes: the process must halt silently", heard)
+		}
+		v, ok := p.Decided()
+		if !ok || v != 1 {
+			t.Fatalf("heard %d: halted process decision = (%d, %v), want (1, true)", heard, v, ok)
+		}
+		if !p.Stopped() {
+			t.Fatalf("heard %d: process must report Stopped after halting", heard)
+		}
 	}
 }
 
@@ -522,11 +526,19 @@ func TestCountValuesMixedMasks(t *testing.T) {
 		{From: 3, Payload: wire.Flood(wire.MaskBoth)},
 		{From: 4, Payload: wire.Plain(1)},
 		{From: 5, Payload: wire.Plain(0)},
+		{From: 6, Payload: wire.Plain(1)},
 	}
-	ones, zeros := countValues(inbox)
-	// {1}→one, {0}→zero, {0,1}→zero (conservative), plain 1, plain 0.
-	if ones != 2 || zeros != 3 {
-		t.Fatalf("ones=%d zeros=%d, want 2/3", ones, zeros)
+	// {1}→one, {0}→zero, {0,1}→zero (conservative), plain 1, plain 0,
+	// plain 1; every message witnesses its values.
+	want := tally{ones: 3, zeros: 3, count: 6, mask: wire.MaskBoth}
+	if got := tallyOf(inbox); got != want {
+		t.Fatalf("tallyOf = %+v, want %+v", got, want)
+	}
+	// A payload outside the layout is classified by its own bits: a
+	// plain-form 1 votes one and witnesses only {1}.
+	want = tally{ones: 2, count: 2, mask: wire.MaskOne}
+	if got := tallyOf([]sim.Recv{{From: 1, Payload: 1<<40 | 1}, {From: 2, Payload: wire.Plain(1)}}); got != want {
+		t.Fatalf("tallyOf = %+v, want %+v", got, want)
 	}
 }
 

@@ -15,15 +15,42 @@ import (
 	"synran/internal/wire"
 )
 
+// state is one FloodSet process's protocol state, held by value: a
+// Proc wraps one, and the columnar kernel holds one per process.
+type state struct {
+	mask     int8 // the witnessed value set (wire.MaskZero | wire.MaskOne bits)
+	decision int8
+	done     bool
+	sent     int32
+}
+
+// round is one FloodSet callback, the protocol's only transition: it
+// unions witnessed, the value set of the messages delivered in the
+// previous exchange round, into the process's set and floods the set
+// for rounds exchange rounds. Then it decides by the standard FloodSet
+// rule: a singleton witnessed set decides its value; a mixed set
+// decides the default 0.
+func (s *state) round(witnessed int64, rounds int) (int64, bool) {
+	if s.done {
+		return 0, false
+	}
+	s.mask |= int8(witnessed & wire.MaskBoth)
+	if int(s.sent) >= rounds {
+		s.done = true
+		if int64(s.mask) == wire.MaskOne {
+			s.decision = 1
+		}
+		return 0, false
+	}
+	s.sent++
+	return wire.Flood(int64(s.mask)), true
+}
+
 // Proc is one FloodSet process. It implements sim.Process.
 type Proc struct {
 	id     int
 	rounds int // exchange rounds to perform (t+1 for a t-adversary)
-
-	mask     int64
-	sent     int
-	decision int
-	done     bool
+	s      state
 }
 
 var _ sim.Process = (*Proc)(nil)
@@ -46,7 +73,7 @@ func (p *Proc) init(id, input, rounds int) error {
 	if rounds < 1 {
 		return fmt.Errorf("floodset: rounds = %d, want >= 1", rounds)
 	}
-	*p = Proc{id: id, rounds: rounds, mask: wire.ValueMask(input)}
+	*p = Proc{id: id, rounds: rounds, s: state{mask: int8(wire.ValueMask(input))}}
 	return nil
 }
 
@@ -105,36 +132,21 @@ func checkLen(n int, inputs []int) error {
 	return nil
 }
 
-// Round implements sim.Process.
+// Round implements sim.Process: every payload's MaskBoth bits join
+// the witnessed set, whatever its tag.
 func (p *Proc) Round(_ int, inbox []sim.Recv) (int64, bool) {
-	if p.done {
-		return 0, false
-	}
+	var witnessed int64
 	for _, m := range inbox {
-		p.mask |= m.Payload & wire.MaskBoth
+		witnessed |= m.Payload
 	}
-	if p.sent >= p.rounds {
-		p.decision, p.done = decision(p.mask), true
-		return 0, false
-	}
-	p.sent++
-	return wire.Flood(p.mask), true
-}
-
-// decision is the standard FloodSet rule: a singleton witnessed set
-// decides its value; a mixed set decides the default 0.
-func decision(mask int64) int {
-	if mask == wire.MaskOne {
-		return 1
-	}
-	return 0
+	return p.s.round(witnessed, p.rounds)
 }
 
 // Decided implements sim.Process.
-func (p *Proc) Decided() (int, bool) { return p.decision, p.done }
+func (p *Proc) Decided() (int, bool) { return int(p.s.decision), p.s.done }
 
 // Stopped implements sim.Process.
-func (p *Proc) Stopped() bool { return p.done }
+func (p *Proc) Stopped() bool { return p.s.done }
 
 // Clone implements sim.Process.
 func (p *Proc) Clone() sim.Process {

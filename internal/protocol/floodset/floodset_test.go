@@ -160,11 +160,11 @@ func TestCloneIsDeep(t *testing.T) {
 	c := p.Clone().(*Proc)
 	p.Round(1, nil)
 	p.Round(2, []sim.Recv{{From: 1, Payload: wire.MaskZero}})
-	if c.sent != 0 {
-		t.Fatalf("clone advanced with original: sent=%d", c.sent)
+	if c.s.sent != 0 {
+		t.Fatalf("clone advanced with original: sent=%d", c.s.sent)
 	}
-	if c.mask != wire.MaskOne {
-		t.Fatalf("clone mask = %b, want the untouched input {1}", c.mask)
+	if int64(c.s.mask) != wire.MaskOne {
+		t.Fatalf("clone mask = %b, want the untouched input {1}", c.s.mask)
 	}
 }
 

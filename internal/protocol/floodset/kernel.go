@@ -7,19 +7,14 @@ import (
 	"synran/internal/wire"
 )
 
-// kernel is FloodSet as a structure-of-arrays state machine: Proc's
-// per-process fields flattened into columns and advanced for the whole
-// vector in one KernelRound call, so the engine's columnar core runs
+// kernel is FloodSet for the columnar core: the whole vector's states
+// in one slice, advanced in one KernelRound call, so the engine runs
 // FloodSet (and omitflood, the same Proc with more rounds) on O(n)
-// tallies instead of n² inboxes. It must stay bit-identical to driving
-// the same Procs through the object path; the conformance differential
-// lane and the exhaustive small-n check pin that.
+// tallies instead of n² inboxes. Each process runs state.round, the
+// function Proc.Round runs, on the witnessed set its tally row holds.
 type kernel struct {
-	rounds   int // shared by every process: BuildKernel rejects mixed vectors
-	mask     []int8
-	sent     []int32
-	decision []int8
-	done     []bool
+	rounds int // shared by every process: BuildKernel rejects mixed vectors
+	states []state
 }
 
 var _ sim.TallyKernel = (*kernel)(nil)
@@ -27,8 +22,7 @@ var _ sim.KernelBuilder = (*Proc)(nil)
 
 // NewKernel builds FloodSet's columnar kernel straight from (n, t,
 // inputs): the vector NewProcs(n, t, inputs) builds, with the same
-// validation and errors, written into columns without any Proc
-// objects.
+// validation and errors, without any Proc objects.
 func NewKernel(n, t int, inputs []int) (sim.TallyKernel, error) {
 	return newKernel(n, t+1, inputs)
 }
@@ -43,7 +37,7 @@ func NewKernelTolerant(n, t, extra int, inputs []int) (sim.TallyKernel, error) {
 }
 
 // newKernel is newVector in columnar form: each process starts through
-// init, as in newVector, and is written into its row by set.
+// init, as in newVector, and only its state is kept.
 func newKernel(n, rounds int, inputs []int) (sim.TallyKernel, error) {
 	if err := checkLen(n, inputs); err != nil {
 		return nil, err
@@ -54,7 +48,7 @@ func newKernel(n, rounds int, inputs []int) (sim.TallyKernel, error) {
 		if err := p.init(i, x, rounds); err != nil {
 			return nil, err
 		}
-		k.set(i, &p)
+		k.states[i] = p.s
 	}
 	return k, nil
 }
@@ -71,34 +65,20 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 	}
 	k := makeKernel(len(procs), p.rounds)
 	for i, q := range procs {
-		k.set(i, q.(*Proc))
+		k.states[i] = q.(*Proc).s
 	}
 	return k
 }
 
-// makeKernel allocates the columns of an n-process kernel.
+// makeKernel allocates an n-process kernel.
 func makeKernel(n, rounds int) *kernel {
-	return &kernel{
-		rounds:   rounds,
-		mask:     make([]int8, n),
-		sent:     make([]int32, n),
-		decision: make([]int8, n),
-		done:     make([]bool, n),
-	}
+	return &kernel{rounds: rounds, states: make([]state, n)}
 }
 
-// set writes process p's state into row i: the one step by which both
-// kernel constructors fill the kernel.
-func (k *kernel) set(i int, p *Proc) {
-	k.mask[i] = int8(p.mask)
-	k.sent[i] = int32(p.sent)
-	k.decision[i] = int8(p.decision)
-	k.done[i] = p.done
-}
-
-// KernelRound implements sim.TallyKernel: round runs for each active
-// process, visited word by word, and each word's sending bits are
-// written back at once.
+// KernelRound implements sim.TallyKernel: each active process, visited
+// word by word, runs state.round on its tally row's witnessed set (the
+// round-1 inbox is empty, so the tally is read from round 2 on), and
+// each word's sending bits are written back at once.
 func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
 	for wi := 0; wi < active.Words(); wi++ {
 		aw := active.Word(wi)
@@ -109,7 +89,11 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 		for w := aw; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			i := wi<<6 | b
-			p, send := k.round(i, r, t)
+			var witnessed int64
+			if r > 1 {
+				witnessed = t.WitnessedMask(i)
+			}
+			p, send := k.states[i].round(witnessed, k.rounds)
 			payloads[i] = p
 			if send {
 				sw |= 1 << uint(b)
@@ -117,23 +101,6 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 		}
 		sending.SetWord(wi, sw)
 	}
-}
-
-// round is Proc.Round for process i on columns: the round-1 inbox is
-// empty, so the tally is read from round 2 on.
-func (k *kernel) round(i, r int, t *sim.TallyColumns) (int64, bool) {
-	if k.done[i] {
-		return 0, false
-	}
-	if r > 1 {
-		k.mask[i] |= int8(t.WitnessedMask(i))
-	}
-	if int(k.sent[i]) >= k.rounds {
-		k.decision[i], k.done[i] = int8(decision(int64(k.mask[i]))), true
-		return 0, false
-	}
-	k.sent[i]++
-	return wire.Flood(int64(k.mask[i])), true
 }
 
 // KernelClass implements sim.TallyKernel: Round ORs every payload's
@@ -144,13 +111,15 @@ func (k *kernel) KernelClass(p int64) (one, mz, mo bool) {
 }
 
 // KernelDecided implements sim.TallyKernel.
-func (k *kernel) KernelDecided(i int) (int, bool) { return int(k.decision[i]), k.done[i] }
+func (k *kernel) KernelDecided(i int) (int, bool) {
+	return int(k.states[i].decision), k.states[i].done
+}
 
 // KernelStopped implements sim.TallyKernel.
-func (k *kernel) KernelStopped(i int) bool { return k.done[i] }
+func (k *kernel) KernelStopped(i int) bool { return k.states[i].done }
 
 // KernelBookkeep implements sim.TallyKernel. A FloodSet process decides
-// exactly when it stops, so one column answers both questions.
+// exactly when it stops, so its done flag answers both questions.
 func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
 	allDecided = true
 	for wi := 0; wi < alive.Words(); wi++ {
@@ -161,7 +130,7 @@ func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided,
 		hw := halted.Word(wi)
 		for w := live; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			if k.done[wi<<6|b] {
+			if k.states[wi<<6|b].done {
 				hw |= 1 << uint(b)
 			} else {
 				allDecided = false
@@ -178,11 +147,11 @@ func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
 	v := -1
 	for wi := 0; wi < alive.Words(); wi++ {
 		for w := alive.Word(wi) &^ corrupt.Word(wi); w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			if !k.done[i] {
+			s := &k.states[wi<<6|bits.TrailingZeros64(w)]
+			if !s.done {
 				continue
 			}
-			d := int(k.decision[i])
+			d := int(s.decision)
 			if v == -1 {
 				v = d
 			} else if v != d {
@@ -203,47 +172,31 @@ func (k *kernel) KernelClone() sim.TallyKernel {
 	return c
 }
 
-// KernelCopyInto implements sim.TallyKernel, reusing dst's columns.
+// KernelCopyInto implements sim.TallyKernel, reusing dst's storage.
 func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
 	d, ok := dst.(*kernel)
 	if !ok {
 		return false
 	}
 	d.rounds = k.rounds
-	d.mask = append(d.mask[:0], k.mask...)
-	d.sent = append(d.sent[:0], k.sent...)
-	d.decision = append(d.decision[:0], k.decision...)
-	d.done = append(d.done[:0], k.done...)
+	d.states = append(d.states[:0], k.states...)
 	return true
 }
 
 // KernelProcess implements sim.TallyKernel: a fresh Proc holding
 // process i's current state.
 func (k *kernel) KernelProcess(i int) sim.Process {
-	p := new(Proc)
-	k.get(i, p)
-	return p
+	return &Proc{id: i, rounds: k.rounds, s: k.states[i]}
 }
 
 // KernelProcs implements sim.TallyKernel: the whole vector as one block
 // of Procs.
 func (k *kernel) KernelProcs() []sim.Process {
-	block := make([]Proc, len(k.mask))
-	procs := make([]sim.Process, len(k.mask))
+	block := make([]Proc, len(k.states))
+	procs := make([]sim.Process, len(block))
 	for i := range block {
-		k.get(i, &block[i])
+		block[i] = Proc{id: i, rounds: k.rounds, s: k.states[i]}
 		procs[i] = &block[i]
 	}
 	return procs
-}
-
-// get writes row i into p in object form: the inverse of set.
-func (k *kernel) get(i int, p *Proc) {
-	*p = Proc{
-		id: i, rounds: k.rounds,
-		mask:     int64(k.mask[i]),
-		sent:     int(k.sent[i]),
-		decision: int(k.decision[i]),
-		done:     k.done[i],
-	}
 }

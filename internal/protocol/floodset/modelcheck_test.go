@@ -181,9 +181,9 @@ func checkPlan(t *testing.T, inputs []int, rounds, tt, budget int, f faultPlan) 
 			if want[i] == 2 {
 				wantDecision = 1
 			}
-			if got.mask != wantMask || !res.Decided[i] || res.Decisions[i] != wantDecision {
+			if int64(got.s.mask) != wantMask || !res.Decided[i] || res.Decisions[i] != wantDecision {
 				t.Fatalf("%s, %s core: p%d holds mask %#x deciding (%d, %v), model says mask %#x deciding %d",
-					where, core, i, got.mask, res.Decisions[i], res.Decided[i], wantMask, wantDecision)
+					where, core, i, got.s.mask, res.Decisions[i], res.Decided[i], wantMask, wantDecision)
 			}
 			if decision == -1 {
 				decision = wantDecision

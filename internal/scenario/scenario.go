@@ -80,8 +80,8 @@ type Scenario struct {
 	Workload string
 	// N is the number of processes (required, > 0).
 	N int
-	// T is the crash budget. Negative means the protocol default:
-	// (n-1)/2, or (n-1)/4 for phaseking (n > 4t).
+	// T is the crash budget. Negative means the protocol default,
+	// DefaultT.
 	T int
 	// Seed drives all randomness; trial i runs at Seed+i.
 	Seed uint64
@@ -121,11 +121,24 @@ func (s *Scenario) IsAsync() bool { return s.Protocol == ProtocolAsyncBenOr }
 // it: phaseking's (n-1)/4 (it needs 4t < n) and latebeacon's (n-1)/3
 // (it needs 3t < n).
 func DefaultT(protocol string, n int) int {
-	t := (n - 1) / 2
-	if m, err := synran.ProtocolFaults(protocol); err == nil {
-		t = min(t, m.MaxT(n))
+	return min((n-1)/2, Faults(protocol).MaxT(n))
+}
+
+// asyncBenOrFaults is async Ben-Or's fault model: crashes, while
+// 2t < n. The async protocol is not a façade protocol, so the façade's
+// table does not hold it.
+var asyncBenOrFaults = synran.FaultModel{Tolerates: synran.FaultCrash, Resilience: 2}
+
+// Faults returns the fault model of a scenario protocol, async Ben-Or
+// included: the one lookup behind DefaultT, validation's resilience
+// check and the conformance minimizer's t clamp. An unknown name gets
+// the zero model, which allows any t.
+func Faults(protocol string) synran.FaultModel {
+	if protocol == ProtocolAsyncBenOr {
+		return asyncBenOrFaults
 	}
-	return t
+	m, _ := synran.ProtocolFaults(protocol)
+	return m
 }
 
 // Normalize fills every defaultable field in place: protocol, adversary
@@ -192,6 +205,9 @@ func (s *Scenario) Validate() error {
 	if s.T < 0 || s.T > s.N {
 		return errf("t = %d out of [0, %d]", s.T, s.N)
 	}
+	if m := Faults(s.Protocol); !m.Resilient(s.N, s.T) {
+		return errf("%s needs %dt < n, got n = %d, t = %d", s.Protocol, m.Resilience, s.N, s.T)
+	}
 	if s.IsAsync() {
 		return s.validateAsync()
 	}
@@ -200,9 +216,6 @@ func (s *Scenario) Validate() error {
 	}
 	if err := synran.ValidAdversary(s.Adversary); err != nil {
 		return errf("%v", err)
-	}
-	if m, _ := synran.ProtocolFaults(s.Protocol); !m.Resilient(s.N, s.T) {
-		return errf("%s needs %dt < n, got n = %d, t = %d", s.Protocol, m.Resilience, s.N, s.T)
 	}
 	if s.Coin != "" {
 		return errf("coin = %q applies only to protocol %q", s.Coin, ProtocolAsyncBenOr)
@@ -265,9 +278,6 @@ func (s *Scenario) validateAsync() error {
 	}
 	if err := validWorkload(s.Workload); err != nil {
 		return err
-	}
-	if 2*s.T >= s.N {
-		return errf("async benor needs t < n/2, got n = %d, t = %d", s.N, s.T)
 	}
 	if s.Engine != "" || s.Live || s.Chaos != "" || s.FaultBudget != 0 ||
 		s.Deadline != 0 || s.Retransmits != 0 {

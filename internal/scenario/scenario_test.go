@@ -215,7 +215,7 @@ func TestParseRejections(t *testing.T) {
 		{"async bad coin", "n = 5\nprotocol = async-benor\ncoin = weighted\n",
 			"scenario: unknown coin \"weighted\" (want random|parity)"},
 		{"async resilience", "n = 4\nprotocol = async-benor\nt = 2\n",
-			"scenario: async benor needs t < n/2, got n = 4, t = 2"},
+			"scenario: async-benor needs 2t < n, got n = 4, t = 2"},
 		{"async engine", "n = 5\nprotocol = async-benor\nengine = soa\n",
 			`scenario: engine/live/chaos/faultbudget/deadline/retransmits do not apply to protocol "async-benor"`},
 		{"async live", "n = 5\nprotocol = async-benor\nlive = true\n",

@@ -202,13 +202,14 @@ func (v *View) Payload(i int) int64 {
 	return v.payloads[i]
 }
 
-// Proc exposes process i's state machine (full-information model). The
-// returned Process is LIVE engine state: adversaries may inspect it but
-// must not call Round on it — drive a snapshot of Exec instead.
+// Proc exposes process i's state machine (full-information model), as
+// Execution.Process does: LIVE engine state on the object core, which
+// adversaries may inspect but must not call Round on (drive a snapshot
+// of Exec instead), and a copy built at the call on the columnar core.
 func (v *View) Proc(i int) Process {
 	if v.Exec != nil {
-		// Route through the execution so the SoA engine can sync the
-		// object from its columnar kernel before handing it out.
+		// Route through the execution, which on the columnar core builds
+		// the object from its kernel.
 		return v.Exec.Process(i)
 	}
 	if v.procs == nil {

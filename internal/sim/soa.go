@@ -71,8 +71,8 @@ func ValidEngine(name string) error {
 
 // TallyColumns are the per-receiver delivery aggregates of one exchange
 // round, the SoA replacement for materialized inboxes. For receiver j:
-// Ones/Zeros count delivered messages exactly as core's countValues
-// would classify them; Count is the number of delivered messages
+// Ones/Zeros count delivered messages by the kernel's KernelClass vote
+// (one or not); Count is the number of delivered messages
 // (len(inbox)); MaskZero/MaskOne count delivered messages whose
 // witnessed-value set contains 0 resp. 1, so the flood-stage union is
 // WitnessedMask(j). Counts (not booleans) are stored for the mask bits
@@ -141,9 +141,10 @@ type TallyKernel interface {
 	// sending bits are left untouched.
 	KernelRound(r int, active *BitSet, t *TallyColumns, payloads []int64, sending *BitSet)
 	// KernelClass classifies a wire payload the way the protocol's
-	// aggregation does: one is the countValues class, mz/mo whether the
-	// payload's witnessed-value set contains 0 resp. 1. It must be a pure
-	// function; the engine memoizes it per payload value.
+	// object form folds its inbox: one is whether it counts as a one
+	// (else a zero), mz/mo whether the payload's witnessed-value set
+	// contains 0 resp. 1. It must be a pure function; the engine
+	// memoizes it per payload value.
 	KernelClass(payload int64) (one, mz, mo bool)
 	// KernelDecided / KernelStopped mirror Process.Decided / Stopped for
 	// process i.

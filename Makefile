@@ -38,12 +38,14 @@ bench-json:
 # baseline by at most that fraction (bytes catch what counts cannot: a
 # process vector is one allocation at any n). The arena estimator gets
 # 20%, the disabled metrics path 2% (the "metrics off = free" budget),
-# the SoA stepwise lane 34% (baseline 3 allocs/op, so the columnar core
+# the metered path 12% (its checked-in 30 allocs/op predate the three
+# it reads at 20x, 33; 12% passes those and fails a 34th), the SoA
+# stepwise lane 34% (baseline 3 allocs/op, so the columnar core
 # stays two orders of magnitude under the object engine's 1063-alloc
 # seed), every at-scale engine lane (object and soa at n = 1024,
 # soa-1e5 at n = 10^5) 20%, and the async engine's Splitter execution
 # 20%.
-BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20
+BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkMetricsOverhead/on=0.12,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20
 
 # Re-run the snapshot benches for 20 iterations each and fail if any
 # BENCH_GATES row's allocs/op or B/op regressed past its tolerance.

@@ -19,9 +19,6 @@ type kernel struct {
 	q       float64
 	states  []state
 	streams []rng.Stream
-	// stopped marks each process whose state has stopped, which is when
-	// it decides, so bookkeeping sweeps words instead of states.
-	stopped sim.BitSet
 }
 
 var _ sim.TallyKernel = (*kernel)(nil)
@@ -49,13 +46,11 @@ func NewKernel(n int, inputs []int, seed uint64, opts Options) (sim.TallyKernel,
 	if err != nil {
 		return nil, err
 	}
-	k := newKernel(n, opts, v.tmpl.q)
-	var p Proc
+	k := newKernel(n, opts, v.q)
 	for i, x := range inputs {
-		if err := p.init(&v.tmpl, n, i, x); err != nil {
+		if err := v.start(&k.states[i], i, x); err != nil {
 			return nil, err
 		}
-		k.states[i] = p.s
 		v.root.SplitInto(&k.streams[i], uint64(i))
 	}
 	return k, nil
@@ -81,23 +76,16 @@ func (p *Proc) BuildKernel(procs []sim.Process) sim.TallyKernel {
 
 // newKernel allocates a size-process kernel.
 func newKernel(size int, opts Options, q float64) *kernel {
-	k := &kernel{
+	return &kernel{
 		opts:    opts,
 		q:       q,
 		states:  make([]state, size),
 		streams: make([]rng.Stream, size),
 	}
-	k.stopped.Reset(size)
-	return k
 }
 
 // set writes process p into row i; get is its inverse.
-func (k *kernel) set(i int, p *Proc) {
-	k.states[i], k.streams[i] = p.s, p.rng
-	if p.s.done() {
-		k.stopped.Set(i)
-	}
-}
+func (k *kernel) set(i int, p *Proc) { k.states[i], k.streams[i] = p.s, p.rng }
 
 func (k *kernel) get(i int, p *Proc) {
 	*p = Proc{id: i, s: k.states[i], rng: k.streams[i], opts: k.opts, q: k.q}
@@ -106,14 +94,13 @@ func (k *kernel) get(i int, p *Proc) {
 // KernelRound implements sim.TallyKernel: each active process, visited
 // word by word, runs state.round on its tally row, and each word's
 // sending and stopped bits are written back at once.
-func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
+func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending, stopped *sim.BitSet) {
 	for wi := 0; wi < active.Words(); wi++ {
 		aw := active.Word(wi)
 		if aw == 0 {
 			continue
 		}
-		sw := sending.Word(wi) &^ aw
-		stw := k.stopped.Word(wi)
+		sw, stw := sending.Word(wi)&^aw, stopped.Word(wi)&^aw
 		for w := aw; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			i := wi<<6 | b
@@ -139,7 +126,7 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 			}
 		}
 		sending.SetWord(wi, sw)
-		k.stopped.SetWord(wi, stw)
+		stopped.SetWord(wi, stw)
 	}
 }
 
@@ -149,77 +136,25 @@ func (k *kernel) KernelClass(p int64) (one, mz, mo bool) {
 	return classifyPayload(p)
 }
 
-// KernelDecided implements sim.TallyKernel.
-func (k *kernel) KernelDecided(i int) (int, bool) {
-	return int(k.states[i].b), k.states[i].done()
-}
-
-// KernelStopped implements sim.TallyKernel.
-func (k *kernel) KernelStopped(i int) bool { return k.states[i].done() }
-
-// KernelBookkeep implements sim.TallyKernel: the end-of-round
-// decided/stopped sweep over the alive, non-corrupt words, one call
-// instead of two interface dispatches per live process. A process
-// decides when it stops, so the stopped words answer both.
-func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
-	allDecided = true
-	for wi := 0; wi < alive.Words(); wi++ {
-		live := alive.Word(wi) &^ corrupt.Word(wi)
-		if live == 0 {
-			continue
-		}
-		stop := live & k.stopped.Word(wi)
-		hw := halted.Word(wi) | stop
-		halted.SetWord(wi, hw)
-		if stop != live {
-			allDecided = false
-		}
-		if live&^hw != 0 {
-			anyAliveActive = true
-		}
-	}
-	return allDecided, anyAliveActive
-}
-
-// KernelConsensus implements sim.TallyKernel.
-func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
-	v := -1
-	for wi := 0; wi < alive.Words(); wi++ {
-		for w := alive.Word(wi) &^ corrupt.Word(wi) & k.stopped.Word(wi); w != 0; w &= w - 1 {
-			d := int(k.states[wi<<6|bits.TrailingZeros64(w)].b)
-			if v == -1 {
-				v = d
-			} else if v != d {
-				return -1
-			}
-		}
-	}
-	return v
-}
+// KernelDecision implements sim.TallyKernel: a stopped process's b is
+// its decision.
+func (k *kernel) KernelDecision(i int) int { return int(k.states[i].b) }
 
 // KernelReseed implements sim.TallyKernel, matching Proc.Reseed.
 func (k *kernel) KernelReseed(i int, seed uint64) { k.streams[i].Reseed(seed) }
 
-// KernelClone implements sim.TallyKernel.
-func (k *kernel) KernelClone() sim.TallyKernel {
-	c := &kernel{}
-	k.KernelCopyInto(c)
-	return c
-}
-
-// KernelCopyInto implements sim.TallyKernel: overwrite dst reusing its
-// storage (the arena-snapshot hot path — three flat copies instead of
-// n ProcessCopier calls).
-func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
+// KernelCopyInto implements sim.TallyKernel, reusing dst's storage
+// when it is a SynRan kernel (the arena-snapshot hot path: two flat
+// copies instead of n ProcessCopier calls).
+func (k *kernel) KernelCopyInto(dst sim.TallyKernel) sim.TallyKernel {
 	d, ok := dst.(*kernel)
 	if !ok {
-		return false
+		d = &kernel{}
 	}
 	d.opts, d.q = k.opts, k.q
 	d.states = append(d.states[:0], k.states...)
 	d.streams = append(d.streams[:0], k.streams...)
-	d.stopped.CopyFrom(&k.stopped)
-	return true
+	return d
 }
 
 // KernelProcess implements sim.TallyKernel: a fresh Proc holding

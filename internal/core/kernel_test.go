@@ -13,10 +13,10 @@ import (
 
 // TestKernelRoundSparseActive pins KernelRound's contract on a sparse
 // active set spread over three words: every active process produces
-// Proc.Round's payload and sending bit (the stale bit it starts from is
-// overwritten), and every inactive process's payload and clear sending
-// bit are left untouched. With empty inboxes the active processes run
-// through the deterministic stage until they halt and go quiet.
+// Proc.Round's payload, sending bit and stopped bit (the stale bits it
+// starts from are overwritten), and every inactive process's payload and
+// clear bits are left untouched. With empty inboxes the active processes
+// run through the deterministic stage until they halt and go quiet.
 func TestKernelRoundSparseActive(t *testing.T) {
 	const n, untouched = 130, -7
 	inputs := workload.HalfHalf(n)
@@ -29,7 +29,7 @@ func TestKernelRoundSparseActive(t *testing.T) {
 		objs[i] = p.Clone()
 	}
 	k := procs[0].(*Proc).BuildKernel(procs)
-	active, sending := sim.NewBitSet(n), sim.NewBitSet(n)
+	active, sending, stopped := sim.NewBitSet(n), sim.NewBitSet(n), sim.NewBitSet(n)
 	payloads := make([]int64, n)
 	for i := range payloads {
 		payloads[i] = untouched
@@ -37,31 +37,37 @@ func TestKernelRoundSparseActive(t *testing.T) {
 			active.Set(i)
 			if i%2 == 0 {
 				sending.Set(i) // stale from an earlier round
+				stopped.Set(i)
 			}
 		}
 	}
 	cols := &sim.TallyColumns{Ones: make([]int32, n), Zeros: make([]int32, n), Count: make([]int32, n),
 		MaskZero: make([]int32, n), MaskOne: make([]int32, n)} // all zero: the empty inbox
-	quiet := false
+	quiet, halted := false, false
 	for r := 1; r <= FloodRounds(n)+3; r++ {
-		k.KernelRound(r, active, cols, payloads, sending)
+		k.KernelRound(r, active, cols, payloads, sending, stopped)
 		for i := 0; i < n; i++ {
 			if !active.Get(i) {
-				if payloads[i] != untouched || sending.Get(i) {
-					t.Fatalf("round %d: inactive process %d: payload %d sending %v, want untouched and clear",
-						r, i, payloads[i], sending.Get(i))
+				if payloads[i] != untouched || sending.Get(i) || stopped.Get(i) {
+					t.Fatalf("round %d: inactive process %d: payload %d sending %v stopped %v, want untouched and clear",
+						r, i, payloads[i], sending.Get(i), stopped.Get(i))
 				}
 				continue
 			}
 			want, wantSend := objs[i].Round(r, nil)
-			if payloads[i] != want || sending.Get(i) != wantSend {
-				t.Fatalf("round %d: process %d: kernel (%#x, %v), Round (%#x, %v)", r, i, payloads[i], sending.Get(i), want, wantSend)
+			if payloads[i] != want || sending.Get(i) != wantSend || stopped.Get(i) != objs[i].Stopped() {
+				t.Fatalf("round %d: process %d: kernel (%#x, %v, stopped %v), Round (%#x, %v, stopped %v)",
+					r, i, payloads[i], sending.Get(i), stopped.Get(i), want, wantSend, objs[i].Stopped())
+			}
+			if v, ok := objs[i].Decided(); ok && k.KernelDecision(i) != v {
+				t.Fatalf("round %d: process %d: KernelDecision %d, Decided %d", r, i, k.KernelDecision(i), v)
 			}
 			quiet = quiet || !wantSend
+			halted = halted || objs[i].Stopped()
 		}
 	}
-	if !quiet {
-		t.Fatal("no active process went quiet: the stale sending bits were never overwritten with false")
+	if !quiet || !halted {
+		t.Fatalf("quiet %v, halted %v: the stale bits were never overwritten with both values", quiet, halted)
 	}
 }
 
@@ -183,6 +189,65 @@ func TestDefaultCoreTracksObjectCore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestObserverAttachedMidRun runs SynRan unobserved on each core until
+// the first round after which some, but not all, live processes have
+// halted, then attaches a recorder with SetObserver and runs on. Both
+// cores must record the same events from the attach on, and none of
+// them may be a decision of a process that halted before it: the
+// end-of-round bookkeeping marks a decision seen whether or not
+// anything observes it.
+func TestObserverAttachedMidRun(t *testing.T) {
+	const n, tt, seed = 16, 15, 6
+	inputs := workload.HalfHalf(n)
+	var logs []*trace.Log
+	for _, engine := range []string{sim.EngineObject, ""} {
+		procs, err := NewProcs(n, inputs, seed, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewExecution(sim.Config{N: n, T: tt, Engine: engine}, procs, inputs, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := &adversary.Random{PerRound: 0.7, MaxPerRound: 2}
+		var halted []int
+		for active := n; len(halted) == 0 || active == 0; {
+			if e.Done() {
+				t.Fatalf("engine %q: no round left some but not all live processes halted", engine)
+			}
+			if err := e.Step(adv); err != nil {
+				t.Fatal(err)
+			}
+			halted, active = halted[:0], 0
+			for i := 0; i < n; i++ {
+				switch {
+				case !e.Alive(i) || e.Corrupt(i):
+				case e.Halted(i):
+					halted = append(halted, i)
+				default:
+					active++
+				}
+			}
+		}
+		rec := trace.NewRecorder(n, tt, seed)
+		e.SetObserver(rec)
+		if err := e.Drive(adv); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range rec.Log().Events {
+			for _, h := range halted {
+				if ev.Kind == "decide" && ev.Proc == h {
+					t.Errorf("engine %q: %+v re-fires the decision of process %d, which halted before the attach", engine, ev, h)
+				}
+			}
+		}
+		logs = append(logs, rec.Log())
+	}
+	if i, dv, ov := trace.FirstDiff(logs[1], logs[0]); i >= 0 {
+		t.Fatalf("after the attach, trace event %d: default core %s, object core %s", i, dv, ov)
 	}
 }
 

@@ -297,10 +297,13 @@ var _ sim.Process = (*Proc)(nil)
 // NewProc builds one SynRan process with the given input bit, holding
 // a copy of stream as its private coin.
 func NewProc(id, n, input int, stream *rng.Stream, opts Options) (*Proc, error) {
-	tmpl := template(n, opts)
+	v := template(n, opts)
 	p := new(Proc)
-	if err := p.init(&tmpl, n, id, input); err != nil {
+	if err := p.init(&v, id, input); err != nil {
 		return nil, err
+	}
+	if n <= 0 || id < 0 || id >= n {
+		return nil, fmt.Errorf("core: process id %d out of range for n=%d", id, n)
 	}
 	p.rng = *stream
 	return p, nil
@@ -320,7 +323,7 @@ func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, er
 	procs := make([]sim.Process, n)
 	for i := range block {
 		p := &block[i]
-		if err := p.init(&v.tmpl, n, i, inputs[i]); err != nil {
+		if err := p.init(&v, i, inputs[i]); err != nil {
 			return nil, err
 		}
 		v.root.SplitInto(&p.rng, uint64(i))
@@ -329,11 +332,13 @@ func NewProcs(n int, inputs []int, seed uint64, opts Options) ([]sim.Process, er
 	return procs, nil
 }
 
-// vector is what every process of an n-process vector starts from:
-// the template process, and the root stream its coin is split from
-// under its id.
+// vector is what every process of an n-process vector starts from: the
+// template state, the options and the threshold, and the root stream
+// its coin is split from under its id.
 type vector struct {
-	tmpl Proc
+	tmpl state
+	opts Options
+	q    float64
 	root rng.Stream
 }
 
@@ -343,36 +348,39 @@ func newVector(n int, inputs []int, seed uint64, opts Options) (vector, error) {
 	if len(inputs) != n {
 		return vector{}, fmt.Errorf("core: %d inputs for n=%d", len(inputs), n)
 	}
-	v := vector{tmpl: template(n, opts)}
+	v := template(n, opts)
 	v.root.Reseed(seed)
 	return v, nil
 }
 
-// template is the process every process of an n-process vector starts
+// template computes what every process of an n-process vector starts
 // from, so the threshold and the flood-stage length are computed once
 // per vector.
-func template(n int, opts Options) Proc {
+func template(n int, opts Options) vector {
 	fl := opts.FloodRounds
 	if fl <= 0 {
 		fl = FloodRounds(n)
 	}
 	h := int32(n)
-	return Proc{opts: opts, q: DetThreshold(n),
-		s: state{st: stageProb, floodLeft: int32(fl), h: [3]int32{h, h, h}}}
+	return vector{opts: opts, q: DetThreshold(n),
+		tmpl: state{st: stageProb, floodLeft: int32(fl), h: [3]int32{h, h, h}}}
 }
 
-// init validates id and input and starts p from tmpl as process id of
-// n, leaving its coin stream zero.
-func (p *Proc) init(tmpl *Proc, n, id, input int) error {
+// start validates input and starts *s as process id: the template
+// holding input as b.
+func (v *vector) start(s *state, id, input int) error {
 	if input != 0 && input != 1 {
 		return fmt.Errorf("core: input %d for process %d, want 0 or 1", input, id)
 	}
-	if n <= 0 || id < 0 || id >= n {
-		return fmt.Errorf("core: process id %d out of range for n=%d", id, n)
-	}
-	*p = *tmpl
-	p.id, p.s.b = id, int8(input)
+	*s = v.tmpl
+	s.b = int8(input)
 	return nil
+}
+
+// init starts p as process id of v, leaving its coin stream zero.
+func (p *Proc) init(v *vector, id, input int) error {
+	*p = Proc{id: id, opts: v.opts, q: v.q}
+	return v.start(&p.s, id, input)
 }
 
 // B returns the process's current choice for the consensus value.

@@ -78,14 +78,14 @@ func makeKernel(n, rounds int) *kernel {
 // KernelRound implements sim.TallyKernel: each active process, visited
 // word by word, runs state.round on its tally row's witnessed set (the
 // round-1 inbox is empty, so the tally is read from round 2 on), and
-// each word's sending bits are written back at once.
-func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending *sim.BitSet) {
+// each word's sending and stopped bits are written back at once.
+func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, payloads []int64, sending, stopped *sim.BitSet) {
 	for wi := 0; wi < active.Words(); wi++ {
 		aw := active.Word(wi)
 		if aw == 0 {
 			continue
 		}
-		sw := sending.Word(wi) &^ aw
+		sw, stw := sending.Word(wi)&^aw, stopped.Word(wi)&^aw
 		for w := aw; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			i := wi<<6 | b
@@ -93,13 +93,18 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 			if r > 1 {
 				witnessed = t.WitnessedMask(i)
 			}
-			p, send := k.states[i].round(witnessed, k.rounds)
+			s := &k.states[i]
+			p, send := s.round(witnessed, k.rounds)
 			payloads[i] = p
 			if send {
 				sw |= 1 << uint(b)
 			}
+			if s.done {
+				stw |= 1 << uint(b)
+			}
 		}
 		sending.SetWord(wi, sw)
+		stopped.SetWord(wi, stw)
 	}
 }
 
@@ -110,77 +115,22 @@ func (k *kernel) KernelClass(p int64) (one, mz, mo bool) {
 	return false, p&wire.MaskZero != 0, p&wire.MaskOne != 0
 }
 
-// KernelDecided implements sim.TallyKernel.
-func (k *kernel) KernelDecided(i int) (int, bool) {
-	return int(k.states[i].decision), k.states[i].done
-}
-
-// KernelStopped implements sim.TallyKernel.
-func (k *kernel) KernelStopped(i int) bool { return k.states[i].done }
-
-// KernelBookkeep implements sim.TallyKernel. A FloodSet process decides
-// exactly when it stops, so its done flag answers both questions.
-func (k *kernel) KernelBookkeep(alive, corrupt, halted *sim.BitSet) (allDecided, anyAliveActive bool) {
-	allDecided = true
-	for wi := 0; wi < alive.Words(); wi++ {
-		live := alive.Word(wi) &^ corrupt.Word(wi)
-		if live == 0 {
-			continue
-		}
-		hw := halted.Word(wi)
-		for w := live; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			if k.states[wi<<6|b].done {
-				hw |= 1 << uint(b)
-			} else {
-				allDecided = false
-				anyAliveActive = true
-			}
-		}
-		halted.SetWord(wi, hw)
-	}
-	return allDecided, anyAliveActive
-}
-
-// KernelConsensus implements sim.TallyKernel.
-func (k *kernel) KernelConsensus(alive, corrupt *sim.BitSet) int {
-	v := -1
-	for wi := 0; wi < alive.Words(); wi++ {
-		for w := alive.Word(wi) &^ corrupt.Word(wi); w != 0; w &= w - 1 {
-			s := &k.states[wi<<6|bits.TrailingZeros64(w)]
-			if !s.done {
-				continue
-			}
-			d := int(s.decision)
-			if v == -1 {
-				v = d
-			} else if v != d {
-				return -1
-			}
-		}
-	}
-	return v
-}
+// KernelDecision implements sim.TallyKernel.
+func (k *kernel) KernelDecision(i int) int { return int(k.states[i].decision) }
 
 // KernelReseed implements sim.TallyKernel: FloodSet is deterministic.
 func (k *kernel) KernelReseed(int, uint64) {}
 
-// KernelClone implements sim.TallyKernel.
-func (k *kernel) KernelClone() sim.TallyKernel {
-	c := &kernel{}
-	k.KernelCopyInto(c)
-	return c
-}
-
-// KernelCopyInto implements sim.TallyKernel, reusing dst's storage.
-func (k *kernel) KernelCopyInto(dst sim.TallyKernel) bool {
+// KernelCopyInto implements sim.TallyKernel, reusing dst's storage
+// when it is a FloodSet kernel.
+func (k *kernel) KernelCopyInto(dst sim.TallyKernel) sim.TallyKernel {
 	d, ok := dst.(*kernel)
 	if !ok {
-		return false
+		d = &kernel{}
 	}
 	d.rounds = k.rounds
 	d.states = append(d.states[:0], k.states...)
-	return true
+	return d
 }
 
 // KernelProcess implements sim.TallyKernel: a fresh Proc holding

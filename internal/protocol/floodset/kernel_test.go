@@ -254,9 +254,9 @@ func TestKernelRoundIgnoresRoundOneTally(t *testing.T) {
 		Ones: []int32{1, 1, 1}, Zeros: []int32{1, 1, 1}, Count: []int32{2, 2, 2},
 		MaskZero: []int32{1, 1, 1}, MaskOne: []int32{1, 1, 1},
 	}
-	payloads, sending, active := make([]int64, 3), sim.NewBitSet(3), sim.NewBitSet(3)
+	payloads, sending, stopped, active := make([]int64, 3), sim.NewBitSet(3), sim.NewBitSet(3), sim.NewBitSet(3)
 	active.Fill()
-	k.KernelRound(1, active, cols, payloads, sending)
+	k.KernelRound(1, active, cols, payloads, sending, stopped)
 	for i, q := range procs {
 		p := q.(*Proc)
 		want, wantSend := p.Round(1, nil)
@@ -293,10 +293,10 @@ func TestKernelClassMatchesRoundFold(t *testing.T) {
 			if mo {
 				cols.MaskOne[0] = 1
 			}
-			payloads, sending, active := make([]int64, 1), sim.NewBitSet(1), sim.NewBitSet(1)
+			payloads, sending, stopped, active := make([]int64, 1), sim.NewBitSet(1), sim.NewBitSet(1), sim.NewBitSet(1)
 			active.Set(0)
-			k.KernelRound(1, active, cols, payloads, sending)
-			k.KernelRound(2, active, cols, payloads, sending)
+			k.KernelRound(1, active, cols, payloads, sending, stopped)
+			k.KernelRound(2, active, cols, payloads, sending, stopped)
 			if payloads[0] != want {
 				t.Errorf("payload %#x input %d: kernel floods %#x, Round %#x", payload, input, payloads[0], want)
 			}
@@ -306,9 +306,9 @@ func TestKernelClassMatchesRoundFold(t *testing.T) {
 
 // TestKernelRoundSparseActive pins KernelRound's contract on a sparse
 // active set spread over three words: every active process produces
-// Proc.Round's payload and sending bit (the stale bit it starts from is
-// overwritten), and every inactive process's payload and clear sending
-// bit are left untouched, through the round it decides in.
+// Proc.Round's payload, sending bit and stopped bit (the stale bits it
+// starts from are overwritten), and every inactive process's payload and
+// clear bits are left untouched, through the round it decides in.
 func TestKernelRoundSparseActive(t *testing.T) {
 	const n, rounds, untouched = 130, 2, -7
 	inputs, rs := make([]int, n), make([]int, n)
@@ -321,7 +321,7 @@ func TestKernelRoundSparseActive(t *testing.T) {
 		objs[i] = p.Clone()
 	}
 	k := procs[0].(*Proc).BuildKernel(procs)
-	active, sending := sim.NewBitSet(n), sim.NewBitSet(n)
+	active, sending, stopped := sim.NewBitSet(n), sim.NewBitSet(n), sim.NewBitSet(n)
 	payloads := make([]int64, n)
 	for i := range payloads {
 		payloads[i] = untouched
@@ -329,24 +329,29 @@ func TestKernelRoundSparseActive(t *testing.T) {
 			active.Set(i)
 			if i%2 == 0 {
 				sending.Set(i) // stale from an earlier round
+				stopped.Set(i)
 			}
 		}
 	}
 	cols := &sim.TallyColumns{Ones: make([]int32, n), Zeros: make([]int32, n), Count: make([]int32, n),
 		MaskZero: make([]int32, n), MaskOne: make([]int32, n)} // all zero: the empty inbox
 	for r := 1; r <= rounds+1; r++ {
-		k.KernelRound(r, active, cols, payloads, sending)
+		k.KernelRound(r, active, cols, payloads, sending, stopped)
 		for i := 0; i < n; i++ {
 			if !active.Get(i) {
-				if payloads[i] != untouched || sending.Get(i) {
-					t.Fatalf("round %d: inactive process %d: payload %d sending %v, want untouched and clear",
-						r, i, payloads[i], sending.Get(i))
+				if payloads[i] != untouched || sending.Get(i) || stopped.Get(i) {
+					t.Fatalf("round %d: inactive process %d: payload %d sending %v stopped %v, want untouched and clear",
+						r, i, payloads[i], sending.Get(i), stopped.Get(i))
 				}
 				continue
 			}
 			want, wantSend := objs[i].Round(r, nil)
-			if payloads[i] != want || sending.Get(i) != wantSend {
-				t.Fatalf("round %d: process %d: kernel (%#x, %v), Round (%#x, %v)", r, i, payloads[i], sending.Get(i), want, wantSend)
+			if payloads[i] != want || sending.Get(i) != wantSend || stopped.Get(i) != objs[i].Stopped() {
+				t.Fatalf("round %d: process %d: kernel (%#x, %v, stopped %v), Round (%#x, %v, stopped %v)",
+					r, i, payloads[i], sending.Get(i), stopped.Get(i), want, wantSend, objs[i].Stopped())
+			}
+			if v, ok := objs[i].Decided(); ok && k.KernelDecision(i) != v {
+				t.Fatalf("round %d: process %d: KernelDecision %d, Decided %d", r, i, k.KernelDecision(i), v)
 			}
 		}
 	}

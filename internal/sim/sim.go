@@ -266,12 +266,14 @@ type Config struct {
 	T         int // adversary crash budget, 0 <= T <= N
 	MaxRounds int // safety valve; 0 selects a generous default
 	// Engine selects the round-loop core. The default ("" or EngineSoA)
-	// runs the columnar structure-of-arrays core whenever procs[0]'s
-	// KernelBuilder adopts the process vector, and the object core
-	// otherwise (see soa.go); EngineObject pins the object-per-process
-	// reference core. The two are behaviorally identical — the
-	// conformance differential lane pins byte-equality — so Engine only
-	// matters for performance and for differential testing.
+	// runs the columnar structure-of-arrays core (see soa.go) on a kernel
+	// handed to NewKernelExecution by a protocol's kernel constructor, or
+	// on the kernel procs[0]'s KernelBuilder adopts a vector handed to
+	// NewExecution into, and the object core on any other vector;
+	// EngineObject pins the object-per-process reference core for both
+	// routes. The two are behaviorally identical — the conformance
+	// differential lane pins byte-equality — so Engine only matters for
+	// performance and for differential testing.
 	Engine string
 	// Observer, when non-nil, receives this execution's engine events.
 	// Observers watch exactly one execution: snapshots (Clone, CloneInto,
@@ -399,9 +401,16 @@ type Execution struct {
 	advRng *rng.Stream
 
 	// Per-process flags, one bit each (see BitSet for the word layout).
+	// decided and stopped record each process's Decided and Stopped
+	// answers after its latest Phase A; decidedSeen and halted mark the
+	// ones bookkeeping has taken in. The columnar core leaves decided
+	// unsized and reads stopped for it: a kernel process decides exactly
+	// when it stops.
 	alive       BitSet
 	halted      BitSet
 	corrupt     BitSet
+	decided     BitSet
+	stopped     BitSet
 	decidedSeen BitSet
 	crashed     int
 	corrupted   int // number of true entries in corrupt
@@ -410,6 +419,10 @@ type Execution struct {
 
 	round      int // last completed round
 	phaseAOpen bool
+	// tallyMode selects the columnar core (see its state below). It
+	// shares phaseAOpen's word, which keeps an Execution with its
+	// allocation header inside the 1024-byte size class.
+	tallyMode bool
 
 	payloads []int64
 	sending  BitSet
@@ -441,7 +454,6 @@ type Execution struct {
 	// kernel is the whole process state and procs is nil: Process builds
 	// a process from the kernel when called, and a Byzantine fall-back
 	// builds the whole vector once.
-	tallyMode    bool
 	kernel       TallyKernel
 	cols         TallyColumns
 	act          BitSet // Phase A's active set: alive, not halted, not corrupt
@@ -543,6 +555,7 @@ func (e *Execution) start(cfg Config, inputs []int, advSeed uint64) error {
 	e.alive.Fill()
 	e.halted.Reset(n)
 	e.corrupt.Reset(n)
+	e.stopped.Reset(n)
 	e.decidedSeen.Reset(n)
 	e.sending.Reset(n)
 	e.act.Reset(n)
@@ -564,16 +577,18 @@ func (e *Execution) start(cfg Config, inputs []int, advSeed uint64) error {
 }
 
 // sizeObjectCore sizes the object core's per-process buffers, which
-// the columnar core never reads: it clears every delivery override and
-// empties every inbox. runObjects calls it for an object-core run and
-// leaveTallyMode on a fall-back. With reserve, every missing inbox is
-// cut from one shared block, capped at n so it can never grow into its
-// neighbour (Phase B appends at most n-1 messages per receiver). A
-// fall-back leaves them to grow lazily instead: tally mode never
-// preallocates inboxes, because at n = 10^6 the object engine's n²
-// inbox reservation alone would be ~16 GB.
+// the columnar core never reads: it starts the decided column from
+// stopped (clear on a fresh run, the kernel's decisions on a fall-back),
+// clears every delivery override and empties every inbox. runObjects
+// calls it for an object-core run and leaveTallyMode on a fall-back.
+// With reserve, every missing inbox is cut from one shared block, capped
+// at n so it can never grow into its neighbour (Phase B appends at most
+// n-1 messages per receiver). A fall-back leaves them to grow lazily
+// instead: tally mode never preallocates inboxes, because at n = 10^6
+// the object engine's n² inbox reservation alone would be ~16 GB.
 func (e *Execution) sizeObjectCore(reserve bool) {
 	n := e.cfg.N
+	e.decided.CopyFrom(&e.stopped)
 	e.deliver = resizeMasks(e.deliver, n)
 	e.deliverScratch = resizeMasks(e.deliverScratch, n)
 	for i := range e.deliver {
@@ -685,21 +700,9 @@ func (e *Execution) SetObserver(o Observer) { e.cfg.Observer = o }
 
 // Done reports whether the execution has terminated: every correct
 // (non-crashed, non-corrupted) process has halted, or none remains.
-func (e *Execution) Done() bool {
-	if e.tallyMode {
-		// finishBookkeeping records haltRound the first round no live
-		// process remains active, which is exactly the loop below; alive,
-		// halted, and corrupt are monotone, so the cached round is
-		// equivalent (corruption leaves tally mode before it can corrupt).
-		return e.haltRound != 0
-	}
-	for k, a := range e.alive.words {
-		if a&^e.corrupt.words[k]&^e.halted.words[k] != 0 {
-			return false
-		}
-	}
-	return true
-}
+// Alive, halted and corrupt change only inside a round's finish, whose
+// bookkeeping records the first round this holds as haltRound.
+func (e *Execution) Done() bool { return e.haltRound != 0 }
 
 // Clone returns a deep copy of the execution, including mid-round Phase-A
 // state, process state machines, and the adversary rng stream. Driving
@@ -741,6 +744,7 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	dst.alive.CopyFrom(&e.alive)
 	dst.halted.CopyFrom(&e.halted)
 	dst.corrupt.CopyFrom(&e.corrupt)
+	dst.stopped.CopyFrom(&e.stopped)
 	dst.decidedSeen.CopyFrom(&e.decidedSeen)
 	dst.sending.CopyFrom(&e.sending)
 	dst.act.CopyFrom(&e.act)
@@ -759,13 +763,12 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 		// Columnar core: the kernel is the whole process state, so clone
 		// it (a few flat column copies); dst holds no process objects
 		// either.
-		if dst.kernel == nil || !e.kernel.KernelCopyInto(dst.kernel) {
-			dst.kernel = e.kernel.KernelClone()
-		}
+		dst.kernel = e.kernel.KernelCopyInto(dst.kernel)
 		dst.cols.copyFrom(&e.cols)
 		dst.classTab = e.classTab
 		dst.procs = nil
 	} else {
+		dst.decided.CopyFrom(&e.decided)
 		if cap(dst.procs) < n {
 			grown := make([]Process, n)
 			copy(grown, dst.procs)
@@ -840,7 +843,8 @@ func (e *Execution) ReseedProcesses(seed uint64) {
 }
 
 // StepPhaseA runs Phase A of the next round: every live, non-halted
-// process consumes its inbox and produces its outgoing payload. It
+// process consumes its inbox and produces its outgoing payload, and its
+// decided and stopped flags are recorded for the round's bookkeeping. It
 // returns the adversary view for the round. It is an error to call it
 // twice without FinishRound, or after termination.
 func (e *Execution) StepPhaseA() (*View, error) {
@@ -862,23 +866,32 @@ func (e *Execution) StepPhaseA() (*View, error) {
 		sending[k] &= a
 	}
 	if e.tallyMode {
-		e.kernel.KernelRound(r, &e.act, &e.cols, e.payloads, &e.sending)
+		e.kernel.KernelRound(r, &e.act, &e.cols, e.payloads, &e.sending, &e.stopped)
 	} else {
-		for k, w := range act {
-			for ; w != 0; w &= w - 1 {
-				i := k<<6 | bits.TrailingZeros64(w)
+		decided, stopped := e.decided.words, e.stopped.words
+		for k, a := range act {
+			sw, dw, tw := sending[k]&^a, decided[k]&^a, stopped[k]&^a
+			for w := a; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				i, bit := k<<6|b, uint64(1)<<uint(b)
 				var inbox []Recv
 				if r > 1 {
 					inbox = e.inboxes[i]
 				}
-				p, send := e.procs[i].Round(r, inbox)
-				e.payloads[i] = p
+				p := e.procs[i]
+				payload, send := p.Round(r, inbox)
+				e.payloads[i] = payload
 				if send {
-					e.sending.Set(i)
-				} else {
-					e.sending.Clear(i)
+					sw |= bit
+				}
+				if _, ok := p.Decided(); ok {
+					dw |= bit
+				}
+				if p.Stopped() {
+					tw |= bit
 				}
 			}
+			sending[k], decided[k], stopped[k] = sw, dw, tw
 		}
 	}
 	e.phaseAOpen = true
@@ -1137,72 +1150,79 @@ func appendRun(inbox, run []Recv, lo, hi, skip int) []Recv {
 	return append(inbox, run[lo:hi]...)
 }
 
-// finishBookkeeping updates decision and halt state at the end of round
-// r. It is shared by both engines: a process's Round call for round r
-// has completed, so its decided/stopped state reflects the paper's "end
-// of round r" (its round-r message was already sent).
+// finishBookkeeping closes round r from the decided and stopped columns
+// Phase A recorded, in one word pass on both cores. Each live (alive,
+// non-corrupt) process that newly decided is marked seen and each that
+// newly stopped is marked halted; an observer hears each such process's
+// OnDecide, then its OnHalt, in process order. decideRound and
+// haltRound are the first rounds after which every live process had
+// decided, resp. halted. A process's Round call for round r has
+// completed, so its flags reflect the paper's "end of round r" (its
+// round-r message was already sent).
 func (e *Execution) finishBookkeeping(r int) {
-	if e.tallyMode && e.cfg.Observer == nil && e.cfg.Metrics == nil {
-		// No per-process event attribution needed: one batch kernel call
-		// replaces two interface dispatches per live process. decidedSeen
-		// is left stale, which only observers and metrics read — both nil
-		// here and fixed for the execution's lifetime.
-		allDecided, anyAliveActive := e.kernel.KernelBookkeep(&e.alive, &e.corrupt, &e.halted)
-		if e.decideRound == 0 && allDecided {
-			e.decideRound = r
-		}
-		if e.haltRound == 0 && !anyAliveActive {
-			e.haltRound = r
-		}
-		e.round = r
-		e.phaseAOpen = false
-		return
-	}
-	allDecided := true
-	anyAliveActive := false
+	obs := e.cfg.Observer
+	decided, stopped := e.decidedColumn().words, e.stopped.words
+	seen, halted := e.decidedSeen.words, e.halted.words
+	allDecided, anyActive := true, false
+	decisions, halts := 0, 0
 	for k, a := range e.alive.words {
-		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
-			i := k<<6 | bits.TrailingZeros64(w)
-			if v, ok := e.procDecided(i); !ok {
-				allDecided = false
-			} else if !e.decidedSeen.Get(i) {
-				e.decidedSeen.Set(i)
-				if obs := e.cfg.Observer; obs != nil {
-					obs.OnDecide(r, i, v)
+		live := a &^ e.corrupt.words[k]
+		newDecided := live & decided[k] &^ seen[k]
+		newHalted := live & stopped[k] &^ halted[k]
+		seen[k] |= newDecided
+		halted[k] |= newHalted
+		allDecided = allDecided && live&^decided[k] == 0
+		anyActive = anyActive || live&^halted[k] != 0
+		decisions += bits.OnesCount64(newDecided)
+		halts += bits.OnesCount64(newHalted)
+		if obs != nil {
+			for w := newDecided | newHalted; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				i, bit := k<<6|b, uint64(1)<<uint(b)
+				if newDecided&bit != 0 {
+					obs.OnDecide(r, i, e.decision(i))
 				}
-				if m := e.cfg.Metrics; m != nil {
-					m.Decisions.Inc(e.cfg.MetricsShard)
-				}
-			}
-			if !e.halted.Get(i) && e.procStopped(i) {
-				e.halted.Set(i)
-				if obs := e.cfg.Observer; obs != nil {
+				if newHalted&bit != 0 {
 					obs.OnHalt(r, i)
 				}
-				if m := e.cfg.Metrics; m != nil {
-					m.Halts.Inc(e.cfg.MetricsShard)
-				}
-			}
-			if !e.halted.Get(i) {
-				anyAliveActive = true
 			}
 		}
 	}
+	m, shard := e.cfg.Metrics, e.cfg.MetricsShard
 	if e.decideRound == 0 && allDecided {
 		e.decideRound = r
-		if m := e.cfg.Metrics; m != nil {
-			m.DecideRounds.Observe(e.cfg.MetricsShard, uint64(r))
+		if m != nil {
+			m.DecideRounds.Observe(shard, uint64(r))
 		}
 	}
-	if e.haltRound == 0 && !anyAliveActive {
+	if e.haltRound == 0 && !anyActive {
 		e.haltRound = r
 	}
-
 	e.round = r
 	e.phaseAOpen = false
-	if m := e.cfg.Metrics; m != nil {
-		m.Rounds.Inc(e.cfg.MetricsShard)
+	if m != nil {
+		m.Decisions.Add(shard, uint64(decisions))
+		m.Halts.Add(shard, uint64(halts))
+		m.Rounds.Inc(shard)
 	}
+}
+
+// decidedColumn is the column holding each process's decided flag:
+// stopped on the columnar core, where a process decides when it stops.
+func (e *Execution) decidedColumn() *BitSet {
+	if e.tallyMode {
+		return &e.stopped
+	}
+	return &e.decided
+}
+
+// decision returns decided process i's value.
+func (e *Execution) decision(i int) int {
+	if e.tallyMode {
+		return e.kernel.KernelDecision(i)
+	}
+	v, _ := e.procs[i].Decided()
+	return v
 }
 
 // Run drives the execution under adv until every surviving process has
@@ -1249,15 +1269,16 @@ func (e *Execution) Result() *Result {
 	}
 	common := -1
 	res.Agreement, res.Validity = true, true
+	decided := e.decidedColumn()
 	for k, a := range e.alive.words {
 		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
 			i := k<<6 | bits.TrailingZeros64(w)
 			res.Survivors++
-			v, ok := e.procDecided(i)
-			if !ok {
+			if !decided.Get(i) {
 				res.Agreement = false
 				continue
 			}
+			v := e.decision(i)
 			res.Decisions[i] = v
 			res.Decided[i] = true
 			if common == -1 {
@@ -1268,16 +1289,6 @@ func (e *Execution) Result() *Result {
 			if v0 != -1 && v != v0 {
 				res.Validity = false
 			}
-		}
-	}
-	if res.Survivors == 0 {
-		// Vacuous: no non-faulty process remains.
-		res.Agreement = true
-		if res.DecideRounds == 0 {
-			res.DecideRounds = e.round
-		}
-		if res.HaltRounds == 0 {
-			res.HaltRounds = e.round
 		}
 	}
 	return res

@@ -357,6 +357,10 @@ func TestAllCrashedVacuous(t *testing.T) {
 	if !res.Agreement || !res.Validity {
 		t.Fatal("agreement and validity must hold vacuously when everyone crashed")
 	}
+	if res.DecideRounds != 2 || res.HaltRounds != 2 || e.HaltRound() != 2 {
+		t.Fatalf("decide/halt rounds %d/%d, HaltRound %d: want the round the last process crashed, 2",
+			res.DecideRounds, res.HaltRounds, e.HaltRound())
+	}
 }
 
 func TestHaltedProcessStopsParticipating(t *testing.T) {

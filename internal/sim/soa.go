@@ -20,16 +20,16 @@ import (
 // omission-tolerant variant, straight from a vector's parameters or by
 // adopting a handed-in process vector. A columnar execution holds no
 // process objects: Process(i) builds one from the kernel when called.
-// Everything else (crash validity rules, observer events, metrics,
-// Result bookkeeping) is shared with the object path, and the
-// conformance harness pins byte-identical behavior between the two
-// engines on every case.
+// Everything else (crash validity rules, the end-of-round bookkeeping
+// pass with its observer events and metrics, Result) is shared with the
+// object path, and the conformance harness pins byte-identical behavior
+// between the two engines on every case.
 //
-// Every per-process flag (alive, halted, corrupt, sending, active,
-// eligible) is a packed BitSet column, and every per-round loop visits
-// a column's set bits word by word, so a round costs O(n/64 + members):
-// once SynRan's flood stage leaves a few survivors of n, a round no
-// longer touches all n processes.
+// Every per-process flag (alive, halted, corrupt, decided, stopped,
+// sending, active, eligible) is a packed BitSet column, and every
+// per-round loop visits a column's set bits word by word, so a round
+// costs O(n/64 + members): once SynRan's flood stage leaves a few
+// survivors of n, a round no longer touches all n processes.
 //
 // Aliasing contract (extends the arena rules in DESIGN.md): the tally
 // columns, the flag columns, and the delivery scratch masks are
@@ -131,43 +131,34 @@ func (t *TallyColumns) WitnessedMask(i int) int64 {
 // payloads, same decisions, same rng consumption. The conformance
 // differential lane enforces this on every case.
 //
-// The flag arguments are the engine's packed columns (capacity n, see
-// BitSet); kernels visit their set bits word by word, so a round costs
+// A kernel process decides exactly when it stops, so the stopped column
+// KernelRound writes is also the engine's decided column, and the
+// engine's one bookkeeping pass reads it on both cores. The flag
+// arguments are the engine's packed columns (capacity n, see BitSet);
+// kernels visit their set bits word by word, so a round costs
 // O(n/64 + members) however few processes remain.
 type TallyKernel interface {
 	// KernelRound runs Phase A of round r for every process i in active,
 	// reading its delivery tally from t (unread when r == 1) and writing
-	// payloads[i] and sending's bit i. Inactive processes' payloads and
-	// sending bits are left untouched.
-	KernelRound(r int, active *BitSet, t *TallyColumns, payloads []int64, sending *BitSet)
+	// payloads[i], sending's bit i and stopped's bit i (whether the
+	// process has stopped, and so decided, by the end of the round).
+	// Inactive processes' entries are left untouched.
+	KernelRound(r int, active *BitSet, t *TallyColumns, payloads []int64, sending, stopped *BitSet)
 	// KernelClass classifies a wire payload the way the protocol's
 	// object form folds its inbox: one is whether it counts as a one
 	// (else a zero), mz/mo whether the payload's witnessed-value set
 	// contains 0 resp. 1. It must be a pure function; the engine
 	// memoizes it per payload value.
 	KernelClass(payload int64) (one, mz, mo bool)
-	// KernelDecided / KernelStopped mirror Process.Decided / Stopped for
-	// process i.
-	KernelDecided(i int) (value int, ok bool)
-	KernelStopped(i int) bool
-	// KernelBookkeep is the batch form of the per-process Decided/Stopped
-	// sweep at the end of a round: for every i in alive but not corrupt
-	// it sets halted's bit i when the process has stopped, and reports
-	// whether all such processes have decided and whether any remains
-	// active. The engine uses it on the observer- and metrics-free path
-	// (Monte-Carlo rollouts), where no per-process event attribution is
-	// needed.
-	KernelBookkeep(alive, corrupt, halted *BitSet) (allDecided, anyAliveActive bool)
-	// KernelConsensus is the batch form of the survivors' common-decision
-	// scan: the agreed value over every alive, non-corrupt, decided
-	// process, or -1 if none decided or they disagree.
-	KernelConsensus(alive, corrupt *BitSet) int
+	// KernelDecision returns stopped process i's decision, the value
+	// Process.Decided reports for it.
+	KernelDecision(i int) int
 	// KernelReseed mirrors Reseeder.Reseed for process i.
 	KernelReseed(i int, seed uint64)
-	// KernelClone returns a deep copy; KernelCopyInto overwrites dst
-	// (reusing its storage) and reports false on a type mismatch.
-	KernelClone() TallyKernel
-	KernelCopyInto(dst TallyKernel) bool
+	// KernelCopyInto returns a deep copy of the kernel: dst overwritten,
+	// its storage reused, when it is a kernel of the same type, else a
+	// fresh kernel (dst may be nil).
+	KernelCopyInto(dst TallyKernel) TallyKernel
 	// KernelProcess builds the object form of process i from its current
 	// columnar state: a fresh process the caller owns, which continues
 	// exactly as process i would. The full-information Process accessor
@@ -431,22 +422,6 @@ func (e *Execution) phaseBTally() {
 	}
 }
 
-// procDecided and procStopped route decision/halt queries to the kernel
-// in tally mode and to the process objects otherwise.
-func (e *Execution) procDecided(i int) (int, bool) {
-	if e.tallyMode {
-		return e.kernel.KernelDecided(i)
-	}
-	return e.procs[i].Decided()
-}
-
-func (e *Execution) procStopped(i int) bool {
-	if e.tallyMode {
-		return e.kernel.KernelStopped(i)
-	}
-	return e.procs[i].Stopped()
-}
-
 // Drive runs the execution under adv to completion exactly as Run does,
 // but without assembling a Result. Monte-Carlo rollouts use it with the
 // ConsensusValue / HaltRound accessors so look-ahead classification
@@ -482,16 +457,11 @@ func (e *Execution) Step(adv Adversary) error {
 // (-1 if none survived or agreement failed) without allocating — the
 // accessor form of Result().DecidedValue().
 func (e *Execution) ConsensusValue() int {
-	if e.tallyMode {
-		return e.kernel.KernelConsensus(&e.alive, &e.corrupt)
-	}
 	v := -1
+	decided := e.decidedColumn().words
 	for k, a := range e.alive.words {
-		for w := a &^ e.corrupt.words[k]; w != 0; w &= w - 1 {
-			d, ok := e.procDecided(k<<6 | bits.TrailingZeros64(w))
-			if !ok {
-				continue
-			}
+		for w := a &^ e.corrupt.words[k] & decided[k]; w != 0; w &= w - 1 {
+			d := e.decision(k<<6 | bits.TrailingZeros64(w))
 			if v == -1 {
 				v = d
 			} else if v != d {
@@ -503,16 +473,7 @@ func (e *Execution) ConsensusValue() int {
 }
 
 // HaltRound returns the round by which every surviving process had
-// halted, with Result's vacuous-termination convention (no survivors and
-// no halt round recorded → the current round), without allocating.
-func (e *Execution) HaltRound() int {
-	if e.haltRound != 0 {
-		return e.haltRound
-	}
-	for k, a := range e.alive.words {
-		if a&^e.corrupt.words[k] != 0 {
-			return 0
-		}
-	}
-	return e.round
-}
+// halted, or 0 while one still runs, without allocating. A round that
+// leaves no survivor counts: it is the one whose bookkeeping finds no
+// live process active.
+func (e *Execution) HaltRound() int { return e.haltRound }

@@ -8,17 +8,33 @@ import (
 )
 
 // staggerProc sends its input except every third round (offset by its
-// id), and decides and halts at its own round haltAt, so the flag
-// columns hold mixed patterns that thin out across words.
-type staggerProc struct{ id, input, haltAt, r int }
+// id), decides its input at its own round decideAt (never when 0) and
+// halts at its own round haltAt, so the flag columns hold mixed patterns
+// that thin out across words.
+type staggerProc struct{ id, input, decideAt, haltAt, r int }
 
 func (p *staggerProc) Round(r int, _ []Recv) (int64, bool) {
 	p.r = r
 	return int64(p.input), (r+p.id)%3 != 0
 }
-func (p *staggerProc) Decided() (int, bool) { return p.input, p.r >= p.haltAt }
+func (p *staggerProc) Decided() (int, bool) { return p.input, p.decideAt > 0 && p.r >= p.decideAt }
 func (p *staggerProc) Stopped() bool        { return p.r >= p.haltAt }
 func (p *staggerProc) Clone() Process       { c := *p; return &c }
+
+// randomPlan draws one round's adversary plan over n processes: a few
+// crash and omission plans with random delivery masks, and now and then
+// a silent forgery.
+func randomPlan(n int, s *rng.Stream) RoundPlan {
+	var p RoundPlan
+	for k := s.Intn(n/8 + 2); k > 0; k-- {
+		p.Crashes = append(p.Crashes, CrashPlan{Victim: s.Intn(n), Deliver: randomMask(n, s)})
+		p.Omissions = append(p.Omissions, CrashPlan{Victim: s.Intn(n), Deliver: randomMask(n, s)})
+	}
+	if s.Intn(6) == 0 {
+		p.Forgeries = append(p.Forgeries, Forgery{Sender: s.Intn(n), Silent: true})
+	}
+	return p
+}
 
 // checkViewWords compares every word accessor of v with the per-process
 // accessors it packs, including the bits past N, which must read clear.
@@ -74,7 +90,8 @@ func checkTrimmed(t *testing.T, when string, e *Execution) {
 	t.Helper()
 	n := e.cfg.N
 	for name, b := range map[string]*BitSet{"alive": &e.alive, "halted": &e.halted, "corrupt": &e.corrupt,
-		"decidedSeen": &e.decidedSeen, "sending": &e.sending, "act": &e.act} {
+		"decided": &e.decided, "stopped": &e.stopped, "decidedSeen": &e.decidedSeen, "sending": &e.sending,
+		"act": &e.act} {
 		if b.Len() != n || b.Words() != (n+63)/64 {
 			t.Fatalf("n=%d %s: %s has Len %d over %d words", n, when, name, b.Len(), b.Words())
 		}
@@ -88,8 +105,7 @@ func checkTrimmed(t *testing.T, when string, e *Execution) {
 // omissions, forgeries and staggered halts, reusing one Execution and
 // one clone shell across shrinking and growing sizes, and checks after
 // Reset, every round and every CloneInto that no flag column holds a bit
-// at or past N, checking every round's engine view on the way. The
-// observer routes bookkeeping through the per-process event path.
+// at or past N, checking every round's engine view on the way.
 func TestFlagColumnsStayTrimmed(t *testing.T) {
 	var e, shell Execution
 	rounds, crashes, halts := 0, 0, 0
@@ -97,7 +113,8 @@ func TestFlagColumnsStayTrimmed(t *testing.T) {
 		s := rng.New(uint64(n)*0x2b + 5)
 		procs := make([]Process, n)
 		for i := range procs {
-			procs[i] = &staggerProc{id: i, input: i & 1, haltAt: 2 + s.Intn(8)}
+			haltAt := 2 + s.Intn(8)
+			procs[i] = &staggerProc{id: i, input: i & 1, decideAt: haltAt, haltAt: haltAt}
 		}
 		if err := e.Reset(Config{N: n, T: n, FaultBudget: n / 2, Observer: &CrashHistogram{}}, procs, uniformInputs(n, 0), 9); err != nil {
 			t.Fatal(err)
@@ -110,14 +127,7 @@ func TestFlagColumnsStayTrimmed(t *testing.T) {
 			}
 			checkViewWords(t, v)
 			rounds++
-			var p RoundPlan
-			for k := s.Intn(n/8 + 2); k > 0; k-- {
-				p.Crashes = append(p.Crashes, CrashPlan{Victim: s.Intn(n), Deliver: randomMask(n, s)})
-				p.Omissions = append(p.Omissions, CrashPlan{Victim: s.Intn(n), Deliver: randomMask(n, s)})
-			}
-			if s.Intn(6) == 0 {
-				p.Forgeries = append(p.Forgeries, Forgery{Sender: s.Intn(n), Silent: true})
-			}
+			p := randomPlan(n, s)
 			e.CloneInto(&shell)
 			checkTrimmed(t, "after an open-round CloneInto", &shell)
 			if err := e.finish(p); err != nil {

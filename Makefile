@@ -29,7 +29,7 @@ bench:
 
 # The snapshot-engine benchmarks recorded as a machine-readable JSON
 # artifact (the checked-in baseline CI gates against).
-BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale|AsyncSplitter
+BENCH_SNAPSHOT = CloneVsCloneInto|ValencyEstimate|StepwiseRound|MetricsOverhead|EngineAtScale|AsyncSplitter|LookaheadRun
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_sim.json
 
@@ -43,9 +43,10 @@ bench-json:
 # stepwise lane 34% (baseline 3 allocs/op, so the columnar core
 # stays two orders of magnitude under the object engine's 1063-alloc
 # seed), every at-scale engine lane (object and soa at n = 1024,
-# soa-1e5 at n = 10^5) 20%, and the async engine's Splitter execution
-# 20%.
-BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkMetricsOverhead/on=0.12,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20
+# soa-1e5 at n = 10^5) 20%, the async engine's Splitter execution
+# 20%, and every Section 3 adversary run (lowerbound at n = 16 and 256,
+# stepwise at n = 12) 20%.
+BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0.02,BenchmarkMetricsOverhead/on=0.12,BenchmarkStepwiseRoundSoA=0.34,BenchmarkEngineAtScale/soa=0.20,BenchmarkEngineAtScale/object=0.20,BenchmarkEngineAtScale/soa-1e5=0.20,BenchmarkAsyncSplitter=0.20,BenchmarkLookaheadRun/lowerbound-n16=0.20,BenchmarkLookaheadRun/stepwise-n12=0.20,BenchmarkLookaheadRun/lowerbound-n256=0.20
 
 # Re-run the snapshot benches for 20 iterations each and fail if any
 # BENCH_GATES row's allocs/op or B/op regressed past its tolerance.
@@ -122,11 +123,19 @@ experiments-quick:
 	$(GO) run ./cmd/synran-bench -quick
 
 # The adversary-family smoke: the omission/late experiments at quick
-# size plus the clone-aliasing guard over every family the facade
-# builds. Fast enough to run before any adversary or engine change.
+# size, the clone-aliasing guard over every family the facade builds,
+# and a cross-core look-ahead run: the Section 3 stepwise adversary at
+# n = 64 must print the same digest on the default core, where a
+# coin-free rollout stands for its pool member's others, and on the
+# object core, which simulates every rollout. Fast enough to run before
+# any adversary or engine change.
 adversary-smoke:
 	$(GO) run ./cmd/synran-bench -quick -only E18,E19
 	$(GO) test -count=1 -run TestCloneDoesNotAliasOriginal ./internal/adversary
+	@a=$$($(GO) run ./cmd/consensus-sim -n 64 -adversary stepwise -seed 42 -digest | grep '^digest'); \
+		b=$$($(GO) run ./cmd/consensus-sim -n 64 -adversary stepwise -seed 42 -digest -engine object | grep '^digest'); \
+		echo "default core: $$a"; echo "object core:  $$b"; \
+		test -n "$$a" && test "$$a" = "$$b"
 
 # The metrics determinism suite: shard-layout invariance, the CLI-level
 # workers-1-vs-8 byte comparison, the netsim counters-vs-Faults

@@ -415,6 +415,56 @@ func BenchmarkStepwiseRoundSoA(b *testing.B) {
 	}
 }
 
+// BenchmarkLookaheadRun is the Section 3 adversary run: one whole
+// SynRan execution per op (t = n-1, half/half inputs, seed 42) under a
+// valency adversary on the default core. Each iteration builds a fresh
+// execution and adversary with Est.Workers = 1, so allocs/op is
+// deterministic. lowerbound-n16 and stepwise-n12 are perfbench
+// lookahead's sizes; lowerbound-n256 is the first size of ROADMAP item
+// 4's E6 sweep. n = 1024 (~0.85 s per execution) is left out, since
+// bench-check runs every row 20 times. Part of the BENCH_SNAPSHOT set;
+// bench-check gates each lane's allocs/op and B/op.
+func BenchmarkLookaheadRun(b *testing.B) {
+	lowerbound := func(n int) sim.Adversary {
+		a := valency.NewLowerBound(n, 42)
+		a.Est.Workers = 1
+		return a
+	}
+	stepwise := func(n int) sim.Adversary {
+		a := valency.NewStepwise(n, 42)
+		a.Est.Workers = 1
+		return a
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		adv  func(n int) sim.Adversary
+	}{
+		{"lowerbound-n16", 16, lowerbound},
+		{"stepwise-n12", 12, stepwise},
+		{"lowerbound-n256", 256, lowerbound},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			inputs := workload.HalfHalf(c.n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(core.RunSpec{
+					N: c.n, T: c.n - 1,
+					Inputs:    inputs,
+					Seed:      42,
+					Adversary: c.adv(c.n),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Agreement {
+					b.Fatal("agreement violated")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineAtScale is the engines' headline row set: one full
 // SynRan execution (t = n-1, SplitVote, half/half inputs, seed 42) per
 // op. The object and soa lanes run each engine core at n = 1024, where

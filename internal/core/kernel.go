@@ -13,15 +13,17 @@ import (
 // million-process round touches no heap objects. Each process runs
 // state.round, the function Proc.Round runs, on the tally the engine's
 // columns hold for it, and draws its private coin from its stream, as
-// Proc does.
+// Proc does. coins counts those draws, the kernel's only randomness.
 type kernel struct {
 	opts    Options
 	q       float64
 	states  []state
 	streams []rng.Stream
+	coins   int
 }
 
 var _ sim.TallyKernel = (*kernel)(nil)
+var _ sim.CoinCounter = (*kernel)(nil)
 var _ sim.KernelBuilder = (*Proc)(nil)
 
 // columnar reports whether processes with these options can run as a
@@ -116,6 +118,7 @@ func (k *kernel) KernelRound(r int, active *sim.BitSet, t *sim.TallyColumns, pay
 			p, send, coin := s.round(r, tl, k.q, &k.opts)
 			if coin {
 				p = s.adopt(k.streams[i].Bit())
+				k.coins++
 			}
 			payloads[i] = p
 			if send {
@@ -143,6 +146,10 @@ func (k *kernel) KernelDecision(i int) int { return int(k.states[i].b) }
 // KernelReseed implements sim.TallyKernel, matching Proc.Reseed.
 func (k *kernel) KernelReseed(i int, seed uint64) { k.streams[i].Reseed(seed) }
 
+// KernelCoins implements sim.CoinCounter: the private coins drawn so
+// far.
+func (k *kernel) KernelCoins() int { return k.coins }
+
 // KernelCopyInto implements sim.TallyKernel, reusing dst's storage
 // when it is a SynRan kernel (the arena-snapshot hot path: two flat
 // copies instead of n ProcessCopier calls).
@@ -151,7 +158,7 @@ func (k *kernel) KernelCopyInto(dst sim.TallyKernel) sim.TallyKernel {
 	if !ok {
 		d = &kernel{}
 	}
-	d.opts, d.q = k.opts, k.q
+	d.opts, d.q, d.coins = k.opts, k.q, k.coins
 	d.states = append(d.states[:0], k.states...)
 	d.streams = append(d.streams[:0], k.streams...)
 	return d

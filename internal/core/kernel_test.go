@@ -87,6 +87,52 @@ func (a *lateForger) Forge(v *sim.View) []sim.Forgery {
 	return a.Equivocator.Forge(v)
 }
 
+// TestDrewSinceReseed pins Execution.DrewSinceReseed on SynRan: it
+// answers false only on the columnar core, after a reseed, while no
+// coin has been drawn and View.Rng has not been read, and a clone keeps
+// that answer; a coin, a View.Rng draw, the object core, a missing
+// reseed or a fall-back off the columnar core each make it true.
+func TestDrewSinceReseed(t *testing.T) {
+	const n = 8
+	ones, half := workload.Uniform(n, 1), workload.HalfHalf(n)
+	for _, c := range []struct {
+		name   string
+		engine string
+		inputs []int
+		adv    sim.Adversary
+		reseed bool
+		want   bool
+	}{
+		{"coin-free", "", ones, adversary.None{}, true, false},
+		{"never reseeded", "", ones, adversary.None{}, false, true},
+		{"coin", "", half, adversary.None{}, true, true},
+		{"View.Rng draw", "", ones, &adversary.Random{}, true, true},
+		{"object core", sim.EngineObject, ones, adversary.None{}, true, true},
+		{"left the columnar core", "", ones, &adversary.Equivocator{Corruptions: 1}, true, true},
+	} {
+		k, err := NewKernel(n, c.inputs, 3, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewKernelExecution(sim.Config{N: n, T: n - 1, Engine: c.engine}, k, c.inputs, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.reseed {
+			e.ReseedProcesses(11)
+		}
+		if err := e.Drive(c.adv); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.DrewSinceReseed(); got != c.want {
+			t.Fatalf("%s: DrewSinceReseed = %v, want %v", c.name, got, c.want)
+		}
+		if got := e.Clone().DrewSinceReseed(); got != c.want {
+			t.Fatalf("%s: a clone's DrewSinceReseed = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 // procState is the part of a Proc both cores must agree on: its
 // protocol state and its coin stream.
 type procState struct {

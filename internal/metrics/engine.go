@@ -37,7 +37,10 @@ const (
 	NameShardsResumed   = "shards_resumed"
 	NameShardsJournaled = "shards_journaled"
 
-	// Valency estimator rollouts.
+	// Valency estimator rollouts actually simulated. A pool member whose
+	// probe rollout drew no randomness adds 1, not RolloutsPerAdversary:
+	// its other rollouts take the probe's outcome unsimulated (see
+	// valency.Estimator.Pool).
 	NameRollouts = "valency_rollouts"
 
 	// Snapshot-arena reuse (volatile: the fleet is per-worker, so the

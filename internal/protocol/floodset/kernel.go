@@ -18,6 +18,7 @@ type kernel struct {
 }
 
 var _ sim.TallyKernel = (*kernel)(nil)
+var _ sim.CoinCounter = (*kernel)(nil)
 var _ sim.KernelBuilder = (*Proc)(nil)
 
 // NewKernel builds FloodSet's columnar kernel straight from (n, t,
@@ -120,6 +121,9 @@ func (k *kernel) KernelDecision(i int) int { return int(k.states[i].decision) }
 
 // KernelReseed implements sim.TallyKernel: FloodSet is deterministic.
 func (k *kernel) KernelReseed(int, uint64) {}
+
+// KernelCoins implements sim.CoinCounter: FloodSet draws no coins.
+func (k *kernel) KernelCoins() int { return 0 }
 
 // KernelCopyInto implements sim.TallyKernel, reusing dst's storage
 // when it is a FloodSet kernel.

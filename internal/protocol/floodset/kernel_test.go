@@ -216,6 +216,30 @@ func TestNewKernelBuildsNewProcsVector(t *testing.T) {
 	}
 }
 
+// TestKernelRunsDrawNoCoins pins FloodSet's sim.CoinCounter answer: a
+// reseeded columnar execution under a deterministic adversary has drawn
+// nothing random when it ends, so each look-ahead future of such a pool
+// member is simulated once.
+func TestKernelRunsDrawNoCoins(t *testing.T) {
+	const n, tt = 9, 4
+	inputs := []int{1, 0, 0, 1, 1, 0, 1, 0, 1}
+	k, err := NewKernel(n, tt, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewKernelExecution(sim.Config{N: n, T: tt}, k, inputs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ReseedProcesses(17)
+	if err := e.Drive(&adversary.SplitVote{}); err != nil {
+		t.Fatal(err)
+	}
+	if e.DrewSinceReseed() {
+		t.Fatal("a FloodSet run under SplitVote drew randomness after its reseed")
+	}
+}
+
 // TestNewKernelAllocationsFlat pins both columnar constructors: the
 // same allocations at n = 64 as at n = 4096.
 func TestNewKernelAllocationsFlat(t *testing.T) {

@@ -30,7 +30,7 @@ type Omitter interface {
 // still absorb under Config.FaultBudget. Read-only value; omission
 // adversaries use it the way crash adversaries use View.Budget.
 func (e *Execution) FaultBudgetLeft() int {
-	left := e.cfg.FaultBudget - e.faults.CrashEquivalent()
+	left := e.cfg.FaultBudget - e.demoted
 	if left < 0 {
 		return 0
 	}

@@ -191,10 +191,10 @@ func TestCloneIntoOpenRoundFinishes(t *testing.T) {
 				}
 			}
 			for name, c := range map[string]*Execution{"fresh": fresh, "recycled": shell} {
-				if c.messages != e.messages || c.crashed != e.crashed || c.faults != e.faults ||
+				if c.messages != e.messages || c.crashed != e.crashed || c.demoted != e.demoted ||
 					fmt.Sprint(c.alive) != fmt.Sprint(e.alive) {
-					t.Fatalf("n=%d trial %d %s: messages/crashes/faults %d/%d/%+v, original %d/%d/%+v",
-						n, trial, name, c.messages, c.crashed, c.faults, e.messages, e.crashed, e.faults)
+					t.Fatalf("n=%d trial %d %s: messages/crashes/demotions %d/%d/%d, original %d/%d/%d",
+						n, trial, name, c.messages, c.crashed, c.demoted, e.messages, e.crashed, e.demoted)
 				}
 				if err := diffInboxes(e.inboxes, c); err != nil {
 					t.Fatalf("n=%d trial %d %s: %v", n, trial, name, err)

@@ -399,6 +399,11 @@ type Execution struct {
 	procs  []Process
 	inputs []int
 	advRng *rng.Stream
+	// reseedCoins and reseedAdv are what the latest ReseedProcesses left:
+	// the kernel's coin count (-1 when there is none to read) and the
+	// adversary stream it seeded. DrewSinceReseed compares against them.
+	reseedCoins int
+	reseedAdv   rng.Stream
 
 	// Per-process flags, one bit each (see BitSet for the word layout).
 	// decided and stopped record each process's Decided and Stopped
@@ -414,7 +419,7 @@ type Execution struct {
 	decidedSeen BitSet
 	crashed     int
 	corrupted   int // number of true entries in corrupt
-	faults      Faults
+	demoted     int // omission demotions, the only Faults entry the engine counts
 	forged      map[int]*Forgery
 
 	round      int // last completed round
@@ -551,6 +556,7 @@ func (e *Execution) start(cfg Config, inputs []int, advSeed uint64) error {
 	} else {
 		e.advRng.Reseed(advSeed)
 	}
+	e.reseedCoins = -1
 	e.alive.Reset(n)
 	e.alive.Fill()
 	e.halted.Reset(n)
@@ -561,7 +567,7 @@ func (e *Execution) start(cfg Config, inputs []int, advSeed uint64) error {
 	e.act.Reset(n)
 	e.crashed = 0
 	e.corrupted = 0
-	e.faults = Faults{}
+	e.demoted = 0
 	e.forged = nil
 	e.round = 0
 	e.phaseAOpen = false
@@ -741,6 +747,7 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	} else {
 		dst.advRng.CopyFrom(e.advRng)
 	}
+	dst.reseedCoins, dst.reseedAdv = e.reseedCoins, e.reseedAdv
 	dst.alive.CopyFrom(&e.alive)
 	dst.halted.CopyFrom(&e.halted)
 	dst.corrupt.CopyFrom(&e.corrupt)
@@ -750,7 +757,7 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 	dst.act.CopyFrom(&e.act)
 	dst.crashed = e.crashed
 	dst.corrupted = e.corrupted
-	dst.faults = e.faults
+	dst.demoted = e.demoted
 	dst.round = e.round
 	dst.phaseAOpen = e.phaseAOpen
 	dst.payloads = append(dst.payloads[:0], e.payloads...)
@@ -823,14 +830,21 @@ func (e *Execution) CloneInto(dst *Execution) *Execution {
 
 // ReseedProcesses replaces every process's (and the adversary view's)
 // future randomness with fresh streams derived from seed. Use on clones
-// before rollouts so each rollout samples an independent future.
+// before rollouts so each rollout samples an independent future. It
+// records the kernel's coin count (a CoinCounter's) and the adversary
+// stream it has just seeded, so DrewSinceReseed can later tell a future
+// that drew nothing random, one every seed would have run alike.
 func (e *Execution) ReseedProcesses(seed uint64) {
 	var root rng.Stream
 	root.Reseed(seed)
 	n := e.cfg.N
+	e.reseedCoins = -1
 	if e.tallyMode {
 		for i := 0; i < n; i++ {
 			e.kernel.KernelReseed(i, root.SplitSeed(uint64(i)))
+		}
+		if c, ok := e.kernel.(CoinCounter); ok {
+			e.reseedCoins = c.KernelCoins()
 		}
 	} else {
 		for i, p := range e.procs {
@@ -840,6 +854,21 @@ func (e *Execution) ReseedProcesses(seed uint64) {
 		}
 	}
 	e.advRng.Reseed(root.SplitSeed(uint64(n)))
+	e.reseedAdv = *e.advRng
+}
+
+// DrewSinceReseed reports whether anything random may have been drawn
+// since the latest ReseedProcesses: a coin the kernel counted, or a draw
+// from View.Rng. Only a columnar execution whose kernel is a CoinCounter
+// can answer false. The object core, a kernel without a count, an
+// execution never reseeded and one that has left the columnar core
+// since the reseed all answer true, so a caller that skips the futures
+// of a false answer keeps the object core as its full-simulation
+// reference.
+func (e *Execution) DrewSinceReseed() bool {
+	c, ok := e.kernel.(CoinCounter)
+	return !e.tallyMode || !ok || e.reseedCoins < 0 ||
+		c.KernelCoins() != e.reseedCoins || *e.advRng != e.reseedAdv
 }
 
 // StepPhaseA runs Phase A of the next round: every live, non-halted
@@ -1011,7 +1040,7 @@ func (e *Execution) finish(p RoundPlan) error {
 func (e *Execution) applyVictims(r int, plans []CrashPlan, crash bool) {
 	budget, spent := e.cfg.T, e.crashed+e.corrupted
 	if !crash {
-		budget, spent = e.cfg.FaultBudget, e.faults.CrashEquivalent()
+		budget, spent = e.cfg.FaultBudget, e.demoted
 	}
 	for _, plan := range plans {
 		v := plan.Victim
@@ -1026,7 +1055,7 @@ func (e *Execution) applyVictims(r int, plans []CrashPlan, crash bool) {
 		if crash {
 			e.crashed++
 		} else {
-			e.faults.Demoted++
+			e.demoted++
 		}
 		delivered := e.recordDelivery(v, plan.Deliver)
 		if obs := e.cfg.Observer; obs != nil {
@@ -1243,7 +1272,7 @@ func (e *Execution) Result() *Result {
 		HaltRounds:   e.haltRound,
 		Crashes:      e.crashed,
 		Messages:     e.messages,
-		Faults:       e.faults,
+		Faults:       Faults{Demoted: e.demoted},
 		Decisions:    make([]int, n),
 		Decided:      make([]bool, n),
 		Inputs:       append([]int(nil), e.inputs...),

@@ -171,6 +171,15 @@ type TallyKernel interface {
 	KernelProcs() []Process
 }
 
+// CoinCounter is an optional TallyKernel extension. KernelCoins returns
+// how many random draws the kernel has made from its processes' coin
+// streams so far, a running count that KernelCopyInto copies; a kernel
+// that draws none may report 0. ReseedProcesses records it, so
+// DrewSinceReseed can tell a rollout that drew nothing.
+type CoinCounter interface {
+	KernelCoins() int
+}
+
 // KernelBuilder is implemented by processes that can adopt a whole
 // process vector into a TallyKernel. Reset probes procs[0]; a nil
 // kernel (vector not kernel-capable) falls back to the object path.

@@ -60,9 +60,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("trial %d panicked: %v", e.Trial, e.Value)
 }
 
-// safeCall runs fn(worker, i) with panic isolation: a panic becomes a
-// *PanicError attributed to trial i.
-func safeCall[T any](fn func(worker, i int) (T, error), worker, i int) (v T, err error) {
+// Call runs fn(worker, i) on the calling goroutine with the pool's
+// panic isolation: a panic becomes a *PanicError attributed to trial i.
+// RunWorker calls it for every trial; a caller that runs one trial
+// outside a batch (the valency estimator's probe rollouts) calls it to
+// fail the way a batch would.
+func Call[T any](fn func(worker, i int) (T, error), worker, i int) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Trial: i, Value: r, Stack: debug.Stack()}
@@ -121,7 +124,7 @@ func RunWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, e
 		// (ascending claim order, first failure wins and cancels the rest,
 		// panics become *PanicError).
 		for i := 0; i < n; i++ {
-			v, err := safeCall(fn, 0, i)
+			v, err := Call(fn, 0, i)
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +155,7 @@ func RunWorker[T any](workers, n int, fn func(worker, i int) (T, error)) ([]T, e
 				if i >= n {
 					return
 				}
-				v, err := safeCall(fn, worker, i)
+				v, err := Call(fn, worker, i)
 				if err != nil {
 					mu.Lock()
 					if i < firstIdx {

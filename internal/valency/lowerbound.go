@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"synran/internal/core"
-	"synran/internal/rng"
 	"synran/internal/sim"
 	"synran/internal/wire"
 )
@@ -31,7 +30,6 @@ type LowerBound struct {
 	// PerRound caps crashes per round; 0 means core.RoundBudget(n).
 	PerRound int
 
-	rng *rng.Stream
 	// arena recycles the candidate-evaluation snapshots (one live at a
 	// time; candidates are scored sequentially).
 	arena sim.SnapshotArena
@@ -47,7 +45,6 @@ func NewLowerBound(n int, seed uint64) *LowerBound {
 	return &LowerBound{
 		Est:      NewEstimator(n, seed),
 		PerRound: core.RoundBudget(n),
-		rng:      rng.New(seed ^ 0x10e7b0d1d),
 	}
 }
 
@@ -60,9 +57,6 @@ func (a *LowerBound) Name() string { return "valency-lowerbound" }
 // has run (see Estimator.Clone).
 func (a *LowerBound) Clone() sim.Adversary {
 	c := *a
-	if a.rng != nil {
-		c.rng = a.rng.Clone()
-	}
 	if a.Est != nil {
 		c.Est = a.Est.Clone()
 	}

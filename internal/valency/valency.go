@@ -15,6 +15,7 @@
 package valency
 
 import (
+	"errors"
 	"fmt"
 
 	"synran/internal/adversary"
@@ -66,7 +67,8 @@ type Estimate struct {
 	// tie-breaker when every continuation is univalent (Section 3.5: keep
 	// implementing the delaying strategy step by step).
 	MeanExtraRounds float64
-	// Rollouts is the total number of rollouts performed.
+	// Rollouts is the number of rollouts that terminated, counting the
+	// ones a coin-free probe stands for (see Estimator.Pool).
 	Rollouts int
 }
 
@@ -74,6 +76,19 @@ type Estimate struct {
 type Estimator struct {
 	// Pool is the set of continuation adversary factories; defaults to
 	// {none, push0, push1, splitvote} with the paper's per-round cap.
+	//
+	// A member's plans must depend only on its factory-fresh (or
+	// ResetAdversary) state, the views it is shown and what it draws from
+	// View.Rng, and it must drive no copy of View.Exec or of a process
+	// it reads (DESIGN key decision 8). A rollout's future is then fixed
+	// by its start state, its member and the randomness it draws. So
+	// Classify first runs one probe rollout per member, and when the
+	// probe drew nothing (no coin counted by the kernel, no View.Rng
+	// draw: sim.Execution.DrewSinceReseed), the member's other
+	// RolloutsPerAdversary − 1 futures are the probe's, and take its
+	// outcome without being simulated. The default pool reads nothing
+	// from View.Rng; a member that does, or a run on the object core,
+	// simulates every rollout.
 	Pool []func() sim.Adversary
 	// RolloutsPerAdversary is the number of independent futures sampled
 	// per pool member (default 24).
@@ -107,6 +122,17 @@ type Estimator struct {
 	// the per-rollout factory allocations; others are rebuilt each time.
 	// Worker w only ever touches advCache[w], mirroring the arena rule.
 	advCache [][]sim.Adversary
+	// probes and fanout are Classify's scratch, reused across calls: each
+	// member's probe outcome, and the rollout indices still to simulate.
+	probes []outcome
+	fanout []int
+}
+
+// outcome is one rollout's result, and whether it drew any randomness
+// after its reseed.
+type outcome struct {
+	decided, one, drew bool
+	extra              float64
 }
 
 // NewEstimator returns an estimator with the default pool for an
@@ -138,6 +164,7 @@ func (e *Estimator) Clone() *Estimator {
 	c := *e
 	c.arenas = nil
 	c.advCache = nil
+	c.probes, c.fanout = nil, nil
 	return &c
 }
 
@@ -166,6 +193,17 @@ func (e *Estimator) pooledAdversary(worker, ai int) sim.Adversary {
 	return adv
 }
 
+// rolloutsPerMember is RolloutsPerAdversary with its default applied.
+// Classify takes it in one assignment: assigned twice, the local its
+// rollout closures capture would move to the heap, one allocation per
+// call that bench-check's allocs/op gate catches.
+func (e *Estimator) rolloutsPerMember() int {
+	if e.RolloutsPerAdversary > 0 {
+		return e.RolloutsPerAdversary
+	}
+	return 24
+}
+
 // Classify estimates the valency of the state of exec at the beginning
 // of round k (the paper's α_k), using the Section 3.2 thresholds
 // lo = 1/sqrt(n) − k/n and hi = 1 − 1/sqrt(n) + k/n. The execution is
@@ -174,83 +212,68 @@ func (e *Estimator) Classify(exec *sim.Execution, k int) (*Estimate, error) {
 	if len(e.Pool) == 0 {
 		return nil, fmt.Errorf("valency: empty adversary pool")
 	}
-	rolls := e.RolloutsPerAdversary
-	if rolls <= 0 {
-		rolls = 24
-	}
-	minP, maxP := 1.0, 0.0
-	total := 0
-	extraSum := 0.0
-	startRound := exec.Round()
-	// Rollouts fan out over the worker pool. Each rollout's reseed value
-	// is a function of its flat index alone (the serial implementation
-	// bumped e.counter once per rollout in (ai, j) order; the arithmetic
-	// below reproduces those exact counter values), so the estimate is
-	// byte-identical at any worker count.
-	type rollout struct {
-		decided bool
-		one     bool
-		extra   float64
-	}
-	counterBase := e.counter
-	nRollouts := len(e.Pool) * rolls
-	e.growArenas(trials.WorkerCount(e.Workers, nRollouts))
-	rollouts, rerr := trials.RunWorker(e.Workers, nRollouts, func(worker, idx int) (rollout, error) {
-		if m := e.Metrics; m != nil {
-			m.Rollouts.Inc(worker)
-		}
-		ai := idx / rolls
-		// Snapshot the base state into this worker's arena (or Clone
-		// fresh when benchmarking the pre-arena baseline). Either way
-		// the copy is deep and the continuation byte-identical.
-		var c *sim.Execution
-		if e.UseClone {
-			c = exec.Clone()
-		} else {
-			c = e.arenas[worker].Snapshot(exec)
-			defer e.arenas[worker].Release(c)
-		}
-		counter := counterBase + uint64(idx) + 1
-		c.ReseedProcesses(e.Seed ^ rng.Uint64At(uint64(ai)<<32|counter))
-		if err := c.Drive(e.pooledAdversary(worker, ai)); err != nil {
-			// A rollout hitting MaxRounds means the continuation
-			// adversary pinned the protocol; treat as undecided and
-			// skip (it contributes to neither extreme).
-			return rollout{}, nil
-		}
-		return rollout{
-			decided: true,
-			one:     c.ConsensusValue() == 1,
-			extra:   float64(c.HaltRound() - startRound),
-		}, nil
-	})
-	if rerr != nil {
-		return nil, rerr
-	}
-	e.counter = counterBase + uint64(len(e.Pool)*rolls)
+	rolls := e.rolloutsPerMember()
+	// Rollout idx belongs to member idx/rolls, and its reseed value is a
+	// function of idx alone (the serial implementation bumped e.counter
+	// once per rollout in (ai, j) order; rollout reproduces those exact
+	// counter values), so the estimate is byte-identical at any worker
+	// count. Each member's first rollout is its probe, run here in worker
+	// 0's arena; only the members whose probe drew randomness fan their
+	// other rollouts out over the worker pool.
+	base := e.counter
+	e.growArenas(trials.WorkerCount(e.Workers, len(e.Pool)*rolls))
+	e.probes, e.fanout = e.probes[:0], e.fanout[:0]
 	for ai := range e.Pool {
-		ones, decided := 0, 0
-		for j := 0; j < rolls; j++ {
-			r := rollouts[ai*rolls+j]
-			if !r.decided {
-				continue
-			}
-			total++
-			decided++
-			extraSum += r.extra
-			if r.one {
-				ones++
-			}
+		p, err := trials.Call(func(worker, idx int) (outcome, error) {
+			return e.rollout(exec, worker, base, idx, rolls), nil
+		}, 0, ai*rolls)
+		if err != nil {
+			return nil, err
 		}
-		if decided == 0 {
+		e.probes = append(e.probes, p)
+		for j := 1; p.drew && j < rolls; j++ {
+			e.fanout = append(e.fanout, ai*rolls+j)
+		}
+	}
+	var rest []outcome
+	if len(e.fanout) > 0 {
+		var err error
+		rest, err = trials.RunWorker(e.Workers, len(e.fanout), func(worker, i int) (outcome, error) {
+			return e.rollout(exec, worker, base, e.fanout[i], rolls), nil
+		})
+		if err != nil {
+			var pe *trials.PanicError
+			if errors.As(err, &pe) {
+				pe.Trial = e.fanout[pe.Trial] // name the rollout, as a probe's error does
+			}
+			return nil, err
+		}
+	}
+	e.counter = base + uint64(len(e.Pool)*rolls)
+	minP, maxP := 1.0, 0.0
+	total, extraSum := 0, 0.0
+	for _, p := range e.probes {
+		var c counts
+		if p.drew {
+			c.add(p, 1)
+			for _, o := range rest[:rolls-1] {
+				c.add(o, 1)
+			}
+			rest = rest[rolls-1:]
+		} else {
+			c.add(p, rolls) // the probe stands for every rollout of its member
+		}
+		total += c.decided
+		extraSum += c.extra
+		if c.decided == 0 {
 			continue
 		}
-		p := float64(ones) / float64(decided)
-		if p < minP {
-			minP = p
+		r := float64(c.ones) / float64(c.decided)
+		if r < minP {
+			minP = r
 		}
-		if p > maxP {
-			maxP = p
+		if r > maxP {
+			maxP = r
 		}
 	}
 	if total == 0 {
@@ -271,4 +294,52 @@ func (e *Estimator) Classify(exec *sim.Execution, k int) (*Estimate, error) {
 		est.Class = NullValent
 	}
 	return est, nil
+}
+
+// rollout simulates rollout idx, of pool member idx/rolls, from exec in
+// worker's arena, or on a fresh Clone when UseClone is set (either copy
+// is deep, and the continuation byte-identical).
+func (e *Estimator) rollout(exec *sim.Execution, worker int, base uint64, idx, rolls int) outcome {
+	if m := e.Metrics; m != nil {
+		m.Rollouts.Inc(worker)
+	}
+	ai := idx / rolls
+	var c *sim.Execution
+	if e.UseClone {
+		c = exec.Clone()
+	} else {
+		c = e.arenas[worker].Snapshot(exec)
+		defer e.arenas[worker].Release(c)
+	}
+	counter := base + uint64(idx) + 1
+	c.ReseedProcesses(e.Seed ^ rng.Uint64At(uint64(ai)<<32|counter))
+	// A rollout hitting MaxRounds means the continuation adversary
+	// pinned the protocol; it counts as undecided and contributes to
+	// neither extreme.
+	o := outcome{decided: c.Drive(e.pooledAdversary(worker, ai)) == nil}
+	if o.decided {
+		o.one = c.ConsensusValue() == 1
+		o.extra = float64(c.HaltRound() - exec.Round())
+	}
+	o.drew = c.DrewSinceReseed()
+	return o
+}
+
+// counts accumulates one pool member's rollout outcomes.
+type counts struct {
+	decided, ones int
+	extra         float64
+}
+
+// add counts o times times. Extra rounds are whole numbers, so the
+// float sums are exact whatever the order or multiplicity.
+func (c *counts) add(o outcome, times int) {
+	if !o.decided {
+		return
+	}
+	c.decided += times
+	c.extra += float64(times) * o.extra
+	if o.one {
+		c.ones += times
+	}
 }

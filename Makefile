@@ -65,13 +65,20 @@ bench-check:
 		status=$$?; cat bench-smoke.txt; exit $$status
 	$(GO) run ./cmd/benchjson -out BENCH_sim.ci.json -baseline BENCH_sim.json -check '$(BENCH_GATES)' < bench-smoke.txt
 
-# Seeded chaos soak under the race detector: the fault injector, the
-# hardened synchronizer's safety/termination properties, and the
-# zero-fault equivalence proof, all with scheduling randomized by -race.
+# Seeded drop soak under the race detector: the drop injector, the
+# live runner's retransmit/demote/partial-result properties, and the
+# zero-fault equivalence proof, all with scheduling randomized by -race;
+# then a drop-only consensus-sim batch, and a check that the live runner
+# with and without an armed zero-rate injector prints the same digest
+# and message count.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/netsim
 	$(GO) run ./cmd/consensus-sim -n 16 -t 7 -adversary none -seed 42 \
-		-chaos 'drop=0.05,dup=0.02,stall=0.05,maxstall=2ms,until=25' -faultbudget 5 -trials 8
+		-chaos drop=0.05 -faultbudget 5 -trials 8 -deadline 5m
+	@a=$$($(GO) run ./cmd/consensus-sim -n 9 -t 2 -adversary random -seed 1 -digest -live | grep -E '^(messages|digest)'); \
+		b=$$($(GO) run ./cmd/consensus-sim -n 9 -t 2 -adversary random -seed 1 -digest -chaos none | grep -E '^(messages|digest)'); \
+		printf 'live:\n%s\nchaos none:\n%s\n' "$$a" "$$b"; \
+		test -n "$$a" && test "$$a" = "$$b"
 
 # Crash-chaos soak for the durability layer, under the race detector:
 # the journal's format/truncation/corruption properties and fuzz corpus,

@@ -1,181 +1,52 @@
-// Package chaos is a deterministic fault injector for the live runner
-// (internal/netsim). It draws message faults (drop, duplicate,
-// delay-by-k-rounds) and process faults (bounded wall-clock stalls,
-// hangs, mid-round panics) from rate schedules that can be refined per
-// link and per process, using streams derived from internal/rng so that
-// the complete fault trace is reproducible from (seed, Config) alone —
-// independent of goroutine scheduling, poll order, or wall-clock time.
+// Package chaos is a deterministic message-loss injector for the live
+// runner (internal/netsim). Its one fault is a drop: each transmission
+// attempt of each message is lost with probability Config.Drop, decided
+// by a stream derived from internal/rng, so the complete fault trace is
+// reproducible from (seed, Config) alone — independent of goroutine
+// scheduling, query order, or wall-clock time.
 //
 // The injector never mutates shared state when queried: every decision
 // is computed from a fresh stream split off an immutable root keyed by
-// the event's coordinates (round, link or process, retransmit attempt).
-// Two injectors built from the same seed and config therefore answer
-// every query identically, in any order, from any number of goroutines.
+// the attempt's coordinates (round, link, retransmit attempt). Two
+// injectors built from the same seed and config therefore answer every
+// query identically, in any order, from any number of goroutines.
 package chaos
 
 import (
 	"fmt"
-	"time"
 
 	"synran/internal/rng"
 )
 
-// Fate is the injector's verdict for one message transmission attempt.
-type Fate uint8
-
-const (
-	// FateDeliver delivers the message normally.
-	FateDeliver Fate = iota
-	// FateDrop loses the message silently (an omission fault).
-	FateDrop
-	// FateDup delivers the message plus a duplicate copy.
-	FateDup
-	// FateDelay holds the message back k rounds; by the time it arrives
-	// the round has closed, so a lock-step synchronizer must treat the
-	// original transmission as an omission and discard the stale copy.
-	FateDelay
-)
-
-// String names the fate for logs and errors.
-func (f Fate) String() string {
-	switch f {
-	case FateDeliver:
-		return "deliver"
-	case FateDrop:
-		return "drop"
-	case FateDup:
-		return "dup"
-	case FateDelay:
-		return "delay"
-	}
-	return fmt.Sprintf("fate(%d)", uint8(f))
-}
-
-// Link identifies one directed communication link.
-type Link struct{ From, To int }
-
-// Rates are per-transmission message fault probabilities for one link.
-type Rates struct {
-	Drop  float64
-	Dup   float64
-	Delay float64
-}
-
-// ProcRates are per-round process fault probabilities for one process.
-type ProcRates struct {
-	// Stall delays the process's Phase-A computation by a bounded
-	// wall-clock interval drawn in (0, MaxStall].
-	Stall float64
-	// Hang blocks the process past every round deadline — the
-	// deterministic way to exercise deadline-miss demotion.
-	Hang float64
-	// Panic makes the process panic mid-round.
-	Panic float64
-}
-
 // Config is the fault schedule. The zero value injects nothing.
 type Config struct {
-	// Message fault rates applied to every link (see Rates).
-	Drop, Dup, Delay float64
-	// MaxDelay bounds the delay-by-k fault; k is uniform in [1, MaxDelay]
-	// (0 selects 1).
-	MaxDelay int
-
-	// Process fault rates applied to every process (see ProcRates).
-	Stall, Hang, Panic float64
-	// MaxStall bounds injected stall durations (0 selects 1ms). Keep it
-	// below the runner's first deadline window if stalls must always
-	// recover (the deterministic-soak configuration).
-	MaxStall time.Duration
-
-	// FromRound / UntilRound bound the rounds in which faults fire
-	// (inclusive; zero means unbounded on that side).
-	FromRound, UntilRound int
-
-	// PerLink overrides the message rates for specific links; PerProc
-	// overrides the process rates for specific processes. Both compose
-	// with the round window.
-	PerLink map[Link]Rates
-	PerProc map[int]ProcRates
+	// Drop is the probability that one transmission attempt of one
+	// message is lost (an omission the runner may retransmit).
+	Drop float64
 }
 
-// Zero reports whether the config can never inject a fault.
-func (c Config) Zero() bool {
-	return c.Drop == 0 && c.Dup == 0 && c.Delay == 0 &&
-		c.Stall == 0 && c.Hang == 0 && c.Panic == 0 &&
-		len(c.PerLink) == 0 && len(c.PerProc) == 0
-}
-
-// Validate checks every rate is a probability and bounds are sane.
+// Validate checks the drop rate is a probability.
 func (c Config) Validate() error {
-	check := func(name string, v float64) error {
-		// Written as a negated conjunction so NaN (for which both v < 0
-		// and v > 1 are false) is rejected too.
-		if !(v >= 0 && v <= 1) {
-			return fmt.Errorf("chaos: %s rate %v out of [0,1]", name, v)
-		}
-		return nil
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"drop", c.Drop}, {"dup", c.Dup}, {"delay", c.Delay},
-		{"stall", c.Stall}, {"hang", c.Hang}, {"panic", c.Panic},
-	} {
-		if err := check(r.name, r.v); err != nil {
-			return err
-		}
-	}
-	for l, r := range c.PerLink {
-		if err := check(fmt.Sprintf("link %d->%d drop", l.From, l.To), r.Drop); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("link %d->%d dup", l.From, l.To), r.Dup); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("link %d->%d delay", l.From, l.To), r.Delay); err != nil {
-			return err
-		}
-	}
-	for p, r := range c.PerProc {
-		if err := check(fmt.Sprintf("proc %d stall", p), r.Stall); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("proc %d hang", p), r.Hang); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("proc %d panic", p), r.Panic); err != nil {
-			return err
-		}
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("chaos: MaxDelay %d < 0", c.MaxDelay)
-	}
-	if c.MaxStall < 0 {
-		return fmt.Errorf("chaos: MaxStall %v < 0", c.MaxStall)
-	}
-	if c.FromRound < 0 || c.UntilRound < 0 {
-		return fmt.Errorf("chaos: round window [%d,%d] negative", c.FromRound, c.UntilRound)
+	// Written as a negated conjunction so NaN (for which both Drop < 0
+	// and Drop > 1 are false) is rejected too.
+	if !(c.Drop >= 0 && c.Drop <= 1) {
+		return fmt.Errorf("chaos: drop rate %v out of [0,1]", c.Drop)
 	}
 	return nil
 }
 
-// ProcFault is the injector's verdict for one (round, process) pair.
-type ProcFault struct {
-	Stall time.Duration // 0 = no stall
-	Hang  bool
-	Panic bool
-}
-
-// Injector answers fault queries deterministically from (seed, Config).
+// Injector answers drop queries deterministically from (seed, Config).
 // Queries are read-only and safe for concurrent use: the root stream is
 // never advanced, only split.
 type Injector struct {
-	seed uint64
-	cfg  Config
-	root *rng.Stream
+	drop float64
+	msgs *rng.Stream
 }
+
+// keyMessage is the split tag of the message-fault streams. It and the
+// injector's own tag below fix every drop decision, so changing either
+// changes every chaotic run.
+const keyMessage = 0x6d65_7373 // "mess"
 
 // New builds an injector. The same (seed, cfg) always produces the same
 // injector, and therefore the same fault trace.
@@ -185,95 +56,18 @@ func New(seed uint64, cfg Config) (*Injector, error) {
 	}
 	// A dedicated split tag decorrelates the fault streams from every
 	// other consumer of the run seed (process coins, adversary stream).
-	return &Injector{seed: seed, cfg: cfg, root: rng.New(seed).Split(0xC4A0_5EED)}, nil
+	return &Injector{drop: cfg.Drop, msgs: rng.New(seed).Split(0xC4A0_5EED).Split(keyMessage)}, nil
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 { return in.seed }
-
-// Config returns the injector's fault schedule.
-func (in *Injector) Config() Config { return in.cfg }
-
-// inWindow reports whether faults are active in the given round.
-func (in *Injector) inWindow(round int) bool {
-	if in.cfg.FromRound > 0 && round < in.cfg.FromRound {
+// Drop reports whether the attempt-th transmission of the round-r
+// message from -> to is lost (attempt 0 is the original send; the
+// runner's retransmissions re-query with attempt 1, 2, ...). Each
+// attempt draws one Float64 from its own stream; a zero rate draws
+// nothing.
+func (in *Injector) Drop(round, from, to, attempt int) bool {
+	if in.drop == 0 {
 		return false
 	}
-	if in.cfg.UntilRound > 0 && round > in.cfg.UntilRound {
-		return false
-	}
-	return true
-}
-
-// Split-key tags: one namespace per query kind so a message stream can
-// never collide with a process stream at the same coordinates.
-const (
-	keyMessage = 0x6d65_7373 // "mess"
-	keyProcess = 0x7072_6f63 // "proc"
-)
-
-// stream derives the decision stream for one event. Chained splits keep
-// distinct coordinates on distinct streams without arithmetic collisions.
-func (in *Injector) stream(kind, a, b, c uint64) *rng.Stream {
-	return in.root.Split(kind).Split(a).Split(b).Split(c)
-}
-
-// MessageFate decides what happens to the attempt-th transmission of the
-// round-r message from -> to (attempt 0 is the original send; the
-// runner's retransmissions re-query with attempt 1, 2, ...). For
-// FateDelay the second return value is the delay in rounds.
-func (in *Injector) MessageFate(round, from, to, attempt int) (Fate, int) {
-	r := Rates{Drop: in.cfg.Drop, Dup: in.cfg.Dup, Delay: in.cfg.Delay}
-	if o, ok := in.cfg.PerLink[Link{From: from, To: to}]; ok {
-		r = o
-	}
-	if !in.inWindow(round) || (r.Drop == 0 && r.Dup == 0 && r.Delay == 0) {
-		return FateDeliver, 0
-	}
-	s := in.stream(keyMessage, uint64(round), uint64(from)<<32|uint64(uint32(to)), uint64(attempt))
-	u := s.Float64()
-	switch {
-	case u < r.Drop:
-		return FateDrop, 0
-	case u < r.Drop+r.Dup:
-		return FateDup, 0
-	case u < r.Drop+r.Dup+r.Delay:
-		maxd := in.cfg.MaxDelay
-		if maxd < 1 {
-			maxd = 1
-		}
-		return FateDelay, 1 + s.Intn(maxd)
-	}
-	return FateDeliver, 0
-}
-
-// ProcFault decides the process fault (if any) injected into proc's
-// Phase-A computation of the given round. At most one fault fires per
-// (round, proc): panic wins over hang wins over stall.
-func (in *Injector) ProcFault(round, proc int) ProcFault {
-	r := ProcRates{Stall: in.cfg.Stall, Hang: in.cfg.Hang, Panic: in.cfg.Panic}
-	if o, ok := in.cfg.PerProc[proc]; ok {
-		r = o
-	}
-	if !in.inWindow(round) || (r.Stall == 0 && r.Hang == 0 && r.Panic == 0) {
-		return ProcFault{}
-	}
-	s := in.stream(keyProcess, uint64(round), uint64(proc), 0)
-	u := s.Float64()
-	switch {
-	case u < r.Panic:
-		return ProcFault{Panic: true}
-	case u < r.Panic+r.Hang:
-		return ProcFault{Hang: true}
-	case u < r.Panic+r.Hang+r.Stall:
-		maxs := in.cfg.MaxStall
-		if maxs <= 0 {
-			maxs = time.Millisecond
-		}
-		// Uniform in (0, maxs]: never zero, so an injected stall is
-		// always observable, and bounded by construction.
-		d := time.Duration(s.Float64() * float64(maxs))
-		return ProcFault{Stall: d + 1}
-	}
-	return ProcFault{}
+	s := in.msgs.Split(uint64(round)).Split(uint64(from)<<32 | uint64(uint32(to))).Split(uint64(attempt))
+	return s.Float64() < in.drop
 }

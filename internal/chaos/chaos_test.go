@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
-	"time"
+
+	"synran/internal/rng"
 )
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
@@ -14,22 +16,16 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 	for r := 1; r <= 50; r++ {
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
-				if f, _ := in.MessageFate(r, i, j, 0); f != FateDeliver {
-					t.Fatalf("round %d %d->%d: fate %v on zero config", r, i, j, f)
+				if in.Drop(r, i, j, 0) {
+					t.Fatalf("round %d %d->%d: dropped on zero config", r, i, j)
 				}
-			}
-			if pf := in.ProcFault(r, i); pf != (ProcFault{}) {
-				t.Fatalf("round %d p%d: fault %+v on zero config", r, i, pf)
 			}
 		}
 	}
 }
 
 func TestDeterminismAcrossInstancesAndQueryOrder(t *testing.T) {
-	cfg := Config{
-		Drop: 0.2, Dup: 0.1, Delay: 0.1, MaxDelay: 3,
-		Stall: 0.2, Hang: 0.05, Panic: 0.05, MaxStall: 2 * time.Millisecond,
-	}
+	cfg := Config{Drop: 0.3}
 	a, err := New(7, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,17 +35,14 @@ func TestDeterminismAcrossInstancesAndQueryOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	type key struct{ r, i, j, a int }
-	fates := map[key]Fate{}
-	delays := map[key]int{}
+	drops := map[key]bool{}
 	// Query a in forward order, b in reverse order: answers must agree
 	// query by query (the fault trace is a pure function of seed+config).
 	for r := 1; r <= 10; r++ {
 		for i := 0; i < 6; i++ {
 			for j := 0; j < 6; j++ {
 				for at := 0; at < 3; at++ {
-					f, k := a.MessageFate(r, i, j, at)
-					fates[key{r, i, j, at}] = f
-					delays[key{r, i, j, at}] = k
+					drops[key{r, i, j, at}] = a.Drop(r, i, j, at)
 				}
 			}
 		}
@@ -58,19 +51,10 @@ func TestDeterminismAcrossInstancesAndQueryOrder(t *testing.T) {
 		for i := 5; i >= 0; i-- {
 			for j := 5; j >= 0; j-- {
 				for at := 2; at >= 0; at-- {
-					f, k := b.MessageFate(r, i, j, at)
-					if fates[key{r, i, j, at}] != f || delays[key{r, i, j, at}] != k {
-						t.Fatalf("(%d,%d,%d,%d): %v/%d vs %v/%d", r, i, j, at,
-							fates[key{r, i, j, at}], delays[key{r, i, j, at}], f, k)
+					if got := b.Drop(r, i, j, at); drops[key{r, i, j, at}] != got {
+						t.Fatalf("(%d,%d,%d,%d): %v vs %v", r, i, j, at, drops[key{r, i, j, at}], got)
 					}
 				}
-			}
-		}
-	}
-	for r := 1; r <= 10; r++ {
-		for i := 0; i < 6; i++ {
-			if a.ProcFault(r, i) != b.ProcFault(r, i) {
-				t.Fatalf("proc fault (%d,%d) differs between instances", r, i)
 			}
 		}
 	}
@@ -85,9 +69,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	for r := 1; r <= 20; r++ {
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
-				fa, _ := a.MessageFate(r, i, j, 0)
-				fb, _ := b.MessageFate(r, i, j, 0)
-				if fa == fb {
+				if a.Drop(r, i, j, 0) == b.Drop(r, i, j, 0) {
 					same++
 				}
 				total++
@@ -100,7 +82,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestConcurrentQueriesAreSafeAndConsistent(t *testing.T) {
-	cfg := Config{Drop: 0.3, Dup: 0.2, Stall: 0.3}
+	cfg := Config{Drop: 0.3}
 	in, _ := New(11, cfg)
 	ref, _ := New(11, cfg)
 	var wg sync.WaitGroup
@@ -109,13 +91,8 @@ func TestConcurrentQueriesAreSafeAndConsistent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 1; r <= 20; r++ {
-				f, k := in.MessageFate(r, g, (g+1)%8, 0)
-				wf, wk := ref.MessageFate(r, g, (g+1)%8, 0)
-				if f != wf || k != wk {
+				if in.Drop(r, g, (g+1)%8, 0) != ref.Drop(r, g, (g+1)%8, 0) {
 					t.Errorf("concurrent query (%d,%d) diverged", r, g)
-				}
-				if in.ProcFault(r, g) != ref.ProcFault(r, g) {
-					t.Errorf("concurrent proc query (%d,%d) diverged", r, g)
 				}
 			}
 		}(g)
@@ -129,7 +106,7 @@ func TestRatesRoughlyRespected(t *testing.T) {
 	for r := 1; r <= 100; r++ {
 		for i := 0; i < 10; i++ {
 			for j := 0; j < 10; j++ {
-				if f, _ := in.MessageFate(r, i, j, 0); f == FateDrop {
+				if in.Drop(r, i, j, 0) {
 					drops++
 				}
 				total++
@@ -144,86 +121,70 @@ func TestRatesRoughlyRespected(t *testing.T) {
 
 func TestCertainRates(t *testing.T) {
 	in, _ := New(5, Config{Drop: 1})
-	if f, _ := in.MessageFate(3, 0, 1, 0); f != FateDrop {
-		t.Fatalf("rate-1 drop returned %v", f)
-	}
-	in2, _ := New(5, Config{Panic: 1})
-	if pf := in2.ProcFault(3, 0); !pf.Panic {
-		t.Fatalf("rate-1 panic returned %+v", pf)
-	}
-}
-
-func TestPerLinkAndPerProcOverrides(t *testing.T) {
-	cfg := Config{
-		PerLink: map[Link]Rates{{From: 0, To: 1}: {Drop: 1}},
-		PerProc: map[int]ProcRates{2: {Hang: 1}},
-	}
-	in, err := New(9, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, _ := in.MessageFate(1, 0, 1, 0); f != FateDrop {
-		t.Fatalf("overridden link not dropped: %v", f)
-	}
-	if f, _ := in.MessageFate(1, 1, 0, 0); f != FateDeliver {
-		t.Fatalf("reverse link affected by override: %v", f)
-	}
-	if pf := in.ProcFault(1, 2); !pf.Hang {
-		t.Fatalf("overridden proc not hung: %+v", pf)
-	}
-	if pf := in.ProcFault(1, 3); pf != (ProcFault{}) {
-		t.Fatalf("other proc affected by override: %+v", pf)
-	}
-}
-
-func TestRoundWindow(t *testing.T) {
-	in, _ := New(13, Config{Drop: 1, FromRound: 3, UntilRound: 5})
-	for r := 1; r <= 8; r++ {
-		f, _ := in.MessageFate(r, 0, 1, 0)
-		want := FateDeliver
-		if r >= 3 && r <= 5 {
-			want = FateDrop
-		}
-		if f != want {
-			t.Fatalf("round %d: fate %v, want %v", r, f, want)
+	for at := 0; at < 3; at++ {
+		if !in.Drop(3, 0, 1, at) {
+			t.Fatalf("rate-1 drop delivered attempt %d", at)
 		}
 	}
 }
 
-func TestDelayBounds(t *testing.T) {
-	in, _ := New(17, Config{Delay: 1, MaxDelay: 4})
-	for r := 1; r <= 30; r++ {
-		f, k := in.MessageFate(r, 0, 1, 0)
-		if f != FateDelay {
-			t.Fatalf("round %d: %v", r, f)
-		}
-		if k < 1 || k > 4 {
-			t.Fatalf("round %d: delay %d out of [1,4]", r, k)
-		}
+// oracleFate is the injector's former three-way message verdict: one
+// Float64 per attempt from the same split stream, then drop below the
+// drop rate, duplicate below drop+dup, delay below drop+dup+delay, and
+// no draw at all when every rate is zero.
+func oracleFate(seed uint64, drop, dup, delay float64, round, from, to, attempt int) string {
+	if drop == 0 && dup == 0 && delay == 0 {
+		return "deliver"
 	}
+	s := rng.New(seed).Split(0xC4A0_5EED).Split(0x6d65_7373).
+		Split(uint64(round)).Split(uint64(from)<<32 | uint64(uint32(to))).Split(uint64(attempt))
+	u := s.Float64()
+	switch {
+	case u < drop:
+		return "drop"
+	case u < drop+dup:
+		return "dup"
+	case u < drop+dup+delay:
+		return "delay"
+	}
+	return "deliver"
 }
 
-func TestStallBounds(t *testing.T) {
-	max := 3 * time.Millisecond
-	in, _ := New(19, Config{Stall: 1, MaxStall: max})
-	for r := 1; r <= 30; r++ {
-		pf := in.ProcFault(r, 0)
-		if pf.Stall <= 0 || pf.Stall > max+1 {
-			t.Fatalf("round %d: stall %v out of (0, %v]", r, pf.Stall, max)
+// TestDropMatchesThreeWayFateOracle pins that the drop-only injector
+// draws exactly the fates the three-way one drew with dup = delay = 0,
+// so every drop-only schedule, E16's among them, keeps its fault trace.
+func TestDropMatchesThreeWayFateOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	rates := []float64{0, 1, 0.05, 0.15, 0.30}
+	drops := 0
+	for q := 0; q < 20000; q++ {
+		seed := r.Uint64()
+		drop := rates[r.Intn(len(rates))]
+		if r.Intn(2) == 0 {
+			drop = r.Float64()
 		}
+		round, from, to, attempt := 1+r.Intn(200), r.Intn(1<<20), r.Intn(1<<20), r.Intn(4)
+		in, err := New(seed, Config{Drop: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := in.Drop(round, from, to, attempt)
+		want := oracleFate(seed, drop, 0, 0, round, from, to, attempt)
+		if got != (want == "drop") {
+			t.Fatalf("seed %d drop %v (%d,%d->%d,%d): Drop = %v, oracle fate %s",
+				seed, drop, round, from, to, attempt, got, want)
+		}
+		if got {
+			drops++
+		}
+	}
+	if drops == 0 || drops == 20000 {
+		t.Fatalf("%d of 20000 attempts dropped: the comparison is vacuous", drops)
 	}
 }
 
 func TestValidateRejectsBadRates(t *testing.T) {
-	for _, cfg := range []Config{
-		{Drop: -0.1},
-		{Dup: 1.5},
-		{Panic: 2},
-		{MaxDelay: -1},
-		{MaxStall: -time.Second},
-		{PerLink: map[Link]Rates{{0, 1}: {Drop: 7}}},
-		{PerProc: map[int]ProcRates{0: {Stall: -1}}},
-	} {
+	for _, cfg := range []Config{{Drop: -0.1}, {Drop: 1.5}, {Drop: 2}} {
 		if _, err := New(1, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
@@ -231,21 +192,12 @@ func TestValidateRejectsBadRates(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("drop=0.1, dup=0.05,delay=0.02,maxdelay=3,stall=0.01,maxstall=5ms,hang=0.001,panic=0.002,from=2,until=40")
+	cfg, err := ParseSpec(" DROP = 0.1 ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{
-		Drop: 0.1, Dup: 0.05, Delay: 0.02, MaxDelay: 3,
-		Stall: 0.01, MaxStall: 5 * time.Millisecond,
-		Hang: 0.001, Panic: 0.002, FromRound: 2, UntilRound: 40,
-	}
-	if cfg.Drop != want.Drop || cfg.Dup != want.Dup || cfg.Delay != want.Delay ||
-		cfg.MaxDelay != want.MaxDelay || cfg.Stall != want.Stall ||
-		cfg.MaxStall != want.MaxStall || cfg.Hang != want.Hang ||
-		cfg.Panic != want.Panic || cfg.FromRound != want.FromRound ||
-		cfg.UntilRound != want.UntilRound {
-		t.Fatalf("parsed %+v, want %+v", cfg, want)
+	if cfg != (Config{Drop: 0.1}) {
+		t.Fatalf("parsed %+v, want drop 0.1", cfg)
 	}
 	if _, err := ParseSpec(""); err != nil {
 		t.Fatalf("empty spec rejected: %v", err)
@@ -254,13 +206,13 @@ func TestParseSpec(t *testing.T) {
 
 func TestParseSpecRejectsGarbage(t *testing.T) {
 	for _, spec := range []string{
-		"drop",          // not key=value
-		"bogus=1",       // unknown key
-		"drop=abc",      // not a number
-		"drop=1.5",      // out of range
-		"maxstall=fast", // not a duration
-		"maxdelay=-2",   // negative
-		"panic=-0.1",    // negative rate
+		"drop",               // not key=value
+		"bogus=1",            // unknown key
+		"drop=0.05,dup=0.02", // a retired fault kind
+		"until=1",            // the retired round window
+		"drop=abc",           // not a number
+		"drop=1.5",           // out of range
+		"drop=-0.1",          // negative rate
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Fatalf("spec %q accepted", spec)
@@ -269,12 +221,12 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 }
 
 func TestSpecRoundTrips(t *testing.T) {
-	cfg := Config{Drop: 0.1, Dup: 0.05, MaxDelay: 2, Stall: 0.3, MaxStall: time.Millisecond, Hang: 0.01}
+	cfg := Config{Drop: 0.1}
 	back, err := ParseSpec(cfg.Spec())
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", cfg.Spec(), err)
 	}
-	if back.Spec() != cfg.Spec() {
+	if back != cfg {
 		t.Fatalf("round trip: %+v != %+v", back, cfg)
 	}
 	if (Config{}).Spec() != "none" {

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// ParseSpec parses the compact command-line form of a Config, a
-// comma-separated list of key=value pairs:
+// ParseSpec parses the compact command-line form of a Config:
 //
-//	drop=0.05,dup=0.02,delay=0.01,maxdelay=3,stall=0.01,maxstall=5ms,
-//	hang=0.001,panic=0.001,from=2,until=40
+//	drop=0.05
 //
 // Unknown keys, malformed values, and out-of-range rates are rejected
 // with a descriptive error. The empty string and "none" — the form Spec
@@ -34,44 +31,14 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		key = strings.ToLower(strings.TrimSpace(key))
 		val = strings.TrimSpace(val)
-		rate := func(dst *float64) error {
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("chaos: %s=%q: %v", key, val, err)
-			}
-			*dst = f
-			return nil
+		if key != "drop" {
+			return Config{}, fmt.Errorf("chaos: unknown key %q (want drop)", key)
 		}
-		var err error
-		switch key {
-		case "drop":
-			err = rate(&cfg.Drop)
-		case "dup":
-			err = rate(&cfg.Dup)
-		case "delay":
-			err = rate(&cfg.Delay)
-		case "stall":
-			err = rate(&cfg.Stall)
-		case "hang":
-			err = rate(&cfg.Hang)
-		case "panic":
-			err = rate(&cfg.Panic)
-		case "maxdelay":
-			cfg.MaxDelay, err = strconv.Atoi(val)
-		case "from":
-			cfg.FromRound, err = strconv.Atoi(val)
-		case "until":
-			cfg.UntilRound, err = strconv.Atoi(val)
-		case "maxstall":
-			var d time.Duration
-			d, err = time.ParseDuration(val)
-			cfg.MaxStall = d
-		default:
-			return Config{}, fmt.Errorf("chaos: unknown key %q (want drop|dup|delay|maxdelay|stall|maxstall|hang|panic|from|until)", key)
-		}
+		f, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			return Config{}, fmt.Errorf("chaos: %s=%q: %w", key, val, err)
 		}
+		cfg.Drop = f
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
@@ -79,36 +46,12 @@ func ParseSpec(spec string) (Config, error) {
 	return cfg, nil
 }
 
-// Spec renders the config back into ParseSpec's format (stable key
-// order; zero fields omitted). ParseSpec(c.Spec()) == c for any valid c
-// without per-link/per-proc overrides.
+// Spec renders the config back into ParseSpec's format: "none" for the
+// zero config, "drop=<rate>" otherwise. ParseSpec(c.Spec()) == c for
+// any valid c.
 func (c Config) Spec() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	add("drop", c.Drop)
-	add("dup", c.Dup)
-	add("delay", c.Delay)
-	if c.MaxDelay != 0 {
-		parts = append(parts, fmt.Sprintf("maxdelay=%d", c.MaxDelay))
-	}
-	add("stall", c.Stall)
-	if c.MaxStall != 0 {
-		parts = append(parts, fmt.Sprintf("maxstall=%s", c.MaxStall))
-	}
-	add("hang", c.Hang)
-	add("panic", c.Panic)
-	if c.FromRound != 0 {
-		parts = append(parts, fmt.Sprintf("from=%d", c.FromRound))
-	}
-	if c.UntilRound != 0 {
-		parts = append(parts, fmt.Sprintf("until=%d", c.UntilRound))
-	}
-	if len(parts) == 0 {
+	if c.Drop == 0 {
 		return "none"
 	}
-	return strings.Join(parts, ",")
+	return fmt.Sprintf("drop=%v", c.Drop)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestParseSpecAcceptsNone(t *testing.T) {
@@ -16,7 +15,7 @@ func TestParseSpecAcceptsNone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
 		}
-		if !cfg.Zero() {
+		if cfg != (Config{}) {
 			t.Fatalf("ParseSpec(%q) = %+v, want the zero config", spec, cfg)
 		}
 	}
@@ -27,57 +26,30 @@ func TestParseSpecAcceptsNone(t *testing.T) {
 
 func TestValidateRejectsNaNRates(t *testing.T) {
 	nan := func() float64 { var z float64; return z / z }()
-	for _, cfg := range []Config{
-		{Drop: nan},
-		{Hang: nan},
-		{PerProc: map[int]ProcRates{1: {Panic: nan}}},
-	} {
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("NaN rate accepted: %+v", cfg)
-		}
+	if err := (Config{Drop: nan}).Validate(); err == nil {
+		t.Fatal("NaN drop rate accepted")
 	}
-}
-
-// randomSpecConfig draws a valid Config within ParseSpec's vocabulary
-// (no per-link/per-proc overrides: Spec cannot render those).
-func randomSpecConfig(r *rand.Rand) Config {
-	rate := func() float64 {
-		if r.Intn(3) == 0 {
-			return 0
-		}
-		return float64(r.Intn(1000)) / 1000
-	}
-	cfg := Config{
-		Drop: rate(), Dup: rate(), Delay: rate(),
-		Stall: rate(), Hang: rate(), Panic: rate(),
-	}
-	if r.Intn(2) == 0 {
-		cfg.MaxDelay = r.Intn(10)
-	}
-	if r.Intn(2) == 0 {
-		cfg.MaxStall = time.Duration(r.Intn(5000)) * time.Microsecond
-	}
-	if r.Intn(2) == 0 {
-		cfg.FromRound = r.Intn(20)
-	}
-	if r.Intn(2) == 0 {
-		cfg.UntilRound = r.Intn(100)
-	}
-	return cfg
 }
 
 func TestSpecRoundTripProperty(t *testing.T) {
-	// For any valid config in Spec's vocabulary, ParseSpec(c.Spec()) must
-	// reproduce c exactly — including the zero config, whose spec is the
-	// "none" literal the regression above covers.
+	// For any valid config, ParseSpec(c.Spec()) must reproduce c exactly
+	// — including the zero config, whose spec is the "none" literal the
+	// regression above covers.
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		cfg := randomSpecConfig(r)
+		var cfg Config
+		switch r.Intn(3) {
+		case 0:
+		case 1:
+			cfg.Drop = float64(r.Intn(1000)) / 1000
+		default:
+			cfg.Drop = r.Float64()
+		}
 		back, err := ParseSpec(cfg.Spec())
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", cfg.Spec(), err)
 		}
-		if !reflect.DeepEqual(back, cfg) {
+		if back != cfg {
 			t.Fatalf("round trip of %q: got %+v, want %+v", cfg.Spec(), back, cfg)
 		}
 	}
@@ -88,9 +60,9 @@ func TestSpecRoundTripProperty(t *testing.T) {
 func FuzzSpecRoundTrip(f *testing.F) {
 	f.Add("none")
 	f.Add("")
-	f.Add("drop=0.1,dup=0.05,delay=0.02,maxdelay=3")
-	f.Add("stall=0.01,maxstall=5ms,hang=0.001,panic=0.002,from=2,until=40")
-	f.Add("drop=1,until=1")
+	f.Add("drop=0.1")
+	f.Add(" DROP = 0.05 , ")
+	f.Add("drop=1")
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseSpec(spec)
 		if err != nil {

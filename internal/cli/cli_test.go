@@ -1,11 +1,14 @@
 package cli
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"synran"
 )
 
 func defaultSimOpts() SimOptions {
@@ -118,7 +121,7 @@ func TestConsensusSimReportsValidityViolation(t *testing.T) {
 func TestConsensusSimChaosSingleRun(t *testing.T) {
 	opts := defaultSimOpts()
 	opts.Adversary = "none"
-	opts.Chaos = "drop=0.05,stall=0.05,maxstall=2ms,until=20"
+	opts.Chaos = "drop=0.05"
 	opts.FaultBudget = 4
 	var sb strings.Builder
 	if err := ConsensusSim(opts, &sb); err != nil {
@@ -132,19 +135,23 @@ func TestConsensusSimChaosSingleRun(t *testing.T) {
 }
 
 func TestConsensusSimChaosDegradesWithReport(t *testing.T) {
-	// A schedule guaranteed to exceed a zero fault budget (every process
-	// panics in round 1) must fail with the typed error AND still print
-	// the fault accounting of the partial result.
+	// A schedule guaranteed to exceed a zero fault budget (every message
+	// is lost on every attempt, so the first sender must be demoted)
+	// must fail with the typed error AND still print the fault
+	// accounting of the partial result.
 	opts := defaultSimOpts()
 	opts.Adversary = "none"
-	opts.Chaos = "panic=1"
+	opts.Chaos = "drop=1"
 	opts.FaultBudget = 0
 	var sb strings.Builder
 	err := ConsensusSim(opts, &sb)
 	if err == nil {
 		t.Fatal("budget exhaustion must surface as an error")
 	}
-	for _, want := range []string{"chaos         :", "partial       : true"} {
+	if !errors.Is(err, synran.ErrFaultBudget) {
+		t.Fatalf("err = %v, want ErrFaultBudget", err)
+	}
+	for _, want := range []string{"chaos         : drop=1", "demoted=0", "partial       : true"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, sb.String())
 		}
@@ -154,7 +161,7 @@ func TestConsensusSimChaosDegradesWithReport(t *testing.T) {
 func TestConsensusSimChaosTrials(t *testing.T) {
 	opts := defaultSimOpts()
 	opts.Adversary = "none"
-	opts.Chaos = "drop=0.03,until=15"
+	opts.Chaos = "drop=0.03"
 	opts.FaultBudget = 4
 	opts.Trials = 4
 	var sb strings.Builder

@@ -37,12 +37,12 @@ type SimOptions struct {
 	// Engine selects the lock-step engine core ("" or "soa" = default,
 	// "object" = object reference core); see synran.Spec.Engine.
 	Engine string
-	// Chaos, when non-empty, runs on the hardened live runner with this
-	// fault schedule (chaos.ParseSpec syntax, e.g.
-	// "drop=0.05,dup=0.02,stall=0.01,maxstall=5ms").
+	// Chaos, when non-empty, runs on the live runner over links that
+	// drop messages at this rate (chaos.ParseSpec syntax, e.g.
+	// "drop=0.05").
 	Chaos string
-	// FaultBudget bounds the crash-equivalent chaos faults the hardened
-	// runner may absorb (see synran.Spec.FaultBudget).
+	// FaultBudget bounds the demotions the live runner may absorb (see
+	// synran.Spec.FaultBudget).
 	FaultBudget int
 	// Workers bounds the multi-trial worker pool (0 = all cores). The
 	// summary is identical at every worker count: trial i always runs at
@@ -110,7 +110,7 @@ func SimScenario(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	return simMany(s, opts, w)
 }
 
-// gracefulPartial reports whether err is the hardened runner's typed
+// gracefulPartial reports whether err is the live runner's typed
 // graceful degradation for a partial result — the one error class that
 // expectation-carrying scenarios may legitimately assert about.
 func gracefulPartial(res *synran.Result, err error) bool {
@@ -146,8 +146,8 @@ func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	if res == nil {
 		return runErr
 	}
-	// A non-nil result alongside an error is the hardened runner's
-	// graceful degradation: report what happened, then fail.
+	// A non-nil result alongside an error is the live runner's graceful
+	// degradation: report what happened, then fail.
 
 	fmt.Fprintf(w, "protocol=%s adversary=%s n=%d t=%d workload=%s seed=%d\n",
 		s.Protocol, s.Adversary, s.N, s.T, s.Workload, s.Seed)
@@ -162,8 +162,7 @@ func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	if spec.Chaos != nil {
 		f := res.Faults
 		fmt.Fprintf(w, "chaos         : %s (fault budget %d)\n", spec.Chaos.Spec(), s.FaultBudget)
-		fmt.Fprintf(w, "faults        : dropped=%d duplicated=%d delayed=%d stalled=%d panics=%d demoted=%d (crash-equivalent %d)\n",
-			f.Dropped, f.Duplicated, f.Delayed, f.Stalled, f.Panics, f.Demoted, f.CrashEquivalent())
+		fmt.Fprintf(w, "faults        : dropped=%d demoted=%d\n", f.Dropped, f.Demoted)
 		for _, note := range res.FaultNotes {
 			fmt.Fprintf(w, "    fault     : %s\n", note)
 		}
@@ -227,7 +226,7 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 		}
 		res, err := synran.Run(spec)
 		if err != nil {
-			// Graceful degradation of the hardened runner is a counted
+			// Graceful degradation of the live runner is a counted
 			// outcome in chaos mode, not a harness failure.
 			if s.Chaos != "" && gracefulPartial(res, err) {
 				if m := opts.Metrics; m != nil {
@@ -269,10 +268,6 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	var expectLines []string
 	for i, o := range outs {
 		faults.Dropped += o.Faults.Dropped
-		faults.Duplicated += o.Faults.Duplicated
-		faults.Delayed += o.Faults.Delayed
-		faults.Stalled += o.Faults.Stalled
-		faults.Panics += o.Faults.Panics
 		faults.Demoted += o.Faults.Demoted
 		for _, v := range o.Expect {
 			expectFails++
@@ -299,8 +294,7 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	if s.Chaos != "" {
 		fmt.Fprintf(w, "chaos    : %s (fault budget %d); %d of %d trials degraded gracefully\n",
 			s.Chaos, s.FaultBudget, degraded, s.Trials)
-		fmt.Fprintf(w, "faults   : dropped=%d duplicated=%d delayed=%d stalled=%d panics=%d demoted=%d\n",
-			faults.Dropped, faults.Duplicated, faults.Delayed, faults.Stalled, faults.Panics, faults.Demoted)
+		fmt.Fprintf(w, "faults   : dropped=%d demoted=%d\n", faults.Dropped, faults.Demoted)
 	}
 	fmt.Fprintf(w, "theory   : upper-bound shape %.2f rounds\n", synran.UpperBoundRounds(s.N, s.T))
 	if s.Expect.Any() {

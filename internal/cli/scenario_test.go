@@ -48,14 +48,14 @@ func TestScenarioFlagParity(t *testing.T) {
 		{"sim-chaos", func(w *strings.Builder) error {
 			opts := defaultSimOpts()
 			opts.Adversary = "none"
-			opts.Chaos = "drop=0.03,until=15"
+			opts.Chaos = "drop=0.03"
 			opts.FaultBudget = 4
 			opts.Trials = 3
 			return ConsensusSim(opts, w)
 		}, func() (scenario.Scenario, error) {
 			opts := defaultSimOpts()
 			opts.Adversary = "none"
-			opts.Chaos = "drop=0.03,until=15"
+			opts.Chaos = "drop=0.03"
 			opts.FaultBudget = 4
 			opts.Trials = 3
 			return opts.Scenario()

@@ -24,7 +24,7 @@ func fuzzPrep(s scenario.Scenario) (scenario.Scenario, bool) {
 		return s, false
 	}
 	if s.Live || s.Chaos != "" {
-		// The hardened runner has no differential twin; outcome-lane-only
+		// Live and chaos scenarios have no differential twin; outcome-lane-only
 		// fuzzing finds nothing the sync lanes would not.
 		return s, false
 	}

@@ -103,7 +103,7 @@ func checkExpect(e scenario.Entry) ([]string, error) {
 // CheckScenario runs one scenario through every lane that applies: the
 // sync differential lanes or the async replay-determinism check, plus
 // the outcome/expect lane (live/chaos scenarios run the expect lane
-// only — the hardened runner has no lock-step twin to diff against).
+// only — they have no lock-step twin to diff against).
 func CheckScenario(e scenario.Entry, oracles []Oracle) ([]Divergence, []string, error) {
 	s := e.Scenario
 	var (
@@ -220,8 +220,7 @@ func MinimizeScenario(s scenario.Scenario, fails FailFunc) scenario.Scenario {
 		}
 		if s.Live || s.Chaos != "" {
 			c := s
-			c.Live, c.Chaos = false, ""
-			c.FaultBudget, c.Deadline, c.Retransmits = 0, 0, 0
+			c.Live, c.Chaos, c.FaultBudget = false, "", 0
 			changed = try(c) || changed
 		}
 		neutralAdv := synran.AdversaryNone

@@ -10,9 +10,9 @@ import (
 )
 
 // E16ChaosDegradation measures how termination degrades as the live
-// substrate omits messages — the engineering counterpart of the paper's
-// idealized §3.1 model, where message delivery within a round is an
-// axiom. The hardened runner (internal/netsim) converts every
+// runner's links drop messages — the engineering counterpart of the
+// paper's idealized §3.1 model, where message delivery within a round
+// is an axiom. The live runner (internal/netsim) converts every
 // unrecovered omission into a crash fault charged to an explicit budget,
 // so fail-stop semantics — and therefore the protocols' safety — must
 // survive any omission rate; what gives way is termination: demotions
@@ -22,7 +22,7 @@ import (
 // base preserves the historical per-trial seed formula
 // cfg.Seed + pi*10000 + ri*1000 + i. Three claims per protocol:
 //
-//  1. At rate 0 the hardened runner is byte-identical to a fault-free
+//  1. At rate 0 the live runner is byte-identical to a fault-free
 //     execution: every trial completes and the fault counters stay zero.
 //  2. Safety (Agreement+Validity) holds at every rate — completed runs
 //     satisfy both, and even degraded partial results never contain two
@@ -47,8 +47,8 @@ func E16ChaosDegradation(cfg Config) (*Result, error) {
 	safetyGot := "no violation at any rate"
 	for pi, p := range protocols {
 		for ri, rate := range rates {
-			// Rate 0 is spelled "none": the hardened runner with an armed
-			// zero-fault injector, so claim 1 exercises the full substrate.
+			// Rate 0 is spelled "none": the live runner with an armed
+			// zero-rate injector, so claim 1 exercises the lossy-link path.
 			chaosSpec := "none"
 			if rate > 0 {
 				chaosSpec = fmt.Sprintf("drop=%v", rate)
@@ -81,7 +81,6 @@ func E16ChaosDegradation(cfg Config) (*Result, error) {
 			for _, s := range ss {
 				agg.Dropped += s.Faults.Dropped
 				agg.Demoted += s.Faults.Demoted
-				agg.Panics += s.Faults.Panics
 				if !s.Partial {
 					completed++
 					rounds = append(rounds, s.Halt)

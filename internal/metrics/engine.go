@@ -15,17 +15,12 @@ const (
 	NameCrashesAdversary = "crashes_adversary"
 	NameDecideRounds     = "decide_rounds"
 
-	// Hardened-synchronizer substrate accounting (internal/netsim); the
-	// message/process fault counters mirror sim.Faults field for field.
+	// Lossy-link accounting (internal/netsim) and demotions (netsim and
+	// the omission adversaries); dropped and demotions mirror sim.Faults
+	// field for field.
 	NameMsgDropped       = "messages_dropped"
-	NameMsgDuplicated    = "messages_duplicated"
-	NameMsgDelayed       = "messages_delayed"
 	NameMsgRetransmitted = "messages_retransmitted"
-	NameStalls           = "proc_stalls"
-	NamePanics           = "proc_panics"
 	NameDemotions        = "proc_demotions"
-	NameDeadlineMisses   = "deadline_misses"
-	NameBackoffRepolls   = "backoff_repolls"
 
 	// Trial harness (internal/trials.Metered) and CLI accounting.
 	NameTrialsRun      = "trials_run"
@@ -71,14 +66,8 @@ type Engine struct {
 	DecideRounds     *Histogram
 
 	MsgDropped       *Counter
-	MsgDuplicated    *Counter
-	MsgDelayed       *Counter
 	MsgRetransmitted *Counter
-	Stalls           *Counter
-	Panics           *Counter
 	Demotions        *Counter
-	DeadlineMisses   *Counter
-	BackoffRepolls   *Counter
 
 	TrialsRun      *Counter
 	TrialsFailed   *Counter
@@ -109,14 +98,8 @@ func NewEngine(reg *Registry) *Engine {
 		DecideRounds:     reg.Histogram(NameDecideRounds, DecideRoundsBounds),
 
 		MsgDropped:       reg.Counter(NameMsgDropped),
-		MsgDuplicated:    reg.Counter(NameMsgDuplicated),
-		MsgDelayed:       reg.Counter(NameMsgDelayed),
 		MsgRetransmitted: reg.Counter(NameMsgRetransmitted),
-		Stalls:           reg.Counter(NameStalls),
-		Panics:           reg.Counter(NamePanics),
 		Demotions:        reg.Counter(NameDemotions),
-		DeadlineMisses:   reg.Counter(NameDeadlineMisses),
-		BackoffRepolls:   reg.Counter(NameBackoffRepolls),
 
 		TrialsRun:      reg.Counter(NameTrialsRun),
 		TrialsFailed:   reg.Counter(NameTrialsFailed),

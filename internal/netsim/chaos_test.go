@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,62 +23,6 @@ func mustInjector(t *testing.T, seed uint64, cfg chaos.Config) *chaos.Injector {
 	return inj
 }
 
-// fastDeadlines keeps deadline-driven tests quick while leaving enough
-// slack that a loaded CI machine cannot miss a window spuriously.
-func fastDeadlines() Options {
-	return Options{RoundDeadline: 150 * time.Millisecond, Backoff: 20 * time.Millisecond, DeadlineMisses: 2}
-}
-
-func TestZeroFaultChaosDigestEqualsSequential(t *testing.T) {
-	// A zero-fault chaos config on the hardened runner (deadlines armed,
-	// injector consulted for every message and process) must stay
-	// byte-identical to the sequential lock-step engine.
-	for _, n := range []int{5, 16} {
-		for seed := uint64(0); seed < 4; seed++ {
-			inputs := halfInputs(n)
-
-			dSeq := sim.NewDigest()
-			procsA, err := core.NewProcs(n, inputs, seed, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			exec, err := sim.NewExecution(sim.Config{N: n, T: n / 2, Observer: dSeq}, procsA, inputs, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqRes, err := exec.Run(&adversary.Random{PerRound: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			dChaos := sim.NewDigest()
-			procsB, err := core.NewProcs(n, inputs, seed, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := fastDeadlines()
-			opts.Injector = mustInjector(t, seed, chaos.Config{})
-			chaosRes, err := RunChaos(sim.Config{N: n, T: n / 2, Observer: dChaos}, procsB, inputs,
-				&adversary.Random{PerRound: 0.5}, seed, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if dSeq.Sum() != dChaos.Sum() {
-				t.Fatalf("n=%d seed=%d: digests differ: %s vs %s", n, seed, dSeq, dChaos)
-			}
-			if chaosRes.Faults != (sim.Faults{}) || chaosRes.Partial {
-				t.Fatalf("n=%d seed=%d: zero-fault run reported faults %+v partial=%v",
-					n, seed, chaosRes.Faults, chaosRes.Partial)
-			}
-			if seqRes.DecidedValue() != chaosRes.DecidedValue() ||
-				seqRes.HaltRounds != chaosRes.HaltRounds {
-				t.Fatalf("n=%d seed=%d: results differ: %+v vs %+v", n, seed, seqRes, chaosRes)
-			}
-		}
-	}
-}
-
 // panicky panics in every round at or after `at` (1 = immediately).
 type panicky struct{ at int }
 
@@ -92,11 +37,12 @@ func (p *panicky) Stopped() bool        { return false }
 func (p *panicky) Clone() sim.Process   { return &panicky{at: p.at} }
 
 func TestPanickingProcessYieldsErrorNotHang(t *testing.T) {
-	// Regression for the pre-hardening runner, which leaked the panic out
-	// of the process goroutine: the coordinator then blocked forever on
-	// the dead process's output channel and the defer close/Wait pair
-	// deadlocked. The hardened runner must convert the panic into a typed
-	// error with a partial result, promptly.
+	// Regression for the runner that leaked the panic out of the process
+	// goroutine: the coordinator then blocked forever on the dead
+	// process's output channel. The panic must end the run promptly with
+	// an error naming the process and the round — as a panicking trial
+	// does on the lock-step engine — and a fault budget must not absorb
+	// it: a panic is a bug, not a substrate fault.
 	const n = 5
 	inputs := halfInputs(n)
 	procs, err := floodset.NewProcs(n, 2, inputs)
@@ -111,229 +57,176 @@ func TestPanickingProcessYieldsErrorNotHang(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := Run(sim.Config{N: n, T: 2}, procs, inputs, adversary.None{}, 7)
+		res, err := RunChaos(sim.Config{N: n, T: 2}, procs, inputs, adversary.None{}, 7, Options{FaultBudget: 2})
 		done <- outcome{res, err}
 	}()
 	select {
 	case o := <-done:
-		if !errors.Is(o.err, ErrFaultBudget) {
-			t.Fatalf("err = %v, want ErrFaultBudget (zero budget, no chaos options)", o.err)
+		if o.err == nil || !strings.Contains(o.err.Error(), "p2 panicked in round 2") ||
+			!strings.Contains(o.err.Error(), "nil map write") {
+			t.Fatalf("err = %v, want p2's round-2 panic named", o.err)
 		}
-		if o.res == nil || !o.res.Partial {
-			t.Fatalf("result = %+v, want non-nil partial", o.res)
-		}
-		if o.res.Faults.Panics != 0 {
-			t.Fatalf("unabsorbed panic must not be charged: %+v", o.res.Faults)
+		if o.res != nil {
+			t.Fatalf("result = %+v, want none after a panic", o.res)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("runner hung on a panicking process")
 	}
 }
 
-func TestPanicAbsorbedByFaultBudget(t *testing.T) {
-	// With budget for it, a panicking process becomes a crash fault and
-	// the survivors still reach consensus.
-	const n = 7
-	inputs := halfInputs(n)
-	procs, err := floodset.NewProcs(n, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs[0] = &panicky{at: 1}
-	res, err := RunChaos(sim.Config{N: n, T: 2}, procs, inputs, adversary.None{}, 7,
-		Options{FaultBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults.Panics != 1 || res.Partial {
-		t.Fatalf("faults %+v partial=%v, want exactly one absorbed panic", res.Faults, res.Partial)
-	}
-	if len(res.FaultNotes) == 0 {
-		t.Fatal("absorbed panic must leave a fault note")
-	}
-	if !res.Agreement || !res.Validity {
-		t.Fatalf("agreement=%v validity=%v after absorbed panic", res.Agreement, res.Validity)
-	}
-	if res.Crashes != 0 {
-		t.Fatalf("chaos panic charged to the adversary: Crashes=%d", res.Crashes)
-	}
+// oneShot decides 0 at once, sends in round 1 only when talk is set,
+// and stops in round 2. Under drop rate 1 exactly the talkers lose their
+// message to every receiver, so each costs exactly one demotion.
+type oneShot struct {
+	talk  bool
+	round int
 }
+
+func (p *oneShot) Round(round int, _ []sim.Recv) (int64, bool) {
+	p.round = round
+	return 0, p.talk && round == 1
+}
+func (p *oneShot) Decided() (int, bool) { return 0, true }
+func (p *oneShot) Stopped() bool        { return p.round >= 2 }
+func (p *oneShot) Clone() sim.Process   { c := *p; return &c }
 
 func TestFaultBudgetBoundary(t *testing.T) {
 	// Pins the exact budget semantics the Options.FaultBudget doc
-	// promises: a budget of k absorbs exactly k crash-equivalent faults
-	// and the (k+1)-th aborts, so FaultBudget: 0 rejects the very first
-	// fault. Each panicky process costs exactly one fault (it is killed
-	// on its first panic), making the fault count fully deterministic.
+	// promises: a budget of k absorbs exactly k demotions and the
+	// (k+1)-th aborts, so FaultBudget: 0 rejects the very first one.
 	const n = 9
+	inputs := make([]int, n)
+	run := func(talkers, budget int) (*sim.Result, error) {
+		procs := make([]sim.Process, n)
+		for i := range procs {
+			procs[i] = &oneShot{talk: i < talkers}
+		}
+		return RunChaos(sim.Config{N: n, T: 3}, procs, inputs, adversary.None{}, 2,
+			Options{Injector: mustInjector(t, 2, chaos.Config{Drop: 1}), FaultBudget: budget})
+	}
+
+	// Budget 0: the first demotion is rejected, never absorbed.
+	res, err := run(1, 0)
+	if !errors.Is(err, ErrFaultBudget) {
+		t.Fatalf("budget 0: err = %v, want ErrFaultBudget on the first demotion", err)
+	}
+	if res == nil || !res.Partial || res.Faults.Demoted != 0 {
+		t.Fatalf("budget 0: result %+v, want partial with zero absorbed demotions", res)
+	}
+
+	// Budget exactly k = 2 with exactly 2 demotions: all absorbed, clean run.
+	res, err = run(2, 2)
+	if err != nil {
+		t.Fatalf("budget 2, 2 demotions: err = %v, want clean completion", err)
+	}
+	// p0 loses every attempt to its n-1 receivers; p1 then loses every
+	// attempt to the n-2 still alive.
+	if drops := (2*n - 3) * (retransmits + 1); res.Partial || res.Faults.Demoted != 2 || res.Faults.Dropped != drops {
+		t.Fatalf("budget 2, 2 demotions: partial=%v faults=%+v, want 2 demotions after %d drops",
+			res.Partial, res.Faults, drops)
+	}
+	if !res.Agreement || !res.Validity || len(res.FaultNotes) != 2 {
+		t.Fatalf("budget 2, 2 demotions: agreement=%v validity=%v notes=%q", res.Agreement, res.Validity, res.FaultNotes)
+	}
+	if res.Crashes != 0 {
+		t.Fatalf("demotions charged to the adversary: Crashes=%d", res.Crashes)
+	}
+
+	// Budget k = 2 with 3 demotions: the (k+1)-th aborts after k absorbed.
+	res, err = run(3, 2)
+	if !errors.Is(err, ErrFaultBudget) {
+		t.Fatalf("budget 2, 3 demotions: err = %v, want ErrFaultBudget", err)
+	}
+	if res == nil || !res.Partial || res.Faults.Demoted != 2 {
+		t.Fatalf("budget 2, 3 demotions: result %+v, want partial with exactly 2 absorbed", res)
+	}
+}
+
+// crashLog records the live runner's demotions as crash events.
+type crashLog struct{ events []crashEvent }
+
+type crashEvent struct{ round, victim, delivered int }
+
+func (l *crashLog) OnRound(int, *sim.View) {}
+func (l *crashLog) OnCrash(r, victim, delivered int) {
+	l.events = append(l.events, crashEvent{r, victim, delivered})
+}
+func (l *crashLog) OnDecide(int, int, int) {}
+func (l *crashLog) OnHalt(int, int)        {}
+
+func TestOmissionDemotionMatchesCrashPlan(t *testing.T) {
+	// An unrecovered omission demotes the sender with exactly the partial
+	// delivery that happened. That is CrashPlan-observable: a sequential
+	// run whose adversary crashes the same victims in the same rounds,
+	// each with the receivers the injector let its message reach, must
+	// produce a byte-identical digest. FloodSet's processes all run to
+	// round t+1, so every demotion falls in a round where the receivers
+	// not yet demoted are all listening.
+	const n, tt = 6, 3
 	inputs := halfInputs(n)
-	mkProcs := func(panickers int) []sim.Process {
-		procs, err := floodset.NewProcs(n, 3, inputs)
+	demotions := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		inj := mustInjector(t, seed, chaos.Config{Drop: 0.3})
+		dLive, log := sim.NewDigest(), &crashLog{}
+		procsA, err := floodset.NewProcs(n, tt, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < panickers; i++ {
-			procs[i] = &panicky{at: 1}
+		liveRes, err := RunChaos(sim.Config{N: n, T: tt, Observer: sim.MultiObserver{dLive, log}}, procsA, inputs,
+			adversary.None{}, seed, Options{Injector: inj, FaultBudget: n})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return procs
-	}
+		if liveRes.Faults.Demoted != len(log.events) {
+			t.Fatalf("seed %d: %d demotions but %d crash events", seed, liveRes.Faults.Demoted, len(log.events))
+		}
+		demotions += len(log.events)
 
-	// Budget 0: the first fault is rejected, never absorbed.
-	res, err := RunChaos(sim.Config{N: n, T: 3}, mkProcs(1), inputs, adversary.None{}, 2,
-		Options{FaultBudget: 0})
-	if !errors.Is(err, ErrFaultBudget) {
-		t.Fatalf("budget 0: err = %v, want ErrFaultBudget on the first fault", err)
-	}
-	if res == nil || !res.Partial || res.Faults.CrashEquivalent() != 0 {
-		t.Fatalf("budget 0: result %+v, want partial with zero absorbed faults", res)
-	}
+		plans := map[int][]sim.CrashPlan{}
+		dead := make([]bool, n)
+		for _, ev := range log.events {
+			mask := sim.NewBitSet(n)
+			for j := 0; j < n; j++ {
+				if j == ev.victim || dead[j] {
+					continue
+				}
+				for a := 0; a <= retransmits; a++ {
+					if !inj.Drop(ev.round, ev.victim, j, a) {
+						mask.Set(j)
+						break
+					}
+				}
+			}
+			if mask.Count() != ev.delivered {
+				t.Fatalf("seed %d round %d: p%d reached %d receivers, the injector lets %d through",
+					seed, ev.round, ev.victim, ev.delivered, mask.Count())
+			}
+			dead[ev.victim] = true
+			plans[ev.round] = append(plans[ev.round], sim.CrashPlan{Victim: ev.victim, Deliver: mask})
+		}
 
-	// Budget exactly k = 2 with exactly 2 faults: all absorbed, clean run.
-	res, err = RunChaos(sim.Config{N: n, T: 3}, mkProcs(2), inputs, adversary.None{}, 2,
-		Options{FaultBudget: 2})
-	if err != nil {
-		t.Fatalf("budget 2, 2 faults: err = %v, want clean completion", err)
+		dSeq := sim.NewDigest()
+		procsB, err := floodset.NewProcs(n, tt, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := sim.NewExecution(sim.Config{N: n, T: n, Observer: dSeq}, procsB, inputs, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqRes, err := exec.Run(&adversary.Schedule{Plans: plans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dLive.Sum() != dSeq.Sum() {
+			t.Fatalf("seed %d: omission demotion is not CrashPlan-equivalent: %s vs %s", seed, dLive, dSeq)
+		}
+		if liveRes.DecidedValue() != seqRes.DecidedValue() || liveRes.Survivors != seqRes.Survivors {
+			t.Fatalf("seed %d: live %+v vs sequential %+v", seed, liveRes, seqRes)
+		}
 	}
-	if res.Partial || res.Faults.Panics != 2 {
-		t.Fatalf("budget 2, 2 faults: partial=%v faults=%+v, want 2 absorbed panics", res.Partial, res.Faults)
-	}
-	if !res.Agreement || !res.Validity {
-		t.Fatalf("budget 2, 2 faults: agreement=%v validity=%v", res.Agreement, res.Validity)
-	}
-
-	// Budget k = 2 with 3 faults: the (k+1)-th aborts after k absorbed.
-	res, err = RunChaos(sim.Config{N: n, T: 3}, mkProcs(3), inputs, adversary.None{}, 2,
-		Options{FaultBudget: 2})
-	if !errors.Is(err, ErrFaultBudget) {
-		t.Fatalf("budget 2, 3 faults: err = %v, want ErrFaultBudget", err)
-	}
-	if res == nil || !res.Partial || res.Faults.CrashEquivalent() != 2 {
-		t.Fatalf("budget 2, 3 faults: result %+v, want partial with exactly 2 absorbed", res)
-	}
-}
-
-func TestHangDemotedAfterDeadlineMisses(t *testing.T) {
-	// An injected hang blocks past every deadline window; the runner must
-	// demote the process to a crash fault and move on.
-	const n = 5
-	inputs := halfInputs(n)
-	procs, err := floodset.NewProcs(n, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, 3, chaos.Config{PerProc: map[int]chaos.ProcRates{0: {Hang: 1}}})
-	opts.FaultBudget = 1
-	res, err := RunChaos(sim.Config{N: n, T: 2}, procs, inputs, adversary.None{}, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults.Demoted != 1 {
-		t.Fatalf("faults %+v, want one demotion", res.Faults)
-	}
-	if res.Decided[0] {
-		t.Fatal("hung process must be counted dead, not decided")
-	}
-	if !res.Agreement || !res.Validity {
-		t.Fatalf("agreement=%v validity=%v after demotion", res.Agreement, res.Validity)
-	}
-}
-
-func TestStallsRecoverWithoutSemanticEffect(t *testing.T) {
-	// Stalls bounded well below the first deadline window always recover:
-	// they are counted but the execution digest is unchanged.
-	const n = 6
-	inputs := halfInputs(n)
-	seed := uint64(9)
-
-	dPlain := sim.NewDigest()
-	procsA, err := floodset.NewProcs(n, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(sim.Config{N: n, T: 2, Observer: dPlain}, procsA, inputs, adversary.None{}, seed); err != nil {
-		t.Fatal(err)
-	}
-
-	dStall := sim.NewDigest()
-	procsB, err := floodset.NewProcs(n, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, seed, chaos.Config{Stall: 1, MaxStall: 2 * time.Millisecond})
-	res, err := RunChaos(sim.Config{N: n, T: 2, Observer: dStall}, procsB, inputs, adversary.None{}, seed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dPlain.Sum() != dStall.Sum() {
-		t.Fatalf("recovered stalls changed the execution: %s vs %s", dPlain, dStall)
-	}
-	if res.Faults.Stalled == 0 {
-		t.Fatal("injected stalls were not counted")
-	}
-	if res.Faults.CrashEquivalent() != 0 {
-		t.Fatalf("recovered stalls must not cost crash budget: %+v", res.Faults)
-	}
-}
-
-func TestOmissionDemotionMatchesCrashPlan(t *testing.T) {
-	// An unrecoverable omission (drop rate 1 on two links in round 2)
-	// demotes the sender with exactly the partial delivery that happened.
-	// That is CrashPlan-observable: a sequential run whose adversary
-	// crashes the same victim in the same round with the matching Deliver
-	// mask must produce a byte-identical digest.
-	const n = 6
-	inputs := halfInputs(n)
-	seed := uint64(4)
-
-	dLive := sim.NewDigest()
-	procsA, err := floodset.NewProcs(n, 3, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, seed, chaos.Config{
-		PerLink: map[chaos.Link]chaos.Rates{
-			{From: 0, To: 1}: {Drop: 1},
-			{From: 0, To: 2}: {Drop: 1},
-		},
-		FromRound: 2, UntilRound: 2,
-	})
-	opts.FaultBudget = 1
-	liveRes, err := RunChaos(sim.Config{N: n, T: 3, Observer: dLive}, procsA, inputs, adversary.None{}, seed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if liveRes.Faults.Demoted != 1 || liveRes.Faults.Dropped == 0 {
-		t.Fatalf("faults %+v, want one omission demotion with counted drops", liveRes.Faults)
-	}
-
-	mask := sim.NewBitSet(n)
-	for j := 3; j < n; j++ {
-		mask.Set(j)
-	}
-	dSeq := sim.NewDigest()
-	procsB, err := floodset.NewProcs(n, 3, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := sim.NewExecution(sim.Config{N: n, T: 3, Observer: dSeq}, procsB, inputs, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := exec.Run(&adversary.Schedule{Plans: map[int][]sim.CrashPlan{
-		2: {{Victim: 0, Deliver: mask}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if dLive.Sum() != dSeq.Sum() {
-		t.Fatalf("omission demotion is not CrashPlan-equivalent: %s vs %s", dLive, dSeq)
-	}
-	if liveRes.DecidedValue() != seqRes.DecidedValue() {
-		t.Fatalf("decisions differ: %d vs %d", liveRes.DecidedValue(), seqRes.DecidedValue())
+	if demotions == 0 {
+		t.Fatal("no seed demoted anyone: the comparison is vacuous")
 	}
 }
 
@@ -389,52 +282,43 @@ func TestPartialDeliveryDigestEquality(t *testing.T) {
 }
 
 func TestChaosRunDeterminism(t *testing.T) {
-	// The whole chaotic execution — decisions, fault accounting, digest —
-	// is a function of (seed, config) alone.
+	// The whole chaotic execution — decisions, fault accounting, notes,
+	// digest — is a function of (seed, config) alone.
 	const n = 9
 	inputs := halfInputs(n)
-	cfg := chaos.Config{
-		Drop: 0.05, Dup: 0.05, Delay: 0.03, MaxDelay: 2,
-		Stall: 0.1, MaxStall: 2 * time.Millisecond,
-		UntilRound: 20,
-	}
-	run := func() (uint64, sim.Faults, int) {
+	run := func() (uint64, *sim.Result) {
 		d := sim.NewDigest()
 		procs, err := floodset.NewProcs(n, 3, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := fastDeadlines()
-		opts.Injector = mustInjector(t, 17, cfg)
-		opts.FaultBudget = 3
+		opts := Options{Injector: mustInjector(t, 17, chaos.Config{Drop: 0.2}), FaultBudget: 3}
 		res, err := RunChaos(sim.Config{N: n, T: 3, Observer: d}, procs, inputs, adversary.None{}, 17, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Sum(), res.Faults, res.DecidedValue()
+		return d.Sum(), res
 	}
-	s1, f1, v1 := run()
-	s2, f2, v2 := run()
-	if s1 != s2 || f1 != f2 || v1 != v2 {
-		t.Fatalf("same (seed, config) diverged: %016x/%+v/%d vs %016x/%+v/%d", s1, f1, v1, s2, f2, v2)
+	s1, r1 := run()
+	s2, r2 := run()
+	if s1 != s2 || r1.Faults != r2.Faults || r1.DecidedValue() != r2.DecidedValue() ||
+		strings.Join(r1.FaultNotes, "\n") != strings.Join(r2.FaultNotes, "\n") {
+		t.Fatalf("same (seed, config) diverged: %016x/%+v vs %016x/%+v", s1, r1, s2, r2)
+	}
+	if r1.Faults.Dropped == 0 || r1.Faults.Demoted == 0 {
+		t.Fatalf("faults %+v: the comparison is vacuous", r1.Faults)
 	}
 }
 
 func TestChaosSoakNeverViolatesSafety(t *testing.T) {
-	// Property soak: under a mixed fault schedule whose crash-equivalent
-	// total is bounded by the budget (and the adversary is quiet, so the
-	// ≤ t resilience condition holds), every protocol either completes
-	// with Agreement+Validity or degrades gracefully with a typed error —
-	// and even a partial result never contains conflicting decisions.
+	// Property soak: at E16's drop rates, with the demotions bounded by
+	// the budget (and the adversary quiet, so the ≤ t resilience
+	// condition holds), every protocol either completes with
+	// Agreement+Validity or degrades gracefully with a typed error — and
+	// even a partial result never contains conflicting decisions.
 	const n = 9
 	tt := 3
 	inputs := halfInputs(n)
-	cfg := chaos.Config{
-		Drop: 0.04, Dup: 0.03, Delay: 0.02, MaxDelay: 2,
-		Stall: 0.05, MaxStall: 2 * time.Millisecond,
-		Panic:      0.004,
-		UntilRound: 25,
-	}
 	builders := map[string]func() ([]sim.Process, error){
 		"synran": func() ([]sim.Process, error) {
 			return core.NewProcs(n, inputs, 1, core.Options{})
@@ -452,47 +336,47 @@ func TestChaosSoakNeverViolatesSafety(t *testing.T) {
 	}
 	for name, mk := range builders {
 		completed, degraded := 0, 0
-		for seed := uint64(0); seed < uint64(seeds); seed++ {
-			procs, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := fastDeadlines()
-			opts.Injector = mustInjector(t, seed, cfg)
-			opts.FaultBudget = tt
-			res, err := RunChaos(sim.Config{N: n, T: tt}, procs, inputs, adversary.None{}, seed, opts)
-			if err != nil {
-				if !errors.Is(err, ErrFaultBudget) && !errors.Is(err, sim.ErrMaxRounds) {
-					t.Fatalf("%s seed=%d: untyped error %v", name, seed, err)
+		for _, rate := range []float64{0.05, 0.15, 0.30} {
+			for seed := uint64(0); seed < uint64(seeds); seed++ {
+				procs, err := mk()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if res == nil || !res.Partial {
-					t.Fatalf("%s seed=%d: degraded run must return a partial result", name, seed)
+				opts := Options{Injector: mustInjector(t, seed, chaos.Config{Drop: rate}), FaultBudget: tt}
+				res, err := RunChaos(sim.Config{N: n, T: tt}, procs, inputs, adversary.None{}, seed, opts)
+				if err != nil {
+					if !errors.Is(err, ErrFaultBudget) && !errors.Is(err, sim.ErrMaxRounds) {
+						t.Fatalf("%s rate=%v seed=%d: untyped error %v", name, rate, seed, err)
+					}
+					if res == nil || !res.Partial {
+						t.Fatalf("%s rate=%v seed=%d: degraded run must return a partial result", name, rate, seed)
+					}
+					degraded++
+				} else {
+					if res.Partial {
+						t.Fatalf("%s rate=%v seed=%d: clean run marked partial", name, rate, seed)
+					}
+					if !res.Agreement || !res.Validity {
+						t.Fatalf("%s rate=%v seed=%d: agreement=%v validity=%v faults=%+v",
+							name, rate, seed, res.Agreement, res.Validity, res.Faults)
+					}
+					completed++
 				}
-				degraded++
-			} else {
-				if res.Partial {
-					t.Fatalf("%s seed=%d: clean run marked partial", name, seed)
+				if res.Faults.Demoted > tt {
+					t.Fatalf("%s rate=%v seed=%d: budget overrun: %+v", name, rate, seed, res.Faults)
 				}
-				if !res.Agreement || !res.Validity {
-					t.Fatalf("%s seed=%d: agreement=%v validity=%v faults=%+v",
-						name, seed, res.Agreement, res.Validity, res.Faults)
-				}
-				completed++
-			}
-			if res.Faults.CrashEquivalent() > tt {
-				t.Fatalf("%s seed=%d: budget overrun: %+v", name, seed, res.Faults)
-			}
-			// Even partial results must never contain two different
-			// decided values among the survivors (fail-stop preserved).
-			seen := -1
-			for i, ok := range res.Decided {
-				if !ok {
-					continue
-				}
-				if seen == -1 {
-					seen = res.Decisions[i]
-				} else if seen != res.Decisions[i] {
-					t.Fatalf("%s seed=%d: conflicting decisions in %+v", name, seed, res.Decisions)
+				// Even partial results must never contain two different
+				// decided values among the survivors (fail-stop preserved).
+				seen := -1
+				for i, ok := range res.Decided {
+					if !ok {
+						continue
+					}
+					if seen == -1 {
+						seen = res.Decisions[i]
+					} else if seen != res.Decisions[i] {
+						t.Fatalf("%s rate=%v seed=%d: conflicting decisions in %+v", name, rate, seed, res.Decisions)
+					}
 				}
 			}
 		}
@@ -502,9 +386,7 @@ func TestChaosSoakNeverViolatesSafety(t *testing.T) {
 
 func TestChaosMaxRoundsReturnsPartialResult(t *testing.T) {
 	procs := []sim.Process{neverDecide{}, neverDecide{}, neverDecide{}}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, 1, chaos.Config{Drop: 0.2})
-	opts.FaultBudget = 3
+	opts := Options{Injector: mustInjector(t, 1, chaos.Config{Drop: 0.2}), FaultBudget: 3}
 	res, err := RunChaos(sim.Config{N: 3, T: 0, MaxRounds: 6}, procs, []int{0, 0, 0},
 		adversary.None{}, 1, opts)
 	if !errors.Is(err, sim.ErrMaxRounds) {
@@ -512,37 +394,5 @@ func TestChaosMaxRoundsReturnsPartialResult(t *testing.T) {
 	}
 	if res == nil || !res.Partial {
 		t.Fatalf("result = %+v, want non-nil partial", res)
-	}
-}
-
-func TestDelayedMessagesDiscardedAndCounted(t *testing.T) {
-	// Delay faults must surface as omissions within the round (demotion if
-	// unrecoverable) and be tallied in Faults.Delayed when the stale copy
-	// would have arrived — never delivered into a later round.
-	const n = 5
-	inputs := halfInputs(n)
-	procs, err := floodset.NewProcs(n, 2, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, 6, chaos.Config{
-		PerLink:   map[chaos.Link]chaos.Rates{{From: 1, To: 3}: {Delay: 1}},
-		MaxDelay:  2,
-		FromRound: 1, UntilRound: 1,
-	})
-	opts.FaultBudget = 1
-	res, err := RunChaos(sim.Config{N: n, T: 2}, procs, inputs, adversary.None{}, 6, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Faults.Delayed == 0 {
-		t.Fatalf("faults %+v, want delayed copies counted", res.Faults)
-	}
-	if res.Faults.Demoted != 1 {
-		t.Fatalf("faults %+v, want the delaying sender demoted (omission within its round)", res.Faults)
-	}
-	if !res.Agreement || !res.Validity {
-		t.Fatalf("agreement=%v validity=%v", res.Agreement, res.Validity)
 	}
 }

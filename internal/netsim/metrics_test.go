@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"testing"
-	"time"
 
 	"synran/internal/adversary"
 	"synran/internal/chaos"
@@ -20,19 +19,12 @@ import (
 func TestChaosMetricsMatchFaultAccounting(t *testing.T) {
 	const n = 9
 	inputs := halfInputs(n)
-	cfg := chaos.Config{
-		Drop: 0.05, Dup: 0.05, Delay: 0.03, MaxDelay: 2,
-		Stall: 0.1, MaxStall: 2 * time.Millisecond,
-		UntilRound: 20,
-	}
 	eng := metrics.NewEngine(metrics.New(1))
 	procs, err := floodset.NewProcs(n, 3, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fastDeadlines()
-	opts.Injector = mustInjector(t, 17, cfg)
-	opts.FaultBudget = 3
+	opts := Options{Injector: mustInjector(t, 17, chaos.Config{Drop: 0.2}), FaultBudget: 3}
 	res, err := RunChaos(sim.Config{N: n, T: 3, Metrics: eng}, procs, inputs,
 		adversary.None{}, 17, opts)
 	if err != nil {
@@ -46,18 +38,15 @@ func TestChaosMetricsMatchFaultAccounting(t *testing.T) {
 		want int
 	}{
 		{"messages_dropped", eng.MsgDropped.Value(), f.Dropped},
-		{"messages_duplicated", eng.MsgDuplicated.Value(), f.Duplicated},
-		{"messages_delayed", eng.MsgDelayed.Value(), f.Delayed},
-		{"proc_stalls", eng.Stalls.Value(), f.Stalled},
-		{"proc_panics", eng.Panics.Value(), f.Panics},
 		{"proc_demotions", eng.Demotions.Value(), f.Demoted},
+		{"messages_delivered", eng.Messages.Value(), res.Messages},
 	} {
 		if c.got != uint64(c.want) {
 			t.Errorf("%s = %d, want %d (Faults accounting %+v)", c.name, c.got, c.want, f)
 		}
 	}
-	if f.Dropped == 0 && f.Duplicated == 0 && f.Delayed == 0 && f.Stalled == 0 {
-		t.Fatalf("injector produced no faults — the cross-check is vacuous: %+v", f)
+	if f.Dropped == 0 || f.Demoted == 0 {
+		t.Fatalf("the injector dropped %d and demoted %d — the cross-check is vacuous", f.Dropped, f.Demoted)
 	}
 
 	// The engine-side instruments must agree with the Result too.
@@ -76,12 +65,9 @@ func TestChaosMetricsMatchFaultAccounting(t *testing.T) {
 	if got := eng.CrashesAdversary.Value(); got != 0 {
 		t.Errorf("crashes_adversary = %d under adversary.None", got)
 	}
-	// Retransmissions have no Faults counterpart; each one recovers a
-	// dropped or within-round-delayed copy, so the count is bounded.
-	if got := eng.MsgRetransmitted.Value(); got > uint64(f.Dropped+f.Delayed) {
-		t.Errorf("messages_retransmitted = %d exceeds dropped+delayed = %d", got, f.Dropped+f.Delayed)
-	}
-	if eng.Messages.Value() == 0 {
-		t.Error("messages_delivered stayed zero over a full run")
+	// Retransmissions have no Faults counterpart; each one follows a
+	// dropped attempt, so the count is bounded by the drops.
+	if got := eng.MsgRetransmitted.Value(); got == 0 || got > uint64(f.Dropped) {
+		t.Errorf("messages_retransmitted = %d, want in (0, dropped = %d]", got, f.Dropped)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // The text form is one `key = value` per line, `#` full-line comments
@@ -19,7 +18,7 @@ import (
 // Parse(Format(s)) == s byte-for-byte for any normalized s (the
 // round-trip property test). A file whose first non-space byte is `{`
 // is parsed as JSON instead (same keys, strict: unknown fields
-// rejected, `deadline` as a duration string).
+// rejected).
 
 // setField assigns one key=value pair. Errors are unprefixed; callers
 // wrap them with position context and the "scenario: " prefix.
@@ -51,14 +50,6 @@ func setField(s *Scenario, key, val string) error {
 		s.Chaos = val
 	case "faultbudget":
 		return setInt(&s.FaultBudget, key, val)
-	case "deadline":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("%s = %q: not a duration", key, val)
-		}
-		s.Deadline = d
-	case "retransmits":
-		return setInt(&s.Retransmits, key, val)
 	case "maxrounds":
 		return setInt(&s.MaxRounds, key, val)
 	case "trials":
@@ -180,12 +171,6 @@ func Format(s Scenario) (string, error) {
 	if ns.FaultBudget != 0 {
 		put("faultbudget", ns.FaultBudget)
 	}
-	if ns.Deadline != 0 {
-		put("deadline", ns.Deadline)
-	}
-	if ns.Retransmits != 0 {
-		put("retransmits", ns.Retransmits)
-	}
 	if ns.MaxRounds != 0 {
 		put("maxrounds", ns.MaxRounds)
 	}
@@ -212,9 +197,8 @@ func Format(s Scenario) (string, error) {
 }
 
 // Compact renders s as the one-line comma-separated form used in repro
-// command lines (same keys and order as Format; a chaos value's inner
-// commas are written as '+' so the whole spec stays one comma-separated
-// list). ParseCompact inverts it.
+// command lines (same keys and order as Format). ParseCompact inverts
+// it.
 func Compact(s Scenario) (string, error) {
 	text, err := Format(s)
 	if err != nil {
@@ -222,11 +206,7 @@ func Compact(s Scenario) (string, error) {
 	}
 	var parts []string
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		kv := strings.Replace(line, " = ", "=", 1)
-		if strings.HasPrefix(kv, "chaos=") {
-			kv = strings.ReplaceAll(kv, ",", "+")
-		}
-		parts = append(parts, kv)
+		parts = append(parts, strings.Replace(line, " = ", "=", 1))
 	}
 	return strings.Join(parts, ","), nil
 }
@@ -251,9 +231,6 @@ func ParseCompactWith(defaults Scenario, spec string) (Scenario, error) {
 			}
 			key := strings.TrimSpace(part[:eq])
 			val := strings.TrimSpace(part[eq+1:])
-			if key == "chaos" {
-				val = strings.ReplaceAll(val, "+", ",")
-			}
 			if seen[key] {
 				return Scenario{}, errf("duplicate key %q", key)
 			}
@@ -267,8 +244,8 @@ func ParseCompactWith(defaults Scenario, spec string) (Scenario, error) {
 }
 
 // jsonScenario is the JSON wire form: same keys as the text form,
-// deadline as a duration string, expect nested. Absent t means the
-// protocol default (hence the pointer).
+// expect nested. Absent t means the protocol default (hence the
+// pointer).
 type jsonScenario struct {
 	Protocol    string      `json:"protocol,omitempty"`
 	Adversary   string      `json:"adversary,omitempty"`
@@ -281,8 +258,6 @@ type jsonScenario struct {
 	Live        bool        `json:"live,omitempty"`
 	Chaos       string      `json:"chaos,omitempty"`
 	FaultBudget int         `json:"faultbudget,omitempty"`
-	Deadline    string      `json:"deadline,omitempty"`
-	Retransmits int         `json:"retransmits,omitempty"`
 	MaxRounds   int         `json:"maxrounds,omitempty"`
 	Trials      int         `json:"trials,omitempty"`
 	Expect      *jsonExpect `json:"expect,omitempty"`
@@ -307,18 +282,10 @@ func parseJSON(data []byte) (Scenario, error) {
 		Protocol: j.Protocol, Adversary: j.Adversary, Coin: j.Coin,
 		Workload: j.Workload, N: j.N, T: -1, Seed: j.Seed,
 		Engine: j.Engine, Live: j.Live, Chaos: j.Chaos,
-		FaultBudget: j.FaultBudget, Retransmits: j.Retransmits,
-		MaxRounds: j.MaxRounds, Trials: j.Trials,
+		FaultBudget: j.FaultBudget, MaxRounds: j.MaxRounds, Trials: j.Trials,
 	}
 	if j.T != nil {
 		s.T = *j.T
-	}
-	if j.Deadline != "" {
-		d, err := time.ParseDuration(j.Deadline)
-		if err != nil {
-			return Scenario{}, errf("json: deadline = %q: not a duration", j.Deadline)
-		}
-		s.Deadline = d
 	}
 	if j.Expect != nil {
 		s.Expect = Expect{

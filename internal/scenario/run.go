@@ -26,24 +26,22 @@ func (s *Scenario) Spec(trial int, m *metrics.Engine, shard int) (synran.Spec, e
 	}
 	spec := synran.Spec{
 		N: s.N, T: s.T, Inputs: inputs,
-		Protocol:      s.Protocol,
-		Adversary:     s.Adversary,
-		Seed:          seed,
-		MaxRounds:     s.MaxRounds,
-		Engine:        s.Engine,
-		Live:          s.Live,
-		FaultBudget:   s.FaultBudget,
-		RoundDeadline: s.Deadline,
-		Retransmits:   s.Retransmits,
-		Metrics:       m, MetricsShard: shard,
+		Protocol:    s.Protocol,
+		Adversary:   s.Adversary,
+		Seed:        seed,
+		MaxRounds:   s.MaxRounds,
+		Engine:      s.Engine,
+		Live:        s.Live,
+		FaultBudget: s.FaultBudget,
+		Metrics:     m, MetricsShard: shard,
 	}
 	if s.Chaos != "" {
 		cfg, err := chaos.ParseSpec(s.Chaos)
 		if err != nil {
 			return synran.Spec{}, errf("%v", err)
 		}
-		// "none" parses to the zero config: the hardened runner with an
-		// armed zero-fault injector, preserving -chaos none semantics.
+		// "none" parses to the zero config: the live runner with an
+		// armed zero-rate injector, preserving -chaos none semantics.
 		spec.Chaos = &cfg
 	}
 	return spec, nil

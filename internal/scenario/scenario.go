@@ -1,11 +1,11 @@
 // Package scenario is the repository's single declarative run
 // specification: one Scenario value names everything an execution needs
-// — protocol × adversary × workload × n/t/seed × engine × chaos
-// schedule × netsim knobs × round caps × trial counts ×
-// expected-outcome assertions — with a canonical human-writable text
-// encoding (Parse/Format round-trip byte-identically), a compact
-// one-line form for repro command lines, and strict validation that
-// subsumes the per-binary flag checks it replaced.
+// — protocol × adversary × workload × n/t/seed × engine × live runner
+// and drop schedule × round caps × trial counts × expected-outcome
+// assertions — with a canonical human-writable text encoding
+// (Parse/Format round-trip byte-identically), a compact one-line form
+// for repro command lines, and strict validation that subsumes the
+// per-binary flag checks it replaced.
 //
 // Every binary consumes scenarios: the per-binary flag surfaces are
 // thin façades that construct a Scenario and hand it to the same run
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"synran"
 	"synran/internal/chaos"
@@ -33,7 +32,7 @@ import (
 // (internal/async) instead of the synchronous ones. For async
 // scenarios the Adversary field names the scheduler and MaxRounds caps
 // delivered messages (async.Config.MaxSteps); engine/live/chaos and
-// the netsim knobs do not apply.
+// the fault budget do not apply.
 const ProtocolAsyncBenOr = "async-benor"
 
 // Expect is a scenario's optional outcome assertions. Nil pointer
@@ -88,22 +87,16 @@ type Scenario struct {
 	// Engine selects the lock-step core (sim.ValidEngine's names; ""
 	// is the default core).
 	Engine string
-	// Live selects the goroutine-per-process hardened runner.
+	// Live selects the goroutine-per-process live runner.
 	Live bool
-	// Chaos is the fault schedule in chaos.ParseSpec syntax, canonical
-	// per chaos.Config.Spec. "" means no chaos; "none" means the
-	// hardened runner with an armed zero-fault injector (deadlines on,
-	// injector consulted, no faults fire) — the distinction -chaos none
-	// always had.
+	// Chaos is the drop schedule in chaos.ParseSpec syntax, canonical
+	// per chaos.Config.Spec. "" means no chaos; "none" means the live
+	// runner with an armed zero-rate injector, which loses nothing and
+	// gives the same Result as a plain live run.
 	Chaos string
-	// FaultBudget bounds the crash-equivalent chaos faults.
+	// FaultBudget bounds the demotions: the live runner's unrecovered
+	// omissions, or an omission adversary's plans.
 	FaultBudget int
-	// Deadline overrides the hardened runner's per-round wall-clock
-	// budget (0 = netsim default; live/chaos scenarios only).
-	Deadline time.Duration
-	// Retransmits overrides the hardened runner's re-send attempts
-	// (0 = netsim default; live/chaos scenarios only).
-	Retransmits int
 	// MaxRounds overrides the engine round cap (0 = engine default).
 	// Async scenarios: the delivery cap (async.Config.MaxSteps).
 	MaxRounds int
@@ -234,12 +227,6 @@ func (s *Scenario) Validate() error {
 	if s.FaultBudget < 0 {
 		return errf("faultbudget = %d, want >= 0", s.FaultBudget)
 	}
-	if s.Deadline < 0 {
-		return errf("deadline = %v, want >= 0", s.Deadline)
-	}
-	if s.Retransmits < 0 {
-		return errf("retransmits = %d, want >= 0", s.Retransmits)
-	}
 	if live := s.Live || s.Chaos != ""; live {
 		if synran.LockStepOnly(s.Adversary) {
 			return errf("adversary %q needs the lock-step engine (drop live/chaos)", s.Adversary)
@@ -250,9 +237,6 @@ func (s *Scenario) Validate() error {
 	} else {
 		if s.FaultBudget != 0 && !IsOmission(s.Adversary) {
 			return errf("faultbudget = %d needs a chaos schedule or an omission adversary", s.FaultBudget)
-		}
-		if s.Deadline != 0 || s.Retransmits != 0 {
-			return errf("deadline/retransmits apply only to live/chaos scenarios")
 		}
 	}
 	if IsOmission(s.Adversary) && s.FaultBudget > s.T {
@@ -279,9 +263,8 @@ func (s *Scenario) validateAsync() error {
 	if err := validWorkload(s.Workload); err != nil {
 		return err
 	}
-	if s.Engine != "" || s.Live || s.Chaos != "" || s.FaultBudget != 0 ||
-		s.Deadline != 0 || s.Retransmits != 0 {
-		return errf("engine/live/chaos/faultbudget/deadline/retransmits do not apply to protocol %q", ProtocolAsyncBenOr)
+	if s.Engine != "" || s.Live || s.Chaos != "" || s.FaultBudget != 0 {
+		return errf("engine/live/chaos/faultbudget do not apply to protocol %q", ProtocolAsyncBenOr)
 	}
 	return s.validateCommon()
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func writeFile(dir, name, text string) error {
@@ -18,7 +17,7 @@ func intp(n int) *int    { return &n }
 
 // roundTripScenarios is the corpus of normalized scenarios the codec
 // properties run over: every protocol family, boundary n/t, engine and
-// chaos variants, netsim knobs, and expectation assertions.
+// chaos variants, and expectation assertions.
 func roundTripScenarios() []Scenario {
 	return []Scenario{
 		{Protocol: "synran", Adversary: "none", Workload: "half", N: 5, T: 2, Trials: 1},
@@ -31,11 +30,11 @@ func roundTripScenarios() []Scenario {
 		{Protocol: "phaseking", Adversary: "equivocator", Workload: "half", N: 9, T: 2, Trials: 1},
 		{Protocol: "synran", Adversary: "lowerbound", Workload: "half", N: 5, T: 4, Seed: 3, Trials: 1, MaxRounds: 64},
 		{Protocol: "synran", Adversary: "none", Workload: "half", N: 9, T: 3, Trials: 1,
-			Chaos: "drop=0.05,dup=0.02", FaultBudget: 3},
+			Chaos: "drop=0.05", FaultBudget: 3},
 		{Protocol: "synran", Adversary: "none", Workload: "half", N: 5, T: 2, Trials: 1,
-			Chaos: "none", Deadline: 500 * time.Millisecond, Retransmits: 4},
+			Chaos: "none"},
 		{Protocol: "benor", Adversary: "none", Workload: "half", N: 5, T: 2, Trials: 2,
-			Chaos: "drop=0.1,maxstall=5ms,stall=0.01,from=2,until=40", FaultBudget: 2},
+			Chaos: "drop=1", FaultBudget: 2},
 		{Protocol: "synran", Adversary: "none", Workload: "half", N: 5, T: 2, Trials: 1,
 			Expect: Expect{Agreement: boolp(true), Validity: boolp(true), Rounds: 30}},
 		{Protocol: "synran", Adversary: "push0", Workload: "zeros", N: 5, T: 2, Trials: 3,
@@ -79,7 +78,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestCompactRoundTrip: the one-line form inverts exactly, including
-// chaos specs whose inner commas are carried as '+'.
+// chaos specs, whose values hold an '=' of their own.
 func TestCompactRoundTrip(t *testing.T) {
 	for _, s := range roundTripScenarios() {
 		ns, err := s.Normalized()
@@ -104,13 +103,20 @@ func TestCompactRoundTrip(t *testing.T) {
 }
 
 func TestCompactChaosEncoding(t *testing.T) {
-	s := Scenario{N: 5, Chaos: "drop=0.1,dup=0.05", FaultBudget: 2}
+	s := Scenario{N: 5, Chaos: "DROP = 0.1", FaultBudget: 2}
 	spec, err := Compact(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(spec, "chaos=drop=0.1+dup=0.05") {
-		t.Fatalf("chaos commas not encoded: %q", spec)
+	if !strings.Contains(spec, ",chaos=drop=0.1,") {
+		t.Fatalf("chaos not written in its canonical form: %q", spec)
+	}
+	back, err := ParseCompact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Chaos != "drop=0.1" {
+		t.Fatalf("ParseCompact(%q).Chaos = %q, want drop=0.1", spec, back.Chaos)
 	}
 }
 
@@ -139,7 +145,7 @@ func TestNormalizeDefaults(t *testing.T) {
 
 	// Chaos canonicalization: equivalent specs converge, zero-equivalent
 	// non-empty specs become "none", "" stays "".
-	c := Scenario{N: 5, Chaos: " DROP=0.05 , dup=0 "}
+	c := Scenario{N: 5, Chaos: " DROP=0.05 , "}
 	c.Normalize()
 	if c.Chaos != "drop=0.05" {
 		t.Errorf("chaos canonicalization: got %q want %q", c.Chaos, "drop=0.05")
@@ -152,7 +158,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	e := Scenario{N: 5}
 	e.Normalize()
 	if e.Chaos != "" {
-		t.Errorf("empty chaos must stay empty (no hardened runner), got %q", e.Chaos)
+		t.Errorf("empty chaos must stay empty (no injector), got %q", e.Chaos)
 	}
 }
 
@@ -187,13 +193,9 @@ func TestParseRejections(t *testing.T) {
 		{"bad engine", "n = 5\nengine = turbo\n",
 			`scenario: sim: unknown engine "turbo" (want "object" or "soa")`},
 		{"bad chaos", "n = 5\nchaos = flood=1\n",
-			`scenario: chaos: unknown key "flood" (want drop|dup|delay|maxdelay|stall|maxstall|hang|panic|from|until)`},
+			`scenario: chaos: unknown key "flood" (want drop)`},
 		{"negative faultbudget", "n = 5\nchaos = drop=0.1\nfaultbudget = -1\n",
 			"scenario: faultbudget = -1, want >= 0"},
-		{"negative deadline", "n = 5\nlive = true\ndeadline = -1s\n",
-			"scenario: deadline = -1s, want >= 0"},
-		{"negative retransmits", "n = 5\nlive = true\nretransmits = -1\n",
-			"scenario: retransmits = -1, want >= 0"},
 		{"lookahead live", "n = 5\nadversary = lowerbound\nlive = true\n",
 			`scenario: adversary "lowerbound" needs the lock-step engine (drop live/chaos)`},
 		{"byzantine chaos", "n = 5\nadversary = equivocator\nchaos = drop=0.1\n",
@@ -202,8 +204,6 @@ func TestParseRejections(t *testing.T) {
 			`scenario: engine "soa" is lock-step only (drop live/chaos or the engine override)`},
 		{"budget without chaos", "n = 5\nfaultbudget = 2\n",
 			"scenario: faultbudget = 2 needs a chaos schedule or an omission adversary"},
-		{"deadline without live", "n = 5\ndeadline = 1s\n",
-			"scenario: deadline/retransmits apply only to live/chaos scenarios"},
 		{"negative maxrounds", "n = 5\nmaxrounds = -1\n",
 			"scenario: maxrounds = -1, want >= 0"},
 		{"bad expect.decided", "n = 5\nexpect.decided = 2\n",
@@ -217,16 +217,15 @@ func TestParseRejections(t *testing.T) {
 		{"async resilience", "n = 4\nprotocol = async-benor\nt = 2\n",
 			"scenario: async-benor needs 2t < n, got n = 4, t = 2"},
 		{"async engine", "n = 5\nprotocol = async-benor\nengine = soa\n",
-			`scenario: engine/live/chaos/faultbudget/deadline/retransmits do not apply to protocol "async-benor"`},
+			`scenario: engine/live/chaos/faultbudget do not apply to protocol "async-benor"`},
 		{"async live", "n = 5\nprotocol = async-benor\nlive = true\n",
-			`scenario: engine/live/chaos/faultbudget/deadline/retransmits do not apply to protocol "async-benor"`},
+			`scenario: engine/live/chaos/faultbudget do not apply to protocol "async-benor"`},
 		{"no equals", "n = 5\nbogus\n", `scenario: line 2: want key = value, got "bogus"`},
 		{"duplicate key", "n = 5\nn = 6\n", `scenario: line 2: duplicate key "n"`},
 		{"unknown key", "n = 5\nfrobnicate = 1\n", `scenario: line 2: unknown key "frobnicate"`},
 		{"bad int", "n = x\n", `scenario: line 1: n = "x": not an integer`},
 		{"bad seed", "n = 5\nseed = -1\n", `scenario: line 2: seed = "-1": not an unsigned integer`},
 		{"bad bool", "n = 5\nlive = yes\n", `scenario: line 2: live = "yes": want true or false`},
-		{"bad duration", "n = 5\ndeadline = fast\n", `scenario: line 2: deadline = "fast": not a duration`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,7 +253,7 @@ func TestParseComments(t *testing.T) {
 func TestParseJSON(t *testing.T) {
 	s, err := Parse([]byte(`{
 		"protocol": "benor", "adversary": "masscrash", "n": 9, "t": 4,
-		"seed": 7, "trials": 10, "deadline": "",
+		"seed": 7, "trials": 10,
 		"expect": {"agreement": true, "rounds": 40}
 	}`))
 	if err != nil {
@@ -280,9 +279,6 @@ func TestParseJSON(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"n": 5, "frobnicate": 1}`)); err == nil {
 		t.Error("json unknown field accepted")
-	}
-	if _, err := Parse([]byte(`{"n": 5, "deadline": "fast"}`)); err == nil {
-		t.Error("json bad duration accepted")
 	}
 }
 

@@ -310,31 +310,15 @@ var (
 )
 
 // Faults accounts for the non-crash faults an execution absorbed.
-// Dropped / Duplicated / Delayed count injected message faults the
-// chaos-hardened runner masked or converted; Stalled counts injected
-// process stalls; Panics counts process panics isolated by the runner;
-// Demoted counts processes converted to crash faults — by the hardened
-// runner after missed round deadlines or unrecoverable omissions, or by
-// an adaptive-omission adversary (sim.Omitter) on any engine. Panics +
-// Demoted are the crash-equivalent faults charged against the fault
-// budget (distinct from the adversary's T).
+// Dropped counts transmission attempts the live runner's links lost
+// (each one re-sent or converted); Demoted counts processes converted
+// to crash faults — by the live runner after an unrecovered omission,
+// or by an adaptive-omission adversary (sim.Omitter) on any engine.
+// Demotions are charged against the fault budget (distinct from the
+// adversary's T).
 type Faults struct {
-	Dropped    int
-	Duplicated int
-	Delayed    int
-	Stalled    int
-	Panics     int
-	Demoted    int
-}
-
-// CrashEquivalent returns the number of faults that consumed a process
-// (the quantity that must stay within the fault budget, and that adds to
-// the adversary's crashes when checking the ≤ t resilience condition).
-func (f Faults) CrashEquivalent() int { return f.Panics + f.Demoted }
-
-// Total returns the total number of injected fault events absorbed.
-func (f Faults) Total() int {
-	return f.Dropped + f.Duplicated + f.Delayed + f.Stalled + f.Panics + f.Demoted
+	Dropped int
+	Demoted int
 }
 
 // Result summarizes a finished execution.
@@ -362,11 +346,10 @@ type Result struct {
 	// Validity: if all inputs were v, every decision is v.
 	Validity bool
 	// Faults accounts for non-crash faults absorbed during the run:
-	// chaos faults on the hardened runner, omission demotions from an
-	// Omitter adversary on any engine.
+	// lost messages and demotions on the live runner, omission
+	// demotions from an Omitter adversary on any engine.
 	Faults Faults
-	// FaultNotes carries structured annotations for isolated failures
-	// (one line per recovered panic / demotion), newest last.
+	// FaultNotes carries one line per live-runner demotion, newest last.
 	FaultNotes []string
 	// Partial marks a gracefully degraded run: the runner gave up (fault
 	// budget exhausted or MaxRounds hit) and this Result summarizes the

@@ -1,8 +1,8 @@
 package valency
 
 import (
-	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"synran/internal/core"
 	"synran/internal/sim"
@@ -33,6 +33,17 @@ type LowerBound struct {
 	// arena recycles the candidate-evaluation snapshots (one live at a
 	// time; candidates are scored sequentially).
 	arena sim.SnapshotArena
+	// Reusable scratch (never shared between clones). Candidates share
+	// these arrays and are valid until the next Plan call; the engine
+	// copies delivery masks into its own scratch, so that contract
+	// holds. prefix[0] and prefix[1] hold the silent-crash plans of the
+	// ones and zeros senders in sender order, each trim candidate a
+	// prefix of them; both values' view-split plans share one mask.
+	ones, zeros []int
+	prefix      [2][]sim.CrashPlan
+	split       [2]sim.CrashPlan
+	half        *sim.BitSet
+	cands       [][]sim.CrashPlan
 	// Stats, exported for experiments.
 	RoundsPlanned int
 	KeptUndecided int
@@ -61,6 +72,7 @@ func (a *LowerBound) Clone() sim.Adversary {
 		c.Est = a.Est.Clone()
 	}
 	c.arena = sim.SnapshotArena{} // fleets are per-adversary, never shared
+	c.ones, c.zeros, c.prefix, c.half, c.cands = nil, nil, [2][]sim.CrashPlan{}, nil, nil
 	return &c
 }
 
@@ -127,76 +139,61 @@ func (a *LowerBound) evaluate(v *sim.View, cand []sim.CrashPlan) (*Estimate, boo
 	return est, true
 }
 
-// candidates builds the plan set for this round.
+// candidates builds the plan set for this round, in a fixed order: no
+// crash, then per value (ones, then zeros) its trims of 1, alive/10+1,
+// perRound/2 and perRound senders, each size once, and its view split.
+// The ones and zeros senders are disjoint and the split plan is the
+// only one with a delivery mask, so skipping a repeated size is the
+// whole dedupe.
 func (a *LowerBound) candidates(v *sim.View, perRound int) [][]sim.CrashPlan {
-	cands := [][]sim.CrashPlan{nil} // doing nothing is always an option
+	a.cands = append(a.cands[:0], nil) // doing nothing is always an option
 	if perRound == 0 {
-		return cands
+		return a.cands
 	}
-	ones, zeros := senderIDsByValue(v)
+	a.ones, a.zeros = senderIDsByValue(v, a.ones[:0], a.zeros[:0])
 	alive := v.AliveCount()
-	for _, senders := range [][]int{ones, zeros} {
+	if len(a.ones)+len(a.zeros) > 0 {
+		// View split (Section 3.4 case 3): one victim whose final message
+		// only the first half of the alive receivers hear.
+		if a.half == nil {
+			a.half = sim.NewBitSet(v.N)
+		} else {
+			a.half.Reset(v.N)
+		}
+		for wi, cnt := 0, 0; wi < v.Words() && cnt < alive/2; wi++ {
+			for w := v.AliveWord(wi); w != 0 && cnt < alive/2; w &= w - 1 {
+				a.half.Set(wi<<6 | bits.TrailingZeros64(w))
+				cnt++
+			}
+		}
+	}
+	for vi, senders := range [2][]int{a.ones, a.zeros} {
 		if len(senders) == 0 {
 			continue
 		}
 		// The v.N/10+1 size is the cheapest plan that breaks SynRan-style
 		// stop tests (diff > N^{r-2}/10); the others bracket the budget.
-		for _, k := range []int{1, alive/10 + 1, perRound / 2, perRound} {
-			if k <= 0 || k > len(senders) || k > perRound {
+		sizes := [...]int{1, alive/10 + 1, perRound / 2, perRound}
+		prefix := a.prefix[vi][:0]
+		for si, k := range sizes {
+			if k <= 0 || k > len(senders) || k > perRound || slices.Contains(sizes[:si], k) {
 				continue
 			}
-			plan := make([]sim.CrashPlan, k)
-			for i := 0; i < k; i++ {
-				plan[i] = sim.CrashPlan{Victim: senders[i]}
+			for len(prefix) < k {
+				prefix = append(prefix, sim.CrashPlan{Victim: senders[len(prefix)]})
 			}
-			cands = append(cands, plan)
+			a.cands = append(a.cands, prefix[:k:k])
 		}
-		// View split (Section 3.4 case 3): one victim whose final message
-		// only half the receivers hear.
-		half := sim.NewBitSet(v.N)
-		for wi, cnt := 0, 0; wi < v.Words() && cnt < alive/2; wi++ {
-			for w := v.AliveWord(wi); w != 0 && cnt < alive/2; w &= w - 1 {
-				half.Set(wi<<6 | bits.TrailingZeros64(w))
-				cnt++
-			}
-		}
-		cands = append(cands, []sim.CrashPlan{{Victim: senders[0], Deliver: half}})
+		a.prefix[vi] = prefix
+		a.split[vi] = sim.CrashPlan{Victim: senders[0], Deliver: a.half}
+		a.cands = append(a.cands, a.split[vi:vi+1:vi+1])
 	}
-	return dedupeCandidates(cands)
+	return a.cands
 }
 
-// dedupeCandidates removes duplicate plans (same victims, both silent).
-func dedupeCandidates(cands [][]sim.CrashPlan) [][]sim.CrashPlan {
-	seen := make(map[string]bool, len(cands))
-	var out [][]sim.CrashPlan
-	for _, c := range cands {
-		key := planKey(c)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, c)
-	}
-	return out
-}
-
-// planKey encodes a plan's victims (full ids, varint-coded) and whether
-// each delivers to a subset.
-func planKey(plans []sim.CrashPlan) string {
-	b := make([]byte, 0, len(plans)*4)
-	for _, p := range plans {
-		b = binary.AppendUvarint(b, uint64(p.Victim))
-		if p.Deliver != nil {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return string(b)
-}
-
-// senderIDsByValue partitions the round's plain-payload senders.
-func senderIDsByValue(v *sim.View) (ones, zeros []int) {
+// senderIDsByValue partitions the round's plain-payload senders,
+// appending them to ones and zeros.
+func senderIDsByValue(v *sim.View, ones, zeros []int) ([]int, []int) {
 	for k := 0; k < v.Words(); k++ {
 		for w := v.SendingWord(k); w != 0; w &= w - 1 {
 			i := k<<6 | bits.TrailingZeros64(w)

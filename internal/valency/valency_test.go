@@ -269,14 +269,3 @@ func TestAdversaryNames(t *testing.T) {
 		t.Fatal("stepwise clone name")
 	}
 }
-
-// TestDedupeKeepsVictimsPast16Bits pins planKey's full-width victim
-// ids: at n > 65536, the silent single-victim plans {1} and {65537}
-// are different candidates and must both survive dedupe.
-func TestDedupeKeepsVictimsPast16Bits(t *testing.T) {
-	cands := [][]sim.CrashPlan{{{Victim: 1}}, {{Victim: 65537}}, {{Victim: 1}}}
-	got := dedupeCandidates(cands)
-	if len(got) != 2 || got[0][0].Victim != 1 || got[1][0].Victim != 65537 {
-		t.Fatalf("dedupe kept %v, want the plans on victims 1 and 65537", got)
-	}
-}

@@ -25,7 +25,6 @@ package synran
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"synran/internal/adversary"
 	"synran/internal/chaos"
@@ -148,23 +147,17 @@ type Spec struct {
 	// Live selects the goroutine-per-process runner instead of the
 	// lock-step engine (results are identical; see internal/netsim).
 	Live bool
-	// Chaos, when set, runs on the hardened live runner with the given
-	// deterministic fault schedule (implies Live). The fault trace is
+	// Chaos, when set, runs on the live runner over links that drop
+	// messages at the given rate (implies Live). The fault trace is
 	// reproducible from (Seed, Chaos) alone; see internal/chaos.
 	Chaos *ChaosConfig
-	// FaultBudget bounds the crash-equivalent faults charged OUTSIDE the
-	// adversary's crash budget T: chaos demotions and panics on the
-	// hardened runner, and adaptive-omission demotions (the omission-*
-	// adversaries) on every engine. Keep adversary crashes + FaultBudget
-	// ≤ T to stay inside the protocols' resilience condition — except
-	// omitflood, which is built to absorb T crashes plus T demotions.
+	// FaultBudget bounds the demotions charged OUTSIDE the adversary's
+	// crash budget T: unrecovered omissions on the live runner, and
+	// adaptive-omission demotions (the omission-* adversaries) on every
+	// engine. Keep adversary crashes + FaultBudget ≤ T to stay inside
+	// the protocols' resilience condition — except omitflood, which is
+	// built to absorb T crashes plus T demotions.
 	FaultBudget int
-	// RoundDeadline overrides the hardened runner's per-round wall-clock
-	// budget (0 = the netsim default; only meaningful with Live/Chaos).
-	RoundDeadline time.Duration
-	// Retransmits overrides the hardened runner's re-send attempts for
-	// dropped or delayed messages (0 = the netsim default).
-	Retransmits int
 	// Observer, when set, receives engine events.
 	Observer Observer
 	// Metrics, when set, receives the execution's instrument emissions
@@ -187,16 +180,17 @@ func NewMetricsEngine(workers int) *MetricsEngine {
 	return metrics.NewEngine(metrics.New(trials.DefaultWorkers(workers)))
 }
 
-// ChaosConfig is the deterministic fault schedule for Spec.Chaos; see
-// chaos.Config for the fields and chaos.ParseSpec for the flag syntax.
+// ChaosConfig is the deterministic drop schedule for Spec.Chaos; see
+// chaos.Config for its drop rate and chaos.ParseSpec for the flag
+// syntax.
 type ChaosConfig = chaos.Config
 
-// ParseChaosSpec parses the -chaos flag syntax
-// ("drop=0.05,dup=0.02,stall=0.01,maxstall=5ms,...") into a ChaosConfig.
+// ParseChaosSpec parses the -chaos flag syntax ("drop=0.05" or
+// "none") into a ChaosConfig.
 func ParseChaosSpec(spec string) (ChaosConfig, error) { return chaos.ParseSpec(spec) }
 
 // ErrFaultBudget is returned (wrapped, with a partial Result) when the
-// hardened live runner exhausts Spec.FaultBudget.
+// live runner exhausts Spec.FaultBudget.
 var ErrFaultBudget = netsim.ErrFaultBudget
 
 // Run executes the spec and returns the result. A lock-step run starts
@@ -236,11 +230,7 @@ func Run(spec Spec) (*Result, error) {
 		if spec.Engine == sim.EngineSoA {
 			return nil, fmt.Errorf("synran: the %q engine is lock-step only (drop Live/Chaos or the engine override)", spec.Engine)
 		}
-		opts := netsim.Options{
-			RoundDeadline: spec.RoundDeadline,
-			Retransmits:   spec.Retransmits,
-			FaultBudget:   spec.FaultBudget,
-		}
+		opts := netsim.Options{FaultBudget: spec.FaultBudget}
 		if spec.Chaos != nil {
 			inj, err := chaos.New(spec.Seed, *spec.Chaos)
 			if err != nil {

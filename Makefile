@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-check chaos soak conformance scenarios experiments experiments-quick adversary-smoke metrics metrics-golden examples loc clean
+.PHONY: all build test test-short race cover bench bench-json bench-check soak conformance scenarios experiments experiments-quick adversary-smoke metrics metrics-golden examples loc clean
 
 all: build test
 
@@ -65,21 +65,6 @@ bench-check:
 		status=$$?; cat bench-smoke.txt; exit $$status
 	$(GO) run ./cmd/benchjson -out BENCH_sim.ci.json -baseline BENCH_sim.json -check '$(BENCH_GATES)' < bench-smoke.txt
 
-# Seeded drop soak under the race detector: the drop injector, the
-# live runner's retransmit/demote/partial-result properties, and the
-# zero-fault equivalence proof, all with scheduling randomized by -race;
-# then a drop-only consensus-sim batch, and a check that the live runner
-# with and without an armed zero-rate injector prints the same digest
-# and message count.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/netsim
-	$(GO) run ./cmd/consensus-sim -n 16 -t 7 -adversary none -seed 42 \
-		-chaos drop=0.05 -faultbudget 5 -trials 8 -deadline 5m
-	@a=$$($(GO) run ./cmd/consensus-sim -n 9 -t 2 -adversary random -seed 1 -digest -live | grep -E '^(messages|digest)'); \
-		b=$$($(GO) run ./cmd/consensus-sim -n 9 -t 2 -adversary random -seed 1 -digest -chaos none | grep -E '^(messages|digest)'); \
-		printf 'live:\n%s\nchaos none:\n%s\n' "$$a" "$$b"; \
-		test -n "$$a" && test "$$a" = "$$b"
-
 # Crash-chaos soak for the durability layer, under the race detector:
 # the journal's format/truncation/corruption properties and fuzz corpus,
 # the DurableWorker resume/interrupt/failure suite, the in-process
@@ -93,9 +78,9 @@ soak:
 		./internal/journal ./internal/trials ./internal/experiments ./internal/cli
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/journal
 
-# Cross-engine conformance: the differential harness (sequential sim vs
-# zero-chaos netsim vs Reset vs snapshot forks vs the other engine
-# core, plus async replay determinism) with its invariant oracles, then
+# Cross-engine conformance: the differential harness (the lock-step
+# engine on both cores vs Reset vs snapshot forks, plus async replay
+# determinism) with its invariant oracles, then
 # the quick CLI sweep with the base lane on each engine core (the
 # default, then the object reference core).
 conformance:
@@ -145,11 +130,11 @@ adversary-smoke:
 		test -n "$$a" && test "$$a" = "$$b"
 
 # The metrics determinism suite: shard-layout invariance, the CLI-level
-# workers-1-vs-8 byte comparison, the netsim counters-vs-Faults
+# workers-1-vs-8 byte comparison, the lossy-link counters-vs-Faults
 # cross-check, and the quick-suite golden (tables + metrics JSON).
 metrics:
 	$(GO) test -count=1 ./internal/metrics
-	$(GO) test -count=1 -run 'Metrics|Pprof' ./internal/cli ./internal/netsim
+	$(GO) test -count=1 -run 'Metrics|Pprof' ./internal/cli ./internal/chaos
 	$(GO) test -count=1 -run 'TestRunAllWorkerInvariance|TestQuickGoldenFile' ./internal/experiments
 
 # Regenerate the quick-suite goldens: the experiment tables and the
@@ -163,7 +148,6 @@ examples:
 	$(GO) run ./examples/replay
 	$(GO) run ./examples/commitvote
 	$(GO) run ./examples/coingame
-	$(GO) run ./examples/livecluster
 	$(GO) run ./examples/adaptivitygap
 	$(GO) run ./examples/flploop
 

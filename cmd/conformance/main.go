@@ -1,9 +1,9 @@
 // Command conformance runs the cross-engine differential harness: every
-// case executes on the sequential engine, the zero-chaos live runner,
-// the buffer-reusing Reset path, and the snapshot/clone forks, and the
-// lanes' event logs, results, and metrics reports must agree field by
-// field while the invariant oracles (agreement, validity, crash budget,
-// wire encoding, metrics cross-checks) hold on every lane.
+// case executes on both lock-step engine cores, the buffer-reusing
+// Reset path, and the snapshot/clone forks, and the lanes' event logs,
+// results, and metrics reports must agree field by field while the
+// invariant oracles (agreement, validity, crash budget, wire encoding,
+// metrics cross-checks) hold on every lane.
 //
 // Usage:
 //

@@ -34,8 +34,7 @@ func main() {
 	flag.BoolVar(&opts.Trace, "trace", false, "print a per-round trace (single trial only)")
 	flag.BoolVar(&opts.Digest, "digest", false, "print the execution digest (single trial only)")
 	flag.StringVar(&opts.TraceFile, "tracefile", "", "write a JSON event trace to this file (single trial only)")
-	flag.BoolVar(&opts.Live, "live", false, "use the goroutine-per-process runner")
-	flag.StringVar(&opts.Chaos, "chaos", "", "drop schedule for the live runner's links (drop=<rate> or none)")
+	flag.StringVar(&opts.Chaos, "chaos", "", "drop schedule for lossy links (drop=<rate> or none)")
 	flag.IntVar(&opts.FaultBudget, "faultbudget", 0, "demotions of unheard senders to absorb (keep adversary crashes + budget <= t)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060; empty = off)")
 	flag.Parse()

@@ -12,11 +12,11 @@ import (
 // crashing processes (charged against t), it silences a victim's
 // outgoing links from the current round on, with CrashPlan-style
 // partial delivery of the in-flight message. Demotions are charged
-// against the engines' fault budget (sim.Config.FaultBudget /
-// netsim.Options.FaultBudget), never against the crash budget, so the
-// protocol's t-resilience is untouched while its view of the network
-// degrades — the send-omission model of Hajiaghayi–Kowalski–Olkowski
-// (arXiv 2405.04762) restricted to unrecoverable victims.
+// against the engine's fault budget (sim.Config.FaultBudget), never
+// against the crash budget, so the protocol's t-resilience is untouched
+// while its view of the network degrades — the send-omission model of
+// Hajiaghayi–Kowalski–Olkowski (arXiv 2405.04762) restricted to
+// unrecoverable victims.
 //
 // Two modes:
 //

@@ -1,9 +1,10 @@
-// Package chaos is a deterministic message-loss injector for the live
-// runner (internal/netsim). Its one fault is a drop: each transmission
-// attempt of each message is lost with probability Config.Drop, decided
-// by a stream derived from internal/rng, so the complete fault trace is
-// reproducible from (seed, Config) alone — independent of goroutine
-// scheduling, query order, or wall-clock time.
+// Package chaos gives the lock-step engine lossy links. Its one fault
+// is a drop: each transmission attempt of each message is lost with
+// probability Config.Drop, decided by a stream derived from
+// internal/rng, so the complete fault trace is reproducible from
+// (seed, Config) alone, independent of query order. Lossy turns what
+// the links lose into send-omission demotions on the engine's fault
+// budget (see lossy.go).
 //
 // The injector never mutates shared state when queried: every decision
 // is computed from a fresh stream split off an immutable root keyed by
@@ -21,7 +22,7 @@ import (
 // Config is the fault schedule. The zero value injects nothing.
 type Config struct {
 	// Drop is the probability that one transmission attempt of one
-	// message is lost (an omission the runner may retransmit).
+	// message is lost (an omission Lossy may retransmit).
 	Drop float64
 }
 
@@ -61,7 +62,7 @@ func New(seed uint64, cfg Config) (*Injector, error) {
 
 // Drop reports whether the attempt-th transmission of the round-r
 // message from -> to is lost (attempt 0 is the original send; the
-// runner's retransmissions re-query with attempt 1, 2, ...). Each
+// retransmissions re-query with attempt 1, 2, ...). Each
 // attempt draws one Float64 from its own stream; a zero rate draws
 // nothing.
 func (in *Injector) Drop(round, from, to, attempt int) bool {

@@ -73,7 +73,7 @@ func Conformance(opts ConformanceOptions, w io.Writer) error {
 		mode = "quick"
 	}
 	fmt.Fprintf(w, "conformance %s sweep: seed=%d\n", mode, opts.Seed)
-	fmt.Fprintf(w, "sync cases : %d (sim object vs soa vs netsim vs reset vs snapshot forks)\n", sum.SyncCases)
+	fmt.Fprintf(w, "sync cases : %d (sim object vs soa vs reset vs snapshot forks)\n", sum.SyncCases)
 	fmt.Fprintf(w, "async cases: %d (replay determinism + invariants)\n", sum.AsyncCases)
 	renderFindings(w, sum.Divergences, sum.Violations)
 	if !sum.Ok() {

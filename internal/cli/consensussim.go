@@ -5,7 +5,6 @@
 package cli
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -33,16 +32,14 @@ type SimOptions struct {
 	Trace     bool
 	Digest    bool
 	TraceFile string
-	Live      bool
 	// Engine selects the lock-step engine core ("" or "soa" = default,
 	// "object" = object reference core); see synran.Spec.Engine.
 	Engine string
-	// Chaos, when non-empty, runs on the live runner over links that
-	// drop messages at this rate (chaos.ParseSpec syntax, e.g.
-	// "drop=0.05").
+	// Chaos, when non-empty, runs the adversary over links that drop
+	// messages at this rate (chaos.ParseSpec syntax, e.g. "drop=0.05").
 	Chaos string
-	// FaultBudget bounds the demotions the live runner may absorb (see
-	// synran.Spec.FaultBudget).
+	// FaultBudget bounds the demotions lossy links or an omission
+	// adversary may charge (see synran.Spec.FaultBudget).
 	FaultBudget int
 	// Workers bounds the multi-trial worker pool (0 = all cores). The
 	// summary is identical at every worker count: trial i always runs at
@@ -76,7 +73,6 @@ func (opts SimOptions) Scenario() (scenario.Scenario, error) {
 		T:           t,
 		Seed:        opts.Seed,
 		Engine:      opts.Engine,
-		Live:        opts.Live,
 		Chaos:       opts.Chaos,
 		FaultBudget: opts.FaultBudget,
 		Trials:      opts.Trials,
@@ -110,14 +106,6 @@ func SimScenario(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	return simMany(s, opts, w)
 }
 
-// gracefulPartial reports whether err is the live runner's typed
-// graceful degradation for a partial result — the one error class that
-// expectation-carrying scenarios may legitimately assert about.
-func gracefulPartial(res *synran.Result, err error) bool {
-	return res != nil && res.Partial &&
-		(errors.Is(err, synran.ErrFaultBudget) || errors.Is(err, sim.ErrMaxRounds))
-}
-
 func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	spec, err := s.Spec(0, opts.Metrics, 0)
 	if err != nil {
@@ -142,13 +130,10 @@ func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	if len(observers) > 0 {
 		spec.Observer = observers
 	}
-	res, runErr := synran.Run(spec)
-	if res == nil {
-		return runErr
+	res, err := synran.Run(spec)
+	if err != nil {
+		return err
 	}
-	// A non-nil result alongside an error is the live runner's graceful
-	// degradation: report what happened, then fail.
-
 	fmt.Fprintf(w, "protocol=%s adversary=%s n=%d t=%d workload=%s seed=%d\n",
 		s.Protocol, s.Adversary, s.N, s.T, s.Workload, s.Seed)
 	fmt.Fprintf(w, "decided value : %d\n", res.DecidedValue())
@@ -160,15 +145,8 @@ func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	fmt.Fprintf(w, "theory        : upper-bound shape %.2f rounds, lower-bound floor %.2f rounds\n",
 		synran.UpperBoundRounds(s.N, s.T), synran.LowerBoundRounds(s.N, s.T))
 	if spec.Chaos != nil {
-		f := res.Faults
 		fmt.Fprintf(w, "chaos         : %s (fault budget %d)\n", spec.Chaos.Spec(), s.FaultBudget)
-		fmt.Fprintf(w, "faults        : dropped=%d demoted=%d\n", f.Dropped, f.Demoted)
-		for _, note := range res.FaultNotes {
-			fmt.Fprintf(w, "    fault     : %s\n", note)
-		}
-	}
-	if res.Partial {
-		fmt.Fprintf(w, "partial       : true (run degraded before completion)\n")
+		fmt.Fprintf(w, "faults        : demoted=%d\n", res.Faults.Demoted)
 	}
 	if dg != nil {
 		fmt.Fprintf(w, "digest        : %s\n", dg)
@@ -178,14 +156,6 @@ func simOnce(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "trace written : %s (%d events)\n", opts.TraceFile, len(rec.Log().Events))
-	}
-	if runErr != nil {
-		// With expectations present, graceful degradation is judged by
-		// them (a scenario may assert partial = true); anything else
-		// stays an error.
-		if !(s.Expect.Any() && gracefulPartial(res, runErr)) {
-			return runErr
-		}
 	}
 	if s.Expect.Any() {
 		if vs := s.CheckExpect(scenario.OutcomeOf(res)); len(vs) > 0 {
@@ -211,7 +181,6 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 		Crashes  float64
 		Decided  int
 		Violated bool
-		Degraded bool
 		Faults   sim.Faults
 		Expect   []string
 	}
@@ -226,18 +195,6 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 		}
 		res, err := synran.Run(spec)
 		if err != nil {
-			// Graceful degradation of the live runner is a counted
-			// outcome in chaos mode, not a harness failure.
-			if s.Chaos != "" && gracefulPartial(res, err) {
-				if m := opts.Metrics; m != nil {
-					m.TrialsDegraded.Inc(worker)
-				}
-				o := outcome{Degraded: true, Faults: res.Faults}
-				if s.Expect.Any() {
-					o.Expect = s.CheckExpect(scenario.OutcomeOf(res))
-				}
-				return o, nil
-			}
 			return outcome{}, err
 		}
 		o := outcome{
@@ -263,19 +220,14 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	rounds := make([]float64, 0, s.Trials)
 	crashes := make([]float64, 0, s.Trials)
 	decided := map[int]int{}
-	violations, degraded, expectFails := 0, 0, 0
+	violations, expectFails := 0, 0
 	var faults sim.Faults
 	var expectLines []string
 	for i, o := range outs {
-		faults.Dropped += o.Faults.Dropped
 		faults.Demoted += o.Faults.Demoted
 		for _, v := range o.Expect {
 			expectFails++
 			expectLines = append(expectLines, fmt.Sprintf("trial %d (seed %d): %s", i, s.TrialSeed(i), v))
-		}
-		if o.Degraded {
-			degraded++
-			continue
 		}
 		rounds = append(rounds, o.Rounds)
 		crashes = append(crashes, o.Crashes)
@@ -292,9 +244,8 @@ func simMany(s scenario.Scenario, opts SimOptions, w io.Writer) error {
 	fmt.Fprintf(w, "decisions: 0 → %d, 1 → %d\n", decided[0], decided[1])
 	fmt.Fprintf(w, "safety   : %d violations\n", violations)
 	if s.Chaos != "" {
-		fmt.Fprintf(w, "chaos    : %s (fault budget %d); %d of %d trials degraded gracefully\n",
-			s.Chaos, s.FaultBudget, degraded, s.Trials)
-		fmt.Fprintf(w, "faults   : dropped=%d demoted=%d\n", faults.Dropped, faults.Demoted)
+		fmt.Fprintf(w, "chaos    : %s (fault budget %d)\n", s.Chaos, s.FaultBudget)
+		fmt.Fprintf(w, "faults   : demoted=%d\n", faults.Demoted)
 	}
 	fmt.Fprintf(w, "theory   : upper-bound shape %.2f rounds\n", synran.UpperBoundRounds(s.N, s.T))
 	if s.Expect.Any() {

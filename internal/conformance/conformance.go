@@ -1,14 +1,12 @@
 // Package conformance is the cross-engine differential harness: it runs
-// the same (protocol, input vector, seed) through every engine lane the
-// repository has — the sequential lock-step engine (internal/sim) on
-// BOTH of its cores (the object-per-process reference path and the
-// columnar SoA core it defaults to, compared against each other on
-// every case), the goroutine-per-process live runner on a zero-chaos
-// substrate (internal/netsim), a Reset-reuse replay, and snapshot forks
-// (Clone and SnapshotArena) taken mid-run — and requires that every
-// lane record the same trace (a trace.Log of round, send, crash, decide
-// and halt events), the same Result, and the same deterministic metrics
-// report, field by field.
+// the same (protocol, input vector, seed) through four lock-step lanes
+// — the engine (internal/sim) on BOTH of its cores (the
+// object-per-process reference path and the columnar SoA core it
+// defaults to, compared against each other on every case), a
+// Reset-reuse replay, and snapshot forks (Clone and SnapshotArena)
+// taken mid-run — and requires that every lane record the same trace
+// (a trace.Log of round, send, crash, decide and halt events), the same
+// Result, and the same deterministic metrics report, field by field.
 //
 // Divergences are reported with the first differing event index and a
 // minimal repro command line, so a failure localizes to "lane A and lane
@@ -34,7 +32,6 @@ import (
 
 	"synran"
 	"synran/internal/metrics"
-	"synran/internal/netsim"
 	"synran/internal/scenario"
 	"synran/internal/sim"
 	"synran/internal/trace"
@@ -61,8 +58,7 @@ type Case struct {
 	// MaxRounds overrides the engines' safety valve (0 = default).
 	MaxRounds int
 	// FaultBudget bounds the omission demotions an Omitter adversary may
-	// perform, on every lane (sim.Config.FaultBudget and
-	// netsim.Options.FaultBudget get the same value).
+	// perform, on every lane (sim.Config.FaultBudget).
 	FaultBudget int
 	// SnapRound is the round after which the fork lanes snapshot the
 	// base execution; 0 picks half the sequential lane's halt round.
@@ -73,9 +69,6 @@ type Case struct {
 	// the equivocator). Differential checking still applies in full:
 	// every lane must be unsafe in exactly the same way.
 	AllowUnsafe bool
-	// SkipNetsim excludes the live-runner lane: look-ahead adversaries
-	// (lowerbound, stepwise) need the lock-step engine's clonable Exec.
-	SkipNetsim bool
 }
 
 // Name is the case's short identifier in reports.
@@ -138,15 +131,8 @@ func ParseCase(spec string) (Case, error) {
 }
 
 // normalize applies the per-protocol/per-adversary gates a constructed
-// case needs: unsafe combinations and engines a lane cannot run.
+// case needs: the omission budget default and unsafe combinations.
 func (c *Case) normalize() {
-	// Look-ahead adversaries need the clonable Exec; the Byzantine
-	// equivocator needs the Forger hook. Neither exists in the live
-	// runner, so every lock-step-only adversary skips the netsim lane
-	// (synran.LockStepOnly is the single source of truth for the list).
-	if synran.LockStepOnly(c.Adversary) {
-		c.SkipNetsim = true
-	}
 	// An omission adversary with no budget can do nothing; mirror the
 	// scenario layer's default of the full demotion allowance.
 	if scenario.IsOmission(c.Adversary) && c.FaultBudget == 0 {
@@ -279,7 +265,7 @@ func finishLane(name string, log *trace.Log, res *sim.Result, err error, eng *me
 }
 
 // runExec runs exec under adv. A MaxRounds timeout comes back with the
-// partial Result the netsim runner returns alongside the same error.
+// execution's Result so far, marked Partial, alongside the error.
 func runExec(exec *sim.Execution, adv sim.Adversary) (*sim.Result, error) {
 	res, err := exec.Run(adv)
 	if res == nil && errors.Is(err, sim.ErrMaxRounds) {
@@ -326,16 +312,7 @@ func (c Case) runSequential(name, engine string, oracles []Oracle) (*lane, []str
 	})
 }
 
-// runNetsim is lane (b): the goroutine-per-process live runner on a
-// zero-chaos substrate, which must be byte-identical to lane (a).
-func (c Case) runNetsim(oracles []Oracle) (*lane, []string, error) {
-	return c.runLane("netsim", oracles, func(cfg sim.Config, procs []sim.Process, adv sim.Adversary, inputs []int) (*sim.Result, error) {
-		cfg.Engine = "" // the live runner has no columnar backend
-		return netsim.RunChaos(cfg, procs, inputs, adv, c.Seed, netsim.Options{FaultBudget: c.FaultBudget})
-	})
-}
-
-// runReset is lane (d1): run once to dirty every internal buffer, then
+// runReset is lane (c): run once to dirty every internal buffer, then
 // Reset the same Execution and run the case again — Reset reuse must be
 // indistinguishable from a fresh NewExecution.
 func (c Case) runReset(oracles []Oracle) (*lane, []string, error) {
@@ -370,7 +347,7 @@ func driveTo(exec *sim.Execution, adv sim.Adversary, snap, maxRounds int) error 
 	return nil
 }
 
-// runForks is lane (d2): drive a fresh base execution to the snapshot
+// runForks is lane (d): drive a fresh base execution to the snapshot
 // round, fork it twice — Execution.Clone and a SnapshotArena shell that
 // has already been through one snapshot/release cycle — and run base and
 // both forks to completion. All three must continue identically (and
@@ -496,9 +473,6 @@ func compareResults(c Case, a, b *lane, out *[]Divergence) {
 	if fmt.Sprint(ra.Decided) != fmt.Sprint(rb.Decided) {
 		div("Decided", ra.Decided, rb.Decided)
 	}
-	if fmt.Sprint(ra.Inputs) != fmt.Sprint(rb.Inputs) {
-		div("Inputs", ra.Inputs, rb.Inputs)
-	}
 	if ra.Faults != rb.Faults {
 		div("Faults", ra.Faults, rb.Faults)
 	}
@@ -520,7 +494,7 @@ func CheckSync(c Case, oracles []Oracle) ([]Divergence, []string, error) {
 	}
 	var divs []Divergence
 
-	// Lane (e): the same lock-step case on the other engine core. A
+	// Lane (b): the same case on the other engine core. A
 	// default case is checked against the object reference core; a case
 	// pinned to Engine=object is checked against the default instead.
 	alt := sim.EngineObject
@@ -533,15 +507,6 @@ func CheckSync(c Case, oracles []Oracle) ([]Divergence, []string, error) {
 	}
 	violations = append(violations, v...)
 	divs = append(divs, compareLanes(c, seq, altLane)...)
-
-	if !c.SkipNetsim {
-		live, v, err := c.runNetsim(oracles)
-		if err != nil {
-			return nil, nil, err
-		}
-		violations = append(violations, v...)
-		divs = append(divs, compareLanes(c, seq, live)...)
-	}
 
 	reset, v, err := c.runReset(oracles)
 	if err != nil {
@@ -653,9 +618,9 @@ func Cases(cfg SweepConfig) []Case {
 	}
 	// The omission and late families run as targeted cases rather than a
 	// full product: each pairs the adversary with the protocol built for
-	// it plus the paper's protocol, on both engine cores and the netsim
-	// lane (Omitter demotions and stale-view planning are exactly the
-	// machinery the fork/reset lanes can get wrong).
+	// it plus the paper's protocol, on both engine cores (Omitter
+	// demotions and stale-view planning are exactly the machinery the
+	// fork/reset lanes can get wrong).
 	for _, tc := range []Case{
 		{Protocol: synran.ProtocolOmitFlood, Adversary: synran.AdversaryOmissionSplit, Workload: "half", N: 9, T: 3, FaultBudget: 3},
 		{Protocol: synran.ProtocolOmitFlood, Adversary: synran.AdversaryOmissionRandom, Workload: "half", N: 9, T: 3, FaultBudget: 3},

@@ -79,7 +79,7 @@ func TestCompareLanesFlagsResultDrift(t *testing.T) {
 	if divs := compareLanes(c, seq, other); len(divs) != 0 {
 		t.Fatalf("identical lanes diverged: %v", divs)
 	}
-	other.res.Messages += 7 // the netsim bug this harness flushed out
+	other.res.Messages += 7 // a message-count drift between two lanes
 	divs := compareLanes(c, seq, other)
 	if len(divs) != 1 || divs[0].Field != "Result.Messages" {
 		t.Fatalf("want exactly one Result.Messages divergence, got %v", divs)
@@ -106,13 +106,14 @@ func TestOraclesCatchViolations(t *testing.T) {
 	}
 
 	valid := validityOracle{}.NewChecker()
+	ones := c
+	ones.Workload = "ones"
 	bad = &sim.Result{
-		Inputs:    []int{1, 1, 1},
 		Decided:   []bool{true, false, false},
 		Decisions: []int{0, -1, -1},
 		Validity:  true,
 	}
-	if vs := valid.Finish(c, bad, nil); len(vs) < 2 {
+	if vs := valid.Finish(ones, bad, nil); len(vs) < 2 {
 		t.Fatalf("validity oracle must flag the violation and the lying flag, got %v", vs)
 	}
 
@@ -329,10 +330,6 @@ func TestLowerBoundForkLanes(t *testing.T) {
 		t.Skip("look-ahead adversary is expensive")
 	}
 	c := Case{Protocol: "synran", Adversary: "lowerbound", Workload: "half", N: 5, T: 2, Seed: 5}
-	c.normalize()
-	if !c.SkipNetsim {
-		t.Fatal("lowerbound must skip the netsim lane")
-	}
 	divs, violations, err := CheckSync(c, nil)
 	if err != nil {
 		t.Fatal(err)

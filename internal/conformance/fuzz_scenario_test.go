@@ -23,12 +23,12 @@ func fuzzPrep(s scenario.Scenario) (scenario.Scenario, bool) {
 	if s.N > 12 {
 		return s, false
 	}
-	if s.Live || s.Chaos != "" {
-		// Live and chaos scenarios have no differential twin; outcome-lane-only
+	if s.Chaos != "" {
+		// Chaos scenarios have no differential lanes; outcome-lane-only
 		// fuzzing finds nothing the sync lanes would not.
 		return s, false
 	}
-	if !s.IsAsync() && synran.LockStepOnly(s.Adversary) && s.Adversary != synran.AdversaryEquivocator {
+	if s.Adversary == synran.AdversaryLowerBound || s.Adversary == synran.AdversaryStepwise {
 		// Look-ahead adversaries Monte-Carlo the whole future per round —
 		// too slow for a fuzz executor.
 		return s, false
@@ -74,7 +74,7 @@ func FuzzScenario(f *testing.F) {
 	f.Add([]byte("protocol = benor\nadversary = splitvote\nworkload = ones\nn = 4\nt = 2\nseed = 13\n"))
 	f.Add([]byte("protocol = phaseking\nadversary = equivocator\nworkload = half\nn = 5\nt = 1\nseed = 2\n"))
 	f.Add([]byte("protocol = async-benor\nadversary = random\ncoin = random\nworkload = half\nn = 7\nt = 3\nseed = 5\n"))
-	f.Add([]byte(`{"protocol": "floodset", "adversary": "waves", "n": 6, "t": 2, "seed": 8}`))
+	f.Add([]byte("protocol = floodset\nadversary = waves\nworkload = half\nn = 6\nt = 2\nseed = 8\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := scenario.Parse(data)

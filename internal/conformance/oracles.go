@@ -7,6 +7,7 @@ import (
 	"synran/internal/metrics"
 	"synran/internal/sim"
 	"synran/internal/wire"
+	"synran/internal/workload"
 )
 
 // Oracle is one pluggable invariant. An oracle is a factory: every lane
@@ -98,8 +99,10 @@ func (ch *agreementChecker) Finish(c Case, res *sim.Result, _ *metrics.Report) [
 	return out
 }
 
-// validityOracle recomputes validity: on a uniform input vector every
-// decision must be that input, even on partial runs.
+// validityOracle recomputes validity from the case's own input vector,
+// rebuilt from its workload rather than read back from the engine: on a
+// uniform input vector every decision must be that input, even on
+// partial runs.
 type validityOracle struct{}
 
 func (validityOracle) Name() string        { return "validity" }
@@ -108,24 +111,24 @@ func (validityOracle) NewChecker() Checker { return &validityChecker{} }
 type validityChecker struct{ nopObserver }
 
 func (ch *validityChecker) Finish(c Case, res *sim.Result, _ *metrics.Report) []string {
-	if res == nil || len(res.Inputs) == 0 {
+	if res == nil {
 		return nil
 	}
-	uniform := true
-	for _, x := range res.Inputs[1:] {
-		if x != res.Inputs[0] {
-			uniform = false
+	inputs, err := workload.Named(c.Workload, c.N, c.Seed)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	for _, x := range inputs[1:] {
+		if x != inputs[0] {
+			return nil
 		}
-	}
-	if !uniform {
-		return nil
 	}
 	var violated []string
 	for i, ok := range res.Decided {
-		if ok && res.Decisions[i] != res.Inputs[0] {
+		if ok && res.Decisions[i] != inputs[0] {
 			violated = append(violated, fmt.Sprintf(
 				"validity violated: all inputs %d but process %d decided %d",
-				res.Inputs[0], i, res.Decisions[i]))
+				inputs[0], i, res.Decisions[i]))
 		}
 	}
 	var out []string

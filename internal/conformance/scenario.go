@@ -19,15 +19,16 @@ import (
 // and written back as a ready-to-run corpus repro.
 
 // FromScenario derives the synchronous differential Case a scenario
-// describes. Live/chaos scenarios have no lock-step differential lanes
-// (SweepCorpus checks them through the outcome/expect lane instead),
-// and async scenarios run through CheckAsync.
+// describes. A Case has no drop schedule, so chaos scenarios have no
+// differential lanes (SweepCorpus checks them through the
+// outcome/expect lane instead), and async scenarios run through
+// CheckAsync.
 func FromScenario(s scenario.Scenario) (Case, error) {
 	if s.IsAsync() {
 		return Case{}, fmt.Errorf("conformance: %q is an async scenario (replay-determinism lane, not the sync differential lanes)", s.Protocol)
 	}
-	if s.Live || s.Chaos != "" {
-		return Case{}, fmt.Errorf("conformance: live/chaos scenarios have no lock-step differential lanes (run via -scenario)")
+	if s.Chaos != "" {
+		return Case{}, fmt.Errorf("conformance: chaos scenarios have no differential lanes (run via -scenario)")
 	}
 	return caseOf(s), nil
 }
@@ -55,9 +56,9 @@ func CaseName(s scenario.Scenario) string {
 }
 
 // Scenario is the declarative form of the case (trials 1, no
-// expectations — a Case is one seeded differential check). SnapRound,
-// AllowUnsafe, and SkipNetsim are derived state, reconstructed by
-// normalize on the way back in.
+// expectations — a Case is one seeded differential check). SnapRound
+// and AllowUnsafe are derived state, reconstructed by normalize on the
+// way back in.
 func (c Case) Scenario() scenario.Scenario {
 	s := scenario.Scenario{
 		Protocol: c.Protocol, Adversary: c.Adversary, Workload: c.Workload,
@@ -102,8 +103,7 @@ func checkExpect(e scenario.Entry) ([]string, error) {
 
 // CheckScenario runs one scenario through every lane that applies: the
 // sync differential lanes or the async replay-determinism check, plus
-// the outcome/expect lane (live/chaos scenarios run the expect lane
-// only — they have no lock-step twin to diff against).
+// the outcome/expect lane (chaos scenarios run the expect lane only).
 func CheckScenario(e scenario.Entry, oracles []Oracle) ([]Divergence, []string, error) {
 	s := e.Scenario
 	var (
@@ -117,7 +117,7 @@ func CheckScenario(e scenario.Entry, oracles []Oracle) ([]Divergence, []string, 
 		if err != nil {
 			return nil, nil, err
 		}
-	case s.Live || s.Chaos != "":
+	case s.Chaos != "":
 		// Outcome/expect lane only; still fail the harness on engine errors.
 		if !s.Expect.Any() {
 			if _, err := scenario.RunOutcome(&s, 0, nil, 0); err != nil {
@@ -218,9 +218,9 @@ func MinimizeScenario(s scenario.Scenario, fails FailFunc) scenario.Scenario {
 			c.Engine = ""
 			changed = try(c) || changed
 		}
-		if s.Live || s.Chaos != "" {
+		if s.Chaos != "" {
 			c := s
-			c.Live, c.Chaos, c.FaultBudget = false, "", 0
+			c.Chaos, c.FaultBudget = "", 0
 			changed = try(c) || changed
 		}
 		neutralAdv := synran.AdversaryNone
@@ -230,7 +230,7 @@ func MinimizeScenario(s scenario.Scenario, fails FailFunc) scenario.Scenario {
 		if s.Adversary != neutralAdv {
 			c := s
 			c.Adversary = neutralAdv
-			if !c.Live && c.Chaos == "" {
+			if c.Chaos == "" {
 				// A bare fault budget is only valid with an omission
 				// adversary; drop it alongside the adversary.
 				c.FaultBudget = 0

@@ -117,8 +117,8 @@ func TestFromScenarioRoundTrip(t *testing.T) {
 	if _, err := FromScenario(scenario.Scenario{Protocol: "async-benor", Adversary: "fifo", N: 5}); err == nil {
 		t.Fatal("async scenario must not convert to a sync Case")
 	}
-	if _, err := FromScenario(scenario.Scenario{N: 5, Live: true}); err == nil {
-		t.Fatal("live scenario must not convert to a sync Case")
+	if _, err := FromScenario(scenario.Scenario{N: 5, Chaos: "none"}); err == nil {
+		t.Fatal("chaos scenario must not convert to a sync Case")
 	}
 }
 

@@ -42,7 +42,7 @@ func checkSafe(t *testing.T, res *sim.Result, label string) {
 		t.Fatalf("%s: agreement violated: decisions=%v", label, res.Decisions)
 	}
 	if !res.Validity {
-		t.Fatalf("%s: validity violated: inputs=%v decisions=%v", label, res.Inputs, res.Decisions)
+		t.Fatalf("%s: validity violated: decisions=%v", label, res.Decisions)
 	}
 }
 

@@ -20,9 +20,8 @@ type sample struct {
 	Decide, Halt, Crashes int
 	Faults                sim.Faults
 	Agreement, Validity   bool
-	// Partial marks a run the engine cut short with a typed degradation
-	// error (the round cap, the fault budget). Its Agreement then means
-	// only that no two decided survivors disagree.
+	// Partial marks a run the engine cut at the round cap. Such a run
+	// has no Result, so its other fields stay zero.
 	Partial bool
 	// Settle is the round after the last split proposal, for the cells
 	// that attach a stabilizationObserver (E11, E13).
@@ -84,17 +83,17 @@ func runSafe(cfg Config, key string, reps int, m *metrics.Engine, spec func(i in
 	if err != nil {
 		return nil, err
 	}
-	return ss, checkSafe(key, ss, false)
+	return ss, checkSafe(key, ss)
 }
 
 // checkSafe names the cell's first trial that broke agreement or
-// validity, or that was cut short unless partialOK. The first trial by
-// index is the same at every worker count, so a red run always blames
-// the same (cell, trial) pair.
-func checkSafe(key string, ss []sample, partialOK bool) error {
+// validity, or that was cut short. The first trial by index is the same
+// at every worker count, so a red run always blames the same
+// (cell, trial) pair.
+func checkSafe(key string, ss []sample) error {
 	for i, s := range ss {
 		switch {
-		case s.Partial && !partialOK:
+		case s.Partial:
 			return fmt.Errorf("%s trial %d: run cut short before termination", key, i)
 		case !s.Agreement || !s.Validity:
 			return fmt.Errorf("%s trial %d: safety violated", key, i)
@@ -103,12 +102,11 @@ func checkSafe(key string, ss []sample, partialOK bool) error {
 	return nil
 }
 
-// sampleOf reduces one execution to a sample. A typed degradation error
-// (sim.ErrMaxRounds, synran.ErrFaultBudget) makes a partial sample from
-// whatever partial Result came with it; any other error fails the trial.
-// If obs is a probe, its reading is recorded.
+// sampleOf reduces one execution to a sample. A run cut at the round
+// cap (sim.ErrMaxRounds) makes a partial sample; any other error fails
+// the trial. If obs is a probe, its reading is recorded.
 func sampleOf(res *sim.Result, err error, obs sim.Observer) (sample, error) {
-	partial := errors.Is(err, sim.ErrMaxRounds) || errors.Is(err, synran.ErrFaultBudget)
+	partial := errors.Is(err, sim.ErrMaxRounds)
 	if err != nil && !partial {
 		return sample{}, err
 	}
@@ -116,31 +114,11 @@ func sampleOf(res *sim.Result, err error, obs sim.Observer) (sample, error) {
 	if res != nil {
 		s.Decide, s.Halt, s.Crashes, s.Faults = res.DecideRounds, res.HaltRounds, res.Crashes, res.Faults
 		s.Agreement, s.Validity = res.Agreement, res.Validity
-		if partial {
-			s.Agreement = decidedAgree(res)
-		}
 	}
 	if p, ok := obs.(probe); ok {
 		p.record(&s)
 	}
 	return s, nil
-}
-
-// decidedAgree reports whether no two decided processes of res hold
-// different values.
-func decidedAgree(res *sim.Result) bool {
-	seen := -1
-	for j, ok := range res.Decided {
-		if !ok {
-			continue
-		}
-		if seen == -1 {
-			seen = res.Decisions[j]
-		} else if seen != res.Decisions[j] {
-			return false
-		}
-	}
-	return true
 }
 
 // halfSpec is the spec of a cell that runs protocol × adversary on the

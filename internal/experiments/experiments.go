@@ -89,7 +89,7 @@ func All() []Experiment {
 		{"E13", "Rabin-style common coin escapes the lower bound (Sec. 1)", E13SharedCoin},
 		{"E14", "deterministic Byzantine agreement is Θ(t) rounds (Sec. 1 / [GM93])", E14Byzantine},
 		{"E15", "the asynchronous contrast: FLP and Aspnes (Sec. 1.2)", E15Asynchrony},
-		{"E16", "termination degradation vs omission rate (chaos runner)", E16ChaosDegradation},
+		{"E16", "lossy links as send-omission demotions vs drop rate", E16ChaosDegradation},
 		{"E17", "SoA engine at paper scale: n = 1e5..1e6 bound shapes (Thm 1/3)", E17ScaleSoA},
 		{"E18", "adaptive-omission families: fault budget vs crash budget", E18OmissionFamilies},
 		{"E19", "the ε-delayed adversary vs the adaptive baseline (Thm 1 adaptivity)", E19LateAdversary},

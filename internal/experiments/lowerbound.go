@@ -51,7 +51,7 @@ func E6LowerBound(cfg Config) (*Result, error) {
 			return sampleOf(res, err, nil)
 		})
 		if err == nil {
-			err = checkSafe(key, forced, false)
+			err = checkSafe(key, forced)
 		}
 		if err != nil {
 			return nil, err

@@ -59,7 +59,7 @@ func E13SharedCoin(cfg Config) (*Result, error) {
 				return sampleOf(run, err, obs)
 			})
 			if err == nil {
-				err = checkSafe(key, ss, false)
+				err = checkSafe(key, ss)
 			}
 			if err != nil {
 				return nil, err

@@ -7,7 +7,7 @@ var DecideRoundsBounds = []uint64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 
 
 // Engine instrument names, as they appear in the exported JSON.
 const (
-	// Lock-step and live engine round events.
+	// Engine round events.
 	NameRounds           = "engine_rounds"
 	NameMessages         = "messages_delivered"
 	NameDecisions        = "process_decisions"
@@ -15,12 +15,9 @@ const (
 	NameCrashesAdversary = "crashes_adversary"
 	NameDecideRounds     = "decide_rounds"
 
-	// Lossy-link accounting (internal/netsim) and demotions (netsim and
-	// the omission adversaries); dropped and demotions mirror sim.Faults
-	// field for field.
-	NameMsgDropped       = "messages_dropped"
-	NameMsgRetransmitted = "messages_retransmitted"
-	NameDemotions        = "proc_demotions"
+	// Omission demotions (the omission adversaries and lossy links),
+	// sim.Faults.Demoted's counter.
+	NameDemotions = "proc_demotions"
 
 	// Trial harness (internal/trials.Metered) and CLI accounting.
 	NameTrialsRun      = "trials_run"
@@ -45,8 +42,8 @@ const (
 	NameArenaSize   = "arena_size"
 )
 
-// Engine is the well-known instrument set the two consensus engines
-// (internal/sim, internal/netsim), the trial harness (internal/trials),
+// Engine is the well-known instrument set the lock-step engine
+// (internal/sim, both cores), the trial harness (internal/trials),
 // and the valency estimator (internal/valency) emit their round events
 // into. One Engine is shared by every worker of a run; emission sites
 // pass their worker id as the shard index, so the hot path never locks.
@@ -65,9 +62,7 @@ type Engine struct {
 	CrashesAdversary *Counter
 	DecideRounds     *Histogram
 
-	MsgDropped       *Counter
-	MsgRetransmitted *Counter
-	Demotions        *Counter
+	Demotions *Counter
 
 	TrialsRun      *Counter
 	TrialsFailed   *Counter
@@ -97,9 +92,7 @@ func NewEngine(reg *Registry) *Engine {
 		CrashesAdversary: reg.Counter(NameCrashesAdversary),
 		DecideRounds:     reg.Histogram(NameDecideRounds, DecideRoundsBounds),
 
-		MsgDropped:       reg.Counter(NameMsgDropped),
-		MsgRetransmitted: reg.Counter(NameMsgRetransmitted),
-		Demotions:        reg.Counter(NameDemotions),
+		Demotions: reg.Counter(NameDemotions),
 
 		TrialsRun:      reg.Counter(NameTrialsRun),
 		TrialsFailed:   reg.Counter(NameTrialsFailed),

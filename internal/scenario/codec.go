@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,9 +14,7 @@ import (
 // key order, one space around `=`, the six identity keys always
 // present, every other key omitted at its default — so
 // Parse(Format(s)) == s byte-for-byte for any normalized s (the
-// round-trip property test). A file whose first non-space byte is `{`
-// is parsed as JSON instead (same keys, strict: unknown fields
-// rejected).
+// round-trip property test).
 
 // setField assigns one key=value pair. Errors are unprefixed; callers
 // wrap them with position context and the "scenario: " prefix.
@@ -44,8 +40,6 @@ func setField(s *Scenario, key, val string) error {
 		s.Seed = u
 	case "engine":
 		s.Engine = val
-	case "live":
-		return setBool(&s.Live, key, val)
 	case "chaos":
 		s.Chaos = val
 	case "faultbudget":
@@ -104,14 +98,10 @@ func setBoolPtr(dst **bool, key, val string) error {
 	return nil
 }
 
-// Parse reads the canonical text form (or, when the first non-space
-// byte is '{', the JSON form), normalizes, and validates. The returned
-// scenario round-trips: Format(Parse(data)) is the canonical rendering
-// and Parse(Format(s)) == s for any normalized s.
+// Parse reads the canonical text form, normalizes, and validates. The
+// returned scenario round-trips: Format(Parse(data)) is the canonical
+// rendering and Parse(Format(s)) == s for any normalized s.
 func Parse(data []byte) (Scenario, error) {
-	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
-		return parseJSON(data)
-	}
 	s := Scenario{T: -1} // absent t means the protocol default
 	seen := map[string]bool{}
 	for i, line := range strings.Split(string(data), "\n") {
@@ -161,9 +151,6 @@ func Format(s Scenario) (string, error) {
 	put("seed", ns.Seed)
 	if ns.Engine != "" {
 		put("engine", ns.Engine)
-	}
-	if ns.Live {
-		put("live", true)
 	}
 	if ns.Chaos != "" {
 		put("chaos", ns.Chaos)
@@ -238,60 +225,6 @@ func ParseCompactWith(defaults Scenario, spec string) (Scenario, error) {
 			if err := setField(&s, key, val); err != nil {
 				return Scenario{}, errf("%v", err)
 			}
-		}
-	}
-	return s.Normalized()
-}
-
-// jsonScenario is the JSON wire form: same keys as the text form,
-// expect nested. Absent t means the protocol default (hence the
-// pointer).
-type jsonScenario struct {
-	Protocol    string      `json:"protocol,omitempty"`
-	Adversary   string      `json:"adversary,omitempty"`
-	Coin        string      `json:"coin,omitempty"`
-	Workload    string      `json:"workload,omitempty"`
-	N           int         `json:"n"`
-	T           *int        `json:"t,omitempty"`
-	Seed        uint64      `json:"seed,omitempty"`
-	Engine      string      `json:"engine,omitempty"`
-	Live        bool        `json:"live,omitempty"`
-	Chaos       string      `json:"chaos,omitempty"`
-	FaultBudget int         `json:"faultbudget,omitempty"`
-	MaxRounds   int         `json:"maxrounds,omitempty"`
-	Trials      int         `json:"trials,omitempty"`
-	Expect      *jsonExpect `json:"expect,omitempty"`
-}
-
-type jsonExpect struct {
-	Agreement *bool `json:"agreement,omitempty"`
-	Validity  *bool `json:"validity,omitempty"`
-	Decided   *int  `json:"decided,omitempty"`
-	Rounds    int   `json:"rounds,omitempty"`
-	Partial   *bool `json:"partial,omitempty"`
-}
-
-func parseJSON(data []byte) (Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var j jsonScenario
-	if err := dec.Decode(&j); err != nil {
-		return Scenario{}, errf("json: %v", err)
-	}
-	s := Scenario{
-		Protocol: j.Protocol, Adversary: j.Adversary, Coin: j.Coin,
-		Workload: j.Workload, N: j.N, T: -1, Seed: j.Seed,
-		Engine: j.Engine, Live: j.Live, Chaos: j.Chaos,
-		FaultBudget: j.FaultBudget, MaxRounds: j.MaxRounds, Trials: j.Trials,
-	}
-	if j.T != nil {
-		s.T = *j.T
-	}
-	if j.Expect != nil {
-		s.Expect = Expect{
-			Agreement: j.Expect.Agreement, Validity: j.Expect.Validity,
-			Decided: j.Expect.Decided, Rounds: j.Expect.Rounds,
-			Partial: j.Expect.Partial,
 		}
 	}
 	return s.Normalized()

@@ -8,7 +8,6 @@ import (
 	"synran/internal/async"
 	"synran/internal/chaos"
 	"synran/internal/metrics"
-	"synran/internal/sim"
 	"synran/internal/workload"
 )
 
@@ -31,7 +30,6 @@ func (s *Scenario) Spec(trial int, m *metrics.Engine, shard int) (synran.Spec, e
 		Seed:        seed,
 		MaxRounds:   s.MaxRounds,
 		Engine:      s.Engine,
-		Live:        s.Live,
 		FaultBudget: s.FaultBudget,
 		Metrics:     m, MetricsShard: shard,
 	}
@@ -40,8 +38,8 @@ func (s *Scenario) Spec(trial int, m *metrics.Engine, shard int) (synran.Spec, e
 		if err != nil {
 			return synran.Spec{}, errf("%v", err)
 		}
-		// "none" parses to the zero config: the live runner with an
-		// armed zero-rate injector, preserving -chaos none semantics.
+		// "none" parses to the zero config: lossy links with an armed
+		// zero-rate injector, preserving -chaos none semantics.
 		spec.Chaos = &cfg
 	}
 	return spec, nil
@@ -112,9 +110,9 @@ func coinMode(name string) (async.CoinMode, error) {
 }
 
 // RunOutcome executes one trial of a normalized scenario and reduces
-// the result to the comparable Outcome that Expect assertions check.
-// Graceful degradation (fault budget, round or step cap, with a partial
-// result) is an Outcome with Partial set, not an error.
+// the result to the comparable Outcome that Expect assertions check. An
+// async run cut at its delivery cap is an Outcome with Partial set, not
+// an error.
 func RunOutcome(s *Scenario, trial int, m *metrics.Engine, shard int) (Outcome, error) {
 	if s.IsAsync() {
 		run, err := RunAsync(s, trial, nil)
@@ -129,10 +127,6 @@ func RunOutcome(s *Scenario, trial int, m *metrics.Engine, shard int) (Outcome, 
 	}
 	res, err := synran.Run(spec)
 	if err != nil {
-		if res != nil && res.Partial &&
-			(errors.Is(err, synran.ErrFaultBudget) || errors.Is(err, sim.ErrMaxRounds)) {
-			return OutcomeOf(res), nil
-		}
 		return Outcome{}, err
 	}
 	return OutcomeOf(res), nil
@@ -148,7 +142,6 @@ func OutcomeOf(res *synran.Result) Outcome {
 		Decided:   res.DecidedValue(),
 		Rounds:    res.HaltRounds,
 		Crashes:   res.Crashes,
-		Partial:   res.Partial,
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package scenario is the repository's single declarative run
 // specification: one Scenario value names everything an execution needs
-// — protocol × adversary × workload × n/t/seed × engine × live runner
-// and drop schedule × round caps × trial counts × expected-outcome
+// — protocol × adversary × workload × n/t/seed × engine × drop
+// schedule × round caps × trial counts × expected-outcome
 // assertions — with a canonical human-writable text encoding
 // (Parse/Format round-trip byte-identically), a compact one-line form
 // for repro command lines, and strict validation that subsumes the
@@ -31,8 +31,8 @@ import (
 // ProtocolAsyncBenOr selects the asynchronous Ben-Or engine
 // (internal/async) instead of the synchronous ones. For async
 // scenarios the Adversary field names the scheduler and MaxRounds caps
-// delivered messages (async.Config.MaxSteps); engine/live/chaos and
-// the fault budget do not apply.
+// delivered messages (async.Config.MaxSteps); engine, chaos and the
+// fault budget do not apply.
 const ProtocolAsyncBenOr = "async-benor"
 
 // Expect is a scenario's optional outcome assertions. Nil pointer
@@ -48,7 +48,8 @@ type Expect struct {
 	// Rounds, when > 0, is an upper bound on the all-halted round
 	// (async scenarios: on delivered messages).
 	Rounds int
-	// Partial asserts whether the run degraded before completion.
+	// Partial asserts whether an async run was cut at its delivery
+	// cap; a synchronous run never is (the round cap is an error).
 	Partial *bool
 }
 
@@ -87,15 +88,13 @@ type Scenario struct {
 	// Engine selects the lock-step core (sim.ValidEngine's names; ""
 	// is the default core).
 	Engine string
-	// Live selects the goroutine-per-process live runner.
-	Live bool
 	// Chaos is the drop schedule in chaos.ParseSpec syntax, canonical
-	// per chaos.Config.Spec. "" means no chaos; "none" means the live
-	// runner with an armed zero-rate injector, which loses nothing and
-	// gives the same Result as a plain live run.
+	// per chaos.Config.Spec. "" means no chaos; "none" means lossy links
+	// with an armed zero-rate injector, which lose nothing and give the
+	// same Result as a run without them.
 	Chaos string
-	// FaultBudget bounds the demotions: the live runner's unrecovered
-	// omissions, or an omission adversary's plans.
+	// FaultBudget bounds the demotions: the senders lossy links demote,
+	// or an omission adversary's plans.
 	FaultBudget int
 	// MaxRounds overrides the engine round cap (0 = engine default).
 	// Async scenarios: the delivery cap (async.Config.MaxSteps).
@@ -227,17 +226,11 @@ func (s *Scenario) Validate() error {
 	if s.FaultBudget < 0 {
 		return errf("faultbudget = %d, want >= 0", s.FaultBudget)
 	}
-	if live := s.Live || s.Chaos != ""; live {
-		if synran.LockStepOnly(s.Adversary) {
-			return errf("adversary %q needs the lock-step engine (drop live/chaos)", s.Adversary)
-		}
-		if s.Engine == sim.EngineSoA {
-			return errf("engine %q is lock-step only (drop live/chaos or the engine override)", s.Engine)
-		}
-	} else {
-		if s.FaultBudget != 0 && !IsOmission(s.Adversary) {
-			return errf("faultbudget = %d needs a chaos schedule or an omission adversary", s.FaultBudget)
-		}
+	if s.Chaos != "" && synran.Injects(s.Adversary) == synran.FaultByzantine {
+		return errf("chaos needs a crash or omission adversary, not the Byzantine %q", s.Adversary)
+	}
+	if s.Chaos == "" && s.FaultBudget != 0 && !IsOmission(s.Adversary) {
+		return errf("faultbudget = %d needs a chaos schedule or an omission adversary", s.FaultBudget)
 	}
 	if IsOmission(s.Adversary) && s.FaultBudget > s.T {
 		return errf("faultbudget = %d exceeds t = %d (omission demotions count toward the resilience condition)", s.FaultBudget, s.T)
@@ -263,8 +256,8 @@ func (s *Scenario) validateAsync() error {
 	if err := validWorkload(s.Workload); err != nil {
 		return err
 	}
-	if s.Engine != "" || s.Live || s.Chaos != "" || s.FaultBudget != 0 {
-		return errf("engine/live/chaos/faultbudget do not apply to protocol %q", ProtocolAsyncBenOr)
+	if s.Engine != "" || s.Chaos != "" || s.FaultBudget != 0 {
+		return errf("engine/chaos/faultbudget do not apply to protocol %q", ProtocolAsyncBenOr)
 	}
 	return s.validateCommon()
 }
@@ -309,7 +302,7 @@ type Outcome struct {
 	Rounds int
 	// Crashes is the adversary's spent budget (async: scheduler crashes).
 	Crashes int
-	// Partial reports graceful degradation (fault budget or round cap).
+	// Partial reports an async run cut at its delivery cap.
 	Partial bool
 }
 

@@ -26,7 +26,8 @@ func roundTripScenarios() []Scenario {
 		{Protocol: "benor", Adversary: "masscrash", Workload: "ones", N: 9, T: 4, Seed: 7, Trials: 10},
 		{Protocol: "floodset", Adversary: "waves", Workload: "random", N: 7, T: 3, Seed: 1, Trials: 1, MaxRounds: 32},
 		{Protocol: "leadercoin", Adversary: "leaderkiller", Workload: "half", N: 9, T: 4, Trials: 1, Engine: "soa"},
-		{Protocol: "earlystop", Adversary: "random", Workload: "half", N: 6, T: 2, Trials: 1, Live: true},
+		{Protocol: "earlystop", Adversary: "random", Workload: "half", N: 6, T: 2, Trials: 1,
+			Chaos: "drop=0.1", FaultBudget: 2, Engine: "object"},
 		{Protocol: "phaseking", Adversary: "equivocator", Workload: "half", N: 9, T: 2, Trials: 1},
 		{Protocol: "synran", Adversary: "lowerbound", Workload: "half", N: 5, T: 4, Seed: 3, Trials: 1, MaxRounds: 64},
 		{Protocol: "synran", Adversary: "none", Workload: "half", N: 9, T: 3, Trials: 1,
@@ -196,12 +197,8 @@ func TestParseRejections(t *testing.T) {
 			`scenario: chaos: unknown key "flood" (want drop)`},
 		{"negative faultbudget", "n = 5\nchaos = drop=0.1\nfaultbudget = -1\n",
 			"scenario: faultbudget = -1, want >= 0"},
-		{"lookahead live", "n = 5\nadversary = lowerbound\nlive = true\n",
-			`scenario: adversary "lowerbound" needs the lock-step engine (drop live/chaos)`},
 		{"byzantine chaos", "n = 5\nadversary = equivocator\nchaos = drop=0.1\n",
-			`scenario: adversary "equivocator" needs the lock-step engine (drop live/chaos)`},
-		{"soa live", "n = 5\nengine = soa\nlive = true\n",
-			`scenario: engine "soa" is lock-step only (drop live/chaos or the engine override)`},
+			`scenario: chaos needs a crash or omission adversary, not the Byzantine "equivocator"`},
 		{"budget without chaos", "n = 5\nfaultbudget = 2\n",
 			"scenario: faultbudget = 2 needs a chaos schedule or an omission adversary"},
 		{"negative maxrounds", "n = 5\nmaxrounds = -1\n",
@@ -217,15 +214,15 @@ func TestParseRejections(t *testing.T) {
 		{"async resilience", "n = 4\nprotocol = async-benor\nt = 2\n",
 			"scenario: async-benor needs 2t < n, got n = 4, t = 2"},
 		{"async engine", "n = 5\nprotocol = async-benor\nengine = soa\n",
-			`scenario: engine/live/chaos/faultbudget do not apply to protocol "async-benor"`},
-		{"async live", "n = 5\nprotocol = async-benor\nlive = true\n",
-			`scenario: engine/live/chaos/faultbudget do not apply to protocol "async-benor"`},
+			`scenario: engine/chaos/faultbudget do not apply to protocol "async-benor"`},
+		{"async chaos", "n = 5\nprotocol = async-benor\nchaos = drop=0.1\n",
+			`scenario: engine/chaos/faultbudget do not apply to protocol "async-benor"`},
 		{"no equals", "n = 5\nbogus\n", `scenario: line 2: want key = value, got "bogus"`},
 		{"duplicate key", "n = 5\nn = 6\n", `scenario: line 2: duplicate key "n"`},
 		{"unknown key", "n = 5\nfrobnicate = 1\n", `scenario: line 2: unknown key "frobnicate"`},
 		{"bad int", "n = x\n", `scenario: line 1: n = "x": not an integer`},
 		{"bad seed", "n = 5\nseed = -1\n", `scenario: line 2: seed = "-1": not an unsigned integer`},
-		{"bad bool", "n = 5\nlive = yes\n", `scenario: line 2: live = "yes": want true or false`},
+		{"bad bool", "n = 5\nexpect.agreement = yes\n", `scenario: line 2: expect.agreement = "yes": want true or false`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,38 +244,6 @@ func TestParseComments(t *testing.T) {
 	}
 	if s.Protocol != "benor" || s.N != 5 || s.T != 2 {
 		t.Errorf("got %+v", s)
-	}
-}
-
-func TestParseJSON(t *testing.T) {
-	s, err := Parse([]byte(`{
-		"protocol": "benor", "adversary": "masscrash", "n": 9, "t": 4,
-		"seed": 7, "trials": 10,
-		"expect": {"agreement": true, "rounds": 40}
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Scenario{Protocol: "benor", Adversary: "masscrash", N: 9, T: 4,
-		Seed: 7, Trials: 10,
-		Expect: Expect{Agreement: boolp(true), Rounds: 40}}.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, want) {
-		t.Errorf("json parse:\n got %+v\nwant %+v", s, want)
-	}
-
-	// Absent t takes the protocol default; unknown fields are rejected.
-	s2, err := Parse([]byte(`{"n": 9}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.T != 4 || s2.Protocol != "synran" {
-		t.Errorf("json defaults: %+v", s2)
-	}
-	if _, err := Parse([]byte(`{"n": 5, "frobnicate": 1}`)); err == nil {
-		t.Error("json unknown field accepted")
 	}
 }
 

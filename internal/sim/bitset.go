@@ -85,18 +85,6 @@ func (b *BitSet) Reset(n int) {
 	b.ClearAll()
 }
 
-// Pack resets the set to capacity len(flags) and marks every i whose
-// flags[i] is true, reusing the word storage: the bridge from a runner
-// that keeps its flags as bools (internal/netsim) to a View.
-func (b *BitSet) Pack(flags []bool) {
-	b.Reset(len(flags))
-	for i, f := range flags {
-		if f {
-			b.Set(i)
-		}
-	}
-}
-
 // Clone returns a deep copy of the set.
 func (b *BitSet) Clone() *BitSet {
 	c := &BitSet{n: b.n, words: make([]uint64, len(b.words))}

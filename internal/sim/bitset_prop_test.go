@@ -31,7 +31,7 @@ func randomBits(b *BitSet, s *rng.Stream) []bool {
 	return ref
 }
 
-// TestBitSetWordsMatchBits checks Words, Word, SetWord and Pack against
+// TestBitSetWordsMatchBits checks Words, Word and SetWord against
 // the per-bit reference, and that no bit at or past Len is ever set.
 func TestBitSetWordsMatchBits(t *testing.T) {
 	for _, n := range propSizes {
@@ -62,20 +62,16 @@ func TestBitSetWordsMatchBits(t *testing.T) {
 				t.Fatalf("n=%d trial=%d word scan visited indices past the set: %v", n, trial, visited[j:])
 			}
 
-			p := NewBitSet(0)
-			p.Pack(ref)
 			b := NewBitSet(n)
 			for k := 0; k < a.Words(); k++ {
 				b.SetWord(k, a.Word(k))
 			}
-			for name, c := range map[string]*BitSet{"Pack": p, "SetWord": b} {
-				if c.Len() != n || c.Count() != a.Count() {
-					t.Fatalf("n=%d trial=%d %s: Len %d Count %d, want %d %d", n, trial, name, c.Len(), c.Count(), n, a.Count())
-				}
-				for i, set := range ref {
-					if c.Get(i) != set {
-						t.Fatalf("n=%d trial=%d %s bit %d = %v, want %v", n, trial, name, i, c.Get(i), set)
-					}
+			if b.Len() != n || b.Count() != a.Count() {
+				t.Fatalf("n=%d trial=%d SetWord: Len %d Count %d, want %d %d", n, trial, b.Len(), b.Count(), n, a.Count())
+			}
+			for i, set := range ref {
+				if b.Get(i) != set {
+					t.Fatalf("n=%d trial=%d SetWord bit %d = %v, want %v", n, trial, i, b.Get(i), set)
 				}
 			}
 			// Count is a popcount: a stray bit past Len would show here.

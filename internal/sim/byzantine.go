@@ -21,8 +21,7 @@ type Forgery struct {
 }
 
 // Forger is the optional adversary extension for Byzantine behaviour.
-// Dispatch detects it; the lock-step engine is the only runner that
-// applies forgeries (the netsim runner fails with netsim.ErrForgery).
+// Dispatch detects it, on an adversary that is not an Omitter.
 type Forger interface {
 	// Forge is invoked once per round after Phase A, alongside Plan. The
 	// first forgery naming a process corrupts it (spending one unit of

@@ -9,8 +9,8 @@ import (
 // hash. Two executions with identical digests made identical decisions,
 // crashed the same processes in the same rounds, and exchanged the same
 // payloads — the artifact behind the repository's "exactly reproducible
-// from a seed" claim, and a convenient cross-engine check (the sequential
-// engine and the goroutine runner must produce equal digests).
+// from a seed" claim, and a convenient cross-engine check (the two
+// engine cores must produce equal digests).
 type Digest struct {
 	h uint64
 }

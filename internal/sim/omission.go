@@ -8,9 +8,9 @@ package sim
 // (with CrashPlan-style partial delivery of its in-flight message), so
 // it is send-omission faulty — indistinguishable from a crash to every
 // receiver — and is demoted, charged against Config.FaultBudget rather
-// than the adversary's crash budget T. This mirrors exactly the
-// netsim runner's omission-demotion machinery, keeping the two fault
-// ledgers (Crashes vs Faults.Demoted) separate on every lane.
+// than the adversary's crash budget T, keeping the two fault ledgers
+// (Crashes vs Faults.Demoted) separate. Lossy links (internal/chaos)
+// are one more Omitter on the same ledger.
 
 // Omitter is the optional adversary extension for adaptive omissions.
 // Dispatch detects it; Omit is invoked once per round after Phase A,

@@ -108,8 +108,9 @@ type View struct {
 }
 
 // ViewState is the explicit form of a View, used by NewView. The engine
-// assembles its Views internally; NewView exists for alternative runners
-// (internal/netsim) and adversary unit tests that need synthetic views.
+// assembles its Views internally; NewView exists for adversaries that
+// rebuild a view (adversary.Late's stale views) and adversary unit
+// tests that need synthetic views.
 type ViewState struct {
 	Round, N, T, Budget int
 	Alive               *BitSet
@@ -291,9 +292,9 @@ type Config struct {
 	// FaultBudget bounds the omission demotions an Omitter adversary may
 	// charge (see FinishRoundOmitted): a budget of k absorbs exactly k
 	// demotions, and further omission plans are skipped deterministically.
-	// It is the lock-step mirror of netsim.Options.FaultBudget, kept
-	// distinct from the crash budget T exactly as the netsim runner keeps
-	// chaos faults distinct from adversary crashes.
+	// It is kept distinct from the crash budget T, so an omission fault
+	// (an omission adversary's, or a lossy link's, see internal/chaos)
+	// never spends a crash.
 	FaultBudget int
 }
 
@@ -310,14 +311,10 @@ var (
 )
 
 // Faults accounts for the non-crash faults an execution absorbed.
-// Dropped counts transmission attempts the live runner's links lost
-// (each one re-sent or converted); Demoted counts processes converted
-// to crash faults — by the live runner after an unrecovered omission,
-// or by an adaptive-omission adversary (sim.Omitter) on any engine.
-// Demotions are charged against the fault budget (distinct from the
+// Demoted counts the processes an Omitter demoted to send-omission
+// faults, charged against the fault budget (distinct from the
 // adversary's T).
 type Faults struct {
-	Dropped int
 	Demoted int
 }
 
@@ -339,21 +336,15 @@ type Result struct {
 	// Decisions[i] is process i's decision; valid where Decided[i].
 	Decisions []int
 	Decided   []bool
-	// Inputs echoes the initial values, for validity checking.
-	Inputs []int
 	// Agreement: all surviving processes decided, and on the same value.
 	Agreement bool
 	// Validity: if all inputs were v, every decision is v.
 	Validity bool
-	// Faults accounts for non-crash faults absorbed during the run:
-	// lost messages and demotions on the live runner, omission
-	// demotions from an Omitter adversary on any engine.
+	// Faults accounts for the non-crash faults absorbed during the run.
 	Faults Faults
-	// FaultNotes carries one line per live-runner demotion, newest last.
-	FaultNotes []string
-	// Partial marks a gracefully degraded run: the runner gave up (fault
-	// budget exhausted or MaxRounds hit) and this Result summarizes the
-	// execution up to that point. Partial results accompany a typed error.
+	// Partial marks a summary of a run cut at MaxRounds: Run returns no
+	// Result with ErrMaxRounds, and a caller that summarizes the cut run
+	// with Execution.Result sets it.
 	Partial bool
 }
 
@@ -944,8 +935,7 @@ type RoundPlan struct {
 
 // Dispatch consults adv on the round's view v in the engine's one
 // evaluation order: Plan, then Omit if adv is an Omitter, else Forge if
-// it is a Forger. Step and the netsim synchronizer both call it, so no
-// runner spells the order out itself.
+// it is a Forger.
 func Dispatch(adv Adversary, v *View) RoundPlan {
 	p := RoundPlan{Crashes: adv.Plan(v)}
 	if om, ok := adv.(Omitter); ok {
@@ -1258,7 +1248,6 @@ func (e *Execution) Result() *Result {
 		Faults:       Faults{Demoted: e.demoted},
 		Decisions:    make([]int, n),
 		Decided:      make([]bool, n),
-		Inputs:       append([]int(nil), e.inputs...),
 	}
 	for i := range res.Decisions {
 		res.Decisions[i] = -1

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"synran/internal/metrics"
 )
 
 // testProc is a configurable protocol used to exercise the engine:
@@ -310,6 +312,43 @@ func TestResultAgreementValidity(t *testing.T) {
 			t.Fatal("validity must hold vacuously for mixed inputs")
 		}
 	})
+	t.Run("undecided survivor breaks agreement", func(t *testing.T) {
+		// p2 halts in round 2 without ever deciding; the decided
+		// survivors agree, but agreement needs every survivor decided.
+		inputs := uniformInputs(3, 1)
+		procs := mkProcs(3, 1, 2, inputs)
+		procs[2].(*testProc).decideAt = 0
+		e, _ := NewExecution(Config{N: 3, T: 0}, procs, inputs, 1)
+		res, err := e.Run(noneAdversary{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agreement || res.Survivors != 3 || res.Decided[2] {
+			t.Fatalf("agreement=%v survivors=%d decided=%v, want false, 3 and p2 undecided",
+				res.Agreement, res.Survivors, res.Decided)
+		}
+	})
+}
+
+// TestDecisionsCounterSeesDecideThenCrash pins the decisions and halts
+// counters apart: every process decides in round 1, p1 crashes in
+// round 2 before halting in round 3, so the run counts one more
+// decision than halts.
+func TestDecisionsCounterSeesDecideThenCrash(t *testing.T) {
+	const n = 4
+	inputs := uniformInputs(n, 0)
+	m := metrics.NewEngine(metrics.New(1))
+	adv := &planAdversary{plans: map[int][]CrashPlan{2: {{Victim: 1}}}}
+	e, err := NewExecution(Config{N: n, T: 1, Metrics: m}, mkProcs(n, 1, 3, inputs), inputs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(adv); err != nil {
+		t.Fatal(err)
+	}
+	if d, h := m.Decisions.Value(), m.Halts.Value(); d != n || h != n-1 {
+		t.Fatalf("process_decisions=%d process_halts=%d, want %d and %d", d, h, n, n-1)
+	}
 }
 
 func TestDecideAndHaltRounds(t *testing.T) {

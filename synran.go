@@ -30,7 +30,6 @@ import (
 	"synran/internal/chaos"
 	"synran/internal/core"
 	"synran/internal/metrics"
-	"synran/internal/netsim"
 	"synran/internal/protocol/benor"
 	"synran/internal/protocol/earlystop"
 	"synran/internal/protocol/floodset"
@@ -103,7 +102,7 @@ const (
 	// splitvote against ProtocolLeaderCoin (experiment E11).
 	AdversaryLeaderKiller = "leaderkiller"
 	// AdversaryEquivocator is Byzantine: it corrupts processes and sends
-	// conflicting values to different receivers (lock-step engine only).
+	// conflicting values to different receivers (not under Spec.Chaos).
 	AdversaryEquivocator = "equivocator"
 	// AdversaryStepwise is the faithful Section 3.4 message-by-message
 	// lower-bound strategy (even more look-ahead than lowerbound).
@@ -141,22 +140,20 @@ type Spec struct {
 	// core wherever the protocol has a tally kernel (synran, floodset,
 	// omitflood) and the object core otherwise; "object" pins the
 	// object-per-process reference core. Results are identical (see
-	// internal/sim). An explicit "soa" is incompatible with Live/Chaos:
-	// the live runner has no columnar core.
+	// internal/sim).
 	Engine string
-	// Live selects the goroutine-per-process runner instead of the
-	// lock-step engine (results are identical; see internal/netsim).
-	Live bool
-	// Chaos, when set, runs on the live runner over links that drop
-	// messages at the given rate (implies Live). The fault trace is
-	// reproducible from (Seed, Chaos) alone; see internal/chaos.
+	// Chaos, when set, runs the adversary over links that drop messages
+	// at the given rate, on either core: a sender whose message a
+	// receiver still misses after two re-sends is demoted against
+	// FaultBudget (chaos.Lossy). The fault trace is reproducible from
+	// (Seed, Chaos) alone; see internal/chaos.
 	Chaos *ChaosConfig
 	// FaultBudget bounds the demotions charged OUTSIDE the adversary's
-	// crash budget T: unrecovered omissions on the live runner, and
-	// adaptive-omission demotions (the omission-* adversaries) on every
-	// engine. Keep adversary crashes + FaultBudget ≤ T to stay inside
-	// the protocols' resilience condition — except omitflood, which is
-	// built to absorb T crashes plus T demotions.
+	// crash budget T: the senders lossy links demote (Chaos) and the
+	// omission-* adversaries' demotions. Keep adversary crashes +
+	// FaultBudget ≤ T to stay inside the protocols' resilience
+	// condition — except omitflood, which is built to absorb T crashes
+	// plus T demotions.
 	FaultBudget int
 	// Observer, when set, receives engine events.
 	Observer Observer
@@ -189,14 +186,10 @@ type ChaosConfig = chaos.Config
 // "none") into a ChaosConfig.
 func ParseChaosSpec(spec string) (ChaosConfig, error) { return chaos.ParseSpec(spec) }
 
-// ErrFaultBudget is returned (wrapped, with a partial Result) when the
-// live runner exhausts Spec.FaultBudget.
-var ErrFaultBudget = netsim.ErrFaultBudget
-
-// Run executes the spec and returns the result. A lock-step run starts
-// from the protocol's kernel constructor where it has one, so on the
-// columnar core the execution holds no process objects; every other
-// run starts from its process vector.
+// Run executes the spec and returns the result. A run starts from the
+// protocol's kernel constructor where it has one, so on the columnar
+// core the execution holds no process objects; every other run starts
+// from its process vector.
 func Run(spec Spec) (*Result, error) {
 	cfg := sim.Config{
 		N: spec.N, T: spec.T, MaxRounds: spec.MaxRounds, Engine: spec.Engine,
@@ -204,14 +197,13 @@ func Run(spec Spec) (*Result, error) {
 		Observer:    spec.Observer,
 		Metrics:     spec.Metrics, MetricsShard: spec.MetricsShard,
 	}
-	live := spec.Live || spec.Chaos != nil
 	p, err := protocolNamed(orDefault(spec.Protocol, ProtocolSynRan))
 	if err != nil {
 		return nil, err
 	}
 	var kernel sim.TallyKernel
 	var procs []sim.Process
-	if p.kernel != nil && !live {
+	if p.kernel != nil {
 		kernel, err = p.kernel(spec.N, spec.T, spec.Inputs, spec.Seed)
 	} else {
 		procs, err = p.procs(spec.N, spec.T, spec.Inputs, spec.Seed)
@@ -223,22 +215,14 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if live {
-		if LockStepOnly(spec.Adversary) {
-			return nil, fmt.Errorf("synran: adversary %q needs the lock-step engine", spec.Adversary)
+	if spec.Chaos != nil {
+		inj, err := chaos.New(spec.Seed, *spec.Chaos)
+		if err != nil {
+			return nil, err
 		}
-		if spec.Engine == sim.EngineSoA {
-			return nil, fmt.Errorf("synran: the %q engine is lock-step only (drop Live/Chaos or the engine override)", spec.Engine)
+		if adv, err = chaos.Wrap(adv, inj); err != nil {
+			return nil, err
 		}
-		opts := netsim.Options{FaultBudget: spec.FaultBudget}
-		if spec.Chaos != nil {
-			inj, err := chaos.New(spec.Seed, *spec.Chaos)
-			if err != nil {
-				return nil, err
-			}
-			opts.Injector = inj
-		}
-		return netsim.RunChaos(cfg, procs, spec.Inputs, adv, spec.Seed, opts)
 	}
 	var exec *sim.Execution
 	if kernel != nil {
@@ -350,47 +334,45 @@ var protocols = []protocolDef{
 		faults: FaultModel{Tolerates: FaultCrash | FaultOmission, Resilience: 3}},
 }
 
-// adversaryDef is one Spec.Adversary: its constructor, the fault class
-// it injects, and whether it needs the clonable lock-step engine
-// (look-ahead rollouts or Byzantine corruption).
+// adversaryDef is one Spec.Adversary: its constructor and the fault
+// class it injects.
 type adversaryDef struct {
-	name     string
-	injects  FaultClass
-	lockStep bool
-	build    func(n, t, budget int, seed uint64) sim.Adversary
+	name    string
+	injects FaultClass
+	build   func(n, t, budget int, seed uint64) sim.Adversary
 }
 
 // adversaries is the adversary table, in documentation order.
 var adversaries = []adversaryDef{
-	{AdversaryNone, 0, false, func(int, int, int, uint64) sim.Adversary { return adversary.None{} }},
-	{AdversaryRandom, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+	{AdversaryNone, 0, func(int, int, int, uint64) sim.Adversary { return adversary.None{} }},
+	{AdversaryRandom, FaultCrash, func(int, int, int, uint64) sim.Adversary {
 		return &adversary.Random{PerRound: 0.7, MaxPerRound: 2}
 	}},
-	{AdversarySplitVote, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.SplitVote{} }},
-	{AdversaryMassCrash, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+	{AdversarySplitVote, FaultCrash, func(int, int, int, uint64) sim.Adversary { return &adversary.SplitVote{} }},
+	{AdversaryMassCrash, FaultCrash, func(int, int, int, uint64) sim.Adversary {
 		return &adversary.MassCrash{AtRound: 2, Fraction: 0.7, PreferValue: 1}
 	}},
-	{AdversaryPush0, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 0} }},
-	{AdversaryPush1, FaultCrash, false, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 1} }},
-	{AdversaryLowerBound, FaultCrash, true, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewLowerBound(n, seed) }},
-	{AdversaryWaves, FaultCrash, false, func(n, t, _ int, seed uint64) sim.Adversary { return adversary.NewWaves(n, t, seed) }},
-	{AdversaryLeaderKiller, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+	{AdversaryPush0, FaultCrash, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 0} }},
+	{AdversaryPush1, FaultCrash, func(int, int, int, uint64) sim.Adversary { return &adversary.PushTo{Value: 1} }},
+	{AdversaryLowerBound, FaultCrash, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewLowerBound(n, seed) }},
+	{AdversaryWaves, FaultCrash, func(n, t, _ int, seed uint64) sim.Adversary { return adversary.NewWaves(n, t, seed) }},
+	{AdversaryLeaderKiller, FaultCrash, func(int, int, int, uint64) sim.Adversary {
 		return adversary.NewCombo(adversary.LeaderKiller{}, &adversary.SplitVote{})
 	}},
-	{AdversaryEquivocator, FaultByzantine, true, func(_, t, _ int, _ uint64) sim.Adversary {
+	{AdversaryEquivocator, FaultByzantine, func(_, t, _ int, _ uint64) sim.Adversary {
 		return &adversary.Equivocator{Corruptions: t}
 	}},
-	{AdversaryStepwise, FaultCrash, true, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewStepwise(n, seed) }},
-	{AdversaryOmissionSplit, FaultOmission, false, func(_, _, budget int, _ uint64) sim.Adversary {
+	{AdversaryStepwise, FaultCrash, func(n, _, _ int, seed uint64) sim.Adversary { return valency.NewStepwise(n, seed) }},
+	{AdversaryOmissionSplit, FaultOmission, func(_, _, budget int, _ uint64) sim.Adversary {
 		return &adversary.Omission{Mode: "split", Budget: budget}
 	}},
-	{AdversaryOmissionRandom, FaultOmission, false, func(_, _, budget int, _ uint64) sim.Adversary {
+	{AdversaryOmissionRandom, FaultOmission, func(_, _, budget int, _ uint64) sim.Adversary {
 		return &adversary.Omission{Mode: "random", Budget: budget}
 	}},
-	{AdversaryLateSplit, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+	{AdversaryLateSplit, FaultCrash, func(int, int, int, uint64) sim.Adversary {
 		return &adversary.Late{Inner: &adversary.SplitVote{}, Tag: "split"}
 	}},
-	{AdversaryLateRandom, FaultCrash, false, func(int, int, int, uint64) sim.Adversary {
+	{AdversaryLateRandom, FaultCrash, func(int, int, int, uint64) sim.Adversary {
 		return &adversary.Late{Inner: &adversary.Random{PerRound: 0.7, MaxPerRound: 2}, Tag: "random"}
 	}},
 }
@@ -483,14 +465,6 @@ func ExpectSafe(protocol, adversaryName string, n, t int) bool {
 		return false
 	}
 	return Injects(adversaryName)&^p.faults.Tolerates == 0 && p.faults.Resilient(n, t)
-}
-
-// LockStepOnly reports whether the adversary needs the clonable
-// lock-step engine (look-ahead rollouts or Byzantine corruption), which
-// excludes the live/chaos runner and the netsim conformance lane.
-func LockStepOnly(adversaryName string) bool {
-	a, err := adversaryNamed(adversaryName)
-	return err == nil && a.lockStep
 }
 
 // NewProtocol builds a process vector by protocol name.

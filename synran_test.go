@@ -1,6 +1,10 @@
 package synran
 
-import "testing"
+import (
+	"testing"
+
+	"synran/internal/sim"
+)
 
 func TestFacadeRunDefaults(t *testing.T) {
 	res, err := Run(Spec{N: 16, T: 0, Inputs: UniformInputs(16, 1), Seed: 1})
@@ -48,26 +52,42 @@ func TestFacadePhaseKingEquivocator(t *testing.T) {
 	}
 }
 
-func TestFacadeLiveRejectsEquivocator(t *testing.T) {
+func TestFacadeChaosRejectsEquivocator(t *testing.T) {
 	_, err := Run(Spec{
 		N: 13, T: 3, Inputs: HalfHalfInputs(13),
-		Protocol: ProtocolPhaseKing, Adversary: AdversaryEquivocator, Seed: 4, Live: true,
+		Protocol: ProtocolPhaseKing, Adversary: AdversaryEquivocator, Seed: 4,
+		Chaos: &ChaosConfig{},
 	})
 	if err == nil {
-		t.Fatal("live runner must reject the Byzantine adversary")
+		t.Fatal("lossy links must reject the Byzantine adversary")
 	}
 }
 
-func TestFacadeLiveRunner(t *testing.T) {
-	res, err := Run(Spec{
-		N: 16, T: 8, Inputs: HalfHalfInputs(16),
-		Adversary: AdversaryRandom, Seed: 3, Live: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestFacadeChaosRunner runs lossy links under a crashing adversary on
+// both engine cores: the runs must agree, stay safe and demote within
+// the fault budget.
+func TestFacadeChaosRunner(t *testing.T) {
+	var digests [2]string
+	for i, engine := range []string{"", "object"} {
+		d := sim.NewDigest()
+		res, err := Run(Spec{
+			N: 16, T: 8, Inputs: HalfHalfInputs(16),
+			Adversary: AdversaryRandom, Seed: 3, Engine: engine,
+			Chaos: &ChaosConfig{Drop: 0.2}, FaultBudget: 3, Observer: d,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Agreement || !res.Validity {
+			t.Fatalf("engine %q: chaos run unsafe", engine)
+		}
+		if res.Faults.Demoted == 0 || res.Faults.Demoted > 3 {
+			t.Fatalf("engine %q: %d demotions, want 1..3", engine, res.Faults.Demoted)
+		}
+		digests[i] = d.String()
 	}
-	if !res.Agreement || !res.Validity {
-		t.Fatal("live run unsafe")
+	if digests[0] != digests[1] {
+		t.Fatalf("cores disagree under lossy links: %s vs %s", digests[0], digests[1])
 	}
 }
 
@@ -84,16 +104,6 @@ func TestFacadeLowerBoundAdversary(t *testing.T) {
 	}
 	if !res.Agreement || !res.Validity {
 		t.Fatal("lower-bound adversary broke safety")
-	}
-}
-
-func TestFacadeLiveRejectsLowerBound(t *testing.T) {
-	_, err := Run(Spec{
-		N: 8, T: 7, Inputs: HalfHalfInputs(8),
-		Adversary: AdversaryLowerBound, Seed: 5, Live: true,
-	})
-	if err == nil {
-		t.Fatal("live runner must reject the look-ahead adversary")
 	}
 }
 

@@ -38,11 +38,11 @@ bench-json:
 # baseline by at most that fraction (bytes catch what counts cannot: a
 # process vector is one allocation at any n). The arena estimator gets
 # 20%, the disabled metrics path 2% (the "metrics off = free" budget),
-# the metered path 12% (its checked-in 30 allocs/op predate the three
-# it reads at 20x, 33; 12% passes those and fails a 34th), the SoA
-# stepwise lane 34% (baseline 3 allocs/op, so the columnar core
-# stays two orders of magnitude under the object engine's 1063-alloc
-# seed), every at-scale engine lane (object and soa at n = 1024,
+# the metered path 12% (set when its 20x run still caught one-time
+# allocations, which the bench's warmup now absorbs), the SoA stepwise
+# lane 34% (baseline 1 alloc/op, so the columnar core stays three
+# orders of magnitude under the object engine's 1063-alloc seed),
+# every at-scale engine lane (object and soa at n = 1024,
 # soa-1e5 at n = 10^5) 20%, the async engine's Splitter execution
 # 20%, and every Section 3 adversary run (lowerbound at n = 16 and 256,
 # stepwise at n = 12) 20%.
@@ -56,10 +56,12 @@ BENCH_GATES = BenchmarkValencyEstimate/arena=0.20,BenchmarkMetricsOverhead/off=0
 # Twenty iterations measure the steady state: Go builds its
 # type-assertion caches on randomly sampled calls, so a single
 # iteration of the rollout path now and then catches a one-off
-# allocation (ValencyEstimate/arena read 4 or 5 allocs/op against its 3
-# in 6 of 40 one-iteration processes, and 3 in 40 of 40 at 20), while
-# the integer average over 20 iterations still reads 3 and a real +1
-# alloc/op regression still reads 4.
+# allocation (ValencyEstimate/arena read 4 or 5 allocs/op against its
+# then 3 in 6 of 40 one-iteration processes, and 3 in 40 of 40 at 20),
+# while the integer average over 20 iterations still reads the baseline
+# and a real +1 alloc/op regression does not. The one-off bytes still
+# show at 20x on a small row, so the gated benches warm up first
+# (warmCalls in bench_test.go).
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_SNAPSHOT)' -benchtime=20x -benchmem . > bench-smoke.txt; \
 		status=$$?; cat bench-smoke.txt; exit $$status
@@ -116,18 +118,24 @@ experiments-quick:
 
 # The adversary-family smoke: the omission/late experiments at quick
 # size, the clone-aliasing guard over every family the facade builds,
-# and a cross-core look-ahead run: the Section 3 stepwise adversary at
-# n = 64 must print the same digest on the default core, where a
-# coin-free rollout stands for its pool member's others, and on the
-# object core, which simulates every rollout. Fast enough to run before
-# any adversary or engine change.
+# and a cross-core look-ahead run: the two Section 3 adversaries at
+# n = 64, seed 42, must print their pinned digests on the default core,
+# where a coin-free rollout stands for its pool member's others, and on
+# the object core, where every probe fans out. Both cores stop a
+# classification once its class is settled; the pins also catch a change
+# that moves both cores alike. Fast enough to run before any adversary
+# or engine change.
 adversary-smoke:
 	$(GO) run ./cmd/synran-bench -quick -only E18,E19
 	$(GO) test -count=1 -run TestCloneDoesNotAliasOriginal ./internal/adversary
-	@a=$$($(GO) run ./cmd/consensus-sim -n 64 -adversary stepwise -seed 42 -digest | grep '^digest'); \
-		b=$$($(GO) run ./cmd/consensus-sim -n 64 -adversary stepwise -seed 42 -digest -engine object | grep '^digest'); \
-		echo "default core: $$a"; echo "object core:  $$b"; \
-		test -n "$$a" && test "$$a" = "$$b"
+	@for pin in stepwise:17cb5c3daad7f394 lowerbound:7131348ce795e91b; do \
+		adv=$${pin%%:*} want=$${pin#*:}; \
+		for engine in soa object; do \
+			got=$$($(GO) run ./cmd/consensus-sim -n 64 -adversary $$adv -seed 42 -digest -engine $$engine | sed -n 's/^digest *: //p'); \
+			echo "$$adv on the $$engine core: $$got (want $$want)"; \
+			test "$$got" = "$$want" || exit 1; \
+		done; \
+	done
 
 # The metrics determinism suite: shard-layout invariance, the CLI-level
 # workers-1-vs-8 byte comparison, the lossy-link counters-vs-Faults

@@ -53,13 +53,12 @@ func run() error {
 		}
 		return common.WriteMetrics(m, os.Stdout)
 	}
-	seed, workers := &common.Seed, &common.Workers
+	seed := &common.Seed
 	t := *n - 1
 	m := common.NewMetricsEngine()
 
 	est := valency.NewEstimator(*n, *seed)
 	est.RolloutsPerAdversary = *rollouts
-	est.Workers = *workers
 	est.Metrics = m
 
 	fmt.Printf("searching the Lemma 3.5 input chain for a non-univalent initial state (n=%d, t=%d)...\n", *n, t)
@@ -90,13 +89,11 @@ func run() error {
 	if *stepwise {
 		sw := valency.NewStepwise(*n, *seed)
 		sw.Est.RolloutsPerAdversary = *rollouts
-		sw.Est.Workers = *workers
 		sw.Est.Metrics = m
 		lb = sw
 	} else {
 		cand := valency.NewLowerBound(*n, *seed)
 		cand.Est.RolloutsPerAdversary = *rollouts
-		cand.Est.Workers = *workers
 		cand.Est.Metrics = m
 		lb = cand
 	}

@@ -43,7 +43,6 @@ func E6LowerBound(cfg Config) (*Result, error) {
 		forced, err := runCell(cfg, key, reps, nil, func(_, i int) (sample, error) {
 			lb := valency.NewLowerBound(n, seed(i))
 			lb.Est.RolloutsPerAdversary = 12
-			lb.Est.Workers = 1 // the outer trial pool already saturates the cores
 			res, err := core.Run(core.RunSpec{
 				N: n, T: t, Inputs: inputs, Seed: seed(i), Adversary: lb,
 				MaxRounds: 50 * n,

@@ -34,19 +34,19 @@ type ProcessCopier interface {
 //		arena.Release(c)            // return the shell to the fleet
 //	}
 //
-// An arena is NOT safe for concurrent use: parallel rollout workers must
-// each own one (internal/valency keeps one arena per trials worker). A
-// snapshot stays valid until it is Released; Release order is arbitrary.
+// An arena is NOT safe for concurrent use: each goroutine that takes
+// snapshots must own one (internal/valency keeps one per estimator and
+// one per look-ahead adversary). A snapshot stays valid until it is
+// Released; Release order is arbitrary.
 type SnapshotArena struct {
 	free []*Execution
 
 	// Metrics, when non-nil, receives arena reuse accounting (hit/miss
-	// per Snapshot, fleet high-watermark on Release), tagged with Shard.
+	// per Snapshot, fleet high-watermark on Release), on shard 0.
 	// These instruments are volatile — each worker's fleet warms up
 	// independently, so the hit/miss split depends on the worker count —
 	// and are therefore excluded from the deterministic metrics export.
 	Metrics *metrics.Engine
-	Shard   int
 }
 
 // Snapshot returns a deep copy of base, reusing a retired execution
@@ -61,9 +61,9 @@ func (a *SnapshotArena) Snapshot(base *Execution) *Execution {
 	}
 	if m := a.Metrics; m != nil {
 		if dst != nil {
-			m.ArenaHits.Inc(a.Shard)
+			m.ArenaHits.Inc(0)
 		} else {
-			m.ArenaMisses.Inc(a.Shard)
+			m.ArenaMisses.Inc(0)
 		}
 	}
 	return base.CloneInto(dst)
@@ -79,7 +79,7 @@ func (a *SnapshotArena) Release(e *Execution) {
 	}
 	a.free = append(a.free, e)
 	if m := a.Metrics; m != nil {
-		m.ArenaSize.Observe(a.Shard, uint64(len(a.free)))
+		m.ArenaSize.Observe(0, uint64(len(a.free)))
 	}
 }
 

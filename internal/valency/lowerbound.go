@@ -79,18 +79,11 @@ func (a *LowerBound) Clone() sim.Adversary {
 // Plan implements sim.Adversary.
 func (a *LowerBound) Plan(v *sim.View) []sim.CrashPlan {
 	a.RoundsPlanned++
-	perRound := a.PerRound
-	if perRound <= 0 {
-		perRound = core.RoundBudget(v.N)
-	}
-	if perRound > v.Budget {
-		perRound = v.Budget
-	}
-	candidates := a.candidates(v, perRound)
+	candidates := a.candidates(v, roundCap(a.PerRound, v))
 	bestPlans := candidates[0]
 	bestScore := 3.0
 	for _, cand := range candidates {
-		est, ok := a.evaluate(v, cand)
+		est, ok := a.Est.successor(&a.arena, v, cand)
 		if !ok {
 			continue
 		}
@@ -124,19 +117,14 @@ func candScore(est *Estimate) float64 {
 	}
 }
 
-// evaluate classifies the state reached by applying cand to the open
-// round of an arena snapshot of the current execution.
-func (a *LowerBound) evaluate(v *sim.View, cand []sim.CrashPlan) (*Estimate, bool) {
-	c := a.arena.Snapshot(v.Exec)
-	defer a.arena.Release(c)
-	if err := c.FinishRound(cand); err != nil {
-		return nil, false
+// roundCap is the number of crashes a look-ahead adversary may plan this
+// round: perRound, where 0 means core.RoundBudget(n), capped by the
+// remaining budget.
+func roundCap(perRound int, v *sim.View) int {
+	if perRound <= 0 {
+		perRound = core.RoundBudget(v.N)
 	}
-	est, err := a.Est.Classify(c, v.Round)
-	if err != nil {
-		return nil, false
-	}
-	return est, true
+	return min(perRound, v.Budget)
 }
 
 // candidates builds the plan set for this round, in a fixed order: no

@@ -38,7 +38,6 @@ func newPair(t *testing.T, name string, n int, seed uint64, withRandom bool) *es
 		e.Metrics = metrics.NewEngine(metrics.New(2))
 		*est = e
 	}
-	p.dflt.Workers, p.obj.Workers = 2, 1
 	if withRandom {
 		random := func() sim.Adversary { return &adversary.Random{MaxPerRound: core.RoundBudget(n)} }
 		p.randomBuilt = new(atomic.Int64)
@@ -186,7 +185,6 @@ func TestClassifyPanickingRolloutIsAnError(t *testing.T) {
 			built := 0
 			e := NewEstimator(n, 1)
 			e.RolloutsPerAdversary = rolls
-			e.Workers = 1
 			e.Pool = []func() sim.Adversary{
 				func() sim.Adversary { return adversary.None{} },
 				func() sim.Adversary { built++; return &panicky{panics: built >= tc.panicFrom} },

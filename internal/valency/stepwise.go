@@ -28,7 +28,9 @@ import (
 // accepting the flip. If the whole walk stays univalent, keep the
 // longest minimizing prefix (Section 3.5's regime).
 type Stepwise struct {
-	Est      *Estimator
+	// Est classifies the walk's successor states; required.
+	Est *Estimator
+	// PerRound caps crashes per round; 0 means core.RoundBudget(n).
 	PerRound int
 
 	// arena recycles the per-step look-ahead snapshots (one live at a
@@ -74,10 +76,7 @@ func (a *Stepwise) Clone() sim.Adversary {
 
 // Plan implements sim.Adversary.
 func (a *Stepwise) Plan(v *sim.View) []sim.CrashPlan {
-	perRound := a.PerRound
-	if perRound > v.Budget {
-		perRound = v.Budget
-	}
+	perRound := roundCap(a.PerRound, v)
 	if perRound <= 0 {
 		return nil
 	}
@@ -138,20 +137,10 @@ func (a *Stepwise) Plan(v *sim.View) []sim.CrashPlan {
 	return plan
 }
 
-// classify applies the plan on an arena snapshot and classifies the
-// successor state.
+// classify classifies the state plan leads to, counting the step.
 func (a *Stepwise) classify(v *sim.View, plan []sim.CrashPlan) (*Estimate, bool) {
 	a.StepsInspected++
-	c := a.arena.Snapshot(v.Exec)
-	defer a.arena.Release(c)
-	if err := c.FinishRound(plan); err != nil {
-		return nil, false
-	}
-	est, err := a.Est.Classify(c, v.Round)
-	if err != nil {
-		return nil, false
-	}
-	return est, true
+	return a.Est.successor(&a.arena, v, plan)
 }
 
 // appendSendersWithBit appends this round's plain senders carrying the

@@ -5,6 +5,7 @@ import (
 
 	"synran/internal/adversary"
 	"synran/internal/core"
+	"synran/internal/sim"
 )
 
 func TestStepwiseSafety(t *testing.T) {
@@ -95,5 +96,32 @@ func TestStepwiseBudgetRespected(t *testing.T) {
 	}
 	if res.Crashes > 2 {
 		t.Fatalf("crashes = %d exceed budget 2", res.Crashes)
+	}
+}
+
+// TestStepwiseZeroPerRoundIsRoundBudget: PerRound 0 means
+// core.RoundBudget(n), as for LowerBound, so a Stepwise literal with
+// only Est set crashes exactly the processes NewStepwise's does.
+func TestStepwiseZeroPerRoundIsRoundBudget(t *testing.T) {
+	const n, seed = 10, 1
+	run := func(sw *Stepwise) *sim.Result {
+		sw.Est.RolloutsPerAdversary = 10
+		res, err := core.Run(core.RunSpec{
+			N: n, T: n - 1, Inputs: halfInputs(n), Seed: seed,
+			Adversary: sw, MaxRounds: 60 * n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(NewStepwise(n, seed))
+	if want.Crashes == 0 {
+		t.Fatal("NewStepwise crashed nobody; pick a seed where it acts")
+	}
+	got := run(&Stepwise{Est: NewEstimator(n, seed)})
+	if got.Crashes != want.Crashes || got.HaltRounds != want.HaltRounds {
+		t.Fatalf("Stepwise{PerRound: 0}: %d crashes, %d rounds; NewStepwise: %d crashes, %d rounds",
+			got.Crashes, got.HaltRounds, want.Crashes, want.HaltRounds)
 	}
 }

@@ -15,7 +15,6 @@
 package valency
 
 import (
-	"errors"
 	"fmt"
 
 	"synran/internal/adversary"
@@ -88,15 +87,11 @@ type Estimator struct {
 	// RolloutsPerAdversary − 1 futures are the probe's, and take its
 	// outcome without being simulated. The default pool reads nothing
 	// from View.Rng; a member that does, or a run on the object core,
-	// simulates every rollout.
+	// fans every probe out.
 	Pool []func() sim.Adversary
 	// RolloutsPerAdversary is the number of independent futures sampled
 	// per pool member (default 24).
 	RolloutsPerAdversary int
-	// Workers bounds the rollout worker pool (0 = all cores). Rollout
-	// seeds depend only on the rollout index, so estimates are identical
-	// for every worker count.
-	Workers int
 	// Seed drives the rollout reseeding.
 	Seed uint64
 	// UseClone disables the arena snapshot path and takes a fresh
@@ -106,26 +101,23 @@ type Estimator struct {
 	// against it).
 	UseClone bool
 	// Metrics, when non-nil, receives rollout counts (deterministic) and
-	// per-worker arena reuse accounting (volatile). Set it before the
-	// first Classify call: arenas capture it when they are created.
+	// arena reuse accounting (volatile). Set it before the first
+	// classification: the arena captures it when it is created.
 	Metrics *metrics.Engine
 
 	counter uint64
-	// arenas recycle rollout executions, one arena per trials worker so
-	// parallel rollouts never contend. They persist across Classify
-	// calls: a Stepwise adversary classifying hundreds of successor
-	// states reuses the same fleet throughout.
-	arenas []*sim.SnapshotArena
-	// advCache caches one continuation-adversary instance per
-	// (worker, pool entry). Instances implementing sim.ReusableAdversary
-	// are reset and reused across rollouts instead of rebuilt, removing
-	// the per-rollout factory allocations; others are rebuilt each time.
-	// Worker w only ever touches advCache[w], mirroring the arena rule.
-	advCache [][]sim.Adversary
-	// probes and fanout are Classify's scratch, reused across calls: each
-	// member's probe outcome, and the rollout indices still to simulate.
-	probes []outcome
-	fanout []int
+	// arena recycles rollout executions. It persists across
+	// classifications: a Stepwise adversary classifying hundreds of
+	// successor states reuses the same fleet throughout.
+	arena *sim.SnapshotArena
+	// advs caches one continuation-adversary instance per pool entry.
+	// Instances implementing sim.ReusableAdversary are reset and reused
+	// across rollouts instead of rebuilt, removing the per-rollout
+	// factory allocations; others are rebuilt each time.
+	advs []sim.Adversary
+	// tally is classify's scratch, reused across calls: each pool
+	// member's rollout counts.
+	tally []counts
 }
 
 // outcome is one rollout's result, and whether it drew any randomness
@@ -162,41 +154,25 @@ func NewEstimator(n int, seed uint64) *Estimator {
 // may alias.
 func (e *Estimator) Clone() *Estimator {
 	c := *e
-	c.arenas = nil
-	c.advCache = nil
-	c.probes, c.fanout = nil, nil
+	c.arena = nil
+	c.advs = nil
+	c.tally = nil
 	return &c
 }
 
-// growArenas ensures the estimator owns at least w rollout arenas.
-// Worker w only ever touches arenas[w], so parallel rollouts are
-// contention- and race-free by construction.
-func (e *Estimator) growArenas(w int) {
-	for len(e.arenas) < w {
-		e.arenas = append(e.arenas, &sim.SnapshotArena{Metrics: e.Metrics, Shard: len(e.arenas)})
-	}
-	for len(e.advCache) < w {
-		e.advCache = append(e.advCache, make([]sim.Adversary, len(e.Pool)))
-	}
-}
-
-// pooledAdversary returns worker's instance of pool member ai, reusing
-// (and resetting) it when the adversary supports it.
-func (e *Estimator) pooledAdversary(worker, ai int) sim.Adversary {
-	row := e.advCache[worker]
-	if r, ok := row[ai].(sim.ReusableAdversary); ok {
+// pooledAdversary returns the instance of pool member ai, reusing (and
+// resetting) it when the adversary supports it.
+func (e *Estimator) pooledAdversary(ai int) sim.Adversary {
+	if r, ok := e.advs[ai].(sim.ReusableAdversary); ok {
 		r.ResetAdversary()
 		return r
 	}
 	adv := e.Pool[ai]()
-	row[ai] = adv
+	e.advs[ai] = adv
 	return adv
 }
 
 // rolloutsPerMember is RolloutsPerAdversary with its default applied.
-// Classify takes it in one assignment: assigned twice, the local its
-// rollout closures capture would move to the heap, one allocation per
-// call that bench-check's allocs/op gate catches.
 func (e *Estimator) rolloutsPerMember() int {
 	if e.RolloutsPerAdversary > 0 {
 		return e.RolloutsPerAdversary
@@ -206,63 +182,102 @@ func (e *Estimator) rolloutsPerMember() int {
 
 // Classify estimates the valency of the state of exec at the beginning
 // of round k (the paper's α_k), using the Section 3.2 thresholds
-// lo = 1/sqrt(n) − k/n and hi = 1 − 1/sqrt(n) + k/n. The execution is
-// not modified.
+// lo = 1/sqrt(n) − k/n and hi = 1 − 1/sqrt(n) + k/n. It simulates every
+// rollout, so MinP, MaxP and MeanExtraRounds cover the whole pool. The
+// execution is not modified.
 func (e *Estimator) Classify(exec *sim.Execution, k int) (*Estimate, error) {
+	return e.classify(exec, k, false)
+}
+
+// AttachMetrics points the look-ahead estimator of adv, when adv is a
+// LowerBound or a Stepwise, at m, so its rollouts count into m; any
+// other adversary is left as it is. Call it before the first Plan: the
+// estimator's arena captures m when it is created.
+func AttachMetrics(adv sim.Adversary, m *metrics.Engine) {
+	switch a := adv.(type) {
+	case *LowerBound:
+		a.Est.Metrics = m
+	case *Stepwise:
+		a.Est.Metrics = m
+	}
+}
+
+// successor classifies the state that plan leads to from v: the
+// look-ahead both Section 3 adversaries make. It finishes v's open round
+// under plan on a snapshot from arena and classifies the snapshot,
+// stopping its rollouts once the class is settled. It reports false when
+// the plan or a rollout fails.
+func (e *Estimator) successor(arena *sim.SnapshotArena, v *sim.View, plan []sim.CrashPlan) (*Estimate, bool) {
+	c := arena.Snapshot(v.Exec)
+	defer arena.Release(c)
+	if err := c.FinishRound(plan); err != nil {
+		return nil, false
+	}
+	est, err := e.classify(c, v.Round, true)
+	return est, err == nil
+}
+
+// classify is the rollout loop behind Classify and successor. It visits
+// the pool in order, one rollout at a time: a member's first rollout is
+// its probe, and only when the probe drew randomness do the member's
+// other rollouts run. Rollout idx belongs to member idx/rolls, and its
+// reseed value is a function of idx alone (e.counter bumped once per
+// rollout in (ai, j) order; rollout reproduces those exact counter
+// values), so a skipped rollout moves no other rollout's seed.
+//
+// With settle set, classify stops simulating once settledClass fixes the
+// class. The look-ahead adversaries read only the class of a bivalent or
+// null-valent state, and a univalent class is never fixed early; a
+// stopped estimate's MinP, MaxP, MeanExtraRounds and Rollouts cover the
+// rollouts it simulated, and a panic in a rollout it skipped never
+// surfaces. Either way the counter advances past every rollout of the
+// pool, so later calls draw the same seeds.
+func (e *Estimator) classify(exec *sim.Execution, k int, settle bool) (*Estimate, error) {
 	if len(e.Pool) == 0 {
 		return nil, fmt.Errorf("valency: empty adversary pool")
 	}
 	rolls := e.rolloutsPerMember()
-	// Rollout idx belongs to member idx/rolls, and its reseed value is a
-	// function of idx alone (the serial implementation bumped e.counter
-	// once per rollout in (ai, j) order; rollout reproduces those exact
-	// counter values), so the estimate is byte-identical at any worker
-	// count. Each member's first rollout is its probe, run here in worker
-	// 0's arena; only the members whose probe drew randomness fan their
-	// other rollouts out over the worker pool.
 	base := e.counter
-	e.growArenas(trials.WorkerCount(e.Workers, len(e.Pool)*rolls))
-	e.probes, e.fanout = e.probes[:0], e.fanout[:0]
-	for ai := range e.Pool {
-		p, err := trials.Call(func(worker, idx int) (outcome, error) {
-			return e.rollout(exec, worker, base, idx, rolls), nil
-		}, 0, ai*rolls)
-		if err != nil {
-			return nil, err
-		}
-		e.probes = append(e.probes, p)
-		for j := 1; p.drew && j < rolls; j++ {
-			e.fanout = append(e.fanout, ai*rolls+j)
-		}
+	if e.arena == nil {
+		e.arena = &sim.SnapshotArena{Metrics: e.Metrics}
+		e.advs = make([]sim.Adversary, len(e.Pool))
 	}
-	var rest []outcome
-	if len(e.fanout) > 0 {
-		var err error
-		rest, err = trials.RunWorker(e.Workers, len(e.fanout), func(worker, i int) (outcome, error) {
-			return e.rollout(exec, worker, base, e.fanout[i], rolls), nil
-		})
+	e.tally = e.tally[:0]
+	for range e.Pool {
+		e.tally = append(e.tally, counts{left: rolls})
+	}
+	lo := core.ValencyLow(exec.N(), k)
+	hi := core.ValencyHigh(exec.N(), k)
+	for ai := range e.Pool {
+		c := &e.tally[ai]
+		first := ai * rolls
+		p, err := e.call(exec, base, first, rolls)
 		if err != nil {
-			var pe *trials.PanicError
-			if errors.As(err, &pe) {
-				pe.Trial = e.fanout[pe.Trial] // name the rollout, as a probe's error does
-			}
 			return nil, err
+		}
+		if !p.drew {
+			c.add(p, rolls) // the probe stands for every rollout of its member
+		} else {
+			c.add(p, 1)
+			if settle && settledClass(e.tally, lo, hi) != 0 {
+				break
+			}
+			for idx := first + 1; idx < first+rolls; idx++ {
+				o, err := e.call(exec, base, idx, rolls)
+				if err != nil {
+					return nil, err
+				}
+				c.add(o, 1)
+			}
+		}
+		if settle && settledClass(e.tally, lo, hi) != 0 {
+			break
 		}
 	}
 	e.counter = base + uint64(len(e.Pool)*rolls)
 	minP, maxP := 1.0, 0.0
 	total, extraSum := 0, 0.0
-	for _, p := range e.probes {
-		var c counts
-		if p.drew {
-			c.add(p, 1)
-			for _, o := range rest[:rolls-1] {
-				c.add(o, 1)
-			}
-			rest = rest[rolls-1:]
-		} else {
-			c.add(p, rolls) // the probe stands for every rollout of its member
-		}
+	for _, c := range e.tally {
 		total += c.decided
 		extraSum += c.extra
 		if c.decided == 0 {
@@ -279,44 +294,79 @@ func (e *Estimator) Classify(exec *sim.Execution, k int) (*Estimate, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("valency: no rollout terminated")
 	}
-	n := exec.N()
-	lo := core.ValencyLow(n, k)
-	hi := core.ValencyHigh(n, k)
-	est := &Estimate{MinP: minP, MaxP: maxP, Rollouts: total, MeanExtraRounds: extraSum / float64(total)}
-	switch {
-	case minP < lo && maxP > hi:
-		est.Class = Bivalent
-	case minP < lo:
-		est.Class = ZeroValent
-	case maxP > hi:
-		est.Class = OneValent
-	default:
-		est.Class = NullValent
+	return &Estimate{
+		Class: settledClass(e.tally, lo, hi),
+		MinP:  minP, MaxP: maxP, Rollouts: total, MeanExtraRounds: extraSum / float64(total),
+	}, nil
+}
+
+// settledClass is the Section 3.2 class that the members' tallies fix
+// whatever their rollouts not yet simulated do, or 0 while it is open. A
+// member whose d rollouts have decided, o of them 1, with r left ends
+// with a ratio of 1-decisions in [o/(d+r), (o+r)/(d+r)]. The class is
+// bivalent once one member must end below lo and one above hi, and
+// null-valent once none can end below lo or above hi and some rollout
+// has decided. A univalent class is fixed only when nothing is left,
+// since candScore then reads MeanExtraRounds. (A member with d+r = 0
+// has NaN bounds, which fail every comparison: a member none of whose
+// rollouts decided counts for neither extreme.)
+func settledClass(tally []counts, lo, hi float64) Class {
+	var below, above, mayBelow, mayAbove bool
+	decided, left := 0, 0
+	for _, c := range tally {
+		d := float64(c.decided + c.left)
+		least, most := float64(c.ones)/d, float64(c.ones+c.left)/d
+		below = below || most < lo
+		above = above || least > hi
+		mayBelow = mayBelow || least < lo
+		mayAbove = mayAbove || most > hi
+		decided += c.decided
+		left += c.left
 	}
-	return est, nil
+	switch {
+	case below && above:
+		return Bivalent
+	case decided > 0 && !mayBelow && !mayAbove:
+		return NullValent
+	case left > 0:
+		return 0
+	case below:
+		return ZeroValent
+	case above:
+		return OneValent
+	}
+	return 0 // no rollout decided
+}
+
+// call simulates rollout idx with the trial pool's panic isolation: a
+// panic comes back as the *trials.PanicError naming idx.
+func (e *Estimator) call(exec *sim.Execution, base uint64, idx, rolls int) (outcome, error) {
+	return trials.Call(func(_, idx int) (outcome, error) {
+		return e.rollout(exec, base, idx, rolls), nil
+	}, 0, idx)
 }
 
 // rollout simulates rollout idx, of pool member idx/rolls, from exec in
-// worker's arena, or on a fresh Clone when UseClone is set (either copy
-// is deep, and the continuation byte-identical).
-func (e *Estimator) rollout(exec *sim.Execution, worker int, base uint64, idx, rolls int) outcome {
+// the arena, or on a fresh Clone when UseClone is set (either copy is
+// deep, and the continuation byte-identical).
+func (e *Estimator) rollout(exec *sim.Execution, base uint64, idx, rolls int) outcome {
 	if m := e.Metrics; m != nil {
-		m.Rollouts.Inc(worker)
+		m.Rollouts.Inc(0)
 	}
 	ai := idx / rolls
 	var c *sim.Execution
 	if e.UseClone {
 		c = exec.Clone()
 	} else {
-		c = e.arenas[worker].Snapshot(exec)
-		defer e.arenas[worker].Release(c)
+		c = e.arena.Snapshot(exec)
+		defer e.arena.Release(c)
 	}
 	counter := base + uint64(idx) + 1
 	c.ReseedProcesses(e.Seed ^ rng.Uint64At(uint64(ai)<<32|counter))
 	// A rollout hitting MaxRounds means the continuation adversary
 	// pinned the protocol; it counts as undecided and contributes to
 	// neither extreme.
-	o := outcome{decided: c.Drive(e.pooledAdversary(worker, ai)) == nil}
+	o := outcome{decided: c.Drive(e.pooledAdversary(ai)) == nil}
 	if o.decided {
 		o.one = c.ConsensusValue() == 1
 		o.extra = float64(c.HaltRound() - exec.Round())
@@ -325,15 +375,17 @@ func (e *Estimator) rollout(exec *sim.Execution, worker int, base uint64, idx, r
 	return o
 }
 
-// counts accumulates one pool member's rollout outcomes.
+// counts accumulates one pool member's rollout outcomes; left counts
+// its rollouts not yet simulated.
 type counts struct {
-	decided, ones int
-	extra         float64
+	decided, ones, left int
+	extra               float64
 }
 
 // add counts o times times. Extra rounds are whole numbers, so the
 // float sums are exact whatever the order or multiplicity.
 func (c *counts) add(o outcome, times int) {
+	c.left -= times
 	if !o.decided {
 		return
 	}

@@ -248,7 +248,7 @@ func TestEstimatorCloneKeepsCounterPosition(t *testing.T) {
 	if c.counter != 42 {
 		t.Fatalf("clone counter = %d, want 42", c.counter)
 	}
-	if len(c.arenas) != 0 {
+	if c.arena != nil {
 		t.Fatal("clone must not share or carry arenas")
 	}
 	c.counter = 100

@@ -215,6 +215,7 @@ func Run(spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	valency.AttachMetrics(adv, spec.Metrics) // look-ahead rollouts count into the run's engine
 	if spec.Chaos != nil {
 		inj, err := chaos.New(spec.Seed, *spec.Chaos)
 		if err != nil {

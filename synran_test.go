@@ -3,7 +3,9 @@ package synran
 import (
 	"testing"
 
+	"synran/internal/core"
 	"synran/internal/sim"
+	"synran/internal/valency"
 )
 
 func TestFacadeRunDefaults(t *testing.T) {
@@ -104,6 +106,35 @@ func TestFacadeLowerBoundAdversary(t *testing.T) {
 	}
 	if !res.Agreement || !res.Validity {
 		t.Fatal("lower-bound adversary broke safety")
+	}
+}
+
+// TestFacadeMetricsCountRollouts: Spec.Metrics reaches the look-ahead
+// adversaries' estimator, so a façade run reports the rollouts it
+// simulated, and the count is the one a direct run reads.
+func TestFacadeMetricsCountRollouts(t *testing.T) {
+	const n, seed = 12, 42
+	for _, name := range []string{AdversaryLowerBound, AdversaryStepwise} {
+		m := NewMetricsEngine(1)
+		if _, err := Run(Spec{N: n, T: n - 1, Inputs: HalfHalfInputs(n), Adversary: name, Seed: seed, Metrics: m}); err != nil {
+			t.Fatal(err)
+		}
+		got := m.Rollouts.Value()
+		if got == 0 {
+			t.Fatalf("%s: façade run reports no valency rollouts", name)
+		}
+		adv, err := NewAdversary(name, n, n-1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := NewMetricsEngine(1)
+		valency.AttachMetrics(adv, direct)
+		if _, err := core.Run(core.RunSpec{N: n, T: n - 1, Inputs: HalfHalfInputs(n), Seed: seed, Adversary: adv}); err != nil {
+			t.Fatal(err)
+		}
+		if want := direct.Rollouts.Value(); got != want {
+			t.Fatalf("%s: façade run reports %d rollouts, a direct run %d", name, got, want)
+		}
 	}
 }
 
